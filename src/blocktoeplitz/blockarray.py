@@ -24,17 +24,6 @@ def as_block_vector(y, d):
                      f"(n, {d}, {d}) block vector")
 
 
-def stack_to_tall(y):
-    """(n, d, d) block stack -> (d n, d) tall matrix."""
-    n, d, _ = y.shape
-    return y.reshape(n * d, d)
-
-
-def tall_to_stack(m, d):
-    """(d n, d) tall matrix -> (n, d, d) block stack."""
-    return np.asarray(m, dtype=np.complex128).reshape(-1, d, d)
-
-
 @dataclass
 class BlockMatrix:
     """Dense complex (d n) x (d n) matrix with 1-based block addressing."""
@@ -55,14 +44,6 @@ class BlockMatrix:
             raise IndexError("block index out of range")
         d = self.d
         return self.data[(s - 1) * d:s * d, (t - 1) * d:t * d]
-
-    @classmethod
-    def from_block_fn(cls, n, d, fn, hermitian=False):
-        data = np.zeros((n * d, n * d), dtype=np.complex128)
-        for s in range(1, n + 1):
-            for t in range(1, n + 1):
-                data[(s - 1) * d:s * d, (t - 1) * d:t * d] = fn(s, t)
-        return cls(n=n, d=d, data=data, hermitian=hermitian)
 
     def check_hermitian(self, tol=1e-13):
         dev = np.abs(self.data - self.data.conj().T).max()

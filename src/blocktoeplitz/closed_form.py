@@ -193,25 +193,13 @@ class ClosedFormKit:
     # -- n-dependent closed forms ------------------------------------------ #
 
     def pi_mat(self, n):
-        """Pi_n: block-diagonal, upper-triangular-Toeplitz per pole with
-        entries p_{mu, c-i+1}(n)."""
+        """Pi_n = diag(p_mu^n) U_n: block-diagonal,
+        upper-triangular-Toeplitz per pole with entries p_{mu, c-i+1}(n)."""
         n = int(n)
-        if n in self._pi_cache:
-            return self._pi_cache[n]
-        d = self.d
-        out = np.zeros((self.M * d, self.M * d), dtype=np.complex128)
-        for mu in range(self.spec.K):
-            base = self.offsets[mu]
-            m = self.spec.mults[mu]
-            p = self.spec.poles[mu]
-            for i in range(1, m + 1):
-                for c in range(i, m + 1):
-                    val = binom(n, c - i) * p ** (n - (c - i))
-                    r0 = (base + i - 1) * d
-                    c0 = (base + c - 1) * d
-                    out[r0:r0 + d, c0:c0 + d] = val * np.eye(d)
-        self._pi_cache[n] = out
-        return out
+        if n not in self._pi_cache:
+            pn = np.repeat(self.pole_of_slot ** n, self.d)
+            self._pi_cache[n] = pn[:, None] * self.u_mat(n)
+        return self._pi_cache[n]
 
     def u_mat(self, n):
         """Pi_n with the diagonal power scaling factored out:
@@ -236,6 +224,13 @@ class ClosedFormKit:
         exponents -> (len(e), M)."""
         e = np.asarray(exponents)[:, None]
         return self.pole_of_slot[None, :] ** e
+
+    def _slot_powers(self, k, e):
+        """C(k, i-1) p_mu^{e-i+1} per slot (mu, i), vectorized over
+        integer arrays k and e -> (len, M); p_n has k = e = n."""
+        poles = self.spec.poles
+        return np.stack([binom_vec(k, i - 1) * poles[mu] ** (e - i + 1)
+                         for mu, i in self.slots], axis=-1)
 
     def xi_scalars(self, ns, scaled=False):
         """Scalar entries of Xi_n for an array of n >= 1; with
@@ -297,8 +292,52 @@ class ClosedFormKit:
         return pit @ self.lambda_mat, herm(pit) @ self.lambda_mat.T
 
     def spectral_radius(self, n):
+        """Spectral radius of G~_n G_n, unchecked."""
         g, gt = self.g_mats(n)
         return float(np.abs(np.linalg.eigvals(gt @ g)).max())
+
+    def checked_g_mats(self, n):
+        """(G_n, G~_n, spectral radius of G~_n G_n). Raises
+        ResolventSingular unless the radius is below 1, which keeps
+        I - G~G and I - GG~ invertible and the correction series
+        convergent."""
+        radius = self.spectral_radius(n)
+        if radius >= 1.0:
+            raise errors.ResolventSingular(
+                f"spectral radius of G~G at n={n} is {radius:.6f} >= 1")
+        return (*self.g_mats(n), radius)
+
+    # -- the rank-correction vectors ------------------------------------- #
+
+    def vectors(self, kind, ms, scaled=False):
+        """The vectors x_m and x~_m of kind 'v' or 'w' for an integer
+        array of indices m >= 1, each as a (len(ms), M d, d) stack:
+
+            v_m = Xi_m rho + sum_{l=m}^{m0} p_{l-m} rho0_l,
+            w_m = Phi_m rho + sum_{l=0}^{m0} p_{l-m} rho0_l
+
+        (rho0_0 = rho00, slot scalars acting on the stacked residues),
+        and their tilde partners from the conjugated scalars and the
+        coefficients of h~^{-1}. scaled=True multiplies the rows of slot
+        (mu, i) by p_mu^m (conj(p_mu)^m for the tilde partner); w is then
+        polynomial in m, while unscaled w overflows once |p_mu|^{-m}
+        leaves float range.
+        """
+        spec = self.spec
+        ms = np.asarray(ms, dtype=np.int64)
+        scal = {"v": self.xi_scalars, "w": self.phi_scalars}[kind](ms, scaled)
+        x = np.einsum("nqr,rab->nqab", scal, self.rho_stack)
+        xt = np.einsum("nqr,rab->nqab", np.conj(scal), self.rho_tilde_stack)
+        band = [spec.rho00, *spec.rho0]
+        band_t = [herm(m) for m in (spec.sharp_rho00, *spec.sharp_rho0)]
+        for l in range(spec.m0 + 1):
+            rows = ms <= l if kind == "v" else slice(None)
+            k = l - ms[rows]
+            ps = self._slot_powers(k, l if scaled else k)
+            x[rows] += ps[:, :, None, None] * band[l]
+            xt[rows] += np.conj(ps)[:, :, None, None] * band_t[l]
+        flat = (len(ms), self.M * self.d, self.d)
+        return x.reshape(flat), xt.reshape(flat)
 
     def beta_closed(self, k):
         """beta_k for k >= m0 + 1, from beta_k* = p_0^T Pi_{k-1} Theta p_0."""
@@ -349,87 +388,46 @@ class ClosedFormKit:
 
 class SolveVectors:
     """The n-dependent vectors of the rank-correction formulas: v, v~,
-    w, w~ for indices 1..n, the resolvents of I - G~G and I - GG~, and
-    the correction factors l_{n,s}, r_{n,s} (plus tilde variants).
+    w, w~ for indices 1..n (unscaled, from ClosedFormKit.vectors), the
+    resolvents of I - G~G and I - GG~, and the correction factors
+    l_{n,s}, r_{n,s} (plus tilde variants).
 
-    Uses the literal (unscaled) closed forms, which overflow once
-    |p_mu|^{-n} exceeds float range; the linear-time solver has a scaled
-    assembly for large n.
+    The unscaled w overflow once |p_mu|^{-n} exceeds float range; the
+    linear-time solver assembles from the scaled vectors for large n.
     """
 
     def __init__(self, kit, n):
-        spec = kit.spec
-        if n < spec.m0 + 1:
+        if n < kit.spec.m0 + 1:
             raise errors.DomainViolation("need n >= m0 + 1")
         self.kit = kit
         self.n = n
-        d, M = kit.d, kit.M
         ns = np.arange(1, n + 1)
-
-        xi = kit.xi_scalars(ns)                   # (n, M, M), index m-1
-        self.v = np.einsum("nqr,rab->nqab", xi, kit.rho_stack)
-        self.v_tilde = np.einsum("nqr,rab->nqab", np.conj(xi),
-                                 kit.rho_tilde_stack)
-        if spec.m0 >= 1:
-            for m in range(1, spec.m0 + 1):
-                for l in range(0, spec.m0 - m + 1):
-                    ps = kit.p_scalars(l)
-                    rho0 = spec.rho0[m + l - 1]
-                    rho0t = spec.sharp_rho0[m + l - 1].conj().T
-                    self.v[m - 1] += ps[:, None, None] * rho0
-                    self.v_tilde[m - 1] += np.conj(ps)[:, None, None] * rho0t
-
-        phi = kit.phi_scalars(ns, scaled=False)   # (n, M, M)
-        self.w = np.einsum("nqr,rab->nqab", phi, kit.rho_stack)
-        self.w_tilde = np.einsum("nqr,rab->nqab", np.conj(phi),
-                                 kit.rho_tilde_stack)
-        rho00t = spec.sharp_rho00.conj().T
-        for m in range(1, n + 1):
-            for l in range(0, spec.m0 + 1):
-                ps = kit.p_scalars(l - m)
-                rho0 = spec.rho00 if l == 0 else spec.rho0[l - 1]
-                rho0t = rho00t if l == 0 else \
-                    spec.sharp_rho0[l - 1].conj().T
-                self.w[m - 1] += ps[:, None, None] * rho0
-                self.w_tilde[m - 1] += np.conj(ps)[:, None, None] * rho0t
-
-        self.g, self.g_tilde = kit.g_mats(n)
-        gtg = self.g_tilde @ self.g
-        ggt = self.g @ self.g_tilde
-        self.spectral_radius = float(np.abs(np.linalg.eigvals(gtg)).max())
-        if self.spectral_radius >= 1.0:
-            raise errors.ResolventSingular(
-                f"spectral radius of G~G at n={n} is "
-                f"{self.spectral_radius:.6f} >= 1")
-        eye = np.eye(M * d)
-        self.resolvent = np.linalg.inv(eye - gtg)        # (I - G~G)^{-1}
-        self.resolvent_tilde = np.linalg.inv(eye - ggt)  # (I - GG~)^{-1}
+        self.v, self.v_tilde = kit.vectors("v", ns)
+        self.w, self.w_tilde = kit.vectors("w", ns)
+        self.g, self.g_tilde, self.spectral_radius = kit.checked_g_mats(n)
+        eye = np.eye(kit.M * kit.d)
+        self.resolvent = np.linalg.inv(eye - self.g_tilde @ self.g)
+        self.resolvent_tilde = np.linalg.inv(eye - self.g @ self.g_tilde)
         self.pi_theta = kit.pi_mat(n) @ kit.theta_mat
-
-    def _stack(self, blocks):
-        return blocks.reshape(-1, self.kit.d)
 
     def ell(self, s):
         """l_{n,s} = (w_{n+1-s} - v_{n+1-s})* (I - G~G)^{-1}, (d, Md)."""
         m = self.n + 1 - s
-        diff = self._stack(self.w[m - 1] - self.v[m - 1])
-        return diff.conj().T @ self.resolvent
+        return herm(self.w[m - 1] - self.v[m - 1]) @ self.resolvent
 
     def ell_tilde(self, s):
         """l~_{n,s} = (w~_s - v~_s)* (I - GG~)^{-1}, (d, Md)."""
-        diff = self._stack(self.w_tilde[s - 1] - self.v_tilde[s - 1])
-        return diff.conj().T @ self.resolvent_tilde
+        return herm(self.w_tilde[s - 1] - self.v_tilde[s - 1]) \
+            @ self.resolvent_tilde
 
     def r(self, s):
         """r_{n,s} = (Pi Theta)* v~_s + G~ Pi Theta v_{n+1-s}, (Md, d)."""
-        vt = self._stack(self.v_tilde[s - 1])
-        v = self._stack(self.v[self.n - s])
+        vt, v = self.v_tilde[s - 1], self.v[self.n - s]
         return herm(self.pi_theta) @ vt + self.g_tilde @ (self.pi_theta @ v)
 
     def r_tilde(self, s):
         """r~_{n,s} = Pi Theta v_{n+1-s} + G (Pi Theta)* v~_s, (Md, d)."""
-        vt = self._stack(self.v_tilde[s - 1])
-        v = self._stack(self.v[self.n - s])
+        vt, v = self.v_tilde[s - 1], self.v[self.n - s]
         return self.pi_theta @ v + self.g @ (herm(self.pi_theta) @ vt)
 
 

@@ -1,23 +1,28 @@
 """Linear-time solver for T_n(w) Z = Y with a rational symbol.
 
-The upper factor A~_n (block Toeplitz in the a~ coefficients) splits
-into a banded part plus per-pole scalar Toeplitz factors
+Both triangular factors and their adjoints go through one apply of an
+upper-triangular block Toeplitz operator with coefficients
 
-    A~_n = Delta~_n + sum_{mu,j} Q_{mu,j,n} D~_{mu,j,n},
+    c_k = band[k] + sum_{mu,j} C(k+j-1, j-1) p_mu^k R_{mu,j},
 
-where Q has entries C(k+j-1, j-1) p_mu^k I_d. Each Q (and Q*) applies in
-O(n) through a first-order recursion in the block index, implemented
-here as an IIR filter scan; the diagonal D factors commute with the
-scalar Q, so one scan per (pole, multiplicity slot) suffices. That gives
-A~* A~ Y and A* A Y in O(n).
+that is a banded part plus per-pole scalar Toeplitz factors Q_{mu,j}
+with entries C(k+j-1, j-1) p_mu^k. Each Q applies in O(n) through a
+first-order recursion in the block index, implemented here as an IIR
+filter scan; the residues R commute with the scalar Q, so one scan per
+(pole, multiplicity slot) suffices. A lower triangle is the same apply
+on the block-reversed input, and an adjoint conjugate-transposes band
+and residues, conjugates the poles and flips the triangle. A_n is the
+lower triangle of the a_k, A~_n the adjoint of the one built from the
+h_sharp coefficients. That gives A~* A~ Y and A* A Y in O(n).
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
-in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
-pole powers p^{-m} and p^{n} that overflow / underflow float range long
-before n reaches the sizes this path is for, but the diagonal power
-scalings cancel analytically, leaving only polynomially growing pieces
-(see the hat-variants of the closed forms). The assembly below never
-forms l or r themselves.
+in a rescaled form from the vectors of ClosedFormKit.vectors: the
+factors l_{n,s} and r_{n,t} separately contain pole powers p^{-m} and
+p^{n} that overflow / underflow float range long before n reaches the
+sizes this path is for, but the diagonal power scalings cancel
+analytically, leaving only polynomially growing pieces (see the
+hat-variants of the closed forms). The assembly below never forms l or
+r themselves.
 
 The literal reference formulas (unscaled, block by block) live in
 closed_form; this module is the production path.
@@ -25,6 +30,7 @@ closed_form; this module is the production path.
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -33,56 +39,56 @@ from . import errors
 from .blockarray import as_block_vector
 from .closed_form import ClosedFormKit
 from .coefficients import CoefficientTables
-from .util import binom_vec
+from .util import herm
 
 
 # -- O(n) structured applies ------------------------------------------------ #
 
-def _scan_backward(p, driver):
-    """x with x_s = p x_{s+1} + driver_s (x_{n} = driver_n), vectorized
-    over the trailing axes by an IIR filter on the reversed sequence."""
-    n, d, _ = driver.shape
-    flat = driver[::-1].reshape(n, d * d)
-    out = lfilter([1.0], [1.0, -p], flat, axis=0)
-    return out[::-1].reshape(n, d, d)
+class _Triangular(NamedTuple):
+    """Block Toeplitz triangle with coefficients
+
+        c_k = band[k] + sum_{mu,j} C(k+j-1, j-1) p_mu^k R_{mu,j}
+
+    (p = poles, R_{mu,j} = residues[mu][j-1], band[k] = 0 past its
+    length), upper ((s, t) block c_{t-s}) or lower (c_{s-t})."""
+
+    band: list
+    poles: tuple
+    residues: tuple
+    upper: bool
 
 
-def _scan_forward(p, driver):
-    """x with x_{s+1} = p x_s + driver_{s+1} (x_1 = driver_1)."""
-    n, d, _ = driver.shape
-    flat = driver.reshape(n, d * d)
-    out = lfilter([1.0], [1.0, -p], flat, axis=0)
-    return out.reshape(n, d, d)
+def _adjoint(op):
+    """The adjoint triangle: conjugate-transposed band and residues,
+    conjugated poles, the other side of the diagonal."""
+    return _Triangular([herm(b) for b in op.band], np.conj(op.poles),
+                       tuple(tuple(herm(r) for r in res)
+                             for res in op.residues),
+                       not op.upper)
 
 
-def apply_Q(spec, mu, n, y):
-    """[Q_{mu,i,n} Y for i = 1..m_mu] in O(n m_mu) block operations.
+def _factor(spec, variant):
+    """A_n ('plain') is the lower triangle of the a_k of -h^{-1}; A~_n
+    ('tilde') is the adjoint of the same triangle built from the
+    h_sharp^{-1} coefficients, since a~_k = (a_k of h_sharp)*."""
+    sharp = {"tilde": True, "plain": False}[variant]
+    rho00, rho0, rho = ((spec.sharp_rho00, spec.sharp_rho0, spec.sharp_rho)
+                        if sharp else (spec.rho00, spec.rho0, spec.rho))
+    op = _Triangular([rho00, *rho0], np.conj(spec.poles), rho, False)
+    return _adjoint(op) if sharp else op
 
-    The i = 1 scan consumes Y; each higher slot consumes the previous
-    one (the binomial seeds q_{mu,i}(0) are all I_d, so the extra
-    forcing term of the index recursion vanishes).
-    """
-    y = as_block_vector(y, spec.d)[:n]
-    p = spec.poles[mu]
+
+def _pole_scans(p, m, y):
+    """[Q_j y for j = 1..m], Q_j the upper scalar Toeplitz operator with
+    entries C(k+j-1, j-1) p^k. Each slot is the backward recursion
+    x_s = p x_{s+1} + (previous slot)_s, run as an IIR filter on the
+    reversed sequence (the binomial seeds are all 1, so the recursion
+    has no extra forcing term)."""
     out = []
-    driver = y
-    for _i in range(spec.mults[mu]):
-        z = _scan_backward(p, driver)
-        out.append(z)
-        driver = z
-    return out
-
-
-def apply_Q_adjoint(spec, mu, n, y):
-    """[Q*_{mu,i,n} Y for i = 1..m_mu], the forward-scan mirror."""
-    y = as_block_vector(y, spec.d)[:n]
-    pbar = np.conj(spec.poles[mu])
-    out = []
-    driver = y
-    for _i in range(spec.mults[mu]):
-        w = _scan_forward(pbar, driver)
-        out.append(w)
-        driver = w
+    for _j in range(m):
+        flat = lfilter([1.0], [1.0, -p], y[::-1].reshape(len(y), -1), axis=0)
+        y = flat[::-1].reshape(y.shape)
+        out.append(y)
     return out
 
 
@@ -93,73 +99,45 @@ def _lmul(g, blocks):
     return (g @ flat).reshape(d, m, d).transpose(1, 0, 2)
 
 
-def _band_upper(coeffs, y):
-    """(s) -> sum_k coeffs[k] y_{s+k}: upper banded block Toeplitz."""
+def _apply(op, y):
+    """op Y in O(n): the band directly, each pole term by its scans (the
+    scalar Q commute with the d x d residues). A lower triangle is the
+    upper one on the block-reversed input."""
+    if not op.upper:
+        return _apply(op._replace(upper=True), y[::-1])[::-1]
     n = len(y)
     out = np.zeros_like(y)
-    for k, c in enumerate(coeffs):
-        if k >= n:
-            break
+    for k, c in enumerate(op.band[:n]):
         out[:n - k] += _lmul(c, y[k:])
+    for p, res in zip(op.poles, op.residues):
+        for r, z in zip(res, _pole_scans(p, len(res), y)):
+            out += _lmul(r, z)
     return out
 
 
-def _band_lower(coeffs, y):
-    """(s) -> sum_k coeffs[k] y_{s-k}: lower banded block Toeplitz."""
-    n = len(y)
-    out = np.zeros_like(y)
-    for k, c in enumerate(coeffs):
-        if k >= n:
-            break
-        out[k:] += _lmul(c, y[:n - k])
-    return out
+def apply_Q(spec, mu, n, y):
+    """[Q_{mu,i,n} Y for i = 1..m_mu] in O(n m_mu) block operations."""
+    y = as_block_vector(y, spec.d)[:n]
+    return _pole_scans(spec.poles[mu], spec.mults[mu], y)
 
 
-def _tilde_rho0(spec):
-    return [spec.sharp_rho00.conj().T] + \
-        [m.conj().T for m in spec.sharp_rho0]
-
-
-def _plain_rho0(spec):
-    return [spec.rho00] + list(spec.rho0)
+def apply_Q_adjoint(spec, mu, n, y):
+    """[Q*_{mu,i,n} Y for i = 1..m_mu]: the scans with conj(p_mu) on the
+    block-reversed input."""
+    y = as_block_vector(y, spec.d)[:n]
+    ws = _pole_scans(np.conj(spec.poles[mu]), spec.mults[mu], y[::-1])
+    return [w[::-1] for w in ws]
 
 
 def apply_A(spec, n, y, variant="tilde"):
     """A~_n Y (variant 'tilde') or A_n Y ('plain') in O(n)."""
-    y = as_block_vector(y, spec.d)[:n]
-    if variant == "tilde":
-        out = _band_upper(_tilde_rho0(spec), y)
-        for mu in range(spec.K):
-            zs = apply_Q(spec, mu, n, y)
-            for j, z in enumerate(zs):
-                rt = spec.sharp_rho[mu][j].conj().T
-                out += _lmul(rt, z)
-        return out
-    out = _band_lower(_plain_rho0(spec), y)
-    for mu in range(spec.K):
-        ws = apply_Q_adjoint(spec, mu, n, y)
-        for j, w in enumerate(ws):
-            out += _lmul(spec.rho[mu][j], w)
-    return out
+    return _apply(_factor(spec, variant), as_block_vector(y, spec.d)[:n])
 
 
 def apply_A_adjoint(spec, n, x, variant="tilde"):
     """A~_n* X or A_n* X in O(n)."""
-    x = as_block_vector(x, spec.d)[:n]
-    if variant == "tilde":
-        out = _band_lower([m.conj().T for m in _tilde_rho0(spec)], x)
-        for mu in range(spec.K):
-            ws = apply_Q_adjoint(spec, mu, n, x)
-            for j, w in enumerate(ws):
-                r = spec.sharp_rho[mu][j]  # (rho~)* = rho_sharp
-                out += _lmul(r, w)
-        return out
-    out = _band_upper([m.conj().T for m in _plain_rho0(spec)], x)
-    for mu in range(spec.K):
-        zs = apply_Q(spec, mu, n, x)
-        for j, z in enumerate(zs):
-            out += _lmul(spec.rho[mu][j].conj().T, z)
-    return out
+    return _apply(_adjoint(_factor(spec, variant)),
+                  as_block_vector(x, spec.d)[:n])
 
 
 def apply_A_gram(spec, n, y, variant="tilde"):
@@ -167,68 +145,6 @@ def apply_A_gram(spec, n, y, variant="tilde"):
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
     return apply_A_adjoint(spec, n, apply_A(spec, n, y, variant), variant)
-
-
-# -- rescaled rank-correction assembly -------------------------------------- #
-
-class _ScaledVectors:
-    """v, v~ plus the power-rescaled w - v differences, vectorized over
-    the index range the assembly needs. Index m is 1-based: arrays hold
-    positions m = 1..count at row m-1, flattened to (count, M d, d)."""
-
-    def __init__(self, kit, n):
-        spec = kit.spec
-        d, M = kit.d, kit.M
-        m0 = spec.m0
-        self.kit = kit
-        self.n = n
-        ns = np.arange(1, n + 1)
-
-        xi = kit.xi_scalars(ns)                      # (n, M, M)
-        v = np.einsum("nqr,rab->nqab", xi, kit.rho_stack)
-        vt = np.einsum("nqr,rab->nqab", np.conj(xi), kit.rho_tilde_stack)
-        for m in range(1, min(m0, n) + 1):
-            for l in range(0, m0 - m + 1):
-                ps = kit.p_scalars(l)
-                v[m - 1] += ps[:, None, None] * spec.rho0[m + l - 1]
-                vt[m - 1] += np.conj(ps)[:, None, None] * \
-                    spec.sharp_rho0[m + l - 1].conj().T
-
-        span = n - m0                                 # indices 1..n-m0
-        ms = np.arange(1, span + 1)
-        pow_p = kit.pole_powers(ms)                   # (span, M): p^m
-        phi_hat = kit.phi_scalars(ms, scaled=True)    # diag(p^m) Phi_m
-        xi_hat = kit.xi_scalars(ms, scaled=True)      # diag(p^m) Xi_m
-
-        w_hat = np.einsum("nqr,rab->nqab", phi_hat, kit.rho_stack)
-        wt_hat = np.einsum("nqr,rab->nqab", np.conj(phi_hat),
-                           kit.rho_tilde_stack)
-        rho0_plain = _plain_rho0(spec)
-        rho0_tilde = _tilde_rho0(spec)
-        for l in range(0, m0 + 1):
-            # diag(p^m) p_{l-m} is polynomial in m: C(l-m, i-1) p^{l-i+1}
-            phat = np.empty((span, M), dtype=np.complex128)
-            for q, (mu, i) in enumerate(kit.slots):
-                p = spec.poles[mu]
-                phat[:, q] = binom_vec(l - ms, i - 1) * p ** (l - i + 1)
-            w_hat += phat[:, :, None, None] * rho0_plain[l]
-            wt_hat += np.conj(phat)[:, :, None, None] * rho0_tilde[l]
-
-        v_hat = np.einsum("nqr,rab->nqab", xi_hat, kit.rho_stack)
-        vt_hat = np.einsum("nqr,rab->nqab", np.conj(xi_hat),
-                           kit.rho_tilde_stack)
-        for m in range(1, min(m0, span) + 1):
-            for l in range(0, m0 - m + 1):
-                ps = kit.p_scalars(l) * pow_p[m - 1]
-                v_hat[m - 1] += ps[:, None, None] * spec.rho0[m + l - 1]
-                vt_hat[m - 1] += np.conj(ps)[:, None, None] * \
-                    spec.sharp_rho0[m + l - 1].conj().T
-
-        flat = (-1, M * d, d)
-        self.v = v.reshape(flat)                  # v_m, m = 1..n
-        self.v_tilde = vt.reshape(flat)           # v~_m
-        self.wv_hat = (w_hat - v_hat).reshape(flat)     # diag(p^m)(w_m - v_m)
-        self.wvt_hat = (wt_hat - vt_hat).reshape(flat)  # conj powers, tilde
 
 
 @dataclass
@@ -267,6 +183,8 @@ def _residual_banded(tables, n, z, y, rel=1e-12):
     conv = np.fft.ifft(np.matmul(gf, zf), axis=0)
     tz = conv[L:L + n]          # band index k = -L aligns at offset L
     resid = float(np.linalg.norm((tz - y).reshape(-1)))
+    if L == n - 1:
+        return resid, 0.0       # the band holds every block of T_n
     znorm = float(np.linalg.norm(z.reshape(-1)))
     return resid, tables.gamma_band_tail(L) * znorm
 
@@ -302,61 +220,51 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     else:
         if kit is None:
             kit = ClosedFormKit(spec)
-        d, M = kit.d, kit.M
-        sv = _ScaledVectors(kit, n)
-        theta = kit.theta_mat
-        u_n = kit.u_mat(n)
+        d = kit.d
+        g_mat, gt_mat, spectral_radius = kit.checked_g_mats(n)
         lam = kit.lambda_mat
-        slot_p = np.repeat(kit.pole_of_slot, d)
-        pn = slot_p ** n
-        pbn = np.conj(pn)
+        ut = kit.u_mat(n) @ kit.theta_mat     # U_n Theta
+        pit = kit.pi_mat(n) @ kit.theta_mat   # diag(p^n) U_n Theta
+        tp = herm(pit)
 
-        ut = u_n @ theta                      # U_n Theta (block diagonal)
-        tu = theta.conj().T @ u_n.conj().T    # Theta* U_n*
-        g_mat = (pn[:, None] * ut) @ lam                  # G_n
-        gt_mat = (tu * pbn[None, :]) @ lam.T              # G~_n
-        gtg = gt_mat @ g_mat
-        spectral_radius = float(np.abs(np.linalg.eigvals(gtg)).max())
-        if spectral_radius >= 1.0:
-            raise errors.ResolventSingular(
-                f"spectral radius of G~G at n={n} is "
-                f"{spectral_radius:.6f} >= 1")
-
-        ytall = y  # (n, d, d)
+        v, vt = kit.vectors("v", np.arange(1, n + 1))   # v_m, v~_m
         # S = sum_t [v~_t + Lambda^T Pi Theta v_{n+1-t}] y_t
-        sv_rev = np.einsum("tij,tjk->ik", sv.v[::-1], ytall)   # sum v_{n+1-t} y_t
-        s_vt = np.einsum("tij,tjk->ik", sv.v_tilde, ytall)     # sum v~_t y_t
-        s_plain = s_vt + lam.T @ ((pn[:, None] * ut) @ sv_rev)
-        # S~ = sum_t [v_{n+1-t} + Lambda Theta* U_n* diag(pb^n) v~_t] y_t
-        s_tilde = sv_rev + lam @ ((tu * pbn[None, :]) @ s_vt)
+        sv_rev = np.einsum("tij,tjk->ik", v[::-1], y)   # sum v_{n+1-t} y_t
+        s_vt = np.einsum("tij,tjk->ik", vt, y)          # sum v~_t y_t
+        s_plain = s_vt + lam.T @ (pit @ sv_rev)
+        # S~ = sum_t [v_{n+1-t} + Lambda Theta* Pi_n* v~_t] y_t
+        s_tilde = sv_rev + lam @ (tp @ s_vt)
 
-        eye = np.eye(M * d)
-        x_plain = np.linalg.solve(
-            eye - g_mat @ gt_mat, g_mat @ ((tu * pbn[None, :]) @ s_plain))
-        x_tilde = np.linalg.solve(
-            eye - gtg, gt_mat @ ((pn[:, None] * ut) @ s_tilde))
+        eye = np.eye(kit.M * d)
+        x_plain = np.linalg.solve(eye - g_mat @ gt_mat,
+                                  g_mat @ (tp @ s_plain))
+        x_tilde = np.linalg.solve(eye - gt_mat @ g_mat,
+                                  gt_mat @ (pit @ s_tilde))
         g_vec = s_plain + lam.T @ x_plain      # (Md, d)
         gt_vec = s_tilde + lam @ x_tilde
 
+        # diag(p^m)(w_m - v_m) and diag(pbar^m)(w~_m - v~_m), m = 1..n-m0;
+        # the scaled v is the unscaled one times p^m (both stay finite)
         span = n - m0
-        srange = np.arange(1, span + 1)
-        # plain rows s = m0+1..n: corr(s) = wv_hat_{n+1-s}^* Theta* U_n*
-        #                                   diag(pbar^{s-1}) g_vec
-        s_plain_rows = np.arange(m0 + 1, n + 1)
-        pb_pow = np.conj(kit.pole_powers(s_plain_rows - 1))  # (span, M)
-        scaled_g = np.repeat(pb_pow, d, axis=1)[:, :, None] * g_vec[None]
-        right = np.matmul(tu, scaled_g)                    # (span, Md, d)
-        wv_rev = sv.wv_hat[::-1]                           # m = n+1-s order?
-        # wv_hat rows are m = 1..n-m0; for s = m0+1..n, m = n+1-s runs
-        # n-m0..1, i.e. reversed rows; srange aligns with s = m0+1..n
-        corr_plain = np.einsum("sia,sib->sab", np.conj(wv_rev), right)
+        ms = np.arange(1, span + 1)
+        wv, wvt = kit.vectors("w", ms, scaled=True)
+        pw = np.repeat(kit.pole_powers(ms), d, axis=1)[:, :, None]
+        wv -= pw * v[:span]
+        wvt -= np.conj(pw) * vt[:span]
 
-        # tilde rows s = 1..n-m0: corr~(s) = wvt_hat_s^* U_n Theta
+        # plain rows s = m0+1..n take m = n+1-s, i.e. the rows of wv
+        # reversed: corr(s) = wv_m^* Theta* U_n* diag(pbar^{s-1}) g_vec
+        pb_pow = np.conj(kit.pole_powers(np.arange(m0, n)))
+        right = np.matmul(herm(ut),
+                          np.repeat(pb_pow, d, axis=1)[:, :, None] * g_vec)
+        corr_plain = np.einsum("sia,sib->sab", np.conj(wv[::-1]), right)
+
+        # tilde rows s = 1..n-m0: corr~(s) = wvt_s^* U_n Theta
         #                                    diag(p^{n-s}) g~_vec
-        p_pow = kit.pole_powers(n - srange)                # (span, M)
-        scaled_gt = np.repeat(p_pow, d, axis=1)[:, :, None] * gt_vec[None]
-        right_t = np.matmul(ut, scaled_gt)
-        corr_tilde = np.einsum("sia,sib->sab", np.conj(sv.wvt_hat), right_t)
+        p_pow = kit.pole_powers(n - ms)
+        right_t = np.matmul(ut,
+                            np.repeat(p_pow, d, axis=1)[:, :, None] * gt_vec)
+        corr_tilde = np.einsum("sia,sib->sab", np.conj(wvt), right_t)
 
         z_t = alpha_t.copy()
         z_t[:span] += corr_tilde
@@ -375,12 +283,11 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         size = hi - lo + 1
         count = min(size, max(8, int(np.ceil(0.05 * size))))
         rng = np.random.default_rng(seed)
-        picks = rng.choice(size, size=count, replace=False) + lo
-        for s in picks:
-            dev = float(np.linalg.norm(z_t[s - 1] - z_p[s - 1], 2))
-            scale = max(1.0, float(np.linalg.norm(z[s - 1], 2)))
-            overlap_max_dev = max(overlap_max_dev, dev / scale)
-            overlap_checked += 1
+        rows = rng.choice(size, size=count, replace=False) + lo - 1
+        dev = np.linalg.norm(z_t[rows] - z_p[rows], 2, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(z[rows], 2, axis=(-2, -1)))
+        overlap_max_dev = float((dev / scale).max())
+        overlap_checked = count
         if overlap_max_dev > overlap_tol:
             raise errors.OverlapMismatch(
                 f"regional assemblies deviate by {overlap_max_dev:.3e} "

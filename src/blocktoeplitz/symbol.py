@@ -119,10 +119,6 @@ class RationalSymbolSpec:
         """max_mu |p_mu| (0.0 when K = 0)."""
         return max((abs(p) for p in self.poles), default=0.0)
 
-    def pole_points_of_h_inv(self):
-        """Poles of h^{-1}(z), located at 1/conj(p_mu)."""
-        return [1.0 / np.conj(p) for p in self.poles]
-
     # -- evaluation ----------------------------------------------------- #
 
     def eval_h_inv(self, z):

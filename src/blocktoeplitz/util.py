@@ -88,7 +88,3 @@ def herm(a):
     """Conjugate transpose of the last two axes."""
     return np.conj(np.swapaxes(a, -1, -2))
 
-
-def spectral_norm(a):
-    """Operator (2-) norm of a small matrix."""
-    return float(np.linalg.norm(a, 2))

@@ -178,6 +178,19 @@ def test_resolvent_recorded(sweep_specs):
     assert 0.0 <= sv.spectral_radius < 1.0
 
 
+def test_scaled_vectors_are_pole_powers_times_unscaled(sweep_specs):
+    spec = sweep_specs["d2_k1m2_p2"]    # multiplicity 2, m0 = 2
+    kit = ClosedFormKit(spec)
+    ms = np.arange(1, 41)
+    pw = np.repeat(kit.pole_powers(ms), spec.d, axis=1)[:, :, None]
+    for kind in ("v", "w"):
+        x, xt = kit.vectors(kind, ms)
+        x_hat, xt_hat = kit.vectors(kind, ms, scaled=True)
+        for got, want in ((x_hat, pw * x), (xt_hat, np.conj(pw) * xt)):
+            assert np.abs(got - want).max() <= 1e-12 * max(
+                1.0, np.abs(got).max()), kind
+
+
 def test_v_w_match_series(sweep_specs):
     # closed forms against the defining series (a-decay makes 600 terms
     # far more than enough)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blocktoeplitz import errors
-from blocktoeplitz.fast_solver import (apply_A, apply_A_gram, apply_Q,
+from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
+                                       apply_A_gram, apply_Q,
                                        apply_Q_adjoint, solve)
 from blocktoeplitz.synth import random_spec
 from blocktoeplitz.util import binom
@@ -103,6 +104,12 @@ def test_gram_dense_oracle(sweep_specs, sweep_tables, name):
     want_p = (gram(a_lo).data @ tall).reshape(n, d, d)
     assert np.abs(apply_A_gram(spec, n, y, "tilde") - want_t).max() <= 1e-10
     assert np.abs(apply_A_gram(spec, n, y, "plain") - want_p).max() <= 1e-10
+    for variant, a in (("tilde", a_up), ("plain", a_lo)):
+        want = (a.data @ tall).reshape(n, d, d)
+        want_adj = (a.data.conj().T @ tall).reshape(n, d, d)
+        assert np.abs(apply_A(spec, n, y, variant) - want).max() <= 1e-10
+        assert np.abs(apply_A_adjoint(spec, n, y, variant)
+                      - want_adj).max() <= 1e-10
 
 
 def test_solve_identity(ident2):

@@ -24,7 +24,10 @@ def _check_all_routes(spec, n_solve, n_inv, seed):
     dense = np.linalg.solve(dense_toeplitz_matrix(tab, n_solve, d),
                             y.reshape(n_solve * d, d))
     scale = np.abs(dense).max()
-    zf = solve(spec, n_solve, y, tables=tab).z.reshape(-1, d)
+    rep = solve(spec, n_solve, y, tables=tab)
+    ynorm = np.linalg.norm(y)
+    assert (rep.residual + rep.residual_tail_bound) / ynorm <= 1e-8
+    zf = rep.z.reshape(-1, d)
     zl = levinson_solve(spec, n_solve, y, tab).z.reshape(-1, d)
     assert np.abs(zf - dense).max() / scale <= 1e-9
     assert np.abs(zl - dense).max() / scale <= 1e-9
