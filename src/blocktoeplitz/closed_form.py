@@ -27,6 +27,8 @@ from .coefficients import CoefficientTables
 from .util import binom, binom_vec, herm
 
 _LAMBDA_CHECK_TOL = 1e-10
+_LAMBDA_BLOCK = 256
+_LAMBDA_MAX_TERMS = 100_000
 
 
 def _kron_scalar(scal, d):
@@ -98,23 +100,21 @@ class ClosedFormKit:
         """Construction-time check: closed-form Lambda matches its
         defining series within 1e-10, with a certified tail."""
         total = np.zeros((self.M, self.M), dtype=np.complex128)
-        l = 0
-        while True:
-            s = self.p_scalars(l)
-            total += np.outer(s, np.conj(s))
-            l += 1
+        rmax, mmax = self.spec.pole_decay, max(self.spec.mults)
+        for l in range(_LAMBDA_BLOCK, _LAMBDA_MAX_TERMS + 1, _LAMBDA_BLOCK):
+            ls = np.arange(l - _LAMBDA_BLOCK, l)
+            s = self._slot_powers(ls, ls)       # p_m scalars, m < l
+            total += s.T @ np.conj(s)
             # tail: sum_{m>=l} ||s_m||^2, closed with a ratio bound once
-            # the per-term ratio falls safely below 1
+            # the per-term ratio bound, decreasing in l, falls below 1
             term = float(np.vdot(self.p_scalars(l), self.p_scalars(l)).real)
-            rmax = self.spec.pole_decay
-            mmax = max(self.spec.mults)
-            ratio = rmax ** 2 * ((l + mmax) / max(l, 1)) ** (2 * (mmax - 1))
-            if ratio < 0.9 and l >= 2 * mmax:
-                tail = term / (1.0 - ratio)
-                if tail < 1e-14 * max(1.0, float(np.abs(total).max())):
-                    break
-            if l > 100_000:
+            ratio = rmax ** 2 * ((l + mmax) / l) ** (2 * (mmax - 1))
+            if ratio < 1.0 and l >= 2 * mmax and term / (1.0 - ratio) \
+                    < 1e-14 * max(1.0, float(np.abs(total).max())):
                 break
+        else:
+            raise errors.ToleranceUnreachable(
+                f"Lambda series tail above tolerance after {l} terms")
         series = _kron_scalar(total, self.d)
         dev = float(np.abs(series - self.lambda_mat).max())
         if dev > _LAMBDA_CHECK_TOL * max(
@@ -275,14 +275,6 @@ class ClosedFormKit:
                     acc = acc * p ** (-ns)
                 out[:, qr, qc] = acc
         return out
-
-    def xi_mat(self, n):
-        if n < 1:
-            raise errors.DomainViolation("Xi_n needs n >= 1")
-        return _kron_scalar(self.xi_scalars([n])[0], self.d)
-
-    def phi_mat(self, n):
-        return _kron_scalar(self.phi_scalars([n], scaled=False)[0], self.d)
 
     # -- G and the beta / b closed forms -------------------------------- #
 

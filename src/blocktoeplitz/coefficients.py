@@ -6,21 +6,20 @@ For a symbol w = h h* = h_sharp* h_sharp this module produces
   tilde counterparts from h~(z) = h_sharp(conj(z))*,
 * the autocovariance gamma(k) (Fourier coefficients of w),
 * the phase-function Fourier coefficients beta_k of h* h_sharp^{-1},
-* the decay majorant F(n) = (sum_j ||c~_j||) * sum_{l>=n} ||a_l||,
+* the decay majorant F(n) = (sum_j ||c~_j||) * sum_{l>=n} ||a_l||.
 
-with every infinite sum truncated under a certified upper bound rather
-than a heuristic stopping rule. The a/a~ sequences come from exact
-closed forms; tails of the c/c~ sequences are controlled by a Cauchy
-estimate on a circle strictly inside the analyticity radius, which is
-found by locating the zeros of det h^{-1} numerically (those zeros are
-the poles of h; for an AR symbol they are the only source of decay, so
-the pole parameters alone would say nothing).
+a/a~ come from exact closed forms; c, c~ and gamma from one FFT of h, h~
+or w on N unit-circle nodes (the trapezoidal rule), whose aliases are
+bounded by a Cauchy estimate ||c_j|| <= const ratio^j on a circle inside
+the analyticity radius, found from the zeros of det h^{-1} (the poles of
+h; for an AR symbol they are the only source of decay, so the pole
+parameters alone would say nothing). The estimate widens a sampled
+maximum by a flat factor, so its bounds are not yet proven ones.
 
 beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
-quadrature of the phase function for k < 0. The first two are certified;
-the quadrature route is exponentially accurate for these analytic
-integrands but carries no a-priori bound.
+quadrature of the phase function for k < 0, which is exponentially
+accurate for these analytic integrands but carries no a-priori bound.
 """
 
 import math
@@ -29,11 +28,12 @@ import threading
 import numpy as np
 
 from . import errors
-from .symbol import h_inv_on_grid, h_on_grid
-from .util import binom, geometric_poly_tail, unit_circle
+from .symbol import h_inv_on_grid, h_on_grid, w_on_circle
+from .util import binom, geometric_poly_tail, herm, unit_circle
 
 _REL_TOL = 1e-14
 _MAX_TERMS = 200_000
+_MAX_NODES = 1 << 20
 
 
 def a_coeff(spec, n):
@@ -107,13 +107,13 @@ class CoefficientTables:
     def __init__(self, spec, grid_points=8192):
         self.spec = spec
         self.grid_points = int(grid_points)
-        self.decay_rate = spec.pole_decay
         self._lock = threading.RLock()
         self._a = []
         self._a_tilde = []
-        self._c = []
-        self._c_tilde = []
-        self._gamma = {}
+        # FFT tables; entry k is from the first transform with N/2 > k,
+        # and _nodes lists the N of each transform a table took entries from
+        self._tables = {"c": [], "c_tilde": [], "gamma": []}
+        self._nodes = {"c": [], "c_tilde": [], "gamma": []}
         self._beta = {}
         self._kit = None
         self._phase_grid = None
@@ -143,35 +143,64 @@ class CoefficientTables:
                                                    len(self._a_tilde)))
             return self._a_tilde[n]
 
-    # -- triangular recursions ------------------------------------------- #
+    # -- Taylor / Fourier tables by FFT on the unit circle ----------------- #
 
-    def _extend_c(self, seq, coeff_fn, n):
-        if not seq:
-            a0 = coeff_fn(0)
-            try:
-                a0_inv = np.linalg.inv(a0)
-            except np.linalg.LinAlgError as exc:
-                raise errors.SingularLeadingCoefficient(str(exc)) from exc
-            seq.append(-a0_inv)
-        a0_inv = -seq[0]
-        while len(seq) <= n:
-            m = len(seq)
-            acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-            for k in range(m):
-                acc += seq[k] @ coeff_fn(m - k)
-            seq.append(-acc @ a0_inv)
+    def _samples(self, name, N):
+        """h (table c), h~ (c~) or w = h h* (gamma) on N circle nodes."""
+        if name == "gamma":
+            return w_on_circle(self.spec, N)
+        zs, _ = unit_circle(N)
+        if name == "c":
+            return h_on_grid(self.spec, zs)
+        return herm(h_on_grid(self.spec, np.conj(zs), sharp=True))
+
+    def _aliasing(self, name, N):
+        """Bound on the aliases sum_{m != 0} ||x_{k+mN}|| in DFT entry k < N/2
+        (only m >= 1 for the Taylor series c, c~; |k + mN| > N/2 for gamma)."""
+        if name == "gamma":
+            return self.gamma_band_tail(N // 2)
+        const, ratio = self._cauchy_bound(sharp=name == "c_tilde")
+        return const * ratio**N / (1.0 - ratio**N)
+
+    def _circle_table(self, name, k):
+        """Entry k >= 0 of table `name`: the N/2 first DFT entries of its
+        function, N = 64, 128, ... until N/2 > k and the aliasing bound
+        of N/4 nodes is <= 1e-14 ||entry 0||; the factor 4 averages down
+        the rounding noise of the samples, which a residual check sums
+        over its band. Tables only append: served values never change."""
+        if k < 0:
+            raise ValueError("n must be >= 0")
+        with self._lock:
+            table = self._tables[name]
+            if k < len(table):
+                return table[k]
+            # h(0) = -a_0^{-1}: a singular a_0 (or a~_0) is a pole at 0
+            if not table and min(map(np.linalg.matrix_rank, (
+                    self.a(0), self.a_tilde(0)))) < self.d:
+                raise errors.SingularLeadingCoefficient("a_0 or a~_0")
+            N = max(64, 2 * len(table))
+            while True:
+                if N // 2 > k:
+                    coef = np.fft.fft(self._samples(name, N), axis=0) / N
+                    if self._aliasing(name, N // 4) <= _REL_TOL * float(
+                            np.linalg.norm(coef[0], 2)):
+                        break
+                N *= 2
+                if N > _MAX_NODES:
+                    raise errors.ToleranceUnreachable(
+                        f"{name}({k}) needs more than {_MAX_NODES} nodes")
+            table.extend(coef[len(table):N // 2])
+            self._nodes[name].append(N)
+            return table[k]
 
     def c(self, n):
-        """MA coefficient c_n of h(z) = sum z^n c_n, generated by the
-        convolution identity sum_k c_k a_{n-k} = -delta_{n0} I."""
-        with self._lock:
-            self._extend_c(self._c, self.a, n)
-            return self._c[n]
+        """Taylor coefficient c_n of h(z) = sum z^n c_n, by FFT of h; the
+        Cauchy estimate bounds its aliasing by 1e-14 ||c_0||."""
+        return self._circle_table("c", int(n))
 
     def c_tilde(self, n):
-        with self._lock:
-            self._extend_c(self._c_tilde, self.a_tilde, n)
-            return self._c_tilde[n]
+        """c~_n of h~(z) = h_sharp(conj(z))* = sum z^n c~_n, the same way."""
+        return self._circle_table("c_tilde", int(n))
 
     # -- certified tails --------------------------------------------------- #
 
@@ -216,6 +245,15 @@ class CoefficientTables:
         const, ratio = self._cauchy_bound(sharp)
         return const * ratio**start
 
+    def _a_pole_tail(self, start):
+        """Certified bound for sum_{l >= start} of the pole terms of a_l
+        (the triangle inequality over the partial fractions)."""
+        spec = self.spec
+        return sum((float(np.linalg.norm(spec.rho[mu][j - 1], 2))
+                    * geometric_poly_tail(abs(spec.poles[mu]), j, start)[0]
+                    for mu in range(spec.K)
+                    for j in range(1, spec.mults[mu] + 1)), 0.0)
+
     def _a_norm_data(self):
         """Table of ||a_l|| for l = 0..H plus the certified tail beyond H."""
         with self._lock:
@@ -223,58 +261,35 @@ class CoefficientTables:
                 return self._a_norm_table, self._a_norm_tail
             spec = self.spec
             r = spec.pole_decay
-            if spec.K == 0:
-                horizon = spec.m0
-                tail = 0.0
-            else:
-                horizon = spec.m0 + max(
-                    64, int(np.ceil(np.log(1e-18) / np.log(max(r, 1e-3)))))
-                horizon = min(horizon, 20_000)
-                tail = 0.0
-                for mu in range(spec.K):
-                    p_abs = abs(spec.poles[mu])
-                    for j in range(1, spec.mults[mu] + 1):
-                        rho_norm = float(np.linalg.norm(
-                            spec.rho[mu][j - 1], 2))
-                        bound, _ = geometric_poly_tail(p_abs, j, horizon + 1)
-                        tail += rho_norm * bound
-            norms = np.array([np.linalg.norm(self.a(l), 2)
-                              for l in range(horizon + 1)])
-            self._a_norm_table = norms
-            self._a_norm_tail = tail
-            return norms, tail
+            horizon = spec.m0
+            if spec.K:
+                horizon = min(spec.m0 + max(64, int(np.ceil(
+                    np.log(1e-18) / np.log(max(r, 1e-3))))), 20_000)
+            self._a_norm_table = np.array([np.linalg.norm(self.a(l), 2)
+                                           for l in range(horizon + 1)])
+            self._a_norm_tail = self._a_pole_tail(horizon + 1)
+            return self._a_norm_table, self._a_norm_tail
 
     def a_tail(self, n):
         """Certified upper bound for sum_{l >= n} ||a_l||."""
         norms, tail = self._a_norm_data()
         if n <= len(norms):
             return float(norms[n:].sum()) + tail
-        # beyond the table: pure triangle-inequality tail
-        spec = self.spec
-        if spec.K == 0:
-            return 0.0
-        out = 0.0
-        for mu in range(spec.K):
-            p_abs = abs(spec.poles[mu])
-            for j in range(1, spec.mults[mu] + 1):
-                bound, _ = geometric_poly_tail(p_abs, j, n)
-                out += float(np.linalg.norm(spec.rho[mu][j - 1], 2)) * bound
-        return out
+        return self._a_pole_tail(n)   # beyond the table
 
     def c_tilde_abs_sum(self):
-        """Certified upper bound for sum_j ||c~_j||."""
+        """Certified upper bound for sum_j ||c~_j||: the table norms, the
+        tail beyond the table and the aliasing of the entries (each c~_j,
+        j >= N, lands on one entry of the N-node transform)."""
         with self._lock:
-            if self._c_tilde_abs_sum is not None:
-                return self._c_tilde_abs_sum
-            total = 0.0
-            j = 0
-            while True:
-                total += float(np.linalg.norm(self.c_tilde(j), 2))
-                j += 1
-                rem = self.c_tail_sum(j, sharp=True)
-                if rem <= 1e-12 * max(total, 1.0) or j >= _MAX_TERMS:
-                    self._c_tilde_abs_sum = total + rem
-                    return self._c_tilde_abs_sum
+            if self._c_tilde_abs_sum is None:
+                self.c_tilde(0)
+                table = self._tables["c_tilde"]
+                norms = np.linalg.norm(table, 2, axis=(-2, -1))
+                aliasing = sum(map(self.c_tail_sum, self._nodes["c_tilde"]))
+                self._c_tilde_abs_sum = (float(norms.sum()) + aliasing
+                                         + self.c_tail_sum(len(table)))
+            return self._c_tilde_abs_sum
 
     def decay_bound_F(self, n):
         """F(n): the product bound dominating sum_l ||beta_{n+l}||; it
@@ -286,47 +301,39 @@ class CoefficientTables:
     # -- autocovariance ----------------------------------------------------- #
 
     def gamma(self, k):
-        """gamma(k) = integral e^{-ik theta} w dtheta / 2pi, via the series
-        gamma(k) = sum_j c~_j c~_{k+j}* for k >= 0 and Hermitian symmetry
-        for k < 0; truncated at certified relative tail 1e-14."""
+        """gamma(k) = integral e^{-ik theta} w dtheta / 2pi, by FFT of w
+        (aliasing <= gamma_band_tail(N/2) <= 1e-14 ||gamma(0)||) for
+        k >= 0 and Hermitian symmetry for k < 0."""
         k = int(k)
         if k < 0:
             return self.gamma(-k).conj().T
+        return self._circle_table("gamma", k)
+
+    def gamma_band_aliasing(self, L):
+        """Bound on sum_{|k| <= L} of the aliasing in the served gamma(k):
+        an N-node transform gives its entries distinct aliases k + mN
+        (gamma(-k) has the norms of those of -k), |k + mN| >= N - L."""
         with self._lock:
-            if k in self._gamma:
-                return self._gamma[k]
-            const, ratio = self._cauchy_bound(sharp=True)
-            acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-            j = 0
-            while True:
-                acc += self.c_tilde(j) @ self.c_tilde(k + j).conj().T
-                j += 1
-                rem = const**2 * ratio**(k + 2 * j) / (1.0 - ratio**2)
-                scale = max(float(np.linalg.norm(acc)), 1e-300)
-                if rem <= _REL_TOL * scale and j >= 2:
-                    break
-                if j >= _MAX_TERMS:
-                    break
-            self._gamma[k] = acc
-            return acc
+            return sum(self.gamma_band_tail(N - min(L, N // 2 - 1) - 1)
+                       for N in self._nodes["gamma"])
 
     def gamma_via_c(self, k):
-        """Alternative route gamma(k) = sum_j c_{k+j} c_j* (k >= 0)."""
+        """Alternative route gamma(k) = sum_j c_{k+j} c_j* (k >= 0), kept
+        as an oracle for the FFT route."""
         k = int(k)
         if k < 0:
             return self.gamma_via_c(-k).conj().T
         const, ratio = self._cauchy_bound(sharp=False)
         acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-        j = 0
-        while True:
+        for j in range(_MAX_TERMS):
             acc += self.c(k + j) @ self.c(j).conj().T
-            j += 1
-            rem = const**2 * ratio**(k + 2 * j) / (1.0 - ratio**2)
+            rem = const**2 * ratio**(k + 2 * j + 2) / (1.0 - ratio**2)
             if rem <= _REL_TOL * max(float(np.linalg.norm(acc, 2)), 1e-300) \
-                    and j >= 2:
+                    and j >= 1:
                 return acc
-            if j >= _MAX_TERMS:
-                return acc
+        raise errors.ToleranceUnreachable(
+            f"gamma_via_c({k}): tail above tolerance after {_MAX_TERMS} "
+            "terms")
 
     def gamma_band_tail(self, L):
         """Certified bound for sum_{|k| > L} ||gamma(k)||."""
@@ -371,16 +378,15 @@ class CoefficientTables:
         if k < 0:
             raise ValueError("series route needs k >= 0")
         acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-        j = 0
-        while True:
+        for j in range(_MAX_TERMS):
             acc += self.a(j + k) @ self.c_tilde(j)
-            j += 1
-            rem = self.c_sup(j, sharp=True) * self.a_tail(k + j)
+            rem = self.c_sup(j + 1, sharp=True) * self.a_tail(k + j + 1)
             if rem <= _REL_TOL * max(float(np.linalg.norm(acc, 2)), 1e-300) \
-                    and j >= 2:
+                    and j >= 1:
                 return acc
-            if j >= _MAX_TERMS:
-                return acc
+        raise errors.ToleranceUnreachable(
+            f"beta_series({k}): tail above tolerance after {_MAX_TERMS} "
+            "terms")
 
     def beta_closed(self, k):
         """Closed-form route, valid for k >= m0 + 1 (K >= 1)."""
@@ -411,11 +417,9 @@ class CoefficientTables:
 
     def warm_up(self, horizon):
         """Precompute all tables up to `horizon` so that subsequent
-        concurrent reads never extend the lists."""
-        for fn in (self.a, self.a_tilde, self.c, self.c_tilde):
+        concurrent reads never extend them."""
+        for fn in (self.a, self.a_tilde, self.c, self.c_tilde, self.gamma):
             fn(horizon)
-        for k in range(horizon + 1):
-            self.gamma(k)
         return self
 
 

@@ -52,7 +52,7 @@ class SingularHInverse(BlockToeplitzError):
 
 
 class SingularLeadingCoefficient(BlockToeplitzError):
-    """a_0 is singular; the triangular coefficient recursion cannot start."""
+    """a_0 or a~_0 is singular: h has a pole at z = 0, no Taylor tables."""
 
 
 # -- numerical failures -----------------------------------------------------

@@ -99,6 +99,12 @@ def _lmul(g, blocks):
     return (g @ flat).reshape(d, m, d).transpose(1, 0, 2)
 
 
+def _tsum(v, y):
+    """sum_t v_t y_t over (n, a, d) and (n, d, b) stacks, as one gemm."""
+    n, a, d = v.shape
+    return v.transpose(1, 0, 2).reshape(a, n * d) @ y.reshape(n * d, -1)
+
+
 def _apply(op, y):
     """op Y in O(n): the band directly, each pole term by its scans (the
     scalar Q commute with the d x d residues). A lower triangle is the
@@ -168,9 +174,8 @@ class SolveReport:
 
 def _residual_banded(tables, n, z, y, rel=1e-12):
     """||T_n Z - Y||_F through a truncated gamma band (applied as one
-    FFT block convolution); returns the value and the certified bound on
-    the neglected band."""
-    d = tables.d
+    FFT block convolution); returns the value and the bound on the
+    neglected band plus the aliasing error of the band's entries."""
     L = 0
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
     while tables.gamma_band_tail(L) > rel * g0 and L < 8 * n:
@@ -183,10 +188,10 @@ def _residual_banded(tables, n, z, y, rel=1e-12):
     conv = np.fft.ifft(np.matmul(gf, zf), axis=0)
     tz = conv[L:L + n]          # band index k = -L aligns at offset L
     resid = float(np.linalg.norm((tz - y).reshape(-1)))
-    if L == n - 1:
-        return resid, 0.0       # the band holds every block of T_n
+    # at L = n - 1 the band holds every block of T_n
+    tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
     znorm = float(np.linalg.norm(z.reshape(-1)))
-    return resid, tables.gamma_band_tail(L) * znorm
+    return resid, (tail + tables.gamma_band_aliasing(L)) * znorm
 
 
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
@@ -229,8 +234,8 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
 
         v, vt = kit.vectors("v", np.arange(1, n + 1))   # v_m, v~_m
         # S = sum_t [v~_t + Lambda^T Pi Theta v_{n+1-t}] y_t
-        sv_rev = np.einsum("tij,tjk->ik", v[::-1], y)   # sum v_{n+1-t} y_t
-        s_vt = np.einsum("tij,tjk->ik", vt, y)          # sum v~_t y_t
+        sv_rev = _tsum(v[::-1], y)      # sum v_{n+1-t} y_t
+        s_vt = _tsum(vt, y)             # sum v~_t y_t
         s_plain = s_vt + lam.T @ (pit @ sv_rev)
         # S~ = sum_t [v_{n+1-t} + Lambda Theta* Pi_n* v~_t] y_t
         s_tilde = sv_rev + lam @ (tp @ s_vt)
@@ -247,23 +252,21 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         # the scaled v is the unscaled one times p^m (both stay finite)
         span = n - m0
         ms = np.arange(1, span + 1)
+        # p^e per slot row for e = 0..n, shared by the three uses below
+        pw = np.repeat(kit.pole_powers(np.arange(n + 1)), d,
+                       axis=1)[:, :, None]
         wv, wvt = kit.vectors("w", ms, scaled=True)
-        pw = np.repeat(kit.pole_powers(ms), d, axis=1)[:, :, None]
-        wv -= pw * v[:span]
-        wvt -= np.conj(pw) * vt[:span]
+        wv -= pw[1:span + 1] * v[:span]
+        wvt -= np.conj(pw[1:span + 1]) * vt[:span]
 
         # plain rows s = m0+1..n take m = n+1-s, i.e. the rows of wv
         # reversed: corr(s) = wv_m^* Theta* U_n* diag(pbar^{s-1}) g_vec
-        pb_pow = np.conj(kit.pole_powers(np.arange(m0, n)))
-        right = np.matmul(herm(ut),
-                          np.repeat(pb_pow, d, axis=1)[:, :, None] * g_vec)
+        right = np.matmul(herm(ut), np.conj(pw[m0:n]) * g_vec)
         corr_plain = np.einsum("sia,sib->sab", np.conj(wv[::-1]), right)
 
         # tilde rows s = 1..n-m0: corr~(s) = wvt_s^* U_n Theta
         #                                    diag(p^{n-s}) g~_vec
-        p_pow = kit.pole_powers(n - ms)
-        right_t = np.matmul(ut,
-                            np.repeat(p_pow, d, axis=1)[:, :, None] * gt_vec)
+        right_t = np.matmul(ut, pw[m0:n][::-1] * gt_vec)
         corr_tilde = np.einsum("sia,sib->sab", np.conj(wvt), right_t)
 
         z_t = alpha_t.copy()

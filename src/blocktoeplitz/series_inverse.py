@@ -55,8 +55,8 @@ class BRecursionState:
     tail: float
 
     def l1(self):
-        return float(sum(np.linalg.norm(b, 2) for b in self.coeffs)) \
-            + self.tail
+        norms = np.linalg.norm(self.coeffs, 2, axis=(-2, -1))
+        return float(norms.sum()) + self.tail
 
 
 def _horizon(F, base, target, cap=_LEVEL_CAP):
@@ -138,9 +138,10 @@ def b_recursion_step(state, tables, rel_tol=_REL_TOL, enforce_bound=True,
     bet = _beta_array(tables, n + 1 + (M - 1) + (L_out - 1) + 1, conj,
                       beta_cache)
     # out[l] = sum_m coeffs[m] beta^{(*)}_{n+1+m+l}; index n+1+m+l -> bet[n+m+l]
-    idx = (n + np.arange(M)[:, None] + np.arange(L_out)[None, :])
-    gathered = bet[idx]                              # (M, L_out, d, d)
-    out = np.einsum("mab,mlbc->lac", state.coeffs, gathered)
+    d = bet.shape[-1]
+    idx = n + np.arange(L_out)[:, None] + np.arange(M)[None, :]
+    out = (state.coeffs.transpose(1, 0, 2).reshape(d, M * d)
+           @ bet[idx].reshape(L_out, M * d, d))
     # tail: beyond L_out plus the inner-sum truncation carried in state.tail
     tail = s_in * F(n + 1 + L_out) + state.tail * contraction
     new = BRecursionState(n=n, u=state.u, variant=state.variant,

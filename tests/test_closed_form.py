@@ -34,6 +34,17 @@ def test_lambda_matches_series(sweep_specs):
     assert np.abs(total - kit.lambda_mat).max() <= 1e-10
 
 
+def test_lambda_check_cap_raises(monkeypatch):
+    # |p| = 0.97 closes its tail after ~700 terms; a 256-term cap refuses
+    from blocktoeplitz import closed_form
+    spec = random_spec(d=2, K=1, mults=(2,), m0=1,
+                       rng=np.random.default_rng(0), pole_radii=(0.97, 0.97))
+    ClosedFormKit(spec)
+    monkeypatch.setattr(closed_form, "_LAMBDA_MAX_TERMS", 256)
+    with pytest.raises(errors.ToleranceUnreachable):
+        ClosedFormKit(spec)
+
+
 def test_theta_simple_pole_formula(sweep_specs):
     # for multiplicity 1: theta_mu = p_mu h_sharp(p_mu) rho*_{mu,1}
     spec = sweep_specs["d2_k2m11"]

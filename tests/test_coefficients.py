@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
+from blocktoeplitz import coefficients, errors
 from blocktoeplitz.coefficients import CoefficientTables, RawTables
-from blocktoeplitz.symbol import w_on_circle
-from blocktoeplitz.synth import identity_spec
+from blocktoeplitz.fast_solver import solve
+from blocktoeplitz.symbol import RationalSymbolSpec, w_on_circle
+from blocktoeplitz.synth import identity_spec, random_spec
+
+from conftest import random_rhs
+
+
+@pytest.fixture(scope="module")
+def near_unit_tables():
+    """|p| = 0.97, d = 2, multiplicity 2, m0 = 1: the Cauchy ratio is
+    about 0.986, so the tables need thousands of nodes."""
+    spec = random_spec(d=2, K=1, mults=(2,), m0=1,
+                       rng=np.random.default_rng(0), pole_radii=(0.97, 0.97))
+    return CoefficientTables(spec)
 
 
 def test_a_sequence_ex52(ex52_tables):
@@ -29,15 +42,19 @@ def test_c_sequence_ex52(ex52_tables):
         assert np.abs(ex52_tables.c(k)).max() <= 1e-15
 
 
-def test_convolution_identity(sweep_tables):
-    tab = sweep_tables["d2_k2m12"]
-    d = tab.spec.d
-    for n in range(21):
-        acc = np.zeros((d, d), dtype=complex)
-        for k in range(n + 1):
-            acc += tab.c(k) @ tab.a(n - k)
-        want = -np.eye(d) if n == 0 else np.zeros((d, d))
-        assert np.abs(acc - want).max() <= 1e-12
+def test_convolution_identity(sweep_tables, near_unit_tables):
+    # sum_k c_k a_{n-k} = -delta_{n0} I, and the same for c~ and a~
+    for tab in (sweep_tables["d2_k2m12"], near_unit_tables):
+        d = tab.spec.d
+        for n in range(21):
+            acc = np.zeros((d, d), dtype=complex)
+            acc_t = np.zeros((d, d), dtype=complex)
+            for k in range(n + 1):
+                acc += tab.c(k) @ tab.a(n - k)
+                acc_t += tab.c_tilde(k) @ tab.a_tilde(n - k)
+            want = -np.eye(d) if n == 0 else np.zeros((d, d))
+            assert np.abs(acc - want).max() <= 1e-12
+            assert np.abs(acc_t - want).max() <= 1e-12
 
 
 def test_gamma_ex52(ex52_tables):
@@ -71,10 +88,53 @@ def test_gamma_hermitian_symmetry(sweep_tables):
                                       tab.gamma(k).conj().T)
 
 
-def test_gamma_via_c_matches(sweep_tables):
-    tab = sweep_tables["d2_k2m11"]
-    for k in range(6):
-        assert np.abs(tab.gamma(k) - tab.gamma_via_c(k)).max() <= 1e-12
+def test_gamma_via_c_matches(sweep_tables, near_unit_tables):
+    for tab in (sweep_tables["d2_k2m11"], near_unit_tables):
+        for k in range(11):
+            assert np.abs(tab.gamma(k) - tab.gamma_via_c(k)).max() <= 1e-12
+
+
+def test_near_unit_solve_residual(near_unit_tables):
+    # the residual check with the default band, on tables of ~8k nodes
+    tab = near_unit_tables
+    n = 4096
+    y = random_rhs(n, tab.d, seed=5)
+    rep = solve(tab.spec, n, y, tables=tab)
+    ynorm = np.linalg.norm(y)
+    assert (rep.residual + rep.residual_tail_bound) / ynorm <= 1e-8
+
+
+def test_gamma_table_grows_by_appending(sweep_specs):
+    tab = CoefficientTables(sweep_specs["d2_k1m2"])
+    served = [tab.gamma(k).copy() for k in range(8)]
+    nodes = tab._nodes["gamma"][-1]
+    far = tab.gamma(nodes // 2)
+    assert tab._nodes["gamma"][-1] > nodes
+    for k, before in enumerate(served):
+        np.testing.assert_array_equal(tab.gamma(k), before)
+    assert np.abs(far).max() <= 1e-14 * np.abs(served[0]).max()
+
+
+def test_singular_leading_coefficient_raises():
+    # rho00 = diag(1, 0) puts a pole of h at z = 0
+    a0 = np.diag([1.0, 0.0])
+    spec = RationalSymbolSpec(d=2, m0=1, K=0, rho00=a0,
+                              rho0=(0.3 * np.eye(2),), poles=(), mults=(),
+                              rho=(), sharp_rho00=a0,
+                              sharp_rho0=(0.3 * np.eye(2),), sharp_rho=())
+    tab = CoefficientTables(spec)
+    for fn in (tab.c, tab.c_tilde, tab.gamma):
+        with pytest.raises(errors.SingularLeadingCoefficient):
+            fn(0)
+
+
+def test_series_term_cap_raises(sweep_specs, monkeypatch):
+    monkeypatch.setattr(coefficients, "_MAX_TERMS", 3)
+    tab = CoefficientTables(sweep_specs["d2_k2m12"])
+    with pytest.raises(errors.ToleranceUnreachable):
+        tab.beta_series(0)
+    with pytest.raises(errors.ToleranceUnreachable):
+        tab.gamma_via_c(1)
 
 
 def test_beta_identity_zero():
