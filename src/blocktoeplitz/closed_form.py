@@ -20,6 +20,8 @@ Block indices s, t are 1-based throughout, matching the linear-algebra
 conventions of the rest of the package.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import errors
@@ -29,6 +31,37 @@ from .util import binom, binom_vec, herm
 _LAMBDA_CHECK_TOL = 1e-10
 _LAMBDA_BLOCK = 256
 _LAMBDA_MAX_TERMS = 100_000
+
+
+class SolvePlan(NamedTuple):
+    """The part of a linear-time solve at order n that does not depend on
+    the right-hand side Y (built by ClosedFormKit.plan):
+
+    * g, g_tilde, spectral_radius: G_n, G~_n and the radius of G~_n G_n;
+    * pi_theta, pi_theta_h: Pi_n Theta and its adjoint;
+    * resolvent, resolvent_tilde: (I - G~G)^{-1} and (I - GG~)^{-1};
+    * v: the (2 M d, n d) matrix whose product with Y stacked as
+      (n d, d) is [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v);
+    * corr, corr_tilde: the (n - m0, d, M d) stacks B_s* and B~_s* with
+      the plain-row correction B_s* g_vec at s = m0+1..n and the tilde-row
+      one B~_s* g~_vec at s = 1..n-m0, where, with hat-w - hat-v =
+      diag(p^m)(w_m - v_m) and its conjugate-power tilde partner,
+
+          B_s  = diag(p^{s-1})    U_n Theta     (hat-w - hat-v)_{n+1-s},
+          B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s.
+    """
+
+    n: int
+    g: np.ndarray
+    g_tilde: np.ndarray
+    spectral_radius: float
+    pi_theta: np.ndarray
+    pi_theta_h: np.ndarray
+    resolvent: np.ndarray
+    resolvent_tilde: np.ndarray
+    v: np.ndarray
+    corr: np.ndarray
+    corr_tilde: np.ndarray
 
 
 def _kron_scalar(scal, d):
@@ -63,6 +96,7 @@ class ClosedFormKit:
         self.lambda_mat = self.build_lambda()
         self.theta_values, self.theta_mat = self.build_theta(contour_nodes)
         self._pi_cache = {}
+        self._plan = None
         if check_lambda:
             self._check_lambda_series()
 
@@ -219,12 +253,6 @@ class ClosedFormKit:
                     out[r0:r0 + d, c0:c0 + d] = val * np.eye(d)
         return out
 
-    def pole_powers(self, exponents):
-        """diag scalars p_mu^{e} per slot, vectorized over an array of
-        exponents -> (len(e), M)."""
-        e = np.asarray(exponents)[:, None]
-        return self.pole_of_slot[None, :] ** e
-
     def _slot_powers(self, k, e):
         """C(k, i-1) p_mu^{e-i+1} per slot (mu, i), vectorized over
         integer arrays k and e -> (len, M); p_n has k = e = n."""
@@ -300,6 +328,42 @@ class ClosedFormKit:
         return (*self.g_mats(n), radius)
 
     # -- the rank-correction vectors ------------------------------------- #
+
+    def plan(self, n):
+        """The SolvePlan of order n. The kit keeps the plan of the last n
+        it was asked for, so it holds at most one; a build that raises
+        (ResolventSingular) is not kept."""
+        n = int(n)
+        if self._plan is not None and self._plan.n == n:
+            return self._plan
+        self._plan = None       # free the old plan before building
+        g, gt, radius = self.checked_g_mats(n)
+        d, Md, m0 = self.d, self.M * self.d, self.spec.m0
+        eye = np.eye(Md)
+        ut = self.u_mat(n) @ self.theta_mat     # U_n Theta
+        pit = self.pi_mat(n) @ self.theta_mat   # diag(p^n) U_n Theta
+        v, vt = self.vectors("v", np.arange(1, n + 1))
+        vs = np.empty((2 * Md, n, d), dtype=np.complex128)
+        vs[:Md] = v[::-1].transpose(1, 0, 2)
+        vs[Md:] = vt.transpose(1, 0, 2)
+        # p^e per slot row for e = 0..n
+        pw = np.repeat(self.pole_of_slot ** np.arange(n + 1)[:, None], d,
+                       axis=1)
+        span = n - m0
+        wv, wvt = self.vectors("w", np.arange(1, span + 1), scaled=True)
+        wv -= pw[1:span + 1, :, None] * v[:span]
+        wvt -= np.conj(pw[1:span + 1, :, None]) * vt[:span]
+        del v, vt
+        # rows s = m0+1..n take m = n+1-s, i.e. the rows of wv reversed
+        corr = np.matmul(herm(wv[::-1]), herm(ut))
+        corr *= np.conj(pw[m0:n, None, :])
+        corr_tilde = np.matmul(herm(wvt), ut)
+        corr_tilde *= pw[m0:n][::-1, None, :]
+        self._plan = SolvePlan(
+            n, g, gt, radius, pit, herm(pit),
+            np.linalg.inv(eye - gt @ g), np.linalg.inv(eye - g @ gt),
+            vs.reshape(2 * Md, n * d), corr, corr_tilde)
+        return self._plan
 
     def vectors(self, kind, ms, scaled=False):
         """The vectors x_m and x~_m of kind 'v' or 'w' for an integer

@@ -162,12 +162,21 @@ class CoefficientTables:
         const, ratio = self._cauchy_bound(sharp=name == "c_tilde")
         return const * ratio**N / (1.0 - ratio**N)
 
+    def _entry0_bound(self, name, N):
+        """Upper bound on ||DFT entry 0|| of an N-node transform: the
+        Cauchy bound on the leading coefficient (const; const^2/(1 -
+        ratio^2) for gamma(0) = sum_j c~_j c~_j*) plus its aliasing."""
+        const, ratio = self._cauchy_bound(sharp=name != "c")
+        lead = const**2 / (1.0 - ratio**2) if name == "gamma" else const
+        return lead + self._aliasing(name, N)
+
     def _circle_table(self, name, k):
         """Entry k >= 0 of table `name`: the N/2 first DFT entries of its
         function, N = 64, 128, ... until N/2 > k and the aliasing bound
         of N/4 nodes is <= 1e-14 ||entry 0||; the factor 4 averages down
         the rounding noise of the samples, which a residual check sums
-        over its band. Tables only append: served values never change."""
+        over its band. Sizes that fail against _entry0_bound are skipped
+        untransformed. Tables only append: served values never change."""
         if k < 0:
             raise ValueError("n must be >= 0")
         with self._lock:
@@ -180,10 +189,13 @@ class CoefficientTables:
                 raise errors.SingularLeadingCoefficient("a_0 or a~_0")
             N = max(64, 2 * len(table))
             while True:
-                if N // 2 > k:
+                # an N whose bound exceeds the tolerance times an upper
+                # bound on ||entry 0|| cannot pass: skip its transform
+                alias = self._aliasing(name, N // 4)
+                if N // 2 > k and alias <= _REL_TOL * self._entry0_bound(
+                        name, N):
                     coef = np.fft.fft(self._samples(name, N), axis=0) / N
-                    if self._aliasing(name, N // 4) <= _REL_TOL * float(
-                            np.linalg.norm(coef[0], 2)):
+                    if alias <= _REL_TOL * float(np.linalg.norm(coef[0], 2)):
                         break
                 N *= 2
                 if N > _MAX_NODES:

@@ -16,13 +16,17 @@ lower triangle of the a_k, A~_n the adjoint of the one built from the
 h_sharp coefficients. That gives A~* A~ Y and A* A Y in O(n).
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
-in a rescaled form from the vectors of ClosedFormKit.vectors: the
-factors l_{n,s} and r_{n,t} separately contain pole powers p^{-m} and
-p^{n} that overflow / underflow float range long before n reaches the
-sizes this path is for, but the diagonal power scalings cancel
-analytically, leaving only polynomially growing pieces (see the
-hat-variants of the closed forms). The assembly below never forms l or
-r themselves.
+in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
+pole powers p^{-m} and p^{n} that overflow / underflow float range long
+before n reaches the sizes this path is for, but the diagonal power
+scalings cancel analytically, leaving only polynomially growing pieces
+(see the hat-variants of the closed forms). The assembly never forms l
+or r themselves. Everything in it that does not depend on Y (G, G~, the
+resolvents, the v vectors and the pre-contracted correction factors) is
+held by one SolvePlan from ClosedFormKit.plan(n); the kit keeps the plan
+of the last n it was asked for, so a warm solve on the same kit and n
+does only the Gram scans, two sums, two small resolvent products and
+two correction gemms, plus its checks.
 
 The literal reference formulas (unscaled, block by block) live in
 closed_form; this module is the production path.
@@ -99,12 +103,6 @@ def _lmul(g, blocks):
     return (g @ flat).reshape(d, m, d).transpose(1, 0, 2)
 
 
-def _tsum(v, y):
-    """sum_t v_t y_t over (n, a, d) and (n, d, b) stacks, as one gemm."""
-    n, a, d = v.shape
-    return v.transpose(1, 0, 2).reshape(a, n * d) @ y.reshape(n * d, -1)
-
-
 def _apply(op, y):
     """op Y in O(n): the band directly, each pole term by its scans (the
     scalar Q commute with the d x d residues). A lower triangle is the
@@ -169,6 +167,8 @@ class SolveReport:
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
     truncation_bound: float = None
+    # seconds per stage of solve: plan, gram, assembly, overlap, residual
+    timings: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
 
@@ -215,69 +215,53 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     if tables is None:
         tables = CoefficientTables(spec)
 
-    alpha_t = apply_A_gram(spec, n, y, "tilde")
-    alpha_p = apply_A_gram(spec, n, y, "plain")
-    spectral_radius = None
+    timings = {}
+    tick = time.perf_counter()
 
-    if spec.K == 0:
-        z_t = alpha_t
-        z_p = alpha_p
-    else:
+    def lap(stage):
+        nonlocal tick
+        now = time.perf_counter()
+        timings[stage] = now - tick
+        tick = now
+
+    z_t = apply_A_gram(spec, n, y, "tilde")
+    z_p = apply_A_gram(spec, n, y, "plain")
+    lap("gram")
+    plan = held = None
+    if spec.K:
         if kit is None:
             kit = ClosedFormKit(spec)
-        d = kit.d
-        g_mat, gt_mat, spectral_radius = kit.checked_g_mats(n)
+        held = kit._plan
+        plan = kit.plan(n)
+    lap("plan")
+
+    if plan is not None:
+        d, Md = spec.d, kit.M * spec.d
         lam = kit.lambda_mat
-        ut = kit.u_mat(n) @ kit.theta_mat     # U_n Theta
-        pit = kit.pi_mat(n) @ kit.theta_mat   # diag(p^n) U_n Theta
-        tp = herm(pit)
-
-        v, vt = kit.vectors("v", np.arange(1, n + 1))   # v_m, v~_m
+        # [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] as one gemm
+        sums = plan.v @ y.reshape(n * d, d)
+        sv_rev, s_vt = sums[:Md], sums[Md:]
         # S = sum_t [v~_t + Lambda^T Pi Theta v_{n+1-t}] y_t
-        sv_rev = _tsum(v[::-1], y)      # sum v_{n+1-t} y_t
-        s_vt = _tsum(vt, y)             # sum v~_t y_t
-        s_plain = s_vt + lam.T @ (pit @ sv_rev)
+        s_plain = s_vt + lam.T @ (plan.pi_theta @ sv_rev)
         # S~ = sum_t [v_{n+1-t} + Lambda Theta* Pi_n* v~_t] y_t
-        s_tilde = sv_rev + lam @ (tp @ s_vt)
-
-        eye = np.eye(kit.M * d)
-        x_plain = np.linalg.solve(eye - g_mat @ gt_mat,
-                                  g_mat @ (tp @ s_plain))
-        x_tilde = np.linalg.solve(eye - gt_mat @ g_mat,
-                                  gt_mat @ (pit @ s_tilde))
+        s_tilde = sv_rev + lam @ (plan.pi_theta_h @ s_vt)
+        # (I - GG~)^{-1} G = G (I - G~G)^{-1}, and the tilde partner
+        x_plain = plan.g @ (plan.resolvent @ (plan.pi_theta_h @ s_plain))
+        x_tilde = plan.g_tilde @ (plan.resolvent_tilde
+                                  @ (plan.pi_theta @ s_tilde))
         g_vec = s_plain + lam.T @ x_plain      # (Md, d)
         gt_vec = s_tilde + lam @ x_tilde
-
-        # diag(p^m)(w_m - v_m) and diag(pbar^m)(w~_m - v~_m), m = 1..n-m0;
-        # the scaled v is the unscaled one times p^m (both stay finite)
         span = n - m0
-        ms = np.arange(1, span + 1)
-        # p^e per slot row for e = 0..n, shared by the three uses below
-        pw = np.repeat(kit.pole_powers(np.arange(n + 1)), d,
-                       axis=1)[:, :, None]
-        wv, wvt = kit.vectors("w", ms, scaled=True)
-        wv -= pw[1:span + 1] * v[:span]
-        wvt -= np.conj(pw[1:span + 1]) * vt[:span]
-
-        # plain rows s = m0+1..n take m = n+1-s, i.e. the rows of wv
-        # reversed: corr(s) = wv_m^* Theta* U_n* diag(pbar^{s-1}) g_vec
-        right = np.matmul(herm(ut), np.conj(pw[m0:n]) * g_vec)
-        corr_plain = np.einsum("sia,sib->sab", np.conj(wv[::-1]), right)
-
-        # tilde rows s = 1..n-m0: corr~(s) = wvt_s^* U_n Theta
-        #                                    diag(p^{n-s}) g~_vec
-        right_t = np.matmul(ut, pw[m0:n][::-1] * gt_vec)
-        corr_tilde = np.einsum("sia,sib->sab", np.conj(wvt), right_t)
-
-        z_t = alpha_t.copy()
-        z_t[:span] += corr_tilde
-        z_p = alpha_p.copy()
-        z_p[m0:] += corr_plain
+        z_p[m0:] += (plan.corr.reshape(span * d, Md) @ g_vec).reshape(
+            span, d, d)
+        z_t[:span] += (plan.corr_tilde.reshape(span * d, Md)
+                       @ gt_vec).reshape(span, d, d)
 
     # assemble: tilde rows cover s <= n - m0, plain rows s >= m0 + 1
     z = np.empty_like(y)
     z[:n - m0] = z_t[:n - m0]
     z[n - m0:] = z_p[n - m0:]
+    lap("assembly")
 
     overlap_checked = 0
     overlap_max_dev = 0.0
@@ -295,16 +279,20 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
             raise errors.OverlapMismatch(
                 f"regional assemblies deviate by {overlap_max_dev:.3e} "
                 f"(tolerance {overlap_tol:.1e}) on sampled rows")
+    lap("overlap")
 
     residual = tail = None
     if compute_residual:
         residual, tail = _residual_banded(tables, n, z, y)
+    lap("residual")
     return SolveReport(
         z=z, method="fast", n=n, d=spec.d,
         seconds=time.perf_counter() - t0,
         residual=residual, residual_tail_bound=tail,
         residual_is_approximate=True,
-        spectral_radius=spectral_radius,
+        spectral_radius=None if plan is None else plan.spectral_radius,
         overlap_checked=overlap_checked,
         overlap_max_dev=overlap_max_dev,
+        timings=timings,
+        extras={"plan_reused": plan is not None and plan is held},
     )

@@ -104,31 +104,36 @@ def levinson_solve(spec, n, y, tables=None):
         # sum_s u_s* blocks_s for (m, d, d) stacks
         return np.einsum("sba,sbc->ac", np.conj(us), blocks)
 
+    # x = X[:m] and w = W[:m] grow at the end, v = V[n-m:] at the front
     g0 = gam[0]
-    x = solve_block(g0, y[0])[None]
-    v = solve_block(g0, gam[-1])[None]
-    w = solve_block(g0, gam[1])[None]
+    X, V, W = (np.empty((n, d, d), dtype=np.complex128) for _ in range(3))
+    X[0] = solve_block(g0, y[0])
+    V[n - 1] = solve_block(g0, gam[-1])
+    W[0] = solve_block(g0, gam[1])
     gneg = np.stack([gam[-k] for k in range(1, n + 1)])  # gamma(-k)
     gpos = np.stack([gam[k] for k in range(1, n + 1)])   # gamma(k)
     for m in range(1, n):
+        x, v, w = X[:m], V[n - m:], W[:m]
         u = gneg[:m][::-1]          # u_s = gamma(s - m - 1), s = 1..m
         ut = gpos[:m]               # u~_s = gamma(s)
         schur_end = g0 - dot(u, v)          # gamma(0) - u* V_m
         schur_front = g0 - dot(ut, w)       # gamma(0) - u~* W_m
         # grow the right-hand-side solution (append at the end)
         xi = solve_block(schur_end, y[m] - dot(u, x))
-        x = np.concatenate([x - v @ xi, xi[None]])
+        x -= v @ xi
+        X[m] = xi
         if m == n - 1:
             break
         # backward vector via the front bordering, forward via the end;
         # both updates consume this step's (not yet updated) V and W
         eta_v = solve_block(schur_front, gam[-m - 1] - dot(ut, v))
         eta_w = solve_block(schur_end, gam[m + 1] - dot(u, w))
-        v_new = np.concatenate([eta_v[None], v - w @ eta_v])
-        w_new = np.concatenate([w - v @ eta_w, eta_w[None]])
-        v, w = v_new, w_new
-    z = x
-    return SolveReport(z=z, method="levinson", n=n, d=spec.d,
+        dv, dw = w @ eta_v, v @ eta_w
+        v -= dv
+        V[n - m - 1] = eta_v
+        w -= dw
+        W[m] = eta_w
+    return SolveReport(z=X, method="levinson", n=n, d=spec.d,
                        seconds=time.perf_counter() - t0,
                        residual=None, residual_is_approximate=True)
 

@@ -193,7 +193,8 @@ def test_scaled_vectors_are_pole_powers_times_unscaled(sweep_specs):
     spec = sweep_specs["d2_k1m2_p2"]    # multiplicity 2, m0 = 2
     kit = ClosedFormKit(spec)
     ms = np.arange(1, 41)
-    pw = np.repeat(kit.pole_powers(ms), spec.d, axis=1)[:, :, None]
+    pw = np.repeat(kit.pole_of_slot ** ms[:, None], spec.d,
+                   axis=1)[:, :, None]
     for kind in ("v", "w"):
         x, xt = kit.vectors(kind, ms)
         x_hat, xt_hat = kit.vectors(kind, ms, scaled=True)

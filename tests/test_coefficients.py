@@ -115,6 +115,31 @@ def test_gamma_table_grows_by_appending(sweep_specs):
     assert np.abs(far).max() <= 1e-14 * np.abs(served[0]).max()
 
 
+def _unskipped_table(tab, name):
+    """(N, entries) of a first build by the rule without skips: the first
+    N = 64, 128, ... whose transform passes the aliasing test."""
+    N = 64
+    while True:
+        coef = np.fft.fft(tab._samples(name, N), axis=0) / N
+        if tab._aliasing(name, N // 4) <= 1e-14 * np.linalg.norm(coef[0], 2):
+            return N, coef[:N // 2]
+        N *= 2
+
+
+@pytest.mark.parametrize("name", ["d1_ar2", "d2_k1m2", "d2_k2m11",
+                                  "d2_k2m12", "d3_k1m2", "near_unit"])
+def test_skipped_sizes_leave_tables_unchanged(sweep_specs, near_unit_tables,
+                                              name):
+    spec = (near_unit_tables.spec if name == "near_unit"
+            else sweep_specs[name])
+    for table in ("c", "c_tilde", "gamma"):
+        tab = CoefficientTables(spec)
+        tab._circle_table(table, 0)
+        N, want = _unskipped_table(tab, table)
+        assert tab._nodes[table] == [N]
+        np.testing.assert_array_equal(np.array(tab._tables[table]), want)
+
+
 def test_singular_leading_coefficient_raises():
     # rho00 = diag(1, 0) puts a pole of h at z = 0
     a0 = np.diag([1.0, 0.0])

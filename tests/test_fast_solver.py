@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocktoeplitz import errors
+from blocktoeplitz.closed_form import ClosedFormKit, SolvePlan
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
                                        apply_Q_adjoint, solve)
@@ -205,3 +206,52 @@ def test_report_fields(ex52):
     # the band holds all of T_8; what remains is its aliasing error
     assert 0 < rep.residual_tail_bound <= 1e-12 * np.linalg.norm(rep.z)
     assert 0 <= rep.spectral_radius < 1
+    assert set(rep.timings) == {"plan", "gram", "assembly", "overlap",
+                                "residual"}
+    assert min(rep.timings.values()) >= 0
+    assert sum(rep.timings.values()) <= rep.seconds
+    assert rep.extras["plan_reused"] is False
+
+
+def test_warm_solve_reuses_plan(sweep_specs, sweep_tables, monkeypatch):
+    spec = sweep_specs["d2_k2m12"]
+    tab = sweep_tables["d2_k2m12"]
+    n = 48
+    y = random_rhs(n, spec.d, seed=19)
+    kit = ClosedFormKit(spec)
+    first = solve(spec, n, y, tables=tab, kit=kit)
+    calls = []
+    vectors = ClosedFormKit.vectors
+    monkeypatch.setattr(ClosedFormKit, "vectors",
+                        lambda self, *a, **k: calls.append(a) or
+                        vectors(self, *a, **k))
+    warm = solve(spec, n, y, tables=tab, kit=kit)
+    assert calls == [] and warm.extras["plan_reused"]
+    assert not first.extras["plan_reused"]
+    fresh = solve(spec, n, y, tables=tab, kit=ClosedFormKit(spec))
+    assert calls                    # the fresh kit had to build its plan
+    np.testing.assert_array_equal(warm.z, fresh.z)
+
+
+def test_plan_memo_holds_last_order(sweep_specs, sweep_tables):
+    spec = sweep_specs["d2_k2m12"]
+    tab = sweep_tables["d2_k2m12"]
+    kit = ClosedFormKit(spec)
+    for n in (48, 40):
+        rep = solve(spec, n, random_rhs(n, spec.d, seed=n), tables=tab,
+                    kit=kit)
+        assert not rep.extras["plan_reused"]
+        plans = [v for v in vars(kit).values() if isinstance(v, SolvePlan)]
+        assert [p.n for p in plans] == [n]
+
+
+def test_singular_resolvent_raises_on_every_call(sweep_specs):
+    spec = sweep_specs["d2_k2m12"]
+    kit = ClosedFormKit(spec)
+    kit.theta_mat = 1e3 * kit.theta_mat     # radius 4e-5 -> 36 at n = 4
+    n = 4
+    assert kit.spectral_radius(n) >= 1
+    y = random_rhs(n, spec.d, seed=20)
+    for _ in range(2):
+        with pytest.raises(errors.ResolventSingular):
+            solve(spec, n, y, kit=kit)
