@@ -31,17 +31,25 @@ from .util import binom, binom_vec, herm
 _LAMBDA_CHECK_TOL = 1e-10
 _LAMBDA_BLOCK = 256
 _LAMBDA_MAX_TERMS = 100_000
+_CONTOUR_NODES = 512
+_FOLD_COLUMNS = 4096     # columns of the plan's v folded per K_n product
 
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
     the right-hand side Y (built by ClosedFormKit.plan):
 
-    * g, g_tilde, spectral_radius: G_n, G~_n and the radius of G~_n G_n;
-    * pi_theta, pi_theta_h: Pi_n Theta and its adjoint;
-    * resolvent, resolvent_tilde: (I - G~G)^{-1} and (I - GG~)^{-1};
-    * v: the (2 M d, n d) matrix whose product with Y stacked as
-      (n d, d) is [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v);
+    * spectral_radius: the radius of G~_n G_n;
+    * v: the (2 M d, n d) matrix K_n [v reversed; v~] whose product with Y
+      stacked as (n d, d) is [g_vec; g~_vec]. With P = Pi_n Theta,
+      R = (I - G~G)^{-1} and R~ = (I - GG~)^{-1}, the fixed 2Md x 2Md map
+
+          top = I + Lambda^T G R P*,     bot = I + Lambda G~ R~ P,
+          K_n = [[top Lambda^T P,  top              ],
+                 [bot,             bot Lambda P*    ]]
+
+      takes [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v) to the
+      resolvent-corrected sums g_vec and g~_vec;
     * corr, corr_tilde: the (n - m0, d, M d) stacks B_s* and B~_s* with
       the plain-row correction B_s* g_vec at s = m0+1..n and the tilde-row
       one B~_s* g~_vec at s = 1..n-m0, where, with hat-w - hat-v =
@@ -52,13 +60,7 @@ class SolvePlan(NamedTuple):
     """
 
     n: int
-    g: np.ndarray
-    g_tilde: np.ndarray
     spectral_radius: float
-    pi_theta: np.ndarray
-    pi_theta_h: np.ndarray
-    resolvent: np.ndarray
-    resolvent_tilde: np.ndarray
     v: np.ndarray
     corr: np.ndarray
     corr_tilde: np.ndarray
@@ -72,7 +74,7 @@ def _kron_scalar(scal, d):
 class ClosedFormKit:
     """All n-independent closed-form data for one symbol with K >= 1."""
 
-    def __init__(self, spec, contour_nodes=512, check_lambda=True):
+    def __init__(self, spec):
         if spec.K < 1:
             raise errors.DomainViolation(
                 "closed-form pole machinery needs K >= 1 "
@@ -94,11 +96,9 @@ class ClosedFormKit:
         self.rho_tilde_stack = np.stack(
             [spec.sharp_rho[mu][i - 1].conj().T for mu, i in self.slots])
         self.lambda_mat = self.build_lambda()
-        self.theta_values, self.theta_mat = self.build_theta(contour_nodes)
-        self._pi_cache = {}
+        self.theta_values, self.theta_mat = self.build_theta()
         self._plan = None
-        if check_lambda:
-            self._check_lambda_series()
+        self._check_lambda_series()
 
     # -- Lambda ---------------------------------------------------------- #
 
@@ -128,7 +128,7 @@ class ClosedFormKit:
     def p_vec(self, n):
         """p_n as a (M d, d) stacked matrix."""
         s = self.p_scalars(n)
-        return np.kron(s[:, None], np.eye(self.d))
+        return (s[:, None, None] * np.eye(self.d)).reshape(-1, self.d)
 
     def _check_lambda_series(self):
         """Construction-time check: closed-form Lambda matches its
@@ -180,7 +180,7 @@ class ClosedFormKit:
         hdag_inv = herm(h_inv_on_grid(spec, 1.0 / np.conj(zs)))
         return hs @ hdag_inv, phases
 
-    def build_theta(self, nodes=512):
+    def build_theta(self):
         """theta_{mu,j}: minus the coefficient of (z - p_mu)^{-j} in the
         Laurent expansion of h_sharp h_dagger^{-1} at p_mu, by trapezoid
         contour quadrature (doubled-node agreement within 1e-9 required);
@@ -193,8 +193,8 @@ class ClosedFormKit:
                 raise errors.ContourTooTight(
                     f"pole {mu}: usable radius {radius:.2e}; supply a "
                     "better-separated symbol or override the contour")
-            f1, ph1 = self._laurent_samples(mu, radius, nodes)
-            f2, ph2 = self._laurent_samples(mu, radius, 2 * nodes)
+            f1, ph1 = self._laurent_samples(mu, radius, _CONTOUR_NODES)
+            f2, ph2 = self._laurent_samples(mu, radius, 2 * _CONTOUR_NODES)
             mults = spec.mults[mu]
             vals, vals2 = [], []
             for j in range(1, mults + 1):
@@ -229,11 +229,8 @@ class ClosedFormKit:
     def pi_mat(self, n):
         """Pi_n = diag(p_mu^n) U_n: block-diagonal,
         upper-triangular-Toeplitz per pole with entries p_{mu, c-i+1}(n)."""
-        n = int(n)
-        if n not in self._pi_cache:
-            pn = np.repeat(self.pole_of_slot ** n, self.d)
-            self._pi_cache[n] = pn[:, None] * self.u_mat(n)
-        return self._pi_cache[n]
+        pn = np.repeat(self.pole_of_slot ** int(n), self.d)
+        return pn[:, None] * self.u_mat(n)
 
     def u_mat(self, n):
         """Pi_n with the diagonal power scaling factored out:
@@ -308,7 +305,10 @@ class ClosedFormKit:
 
     def g_mats(self, n):
         """(G_n, G~_n) = (Pi_n Theta Lambda, (Pi_n Theta)* Lambda^T)."""
-        pit = self.pi_mat(n) @ self.theta_mat
+        return self._g_from(self.pi_mat(n) @ self.theta_mat)
+
+    def _g_from(self, pit):
+        """(G_n, G~_n) from pit = Pi_n Theta."""
         return pit @ self.lambda_mat, herm(pit) @ self.lambda_mat.T
 
     def spectral_radius(self, n):
@@ -317,15 +317,17 @@ class ClosedFormKit:
         return float(np.abs(np.linalg.eigvals(gt @ g)).max())
 
     def checked_g_mats(self, n):
-        """(G_n, G~_n, spectral radius of G~_n G_n). Raises
+        """(Pi_n Theta, G_n, G~_n, spectral radius of G~_n G_n). Raises
         ResolventSingular unless the radius is below 1, which keeps
         I - G~G and I - GG~ invertible and the correction series
         convergent."""
-        radius = self.spectral_radius(n)
+        pit = self.pi_mat(n) @ self.theta_mat
+        g, gt = self._g_from(pit)
+        radius = float(np.abs(np.linalg.eigvals(gt @ g)).max())
         if radius >= 1.0:
             raise errors.ResolventSingular(
                 f"spectral radius of G~G at n={n} is {radius:.6f} >= 1")
-        return (*self.g_mats(n), radius)
+        return pit, g, gt, radius
 
     # -- the rank-correction vectors ------------------------------------- #
 
@@ -337,11 +339,9 @@ class ClosedFormKit:
         if self._plan is not None and self._plan.n == n:
             return self._plan
         self._plan = None       # free the old plan before building
-        g, gt, radius = self.checked_g_mats(n)
+        pit, g, gt, radius = self.checked_g_mats(n)
         d, Md, m0 = self.d, self.M * self.d, self.spec.m0
-        eye = np.eye(Md)
-        ut = self.u_mat(n) @ self.theta_mat     # U_n Theta
-        pit = self.pi_mat(n) @ self.theta_mat   # diag(p^n) U_n Theta
+        ut = self.u_mat(n) @ self.theta_mat     # Pi_n Theta = diag(p^n) ut
         v, vt = self.vectors("v", np.arange(1, n + 1))
         vs = np.empty((2 * Md, n, d), dtype=np.complex128)
         vs[:Md] = v[::-1].transpose(1, 0, 2)
@@ -359,10 +359,18 @@ class ClosedFormKit:
         corr *= np.conj(pw[m0:n, None, :])
         corr_tilde = np.matmul(herm(wvt), ut)
         corr_tilde *= pw[m0:n][::-1, None, :]
-        self._plan = SolvePlan(
-            n, g, gt, radius, pit, herm(pit),
-            np.linalg.inv(eye - gt @ g), np.linalg.inv(eye - g @ gt),
-            vs.reshape(2 * Md, n * d), corr, corr_tilde)
+        del wv, wvt
+        # fold K_n (see SolvePlan) into v in place, a column block at a
+        # time, so the fold needs no second (2Md, nd) array
+        lam, eye = self.lambda_mat, np.eye(Md)
+        top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
+        bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
+        k_n = np.block([[top @ lam.T @ pit, top],
+                        [bot, bot @ lam @ herm(pit)]])
+        vs = vs.reshape(2 * Md, n * d)
+        for c in range(0, n * d, _FOLD_COLUMNS):
+            vs[:, c:c + _FOLD_COLUMNS] = k_n @ vs[:, c:c + _FOLD_COLUMNS]
+        self._plan = SolvePlan(n, radius, vs, corr, corr_tilde)
         return self._plan
 
     def vectors(self, kind, ms, scaled=False):
@@ -418,8 +426,8 @@ class ClosedFormKit:
         if not (n >= u >= self.spec.m0 + 1):
             raise errors.DomainViolation(
                 "b closed form needs n >= u >= m0 + 1")
-        g, gt = self.g_mats(n)
         pit = self.pi_mat(n) @ self.theta_mat
+        g, gt = self._g_from(pit)
         left = herm(self.p_vec(u - n - 1))
         if level % 2 == 1:  # level = 2k - 1
             core = np.linalg.matrix_power(gt @ g, (level + 1) // 2 - 1)
@@ -432,8 +440,8 @@ class ClosedFormKit:
         if not (1 <= u <= n - self.spec.m0):
             raise errors.DomainViolation(
                 "b~ closed form needs 1 <= u <= n - m0")
-        g, gt = self.g_mats(n)
         pit = self.pi_mat(n) @ self.theta_mat
+        g, gt = self._g_from(pit)
         left = self.p_vec(-u).T
         if level % 2 == 1:
             core = np.linalg.matrix_power(g @ gt, (level + 1) // 2 - 1)
@@ -460,11 +468,11 @@ class SolveVectors:
         ns = np.arange(1, n + 1)
         self.v, self.v_tilde = kit.vectors("v", ns)
         self.w, self.w_tilde = kit.vectors("w", ns)
-        self.g, self.g_tilde, self.spectral_radius = kit.checked_g_mats(n)
+        self.pi_theta, self.g, self.g_tilde, self.spectral_radius = \
+            kit.checked_g_mats(n)
         eye = np.eye(kit.M * kit.d)
         self.resolvent = np.linalg.inv(eye - self.g_tilde @ self.g)
         self.resolvent_tilde = np.linalg.inv(eye - self.g @ self.g_tilde)
-        self.pi_theta = kit.pi_mat(n) @ kit.theta_mat
 
     def ell(self, s):
         """l_{n,s} = (w_{n+1-s} - v_{n+1-s})* (I - G~G)^{-1}, (d, Md)."""

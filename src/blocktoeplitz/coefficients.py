@@ -100,8 +100,7 @@ class CoefficientTables:
     """Lazily extended, lock-guarded coefficient tables for one symbol.
 
     Thread contract: concurrent readers are safe because every list
-    extension happens under an internal lock; callers that want to share
-    a table without contention can call `warm_up(horizon)` first.
+    extension happens under an internal lock.
     """
 
     def __init__(self, spec, grid_points=8192):
@@ -424,15 +423,6 @@ class CoefficientTables:
         theta, phase = self._phase_on_grid()
         weights = np.exp(-1j * k * theta)
         return -(weights[:, None, None] * phase).mean(axis=0)
-
-    # -- misc ---------------------------------------------------------------- #
-
-    def warm_up(self, horizon):
-        """Precompute all tables up to `horizon` so that subsequent
-        concurrent reads never extend them."""
-        for fn in (self.a, self.a_tilde, self.c, self.c_tilde, self.gamma):
-            fn(horizon)
-        return self
 
 
 class RawTables:

@@ -182,8 +182,9 @@ class SeriesInverter:
         self._levels = {}
         self._corr = {}
         self._beta_cache = _BetaCache(tables)
-        self._a_stack = np.zeros((0, self.d, self.d), dtype=np.complex128)
-        self._at_stack = np.zeros((0, self.d, self.d), dtype=np.complex128)
+        # tilde -> (a~_0.. or a_0.. stacked, their spectral norms)
+        empty = np.zeros((0, self.d, self.d), dtype=np.complex128)
+        self._stacks = {tilde: (empty, np.zeros(0)) for tilde in (False, True)}
         self._contraction = tables.decay_bound_F(n + 1)
         self._supcoef = self._sup_coeff_bound()
         if self._contraction >= 1.0 and not best_effort:
@@ -213,22 +214,23 @@ class SeriesInverter:
         return seq[:depth]
 
     def _coeff_stack(self, tilde, upto):
-        stack = self._at_stack if tilde else self._a_stack
+        """a~_0..a~_upto (tilde) or a_0..a_upto, or a longer stack, and
+        the spectral norm of each entry."""
+        stack, norms = self._stacks[tilde]
         if len(stack) <= upto:
             fn = self.tables.a_tilde if tilde else self.tables.a
             extra = np.stack([fn(k) for k in range(len(stack), upto + 1)])
-            stack = np.concatenate([stack, extra]) if len(stack) else extra
-            if tilde:
-                self._at_stack = stack
-            else:
-                self._a_stack = stack
-        return stack
+            stack = np.concatenate([stack, extra])
+            norms = np.concatenate(
+                [norms, np.linalg.norm(extra, 2, axis=(-2, -1))])
+            self._stacks[tilde] = stack, norms
+        return stack, norms
 
     def _contract(self, state, tilde, base):
         """sum_l coeffs[l] coeff_{base + l} plus a bound on what the
         level tail can contribute."""
         L = len(state.coeffs)
-        stack = self._coeff_stack(tilde, base + L)
+        stack, _ = self._coeff_stack(tilde, base + L)
         acc = np.einsum("lab,lbc->ac", state.coeffs, stack[base:base + L])
         slack = state.tail * self._supcoef
         return acc, slack
@@ -286,18 +288,13 @@ class SeriesInverter:
             raise IndexError("block index out of range")
         out = first_term_gram(self.tables, n, s, t, variant)
         err = 0.0
-        if variant == "tilde":
-            for u in range(1, t + 1):
-                corr, e = self._correction(u, s, "tilde")
-                coef = self.tables.a_tilde(t - u)
-                out += corr.conj().T @ coef
-                err += e * float(np.linalg.norm(coef, 2))
-        else:
-            for u in range(t, n + 1):
-                corr, e = self._correction(u, s, "plain")
-                coef = self.tables.a(u - t)
-                out += corr.conj().T @ coef
-                err += e * float(np.linalg.norm(coef, 2))
+        tilde = variant == "tilde"
+        coefs, norms = self._coeff_stack(tilde, t - 1 if tilde else n - t)
+        for u in (range(1, t + 1) if tilde else range(t, n + 1)):
+            corr, e = self._correction(u, s, variant)
+            k = t - u if tilde else u - t
+            out += corr.conj().T @ coefs[k]
+            err += e * norms[k]
         if not self.best_effort and err > self.tol:
             raise errors.ToleranceUnreachable(
                 f"accumulated error bound {err:.3e} > tol {self.tol:.3e}")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from blocktoeplitz import errors
+from blocktoeplitz import errors, fast_solver
 from blocktoeplitz.closed_form import ClosedFormKit, SolvePlan
+from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
                                        apply_Q_adjoint, solve)
-from blocktoeplitz.synth import random_spec
+from blocktoeplitz.synth import random_spec, scalar_single_pole
 from blocktoeplitz.util import binom
 
 from conftest import dense_toeplitz_matrix, random_rhs
@@ -128,12 +129,18 @@ def test_solve_golden_column(ex52, ex52_tables):
     assert rep.overlap_checked > 0
 
 
-@pytest.mark.parametrize("name", ["d1_k2m21", "d2_k2m12", "d3_k2m11",
-                                  "d2_ar2", "d2_k1m2_p2"])
-def test_solve_dense_oracle(sweep_specs, sweep_tables, name):
-    spec = sweep_specs[name]
-    tab = sweep_tables[name]
-    n = 48
+@pytest.mark.parametrize("name, n", [
+    *(pytest.param(name, 48, id=name) for name in
+      ("d1_k2m21", "d2_k2m12", "d3_k2m11", "d2_ar2", "d2_k1m2_p2")),
+    # radius of G~G is 0.95^(2n+2): the resolvents of K_n at work
+    *(pytest.param("pole095", n, id=f"pole095_n{n}") for n in (1, 2, 4, 8)),
+])
+def test_solve_dense_oracle(sweep_specs, sweep_tables, name, n):
+    if name == "pole095":
+        spec = scalar_single_pole(0.95)
+        tab = CoefficientTables(spec)
+    else:
+        spec, tab = sweep_specs[name], sweep_tables[name]
     y = random_rhs(n, spec.d, seed=11)
     dense = np.linalg.solve(dense_toeplitz_matrix(tab, n, spec.d),
                             y.reshape(n * spec.d, spec.d))
@@ -142,6 +149,8 @@ def test_solve_dense_oracle(sweep_specs, sweep_tables, name):
         np.abs(dense).max()
     assert rel <= 1e-10
     assert rep.residual <= 1e-8
+    if name == "pole095" and n <= 4:
+        assert rep.spectral_radius >= 0.3
 
 
 def test_solve_large_n_vs_dense():
@@ -255,3 +264,29 @@ def test_singular_resolvent_raises_on_every_call(sweep_specs):
     for _ in range(2):
         with pytest.raises(errors.ResolventSingular):
             solve(spec, n, y, kit=kit)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
+                                 fails):
+    # delta I on every plain row: its spectral norm is delta, so delta
+    # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2)
+    spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
+    n = 48
+    y = random_rhs(n, spec.d, seed=21)
+    z = solve(spec, n, y, tables=tab).z
+    delta = 0.0
+    if fails:
+        delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
+    gram = fast_solver.apply_A_gram
+
+    def perturbed(spec, n, y, variant="tilde"):
+        out = gram(spec, n, y, variant)
+        return out + delta * np.eye(spec.d) if variant == "plain" else out
+
+    monkeypatch.setattr(fast_solver, "apply_A_gram", perturbed)
+    if fails:
+        with pytest.raises(errors.OverlapMismatch):
+            solve(spec, n, y, tables=tab)
+    else:
+        assert solve(spec, n, y, tables=tab).overlap_max_dev <= 1e-12
