@@ -1,9 +1,10 @@
 """Dense block storage addressed by 1-based block indices.
 
-Block vectors are stored as complex arrays of shape (n, d, d): n stacked
-d x d blocks (right-hand sides and solutions Y, Z carry d columns per
-block, matching the d x d block convention of the solvers). Block
-matrices wrap a dense (d n) x (d n) array.
+Block vectors are stored as complex arrays of shape (n, d, r): n stacked
+d x r blocks, one block row of the right-hand side Y or the solution Z
+per index, with r >= 1 columns carried through every solve unchanged
+(r = d gives the square d x d blocks of the inverse). Block matrices
+wrap a dense (d n) x (d n) array.
 """
 
 from dataclasses import dataclass
@@ -12,16 +13,16 @@ import numpy as np
 
 
 def as_block_vector(y, d):
-    """Coerce `y` to a (n, d, d) complex block stack."""
+    """Coerce `y` to a (n, d, r) complex block stack, r >= 1."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim == 3 and y.shape[1] == d and y.shape[2] == d:
+    if y.ndim == 3 and y.shape[1] == d and y.shape[2] >= 1:
         return y
     if y.ndim == 1 and d == 1:
         return y.reshape(-1, 1, 1)
     if y.ndim == 2 and y.shape[1] == d and d == 1:
         return y.reshape(-1, 1, 1)
     raise ValueError(f"cannot interpret array of shape {y.shape} as "
-                     f"(n, {d}, {d}) block vector")
+                     f"(n, {d}, r) block vector")
 
 
 @dataclass

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -136,6 +137,10 @@ def _cmd_solve(args):
     if args.out:
         fileio.write_block_vector(args.out, rep.z)
         print(f"wrote {args.out}")
+    if args.report_json:
+        print(json.dumps({f.name: getattr(rep, f.name) for f in fields(rep)
+                          if f.name != "z"}, default=float))
+        return 0
     resid = "n/a" if rep.residual is None else f"{rep.residual:.3e}"
     print(f"method={rep.method} n={rep.n} d={rep.d} "
           f"seconds={rep.seconds:.4f} residual={resid}")
@@ -254,6 +259,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-against", choices=["dense"])
     p.add_argument("--out")
+    p.add_argument("--report-json", action="store_true",
+                   help="print every report field but z as one JSON line")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("kit", help="dump closed-form kit diagnostics")

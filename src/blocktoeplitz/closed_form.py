@@ -32,38 +32,54 @@ _LAMBDA_CHECK_TOL = 1e-10
 _LAMBDA_BLOCK = 256
 _LAMBDA_MAX_TERMS = 100_000
 _CONTOUR_NODES = 512
-_FOLD_COLUMNS = 4096     # columns of the plan's v folded per K_n product
 
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y (built by ClosedFormKit.plan):
+    the right-hand side Y (built by ClosedFormKit.plan). Every vector of
+    the rank correction is a stack of d x d blocks times slot scalars, so
+    the plan keeps the O(n M^2) scalars, not the O(n M d^2) blocks:
 
     * spectral_radius: the radius of G~_n G_n;
-    * v: the (2 M d, n d) matrix K_n [v reversed; v~] whose product with Y
-      stacked as (n d, d) is [g_vec; g~_vec]. With P = Pi_n Theta,
-      R = (I - G~G)^{-1} and R~ = (I - GG~)^{-1}, the fixed 2Md x 2Md map
+    * k_n: the fixed 2Md x 2Md map that takes the sums
+      [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v) to the
+      resolvent-corrected [g_vec; g~_vec]. With P = Pi_n Theta,
+      R = (I - G~G)^{-1} and R~ = (I - GG~)^{-1},
 
           top = I + Lambda^T G R P*,     bot = I + Lambda G~ R~ P,
           K_n = [[top Lambda^T P,  top              ],
-                 [bot,             bot Lambda P*    ]]
+                 [bot,             bot Lambda P*    ]];
 
-      takes [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v) to the
-      resolvent-corrected sums g_vec and g~_vec;
-    * corr, corr_tilde: the (n - m0, d, M d) stacks B_s* and B~_s* with
-      the plain-row correction B_s* g_vec at s = m0+1..n and the tilde-row
-      one B~_s* g~_vec at s = 1..n-m0, where, with hat-w - hat-v =
-      diag(p^m)(w_m - v_m) and its conjugate-power tilde partner,
+    * ut: U_n Theta, where Pi_n Theta = diag(p^n) U_n Theta;
+    * xi: the (M, M, n - m0) scalars of Xi_m for m = m0+1..n, where
+      v_m = (Xi_m (x) I_d) rho and v~_m = (conj(Xi_m) (x) I_d) rho~
+      (kit.rho_stack, kit.rho_tilde_stack);
+    * heads: the (2, m0, M d, d) blocks v_m and v~_m for m = 1..m0, where
+      the band terms add to them;
+    * diff: the (M, M + m0 + 1, n - m0) scalars of hat-w - hat-v =
+      diag(p^m)(w_m - v_m) for m = 1..n-m0 on the kit.ext_stack blocks
+      (residues, then the band blocks rho0_0..rho0_m0); their conjugates
+      give hat-w~ - hat-v~ on kit.ext_tilde_stack;
+    * powers: the (K, n + 1) pole powers p_mu^e, e = 0..n.
 
-          B_s  = diag(p^{s-1})    U_n Theta     (hat-w - hat-v)_{n+1-s},
-          B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s.
+    The index m or e runs along the last axis, as the block index of
+    the time-last blocks in fast_solver does.
+
+    The plain-row correction at s = m0+1..n is B_s* g_vec and the
+    tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
+
+        B_s  = diag(p^{s-1})    U_n Theta     (hat-w - hat-v)_{n+1-s},
+        B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s.
     """
 
     n: int
     spectral_radius: float
-    v: np.ndarray
-    corr: np.ndarray
-    corr_tilde: np.ndarray
+    k_n: np.ndarray
+    ut: np.ndarray
+    xi: np.ndarray
+    heads: np.ndarray
+    diff: np.ndarray
+    powers: np.ndarray
 
 
 def _kron_scalar(scal, d):
@@ -95,6 +111,13 @@ class ClosedFormKit:
             [spec.rho[mu][i - 1] for mu, i in self.slots])
         self.rho_tilde_stack = np.stack(
             [spec.sharp_rho[mu][i - 1].conj().T for mu, i in self.slots])
+        # the blocks the scalars of SolvePlan.diff act on: residues, then
+        # the band blocks of h^{-1} (of h~^{-1} for the tilde partner)
+        self.ext_stack = np.concatenate(
+            [self.rho_stack, np.stack([spec.rho00, *spec.rho0])])
+        self.ext_tilde_stack = np.concatenate(
+            [self.rho_tilde_stack,
+             herm(np.stack([spec.sharp_rho00, *spec.sharp_rho0]))])
         self.lambda_mat = self.build_lambda()
         self.theta_values, self.theta_mat = self.build_theta()
         self._plan = None
@@ -340,37 +363,28 @@ class ClosedFormKit:
             return self._plan
         self._plan = None       # free the old plan before building
         pit, g, gt, radius = self.checked_g_mats(n)
-        d, Md, m0 = self.d, self.M * self.d, self.spec.m0
-        ut = self.u_mat(n) @ self.theta_mat     # Pi_n Theta = diag(p^n) ut
-        v, vt = self.vectors("v", np.arange(1, n + 1))
-        vs = np.empty((2 * Md, n, d), dtype=np.complex128)
-        vs[:Md] = v[::-1].transpose(1, 0, 2)
-        vs[Md:] = vt.transpose(1, 0, 2)
-        # p^e per slot row for e = 0..n
-        pw = np.repeat(self.pole_of_slot ** np.arange(n + 1)[:, None], d,
-                       axis=1)
+        M, m0 = self.M, self.spec.m0
         span = n - m0
-        wv, wvt = self.vectors("w", np.arange(1, span + 1), scaled=True)
-        wv -= pw[1:span + 1, :, None] * v[:span]
-        wvt -= np.conj(pw[1:span + 1, :, None]) * vt[:span]
-        del v, vt
-        # rows s = m0+1..n take m = n+1-s, i.e. the rows of wv reversed
-        corr = np.matmul(herm(wv[::-1]), herm(ut))
-        corr *= np.conj(pw[m0:n, None, :])
-        corr_tilde = np.matmul(herm(wvt), ut)
-        corr_tilde *= pw[m0:n][::-1, None, :]
-        del wv, wvt
-        # fold K_n (see SolvePlan) into v in place, a column block at a
-        # time, so the fold needs no second (2Md, nd) array
-        lam, eye = self.lambda_mat, np.eye(Md)
+        ms = np.arange(1, n + 1)
+        xi = np.moveaxis(self.xi_scalars(ms), 0, -1)
+        powers = np.asarray(self.spec.poles)[:, None] ** np.arange(n + 1)
+        pole = np.array([mu for mu, _ in self.slots])   # slot -> pole
+        diff = np.empty((M, M + m0 + 1, span), dtype=np.complex128)
+        diff[:, :M] = np.moveaxis(self.phi_scalars(ms[:span]), 0, -1)
+        diff[:, :M] -= powers[pole, None, 1:span + 1] * xi[..., :span]
+        for l in range(m0 + 1):
+            # band term l of hat-w cancels that of hat-v at m <= l
+            diff[:, M + l] = self._slot_powers(l - ms[:span], l).T
+            diff[:, M + l, :l] = 0
+        lam, eye = self.lambda_mat, np.eye(M * self.d)
         top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
-        vs = vs.reshape(2 * Md, n * d)
-        for c in range(0, n * d, _FOLD_COLUMNS):
-            vs[:, c:c + _FOLD_COLUMNS] = k_n @ vs[:, c:c + _FOLD_COLUMNS]
-        self._plan = SolvePlan(n, radius, vs, corr, corr_tilde)
+        self._plan = SolvePlan(
+            n, radius, k_n, self.u_mat(n) @ self.theta_mat,
+            np.ascontiguousarray(xi[..., m0:]),
+            np.stack(self.vectors("v", ms[:m0])), diff, powers)
         return self._plan
 
     def vectors(self, kind, ms, scaled=False):
@@ -497,23 +511,25 @@ class SolveVectors:
 
 # -- Gram sums and regional inverse formulas ----------------------------- #
 
+def _stacked_gram(x, y):
+    """sum_l x_l* y_l over two (m, d, d) stacks, as one gemm."""
+    d = x.shape[-1]
+    return herm(x.reshape(-1, d)) @ y.reshape(-1, d)
+
+
 def gram_tilde(tables, s, t):
     """sum_{l=1}^{min(s,t)} a~_{s-l}* a~_{t-l}: the (s, t) block of
     A~_n* A~_n (equivalently of the infinite inverse)."""
-    d = tables.d
-    out = np.zeros((d, d), dtype=np.complex128)
-    for l in range(1, min(s, t) + 1):
-        out += tables.a_tilde(s - l).conj().T @ tables.a_tilde(t - l)
-    return out
+    m = min(s, t)
+    at = tables.a_stack(max(s, t) - 1, tilde=True)
+    return _stacked_gram(at[s - m:s], at[t - m:t])
 
 
 def gram_plain(tables, n, s, t):
     """sum_{l=max(s,t)}^{n} a_{l-s}* a_{l-t}: the (s, t) block of A_n* A_n."""
-    d = tables.d
-    out = np.zeros((d, d), dtype=np.complex128)
-    for l in range(max(s, t), n + 1):
-        out += tables.a(l - s).conj().T @ tables.a(l - t)
-    return out
+    lo = max(s, t)
+    a = tables.a_stack(n - min(s, t))
+    return _stacked_gram(a[lo - s:n - s + 1], a[lo - t:n - t + 1])
 
 
 def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True,

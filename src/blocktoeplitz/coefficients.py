@@ -109,6 +109,7 @@ class CoefficientTables:
         self._lock = threading.RLock()
         self._a = []
         self._a_tilde = []
+        self._a_stacks = {}
         # FFT tables; entry k is from the first transform with N/2 > k,
         # and _nodes lists the N of each transform a table took entries from
         self._tables = {"c": [], "c_tilde": [], "gamma": []}
@@ -141,6 +142,20 @@ class CoefficientTables:
                 self._a_tilde.append(a_tilde_coeff(self.spec,
                                                    len(self._a_tilde)))
             return self._a_tilde[n]
+
+    def a_stack(self, upto, tilde=False):
+        """a_0..a_m (a~_0..a~_m with tilde=True) as one read-only
+        (m + 1, d, d) array, m >= upto. The stack is kept and grows by
+        doubling, so block sums over many (s, t) read it in O(1) each."""
+        with self._lock:
+            stack = self._a_stacks.get(tilde)
+            if stack is None or len(stack) <= upto:
+                fn = self.a_tilde if tilde else self.a
+                size = max(upto + 1, 0 if stack is None else 2 * len(stack))
+                stack = np.stack([fn(k) for k in range(size)])
+                stack.flags.writeable = False
+                self._a_stacks[tilde] = stack
+            return stack
 
     # -- Taylor / Fourier tables by FFT on the unit circle ----------------- #
 
@@ -447,6 +462,11 @@ class RawTables:
     def a_tilde(self, n):
         z = np.zeros((self.d, self.d), dtype=np.complex128)
         return self._at[n] if n < len(self._at) else z
+
+    def a_stack(self, upto, tilde=False):
+        """a_0..a_upto (a~ with tilde=True) as one (upto + 1, d, d) array."""
+        fn = self.a_tilde if tilde else self.a
+        return np.stack([fn(k) for k in range(upto + 1)])
 
     def a_tail(self, n):
         return float(sum(np.linalg.norm(m, 2) for m in self._a[n:]))

@@ -1,9 +1,10 @@
 """CSV and binary wire formats for block vectors and block matrices.
 
-Block vector CSV: header `k,row,col,re,im`, one line per scalar entry,
-all indices 1-based. Binary: eight little-endian int64 header words
-(magic, version, n, d, layout, three reserved zeros) followed by the
-complex128 payload, C order. Layout 1 is an (n, d, d) block stack,
+Block vector CSV: header `k,row,col,re,im`, one line per scalar entry of
+an (n, d, r) block stack, all indices 1-based. Binary: eight
+little-endian int64 header words (magic, version, n, d, layout, three
+reserved zeros) followed by the complex128 payload, C order. Layout 1 is
+a square (n, d, d) block stack,
 layout 2 a dense (d n, d n) matrix. Values round-trip bit-exactly in
 both formats (CSV uses repr-style shortest float fields).
 """
@@ -18,12 +19,12 @@ LAYOUT_DENSE_MATRIX = 2
 
 def write_block_vector_csv(path, y):
     y = np.asarray(y)
-    n, d, _ = y.shape
+    n, d, cols = y.shape
     with open(path, "w") as fh:
         fh.write("k,row,col,re,im\n")
         for k in range(n):
             for r in range(d):
-                for c in range(d):
+                for c in range(cols):
                     v = y[k, r, c]
                     fh.write(f"{k + 1},{r + 1},{c + 1},"
                              f"{float(v.real)!r},{float(v.imag)!r}\n")
@@ -46,7 +47,8 @@ def read_block_vector_csv(path):
         raise ValueError("empty block vector file")
     n = max(e[0] for e in entries)
     d = max(e[1] for e in entries)
-    y = np.zeros((n, d, d), dtype=np.complex128)
+    cols = max(e[2] for e in entries)
+    y = np.zeros((n, d, cols), dtype=np.complex128)
     for k, r, c, re, im in entries:
         y[k - 1, r - 1, c - 1] = complex(re, im)
     return y

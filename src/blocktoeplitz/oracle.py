@@ -51,15 +51,14 @@ def dense_solve(spec, n, y, tables=None):
     _check_cap(n)
     t0 = time.perf_counter()
     y = as_block_vector(y, spec.d)[:n]
+    tall = y.reshape(n * spec.d, -1)
     T = dense_toeplitz(spec, n, tables).data
     try:
-        z = np.linalg.solve(T, y.reshape(n * spec.d, spec.d))
+        z = np.linalg.solve(T, tall)
     except np.linalg.LinAlgError as exc:
         raise errors.NumericallySingular(str(exc)) from exc
-    z = z.reshape(n, spec.d, spec.d)
-    resid = float(np.linalg.norm(
-        (T @ z.reshape(n * spec.d, spec.d)
-         - y.reshape(n * spec.d, spec.d)).ravel()))
+    resid = float(np.linalg.norm((T @ z - tall).ravel()))
+    z = z.reshape(y.shape)
     return SolveReport(z=z, method="dense", n=n, d=spec.d,
                        seconds=time.perf_counter() - t0,
                        residual=resid, residual_is_approximate=False)
@@ -106,7 +105,8 @@ def levinson_solve(spec, n, y, tables=None):
 
     # x = X[:m] and w = W[:m] grow at the end, v = V[n-m:] at the front
     g0 = gam[0]
-    X, V, W = (np.empty((n, d, d), dtype=np.complex128) for _ in range(3))
+    X = np.empty(y.shape, dtype=np.complex128)
+    V, W = (np.empty((n, d, d), dtype=np.complex128) for _ in range(2))
     X[0] = solve_block(g0, y[0])
     V[n - 1] = solve_block(g0, gam[-1])
     W[0] = solve_block(g0, gam[1])
@@ -163,15 +163,16 @@ def infinite_solution(spec, y_seq, horizon, tables=None, rel_tol=1e-14):
     while tables.a_tail(J) > rel_tol * max(ymax, 1.0) and J < 100_000:
         J += max(1, J // 4)
     at = [tables.a_tilde(j) for j in range(max(J, horizon) + 1)]
-    g = np.zeros((horizon + 1, d, d), dtype=np.complex128)
+    cols = y.shape[2]
+    g = np.zeros((horizon + 1, d, cols), dtype=np.complex128)
     for l in range(1, horizon + 1):
-        acc = np.zeros((d, d), dtype=np.complex128)
+        acc = np.zeros((d, cols), dtype=np.complex128)
         for j in range(0, min(J + 1, ny - l + 1)):
             acc += at[j] @ y[l + j - 1]
         g[l] = acc
-    z = np.zeros((horizon, d, d), dtype=np.complex128)
+    z = np.zeros((horizon, d, cols), dtype=np.complex128)
     for s in range(1, horizon + 1):
-        acc = np.zeros((d, d), dtype=np.complex128)
+        acc = np.zeros((d, cols), dtype=np.complex128)
         for l in range(1, s + 1):
             acc += at[s - l].conj().T @ g[l]
         z[s - 1] = acc

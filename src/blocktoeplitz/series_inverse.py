@@ -182,9 +182,8 @@ class SeriesInverter:
         self._levels = {}
         self._corr = {}
         self._beta_cache = _BetaCache(tables)
-        # tilde -> (a~_0.. or a_0.. stacked, their spectral norms)
-        empty = np.zeros((0, self.d, self.d), dtype=np.complex128)
-        self._stacks = {tilde: (empty, np.zeros(0)) for tilde in (False, True)}
+        # tilde -> spectral norms of a~_0.. or a_0.., in tables.a_stack order
+        self._norms = {tilde: np.zeros(0) for tilde in (False, True)}
         self._contraction = tables.decay_bound_F(n + 1)
         self._supcoef = self._sup_coeff_bound()
         if self._contraction >= 1.0 and not best_effort:
@@ -214,16 +213,15 @@ class SeriesInverter:
         return seq[:depth]
 
     def _coeff_stack(self, tilde, upto):
-        """a~_0..a~_upto (tilde) or a_0..a_upto, or a longer stack, and
-        the spectral norm of each entry."""
-        stack, norms = self._stacks[tilde]
-        if len(stack) <= upto:
-            fn = self.tables.a_tilde if tilde else self.tables.a
-            extra = np.stack([fn(k) for k in range(len(stack), upto + 1)])
-            stack = np.concatenate([stack, extra])
-            norms = np.concatenate(
-                [norms, np.linalg.norm(extra, 2, axis=(-2, -1))])
-            self._stacks[tilde] = stack, norms
+        """a~_0..a~_upto (tilde) or a_0..a_upto, or a longer stack, from
+        tables.a_stack, and the spectral norms of at least its first
+        upto + 1 entries."""
+        stack = self.tables.a_stack(upto, tilde)
+        norms = self._norms[tilde]
+        if len(norms) <= upto:
+            norms = np.concatenate([norms, np.linalg.norm(
+                stack[len(norms):upto + 1], 2, axis=(-2, -1))])
+            self._norms[tilde] = norms
         return stack, norms
 
     def _contract(self, state, tilde, base):

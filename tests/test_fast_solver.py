@@ -7,6 +7,7 @@ from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
                                        apply_Q_adjoint, solve)
+from blocktoeplitz.oracle import dense_solve
 from blocktoeplitz.synth import random_spec, scalar_single_pole
 from blocktoeplitz.util import binom
 
@@ -89,14 +90,26 @@ def test_gram_identity(ident2):
                                    atol=1e-14)
 
 
-@pytest.mark.parametrize("name", ["d1_k1m2_p1", "d2_k2m12", "d3_k1m2",
-                                  "d2_ar2"])
-def test_gram_dense_oracle(sweep_specs, sweep_tables, name):
+def warm_d3_spec():
+    """The shape of the d = 3 warm benchmark spec: mults (2, 2), m0 = 2."""
+    return random_spec(d=3, K=2, mults=(2, 2), m0=2,
+                       rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name, n", [
+    *(pytest.param(name, 64, id=name) for name in
+      ("d1_k1m2_p1", "d2_k2m12", "d3_k1m2", "d2_ar2")),
+    # n <= m0 + 1 cuts the band of the time-last stack
+    *(pytest.param("warm_d3", n, id=f"warm_d3_n{n}") for n in (1, 2, 3, 64)),
+])
+def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n):
     from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
                                           upper_block_toeplitz)
-    spec = sweep_specs[name]
-    tab = sweep_tables[name]
-    n = 64
+    if name == "warm_d3":
+        spec = warm_d3_spec()
+        tab = CoefficientTables(spec)
+    else:
+        spec, tab = sweep_specs[name], sweep_tables[name]
     d = spec.d
     y = random_rhs(n, d, seed=8)
     a_up = upper_block_toeplitz([tab.a_tilde(k) for k in range(n)], n, d)
@@ -104,8 +117,14 @@ def test_gram_dense_oracle(sweep_specs, sweep_tables, name):
     tall = y.reshape(n * d, d)
     want_t = (gram(a_up).data @ tall).reshape(n, d, d)
     want_p = (gram(a_lo).data @ tall).reshape(n, d, d)
-    assert np.abs(apply_A_gram(spec, n, y, "tilde") - want_t).max() <= 1e-10
-    assert np.abs(apply_A_gram(spec, n, y, "plain") - want_p).max() <= 1e-10
+    if n < spec.m0 + 1:
+        with pytest.raises(errors.DomainViolation):
+            apply_A_gram(spec, n, y, "tilde")
+    else:
+        assert np.abs(apply_A_gram(spec, n, y, "tilde")
+                      - want_t).max() <= 1e-10
+        assert np.abs(apply_A_gram(spec, n, y, "plain")
+                      - want_p).max() <= 1e-10
     for variant, a in (("tilde", a_up), ("plain", a_lo)):
         want = (a.data @ tall).reshape(n, d, d)
         want_adj = (a.data.conj().T @ tall).reshape(n, d, d)
@@ -151,6 +170,55 @@ def test_solve_dense_oracle(sweep_specs, sweep_tables, name, n):
     assert rep.residual <= 1e-8
     if name == "pole095" and n <= 4:
         assert rep.spectral_radius >= 0.3
+
+
+def test_solve_any_rhs_width():
+    # r = 1 is the first column of the r = d solve; r = 2 < d matches dense
+    spec = warm_d3_spec()
+    tab = CoefficientTables(spec)
+    n = 64
+    y = random_rhs(n, spec.d, seed=22)
+    square = solve(spec, n, y, tables=tab).z
+    one = solve(spec, n, y[:, :, :1], tables=tab)
+    assert one.z.shape == (n, 3, 1)
+    assert np.abs(one.z - square[:, :, :1]).max() <= 1e-14 * np.abs(
+        square).max()
+    two = solve(spec, n, y[:, :, 1:], tables=tab)
+    dense = dense_solve(spec, n, y[:, :, 1:], tables=tab)
+    assert two.z.shape == dense.z.shape == (n, 3, 2)
+    assert np.abs(two.z - dense.z).max() <= 1e-10 * np.abs(dense.z).max()
+    assert two.residual <= 1e-8 and two.overlap_checked > 0
+    for fn in (apply_A, apply_A_adjoint, apply_A_gram):
+        assert fn(spec, n, y[:, :, 1:]).shape == (n, 3, 2)
+    assert [q.shape for q in apply_Q(spec, 1, n, y[:, :, :1])] == \
+        [(n, 3, 1)] * 2
+
+
+@pytest.mark.parametrize("n, segments", [(899, 2), (1803, 3), (500, 1)])
+def test_overlap_save_residual_vs_dense(ex52, ex52_tables, n, segments):
+    # ex52 has L = 63 and nfft = 1024, so a segment steps 898 blocks:
+    # n = step + 1 and 2 step + 7 leave a ragged last segment, and at
+    # n = 500 one segment covers n + 2L
+    rng = np.random.default_rng(n)
+    z, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for _ in range(2))
+    resid, tail, counters = fast_solver._residual_banded(
+        ex52_tables, z.reshape(1, 1, n), y.reshape(1, 1, n))
+    assert counters == {"residual_band": 63, "residual_nfft": 1024,
+                        "residual_segments": segments}
+    dense = np.linalg.norm(dense_toeplitz_matrix(ex52_tables, n, 1) @ z - y)
+    assert abs(resid - dense) <= 1e-12 * dense
+    assert tail <= 1e-12 * np.linalg.norm(z)
+
+
+def test_residual_transform_independent_of_n(ex52, ex52_tables):
+    # overlap-save: the transform size is set by the band, not by n
+    reps = [solve(ex52, n, random_rhs(n, 1, seed=n), tables=ex52_tables)
+            for n in (1 << 12, 1 << 15)]
+    assert reps[0].counters["residual_nfft"] == \
+        reps[1].counters["residual_nfft"] == 1024
+    assert reps[1].counters["residual_segments"] > \
+        reps[0].counters["residual_segments"]
 
 
 def test_solve_large_n_vs_dense():
@@ -220,6 +288,10 @@ def test_report_fields(ex52):
     assert min(rep.timings.values()) >= 0
     assert sum(rep.timings.values()) <= rep.seconds
     assert rep.extras["plan_reused"] is False
+    plan = rep.counters.pop("plan_bytes")
+    assert plan > 0 and rep.counters == {
+        "overlap_rows": rep.overlap_checked, "residual_band": 7,
+        "residual_nfft": 32, "residual_segments": 1}
 
 
 def test_warm_solve_reuses_plan(sweep_specs, sweep_tables, monkeypatch):
@@ -254,6 +326,18 @@ def test_plan_memo_holds_last_order(sweep_specs, sweep_tables):
         assert [p.n for p in plans] == [n]
 
 
+def test_plan_size_does_not_grow_with_d():
+    # the plan keeps O(n M^2) slot scalars, not O(n M d^2) blocks
+    n = 512
+    size = {}
+    for d in (1, 3):
+        spec = random_spec(d=d, K=2, mults=(2, 2), m0=2,
+                           rng=np.random.default_rng(d))
+        rep = solve(spec, n, random_rhs(n, d, seed=d))
+        size[d] = rep.counters["plan_bytes"]
+    assert size[1] <= size[3] <= 1.1 * size[1]
+
+
 def test_singular_resolvent_raises_on_every_call(sweep_specs):
     spec = sweep_specs["d2_k2m12"]
     kit = ClosedFormKit(spec)
@@ -278,15 +362,45 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
     delta = 0.0
     if fails:
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
-    gram = fast_solver.apply_A_gram
+    gram = fast_solver._gram
 
-    def perturbed(spec, n, y, variant="tilde"):
-        out = gram(spec, n, y, variant)
-        return out + delta * np.eye(spec.d) if variant == "plain" else out
+    def perturbed(op, y, buf):
+        # time-last (d, r, n) blocks; A_n, the plain factor, is lower
+        out = gram(op, y, buf)
+        return out if op.upper else out + delta * np.eye(spec.d)[..., None]
 
-    monkeypatch.setattr(fast_solver, "apply_A_gram", perturbed)
+    monkeypatch.setattr(fast_solver, "_gram", perturbed)
     if fails:
         with pytest.raises(errors.OverlapMismatch):
             solve(spec, n, y, tables=tab)
     else:
         assert solve(spec, n, y, tables=tab).overlap_max_dev <= 1e-12
+
+
+@pytest.mark.parametrize("frac", [0.9, 1.1])
+def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
+                                     frac):
+    # r = 1: a d x 1 block has ||z_s||_F = ||z_s||_2, so the check scales
+    # by ||z_s||_F / sqrt(min(d, r)) = ||z_s||_2 and trips at exactly the
+    # tolerance times max(1, ||z_s||_2); Y is scaled so that ||z_s|| > 2
+    spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
+    n = 48
+    y = 100 * random_rhs(n, spec.d, seed=23)[:, :, :1]
+    norms = np.linalg.norm(solve(spec, n, y, tables=tab).z[:, :, 0], axis=1)
+    assert norms[spec.m0:n - spec.m0].min() > 2
+    gram = fast_solver._gram
+
+    def perturbed(op, y, buf):
+        out = gram(op, y, buf)
+        if not op.upper:                # the plain rows, time-last
+            out = out.copy()
+            out[0, 0] += frac * 1e-9 * norms
+        return out
+
+    monkeypatch.setattr(fast_solver, "_gram", perturbed)
+    if frac > 1:
+        with pytest.raises(errors.OverlapMismatch):
+            solve(spec, n, y, tables=tab)
+    else:
+        dev = solve(spec, n, y, tables=tab).overlap_max_dev
+        assert 0.89e-9 <= dev <= 0.91e-9

@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from blocktoeplitz import fileio
 from blocktoeplitz.cli import main
+from blocktoeplitz.fast_solver import SolveReport
 from blocktoeplitz.symbol import save_spec
 from blocktoeplitz.synth import random_spec
 
@@ -22,9 +24,10 @@ def spec_file(tmp_path, ex52):
 def test_block_vector_csv_round_trip(tmp_path):
     y = random_rhs(7, 3, seed=1)
     path = tmp_path / "y.csv"
-    fileio.write_block_vector_csv(path, y)
-    back = fileio.read_block_vector_csv(path)
-    assert np.array_equal(back, y)
+    for cols in (3, 2):             # square and (n, d, r) blocks
+        fileio.write_block_vector_csv(path, y[:, :, :cols])
+        back = fileio.read_block_vector_csv(path)
+        assert np.array_equal(back, y[:, :, :cols])
 
 
 def test_block_vector_bin_round_trip(tmp_path):
@@ -90,6 +93,18 @@ def test_cli_solve_golden(tmp_path, spec_file, capsys):
     np.testing.assert_allclose(z[:, 0, 0],
                                [1.25 / 1.3125, 0.5 / 1.3125], atol=1e-12)
     assert "verify-against-dense" in capsys.readouterr().out
+
+
+def test_cli_solve_report_json(tmp_path, spec_file, capsys):
+    y_path = tmp_path / "y.csv"
+    fileio.write_block_vector_csv(y_path, random_rhs(8, 1, seed=6))
+    rc = main(["solve", "--spec", spec_file, "--y", str(y_path),
+               "--report-json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {f.name for f in fields(SolveReport)} - {"z"}
+    assert report["method"] == "fast" and report["n"] == 8
+    assert report["counters"]["residual_nfft"] == 32
 
 
 def test_cli_solve_region_gap_exit_4(tmp_path, capsys):
