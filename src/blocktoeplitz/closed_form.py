@@ -155,7 +155,8 @@ class ClosedFormKit:
 
     def _check_lambda_series(self):
         """Construction-time check: closed-form Lambda matches its
-        defining series within 1e-10, with a certified tail."""
+        defining series within 1e-10, with a certified tail. Keeps the
+        number of series terms summed as lambda_terms."""
         total = np.zeros((self.M, self.M), dtype=np.complex128)
         rmax, mmax = self.spec.pole_decay, max(self.spec.mults)
         for l in range(_LAMBDA_BLOCK, _LAMBDA_MAX_TERMS + 1, _LAMBDA_BLOCK):
@@ -172,6 +173,7 @@ class ClosedFormKit:
         else:
             raise errors.ToleranceUnreachable(
                 f"Lambda series tail above tolerance after {l} terms")
+        self.lambda_terms = l
         series = _kron_scalar(total, self.d)
         dev = float(np.abs(series - self.lambda_mat).max())
         if dev > _LAMBDA_CHECK_TOL * max(

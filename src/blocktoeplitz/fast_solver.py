@@ -1,28 +1,33 @@
 """Linear-time solver for T_n(w) Z = Y with a rational symbol.
 
 Blocks are held time-last inside this module: a block vector of public
-shape (n, d, r) becomes one (d, r, n) array on entry to solve or an
-apply_* function and goes back once on exit, so the block index is the
-contiguous last axis that the pole scans and the residual transforms
-run along.
+shape (n, d, r) becomes one (d, r, n) array on entry to solve and goes
+back once on exit, so the block index is the contiguous last axis that
+the residual transforms run along; the apply_* functions read the
+time-last view of their input.
 
 Both triangular factors and their adjoints go through one apply of a
 lower-triangular block Toeplitz operator with coefficients
 
     c_k = band[k] + sum_{mu,j} C(k+j-1, j-1) p_mu^k R_{mu,j},
 
-that is a banded part plus per-pole scalar Toeplitz factors Q_{mu,j}
-with entries C(k+j-1, j-1) p_mu^k. Each Q applies in O(n) as a
-first-order recursion in the block index, an IIR filter scan along the
-last axis, and slot j of a pole is the scan of slot j - 1. The residues
-R commute with the scalar Q, so the whole apply is one gemm: the (d, J d)
-row [band_0 .. band_m0, R_{1,1} .. R_{K,m_K}] times the (J d, r n) stack
-of the band shifts of Y and its pole scans, written into one buffer that
-the four applies of a solve share. An upper triangle is the same apply
-on the time-reversed input, and an adjoint conjugate-transposes band
-and residues, conjugates the poles and flips the triangle. A_n is the
-lower triangle of the a_k, A~_n the adjoint of the one built from the
-h_sharp coefficients. That gives A~* A~ Y and A* A Y in O(n).
+that is a banded part plus per-pole scalar Toeplitz factors with
+entries C(k+j-1, j-1) p_mu^k. The apply cuts the block index into
+chunks of T = _CHUNK blocks (at least m0 + 1). Within a chunk the
+operator is the fixed (T d) x (T d) lower block Toeplitz matrix of
+c_0 .. c_{T-1}; earlier blocks enter only through the last m0 blocks of
+the previous chunk (the band) and the S = sum m_mu pole-slot states at
+the chunk's entry. So one apply is one gemm of the Y-independent chunk
+operator, built per apply from the spec, with the stack [previous m0
+blocks; the chunk; its entry states] of every chunk. The entry states
+are each chunk's end-weighted sums carried across chunks by scans with
+p^T over the n / T chunk values (see _chunked). An upper triangle is the
+same apply on the input reversed over the chunk grid, the reversal
+taken in the copy that forms the stack; an adjoint conjugate-transposes
+band and residues, conjugates the poles and flips the triangle. A_n is
+the lower triangle of the a_k, A~_n the adjoint of the one built from
+the h_sharp coefficients. That gives A~* A~ Y and A* A Y in O(n), the
+second apply of each reading the first's chunks directly.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
 in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
@@ -46,7 +51,7 @@ blocks times g, scaled by that pole's powers. Every tilde row takes its
 correction; of the plain rows only the m0 assembled ones and the
 sampled overlap rows do. The kit keeps the plan of the last n it was
 asked for, so a warm solve on the same kit and n does only the Gram
-scans, those gemms and its checks.
+applies, those gemms and its checks.
 
 The residual check convolves the gamma band with Z by overlap-save in
 O(n log L) (see _residual_banded). The literal reference formulas
@@ -66,9 +71,11 @@ from . import errors
 from .blockarray import as_block_vector
 from .closed_form import ClosedFormKit
 from .coefficients import CoefficientTables
-from .util import herm
+from .util import binom_vec, herm
 
 _OVERLAP_TOL = 1e-9
+# blocks per chunk of a triangular apply (raised to the band length m0 + 1)
+_CHUNK = 16
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
 
@@ -126,40 +133,157 @@ def _from_time_last(x):
     return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
-def _stack(op, y):
-    """The (J, d, r, n) buffer of band shifts and pole scans for applies
-    of op's shape to a time-last y."""
-    return np.empty((len(op.blocks), *y.shape), dtype=np.complex128)
+def _chunk_operator(op, T):
+    """The Y-independent part of a lower apply with op's coefficients in
+    chunks of T blocks, for S pole slots and a band of m0 + 1 blocks:
 
+    * mat, the (T d, (m0 + T + S) d) block matrix [H | C_T | G] that maps
+      a chunk's stack [last m0 blocks of the previous chunk; the chunk;
+      the slot states at its entry] to its T output blocks;
+    * ends (S, T), which weighs a chunk's blocks into the slot states at
+      its end;
+    * carry (S, S), which carries entry states across one chunk.
 
-def _apply(op, y, buf):
-    """op Y in O(n) for a time-last (d, r, n) Y, as one gemm of the
-    (d, J d) coefficient row with the band shifts and pole scans of Y
-    written into buf (see _stack; overwritten). The scalar Q commute with
-    the d x d residues, so one scan per (pole, multiplicity slot)
-    suffices. An upper triangle is the lower one on the time-reversed
-    input."""
-    if op.upper:
-        return _apply(op._replace(upper=False), y[..., ::-1], buf)[..., ::-1]
-    n = y.shape[-1]
-    nb = len(op.blocks) - sum(op.mults)
-    for k in range(nb):                 # out_s += band_k y_{s-k}
-        buf[k, ..., :k] = 0
-        buf[k, ..., k:] = y[..., :max(n - k, 0)]
-    slot = nb
+    Output block t of a chunk takes band[k] times the block k back
+    (k = t - u for chunk block u, k = t + m0 - h for block h of the
+    halo), C(k+j-1, j-1) p^k R_j times chunk block u at lag k = t - u,
+    and C(t+j-i, j-i) p^{t+1} R_j times the state of slot i <= j of the
+    same pole, by the Vandermonde identity for the binomials. A chunk
+    adds C(T-1-u+i-1, i-1) p^{T-1-u} times its block u to the state of
+    slot i, and state i' <= i enters it with C(T-1+i-i', i-i') p^T."""
+    S = sum(op.mults)
+    nb = len(op.blocks) - S
+    m0 = nb - 1
+    t = np.arange(T)
+    lag = t[:, None] - np.arange(-m0, T)        # row t, stack position
+    inner = lag[:, m0:]
+    # weight of each coefficient block at each (row, stack column)
+    w = np.zeros((T, m0 + T + S, nb + S), dtype=np.complex128)
+    w[:, :m0 + T, :nb] = lag[..., None] == np.arange(nb)
+    ends = np.zeros((S, T), dtype=np.complex128)
+    carry = np.zeros((S, S), dtype=np.complex128)
+    q0 = 0
     for p, m in zip(op.poles, op.mults):
-        x = y
-        for _ in range(m):
-            buf[slot] = _scan(p, x)
-            x = buf[slot]
-            slot += 1
-    row = op.blocks.transpose(1, 0, 2).reshape(len(y), -1)
-    return (row @ buf.reshape(row.shape[1], -1)).reshape(y.shape)
+        # coef[e, k] = C(k+e, e) p^k, the entries of slot e + 1 at lag k;
+        # state i enters slot j with p coef[j - i, t]
+        coef = np.stack([binom_vec(t + e, e) for e in range(m)]) * p ** t
+        gap = np.arange(m)[:, None] - np.arange(m)
+        state = np.where(gap[..., None] >= 0, p * coef[np.maximum(gap, 0)],
+                         0)
+        slots = slice(nb + q0, nb + q0 + m)
+        w[:, m0:m0 + T, slots] = np.where(
+            inner[..., None] >= 0,
+            coef[:, np.maximum(inner, 0)].transpose(1, 2, 0), 0)
+        w[:, m0 + T + q0:m0 + T + q0 + m, slots] = state.transpose(2, 1, 0)
+        ends[q0:q0 + m] = coef[:, ::-1]
+        carry[q0:q0 + m, q0:q0 + m] = state[..., -1]
+        q0 += m
+    d = op.blocks.shape[-1]
+    mat = (w.reshape(-1, nb + S) @ op.blocks.reshape(nb + S, d * d))
+    return (mat.reshape(T, m0 + T + S, d, d).transpose(0, 2, 1, 3)
+            .reshape(T * d, -1), ends, carry)
 
 
-def _gram(op, y, buf):
-    """op* op Y for a time-last Y, both applies sharing buf."""
-    return _apply(_adjoint(op), _apply(op, y, buf), buf)
+def _split(x, T):
+    """(d, r, n) -> the (d, r, n // T, T) view of its whole chunks and
+    the (d, r, n % T) view of the rest (splitting the last axis never
+    needs a copy, whatever its stride)."""
+    cut = x.shape[-1] // T * T
+    return x[..., :cut].reshape(*x.shape[:-1], -1, T), x[..., cut:]
+
+
+def _grid(x, flip):
+    """The (d, r, nc, T) view of chunk-form (T, d, r, nc) blocks, block
+    a T + u at [..., a, u]; read backwards over the nc T grid if flip."""
+    g = x.transpose(1, 2, 3, 0)
+    return g[..., ::-1, ::-1] if flip else g
+
+
+def _chunk_blocks(m0):
+    """The chunk length T of a triangular apply with band m0 + 1: a
+    chunk's halo is the m0 blocks before it, all in one chunk."""
+    return max(_CHUNK, m0 + 1)
+
+
+def _chunked(op, x, n, flipped):
+    """op X in chunk form: (out, out_flipped), out a (T, d, r, nc) array
+    of the nc = ceil(n / T) chunks of T = _chunk_blocks(m0) blocks, zero
+    past n, that holds op X read backwards over the nc T grid if
+    out_flipped.
+
+    X is a time-last (d, r, n) array of any strides (flipped False) or
+    the chunk form of a padded operand, read backwards if flipped. The
+    lower triangle L of op's coefficients applies to X as copied into
+    the stack; an upper triangle is R L R with R the reversal over the
+    grid, so the copy reverses when exactly one of flipped and op.upper
+    holds, and the output of an upper triangle reads backwards.
+
+    Each chunk's stack is [last m0 blocks of the previous chunk; its T
+    blocks; the S slot states at its entry], so L X is one gemm with the
+    chunk operator. The entry states are the end-weighted sums of each
+    chunk, carried across chunks by scans with p^T over the nc chunk
+    values; slot i of a pole takes the states of its slots i' < i as
+    input."""
+    d, r = x.shape[1:3] if x.ndim == 4 else x.shape[:2]
+    S = sum(op.mults)
+    m0 = len(op.blocks) - S - 1
+    T = _chunk_blocks(m0)
+    nc = -(-n // T)
+    mat, ends, carry = _chunk_operator(op, T)
+    stack = np.empty((m0 + T + S, d, r, nc), dtype=np.complex128)
+    rows, states = stack[m0:m0 + T], stack[m0 + T:]
+    flip = flipped != op.upper
+    if x.ndim == 4:
+        rows[...] = x[::-1, ..., ::-1] if flip else x
+    else:
+        g = _grid(rows, flip)
+        whole, rest = _split(x, T)
+        g[..., :whole.shape[-2], :] = whole
+        if rest.shape[-1]:
+            g[..., -1, :rest.shape[-1]] = rest
+            g[..., -1, rest.shape[-1]:] = 0
+    np.matmul(ends, rows.reshape(T, -1), out=states.reshape(S, d * r * nc))
+    q0 = 0
+    for m in op.mults:
+        for q in range(q0, q0 + m):
+            if nc > 1:
+                u = states[q, ..., :-1] + np.tensordot(
+                    carry[q, q0:q], states[q0:q, ..., :-1], 1)
+                states[q, ..., 1:] = _scan(carry[q, q], u)
+            states[q, ..., 0] = 0
+        q0 += m
+    stack[:m0, ..., 0] = 0
+    stack[:m0, ..., 1:] = rows[T - m0:, ..., :-1]
+    out = (mat @ stack.reshape(len(mat[0]), -1)).reshape(T, d, r, nc)
+    if not op.upper:
+        # blocks past n: zero, so that a reversal puts only zeros first
+        out[n - (nc - 1) * T:, ..., -1] = 0
+    return out, op.upper
+
+
+def _unchunk(x, flipped, out):
+    """Write the first n blocks of chunk-form x (read backwards if
+    flipped) into the time-last (d, r, n) array out and return it."""
+    g = _grid(x, flipped)
+    whole, rest = _split(out, len(x))
+    whole[...] = g[..., :whole.shape[-2], :]
+    rest[...] = g[..., -1, :rest.shape[-1]]
+    return out
+
+
+def _apply(op, y):
+    """op Y for a time-last (d, r, n) Y, as a new array laid out like Y:
+    one chunked gemm (see _chunked)."""
+    return _unchunk(*_chunked(op, y, y.shape[-1], False), np.empty_like(y))
+
+
+def _gram(op, y):
+    """op* op Y for a time-last Y: the second apply reads the first's
+    chunk form directly."""
+    n = y.shape[-1]
+    x, flipped = _chunked(op, y, n, False)
+    x, flipped = _chunked(_adjoint(op), x, n, flipped)
+    return _unchunk(x, flipped, np.empty_like(y))
 
 
 def _q_scans(spec, mu, n, y, adjoint):
@@ -187,9 +311,11 @@ def apply_Q_adjoint(spec, mu, n, y):
 
 
 def _applied(fn, op, n, y, d):
-    """fn(op, Y, buf) for a public (n, d, r) Y, returned as (n, d, r)."""
-    y = _to_time_last(as_block_vector(y, d)[:n])
-    return _from_time_last(fn(op, y, _stack(op, y)))
+    """fn(op, Y) for a public (n, d, r) Y, returned as (n, d, r): fn
+    reads the time-last view of Y and lays its output out like it."""
+    y = as_block_vector(y, d)[:n]
+    return np.ascontiguousarray(fn(op, y.transpose(1, 2, 0))
+                                .transpose(2, 0, 1))
 
 
 def apply_A(spec, n, y, variant="tilde"):
@@ -228,8 +354,11 @@ class SolveReport:
     # seconds per stage of solve: plan, gram, assembly, overlap, residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
-    # arrays; 0 without a plan) and, when the residual ran,
-    # residual_band (L), residual_nfft and residual_segments
+    # arrays; 0 without a plan), lambda_terms (of the kit's Lambda series
+    # check; 0 without a kit), gram_chunk (blocks per chunk of the Gram
+    # applies), table_nodes (the transform sizes N each coefficient table
+    # took entries from) and, when the residual ran, residual_band (L),
+    # residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
@@ -360,11 +489,8 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         tick = now
 
     yt = _to_time_last(y)
-    tilde, plain = _factor(spec, "tilde"), _factor(spec, "plain")
-    buf = _stack(tilde, yt)
-    z = _gram(tilde, yt, buf)       # time-last; becomes the assembled Z
-    z_p = _gram(plain, yt, buf)
-    del buf
+    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
+    z_p = _gram(_factor(spec, "plain"), yt)
     lap("gram")
     plan = held = None
     if spec.K:
@@ -416,15 +542,18 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     del z_p
     lap("overlap")
 
-    counters = {"overlap_rows": overlap_checked, "plan_bytes": 0}
+    counters = {"overlap_rows": overlap_checked, "plan_bytes": 0,
+                "lambda_terms": 0, "gram_chunk": _chunk_blocks(m0)}
     if plan is not None:
         counters["plan_bytes"] = sum(a.nbytes for a in plan
                                      if isinstance(a, np.ndarray))
+        counters["lambda_terms"] = kit.lambda_terms
     residual = tail = None
     if compute_residual:
         residual, tail, more = _residual_banded(tables, z, yt)
         counters.update(more)
     lap("residual")
+    counters["table_nodes"] = {k: list(v) for k, v in tables._nodes.items()}
     return SolveReport(
         z=_from_time_last(z), method="fast", n=n, d=d,
         seconds=time.perf_counter() - t0,

@@ -2,11 +2,12 @@
 
 Block vector CSV: header `k,row,col,re,im`, one line per scalar entry of
 an (n, d, r) block stack, all indices 1-based. Binary: eight
-little-endian int64 header words (magic, version, n, d, layout, three
+little-endian int64 header words (magic, version, n, d, layout, r, two
 reserved zeros) followed by the complex128 payload, C order. Layout 1 is
-a square (n, d, d) block stack,
-layout 2 a dense (d n, d n) matrix. Values round-trip bit-exactly in
-both formats (CSV uses repr-style shortest float fields).
+an (n, d, r) block stack, where an r word of 0 (files written before it
+was stored) means r = d; layout 2 is a dense (d n, d n) matrix, with
+word 5 zero. Values round-trip bit-exactly in both formats (CSV uses
+repr-style shortest float fields).
 """
 
 import numpy as np
@@ -56,8 +57,8 @@ def read_block_vector_csv(path):
 
 def write_block_vector_bin(path, y):
     y = np.ascontiguousarray(y, dtype=np.complex128)
-    n, d, _ = y.shape
-    header = np.array([MAGIC, VERSION, n, d, LAYOUT_BLOCK_VECTOR, 0, 0, 0],
+    n, d, r = y.shape
+    header = np.array([MAGIC, VERSION, n, d, LAYOUT_BLOCK_VECTOR, r, 0, 0],
                       dtype="<i8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
@@ -74,8 +75,9 @@ def read_block_vector_bin(path):
         if header[4] != LAYOUT_BLOCK_VECTOR:
             raise ValueError(f"not a block vector file (layout {header[4]})")
         n, d = int(header[2]), int(header[3])
+        r = int(header[5]) or d         # 0: written before r was stored
         data = np.frombuffer(fh.read(), dtype=np.complex128)
-    return data.reshape(n, d, d).copy()
+    return data.reshape(n, d, r).copy()
 
 
 def read_block_vector(path):

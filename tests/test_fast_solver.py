@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,27 +98,50 @@ def warm_d3_spec():
                        rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("name, n", [
-    *(pytest.param(name, 64, id=name) for name in
+T = fast_solver._CHUNK
+
+APPLY_SPECS = {
+    "warm_d3": warm_d3_spec,
+    "mult3": lambda: random_spec(d=2, K=1, mults=(3,), m0=1,
+                                 rng=np.random.default_rng(31)),
+    "pole099": lambda: scalar_single_pole(0.99),
+    "m0_3": lambda: random_spec(d=2, K=2, mults=(1, 2), m0=3,
+                                rng=np.random.default_rng(32)),
+}
+
+
+@pytest.mark.parametrize("name, n, width", [
+    *(pytest.param(name, 64, None, id=name) for name in
       ("d1_k1m2_p1", "d2_k2m12", "d3_k1m2", "d2_ar2")),
-    # n <= m0 + 1 cuts the band of the time-last stack
-    *(pytest.param("warm_d3", n, id=f"warm_d3_n{n}") for n in (1, 2, 3, 64)),
+    # n <= m0 + 1 cuts the band of the first chunk
+    *(pytest.param("warm_d3", n, None, id=f"warm_d3_n{n}")
+      for n in (1, 2, 3, 64)),
+    # a ragged, an exact and a one-over last chunk, and several chunks
+    # with the halo and the carried slot states at every boundary
+    *(pytest.param("warm_d3", n, None, id=f"warm_d3_n{n}")
+      for n in (T - 1, T, T + 1, 4 * T + 3)),
+    pytest.param("warm_d3", 4 * T + 3, 1, id="warm_d3_r1"),
+    *(pytest.param(name, 4 * T + 3, None, id=name)
+      for name in ("mult3", "pole099", "m0_3")),
 ])
-def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n):
+def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n, width):
+    # apply_A, apply_A_adjoint and both Gram variants against the dense
+    # triangles, on an (n, d, width) Y
     from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
                                           upper_block_toeplitz)
-    if name == "warm_d3":
-        spec = warm_d3_spec()
+    if name in APPLY_SPECS:
+        spec = APPLY_SPECS[name]()
         tab = CoefficientTables(spec)
     else:
         spec, tab = sweep_specs[name], sweep_tables[name]
     d = spec.d
-    y = random_rhs(n, d, seed=8)
+    r = width or d
+    y = random_rhs(n, d, seed=8)[:, :, :r]
     a_up = upper_block_toeplitz([tab.a_tilde(k) for k in range(n)], n, d)
     a_lo = lower_block_toeplitz([tab.a(k) for k in range(n)], n, d)
-    tall = y.reshape(n * d, d)
-    want_t = (gram(a_up).data @ tall).reshape(n, d, d)
-    want_p = (gram(a_lo).data @ tall).reshape(n, d, d)
+    tall = y.reshape(n * d, r)
+    want_t = (gram(a_up).data @ tall).reshape(n, d, r)
+    want_p = (gram(a_lo).data @ tall).reshape(n, d, r)
     if n < spec.m0 + 1:
         with pytest.raises(errors.DomainViolation):
             apply_A_gram(spec, n, y, "tilde")
@@ -126,11 +151,28 @@ def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n):
         assert np.abs(apply_A_gram(spec, n, y, "plain")
                       - want_p).max() <= 1e-10
     for variant, a in (("tilde", a_up), ("plain", a_lo)):
-        want = (a.data @ tall).reshape(n, d, d)
-        want_adj = (a.data.conj().T @ tall).reshape(n, d, d)
+        want = (a.data @ tall).reshape(n, d, r)
+        want_adj = (a.data.conj().T @ tall).reshape(n, d, r)
         assert np.abs(apply_A(spec, n, y, variant) - want).max() <= 1e-10
         assert np.abs(apply_A_adjoint(spec, n, y, variant)
                       - want_adj).max() <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["tilde", "plain"])
+def test_gram_memory_bound(variant):
+    # the applies hold a chunk stack and their outputs, each about the
+    # size of Y, never a buffer of one copy of Y per band shift and slot
+    spec = warm_d3_spec()
+    n = 4096
+    y = random_rhs(n, spec.d, seed=30)
+    apply_A_gram(spec, n, y, variant)
+    tracemalloc.start()
+    try:
+        apply_A_gram(spec, n, y, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * y.nbytes
 
 
 def test_solve_identity(ident2):
@@ -289,9 +331,15 @@ def test_report_fields(ex52):
     assert sum(rep.timings.values()) <= rep.seconds
     assert rep.extras["plan_reused"] is False
     plan = rep.counters.pop("plan_bytes")
-    assert plan > 0 and rep.counters == {
-        "overlap_rows": rep.overlap_checked, "residual_band": 7,
-        "residual_nfft": 32, "residual_segments": 1}
+    lam = rep.counters.pop("lambda_terms")
+    nodes = rep.counters.pop("table_nodes")
+    assert plan > 0 and lam > 0 and rep.counters == {
+        "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
+        "residual_band": 7, "residual_nfft": 32, "residual_segments": 1}
+    # the residual read its band off the gamma table's transforms
+    assert set(nodes) == {"c", "c_tilde", "gamma"} and nodes["gamma"]
+    assert all(N >= 64 and N & (N - 1) == 0
+               for sizes in nodes.values() for N in sizes)
 
 
 def test_warm_solve_reuses_plan(sweep_specs, sweep_tables, monkeypatch):
@@ -364,9 +412,9 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
     gram = fast_solver._gram
 
-    def perturbed(op, y, buf):
+    def perturbed(op, y):
         # time-last (d, r, n) blocks; A_n, the plain factor, is lower
-        out = gram(op, y, buf)
+        out = gram(op, y)
         return out if op.upper else out + delta * np.eye(spec.d)[..., None]
 
     monkeypatch.setattr(fast_solver, "_gram", perturbed)
@@ -390,8 +438,8 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     assert norms[spec.m0:n - spec.m0].min() > 2
     gram = fast_solver._gram
 
-    def perturbed(op, y, buf):
-        out = gram(op, y, buf)
+    def perturbed(op, y):
+        out = gram(op, y)
         if not op.upper:                # the plain rows, time-last
             out = out.copy()
             out[0, 0] += frac * 1e-9 * norms

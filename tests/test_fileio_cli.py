@@ -38,6 +38,26 @@ def test_block_vector_bin_round_trip(tmp_path):
     assert np.array_equal(back, y)
 
 
+def test_block_vector_bin_any_width(tmp_path):
+    # r = 1 < d: the header's r word gives the payload's shape
+    y = random_rhs(4, 3, seed=5)[:, :, :1]
+    path = tmp_path / "y.bin"
+    fileio.write_block_vector_bin(path, y)
+    back = fileio.read_block_vector_bin(path)
+    assert back.shape == (4, 3, 1) and np.array_equal(back, y)
+
+
+def test_block_vector_bin_legacy_square(tmp_path):
+    # files written before r was stored hold 0 in word 5: read as r = d
+    y = random_rhs(5, 2, seed=6)
+    path = tmp_path / "y.bin"
+    header = np.array([fileio.MAGIC, fileio.VERSION, 5, 2,
+                       fileio.LAYOUT_BLOCK_VECTOR, 0, 0, 0], dtype="<i8")
+    path.write_bytes(header.tobytes() + y.tobytes())
+    back = fileio.read_block_vector_bin(path)
+    assert back.shape == (5, 2, 2) and np.array_equal(back, y)
+
+
 def test_bin_header_layout(tmp_path):
     y = random_rhs(3, 2, seed=3)
     path = tmp_path / "y.bin"
@@ -47,7 +67,8 @@ def test_bin_header_layout(tmp_path):
     assert header[1] == fileio.VERSION
     assert header[2] == 3 and header[3] == 2
     assert header[4] == fileio.LAYOUT_BLOCK_VECTOR
-    assert tuple(header[5:]) == (0, 0, 0)
+    assert header[5] == 2           # r
+    assert tuple(header[6:]) == (0, 0)
 
 
 def test_block_matrix_round_trips(tmp_path):
@@ -105,6 +126,9 @@ def test_cli_solve_report_json(tmp_path, spec_file, capsys):
     assert set(report) == {f.name for f in fields(SolveReport)} - {"z"}
     assert report["method"] == "fast" and report["n"] == 8
     assert report["counters"]["residual_nfft"] == 32
+    assert report["counters"]["gram_chunk"] >= 1
+    assert report["counters"]["lambda_terms"] > 0
+    assert report["counters"]["table_nodes"]["gamma"]
 
 
 def test_cli_solve_region_gap_exit_4(tmp_path, capsys):
