@@ -20,7 +20,7 @@ from .closed_form import (ClosedFormKit, SolveVectors, inverse_block_ar,
 from .coefficients import CoefficientTables, RawTables, a_coeff, a_tilde_coeff
 from .fast_solver import (SolveReport, apply_A, apply_A_gram, apply_Q,
                           apply_Q_adjoint, solve)
-from .oracle import (ConvergenceReport, bench, convergence_experiment,
+from .oracle import (ConvergenceReport, convergence_experiment,
                      dense_inverse, dense_solve, dense_toeplitz,
                      infinite_solution, levinson_solve)
 from .series_inverse import (BRecursionState, SeriesInverter, b_level_1,
@@ -39,7 +39,7 @@ __all__ = [
     "CoefficientTables", "RawTables", "a_coeff", "a_tilde_coeff",
     "SolveReport", "apply_A", "apply_A_gram", "apply_Q", "apply_Q_adjoint",
     "solve",
-    "ConvergenceReport", "bench", "convergence_experiment", "dense_inverse",
+    "ConvergenceReport", "convergence_experiment", "dense_inverse",
     "dense_solve", "dense_toeplitz", "infinite_solution", "levinson_solve",
     "BRecursionState", "SeriesInverter", "b_level_1", "b_recursion_step",
     "first_term_gram", "inverse_block_series", "inverse_matrix_series",

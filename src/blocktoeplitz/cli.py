@@ -1,6 +1,6 @@
 """Command-line front end (installed as `tpz`).
 
-Subcommands: validate, coeffs, invert, solve, kit, converge, bench.
+Subcommands: validate, coeffs, invert, solve, kit, converge.
 Exit codes: 0 success, 2 usage, 3 validation failure, 4 numerical
 failure; failures also emit a one-line JSON object on stderr.
 """
@@ -8,7 +8,6 @@ failure; failures also emit a one-line JSON object on stderr.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -17,8 +16,8 @@ from . import errors, fileio
 from .closed_form import ClosedFormKit, inverse_matrix_closed
 from .coefficients import CoefficientTables
 from .fast_solver import solve as fast_solve
-from .oracle import (bench, convergence_experiment, dense_inverse,
-                     dense_solve, levinson_solve)
+from .oracle import (convergence_experiment, dense_inverse, dense_solve,
+                     levinson_solve)
 from .series_inverse import SeriesInverter
 from .symbol import load_spec, validate
 
@@ -84,22 +83,7 @@ def _cmd_invert(args):
     if args.method == "closed":
         data = inverse_matrix_closed(spec, n, tables=tab)
     elif args.method == "series":
-        inverter = SeriesInverter(tab, n, tol=args.tol)
-        if args.threads and args.threads > 1:
-            d = spec.d
-            data = np.zeros((n * d, n * d), dtype=np.complex128)
-            # warm the per-u level cache serially, then blocks in parallel
-            inverter.block(1, n)
-
-            def fill(st):
-                s, t = st
-                data[(s - 1) * d:s * d, (t - 1) * d:t * d] = \
-                    inverter.block(s, t)
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                list(pool.map(fill, [(s, t) for s in range(1, n + 1)
-                                     for t in range(1, n + 1)]))
-        else:
-            data = inverter.matrix()
+        data = SeriesInverter(tab, n, tol=args.tol).matrix()
     elif args.method == "dense":
         data = dense_inverse(spec, n, tab).data
     else:
@@ -199,22 +183,6 @@ def _cmd_converge(args):
     return 0
 
 
-def _cmd_bench(args):
-    spec = _load_checked_spec(args.spec)
-    ns = [int(x) for x in args.ns.split(",")]
-    methods = tuple(args.methods.split(","))
-    table = bench(spec, ns, methods=methods, repeats=args.repeats,
-                  rng=np.random.default_rng(args.seed))
-    text = "\n".join(table.csv_lines())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="tpz",
@@ -245,7 +213,6 @@ def build_parser():
                    choices=["series", "closed", "dense"])
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", default="csv", choices=["csv", "bin"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--verify-against", choices=["dense"])
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_invert)
@@ -278,14 +245,6 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_converge)
 
-    p = sub.add_parser("bench", help="timing table as CSV")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--ns", required=True)
-    p.add_argument("--methods", default="fast,levinson,dense")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_bench)
     return ap
 
 

@@ -54,16 +54,17 @@ class SolvePlan(NamedTuple):
     * xi: the (M, M, n - m0) scalars of Xi_m for m = m0+1..n, where
       v_m = (Xi_m (x) I_d) rho and v~_m = (conj(Xi_m) (x) I_d) rho~
       (kit.rho_stack, kit.rho_tilde_stack);
-    * heads: the (2, m0, M d, d) blocks v_m and v~_m for m = 1..m0, where
+    * heads: the (M, M + m0 + 1, m0) scalars of v_m for m = 1..m0, where
       the band terms add to them;
     * diff: the (M, M + m0 + 1, n - m0) scalars of hat-w - hat-v =
-      diag(p^m)(w_m - v_m) for m = 1..n-m0 on the kit.ext_stack blocks
-      (residues, then the band blocks rho0_0..rho0_m0); their conjugates
-      give hat-w~ - hat-v~ on kit.ext_tilde_stack;
+      diag(p^m)(w_m - v_m) for m = 1..n-m0;
     * powers: the (K, n + 1) pole powers p_mu^e, e = 0..n.
 
-    The index m or e runs along the last axis, as the block index of
-    the time-last blocks in fast_solver does.
+    xi, heads and diff are read off kit.slot_scalars: they act on the
+    kit.ext_stack blocks (residues, then the band blocks
+    rho0_0..rho0_m0), and their conjugates on kit.ext_tilde_stack give
+    the tilde partners. The index m or e runs along the last axis, as
+    the block index of the time-last blocks in fast_solver does.
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -111,8 +112,8 @@ class ClosedFormKit:
             [spec.rho[mu][i - 1] for mu, i in self.slots])
         self.rho_tilde_stack = np.stack(
             [spec.sharp_rho[mu][i - 1].conj().T for mu, i in self.slots])
-        # the blocks the scalars of SolvePlan.diff act on: residues, then
-        # the band blocks of h^{-1} (of h~^{-1} for the tilde partner)
+        # the blocks the slot scalars act on: residues, then the band
+        # blocks of h^{-1} (of h~^{-1} for the tilde partner)
         self.ext_stack = np.concatenate(
             [self.rho_stack, np.stack([spec.rho00, *spec.rho0])])
         self.ext_tilde_stack = np.concatenate(
@@ -282,49 +283,48 @@ class ClosedFormKit:
         return np.stack([binom_vec(k, i - 1) * poles[mu] ** (e - i + 1)
                          for mu, i in self.slots], axis=-1)
 
-    def xi_scalars(self, ns, scaled=False):
-        """Scalar entries of Xi_n for an array of n >= 1; with
-        scaled=True returns diag(p_mu^n) Xi_n instead (entries then decay
-        like (p_mu conj(p_nu))^n, safe at any n)."""
+    def xi_scalars(self, ns):
+        """Scalar entries of Xi_n for an array of n >= 1 (they decay like
+        conj(p_nu)^n, safe at any n), as a (len(ns), M, M) view of an
+        array with n along its last axis."""
         ns = np.asarray(ns, dtype=np.int64)
-        out = np.zeros((len(ns), self.M, self.M), dtype=np.complex128)
+        out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
         spec = self.spec
+        pbn = np.conj(spec.poles)[:, None] ** ns
         for qr, (mu, i) in enumerate(self.slots):
             for qc, (nu, j) in enumerate(self.slots):
                 p, pb = spec.poles[mu], np.conj(spec.poles[nu])
                 denom = 1.0 - p * pb
-                pw = (p * pb) ** ns if scaled else pb ** ns
                 acc = np.zeros(len(ns), dtype=np.complex128)
                 for r in range(j):
                     const = (binom(i + j - r - 2, i - 1)
                              * p ** (j - r - 1) * pb ** (i + j - r - 2)
                              / denom ** (i + j - r - 1))
                     acc += binom_vec(ns + i + j - 2, r) * const
-                out[:, qr, qc] = acc * pw
-        return out
+                out[qr, qc] = acc * pbn[nu]
+        return np.moveaxis(out, -1, 0)
 
     def phi_scalars(self, ns, scaled=True):
         """Scalar entries of diag(p_mu^n) Phi_n for an array of n (the
         scaled variant is polynomial in n; scaled=False divides the power
-        back out and is only safe for moderate |n|)."""
+        back out and is only safe for moderate |n|), as a (len(ns), M, M)
+        view of an array with n along its last axis."""
         ns = np.asarray(ns, dtype=np.int64)
-        out = np.zeros((len(ns), self.M, self.M), dtype=np.complex128)
+        out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
         spec = self.spec
         for qr, (mu, i) in enumerate(self.slots):
             for qc, (nu, j) in enumerate(self.slots):
                 p, pb = spec.poles[mu], np.conj(spec.poles[nu])
                 denom = 1.0 - p * pb
-                acc = np.zeros(len(ns), dtype=np.complex128)
+                acc = out[qr, qc]
                 for q in range(i):
                     for r in range(j):
                         const = (binom(j - 1, r) * binom(r + q, q)
                                  * p ** (r + q + 1 - i) * pb ** (r + q)
                                  / denom ** (r + q + 1))
                         acc += binom_vec(r - ns, i - q - 1) * const
-                if not scaled:
-                    acc = acc * p ** (-ns)
-                out[:, qr, qc] = acc
-        return out
+        out = np.moveaxis(out, -1, 0)
+        return out if scaled else self._scale(out, self._pole_powers(-ns))
 
     # -- G and the beta / b closed forms -------------------------------- #
 
@@ -365,59 +365,78 @@ class ClosedFormKit:
             return self._plan
         self._plan = None       # free the old plan before building
         pit, g, gt, radius = self.checked_g_mats(n)
-        M, m0 = self.M, self.spec.m0
+        m0 = self.spec.m0
         span = n - m0
         ms = np.arange(1, n + 1)
-        xi = np.moveaxis(self.xi_scalars(ms), 0, -1)
-        powers = np.asarray(self.spec.poles)[:, None] ** np.arange(n + 1)
-        pole = np.array([mu for mu, _ in self.slots])   # slot -> pole
-        diff = np.empty((M, M + m0 + 1, span), dtype=np.complex128)
-        diff[:, :M] = np.moveaxis(self.phi_scalars(ms[:span]), 0, -1)
-        diff[:, :M] -= powers[pole, None, 1:span + 1] * xi[..., :span]
-        for l in range(m0 + 1):
-            # band term l of hat-w cancels that of hat-v at m <= l
-            diff[:, M + l] = self._slot_powers(l - ms[:span], l).T
-            diff[:, M + l, :l] = 0
-        lam, eye = self.lambda_mat, np.eye(M * self.d)
+        powers = self._pole_powers(np.arange(n + 1))
+        # built in this order and scaled in place, so that at most one
+        # array of the size of diff is held beside the plan's own
+        diff = self.slot_scalars("w", ms[:span], scaled=True)
+        v = self.slot_scalars("v", ms)
+        xi, heads = (np.moveaxis(x, 0, -1).copy() for x in
+                     (v[m0:, :, :self.M], v[:m0]))
+        diff -= self._scale(v[:span], powers[:, 1:span + 1])
+        lam, eye = self.lambda_mat, np.eye(self.M * self.d)
         top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
-        self._plan = SolvePlan(
-            n, radius, k_n, self.u_mat(n) @ self.theta_mat,
-            np.ascontiguousarray(xi[..., m0:]),
-            np.stack(self.vectors("v", ms[:m0])), diff, powers)
+        self._plan = SolvePlan(n, radius, k_n,
+                               self.u_mat(n) @ self.theta_mat, xi, heads,
+                               np.moveaxis(diff, 0, -1), powers)
         return self._plan
 
-    def vectors(self, kind, ms, scaled=False):
-        """The vectors x_m and x~_m of kind 'v' or 'w' for an integer
-        array of indices m >= 1, each as a (len(ms), M d, d) stack:
+    def _pole_powers(self, es):
+        """The (K, len(es)) pole powers p_mu^e for an integer array es."""
+        return np.asarray(self.spec.poles)[:, None] ** es
+
+    def _scale(self, scal, pw):
+        """Multiply the row of slot (mu, i) of (len, M, E) slot scalars by
+        pw[mu], for (K, len) pole powers pw, in place; returns scal."""
+        scal *= np.repeat(pw, self.spec.mults, axis=0).T[..., None]
+        return scal
+
+    def slot_scalars(self, kind, ms, scaled=False):
+        """The (len(ms), M, M + m0 + 1) slot scalars of the vectors x_m of
+        kind 'v' or 'w' on ext_stack, for an integer array of m >= 1:
 
             v_m = Xi_m rho + sum_{l=m}^{m0} p_{l-m} rho0_l,
             w_m = Phi_m rho + sum_{l=0}^{m0} p_{l-m} rho0_l
 
-        (rho0_0 = rho00, slot scalars acting on the stacked residues),
-        and their tilde partners from the conjugated scalars and the
-        coefficients of h~^{-1}. scaled=True multiplies the rows of slot
-        (mu, i) by p_mu^m (conj(p_mu)^m for the tilde partner); w is then
+        (rho0_0 = rho00), so that block q of x_m is
+        sum_e scal[m, q, e] ext_stack[e], the residue columns first. The
+        conjugated scalars on ext_tilde_stack give x~_m. scaled=True
+        multiplies the row of slot (mu, i) by p_mu^m; w is then
         polynomial in m, while unscaled w overflows once |p_mu|^{-m}
-        leaves float range.
+        leaves float range. Each kind is built in the form that is safe
+        at any m, v unscaled and w scaled, and rescaled if asked. The
+        result is a view of an array with m along its last axis.
         """
-        spec = self.spec
         ms = np.asarray(ms, dtype=np.int64)
-        scal = {"v": self.xi_scalars, "w": self.phi_scalars}[kind](ms, scaled)
-        x = np.einsum("nqr,rab->nqab", scal, self.rho_stack)
-        xt = np.einsum("nqr,rab->nqab", np.conj(scal), self.rho_tilde_stack)
-        band = [spec.rho00, *spec.rho0]
-        band_t = [herm(m) for m in (spec.sharp_rho00, *spec.sharp_rho0)]
-        for l in range(spec.m0 + 1):
-            rows = ms <= l if kind == "v" else slice(None)
+        M, m0 = self.M, self.spec.m0
+        native = kind == "w"
+        out = np.zeros((M, M + m0 + 1, len(ms)), dtype=np.complex128)
+        res = self.phi_scalars(ms) if native else self.xi_scalars(ms)
+        out[:, :M] = np.moveaxis(res, 0, -1)
+        for l in range(m0 + 1):
+            # band term l: v takes it at m <= l only, w at every m
+            rows = slice(None) if native else ms <= l
             k = l - ms[rows]
-            ps = self._slot_powers(k, l if scaled else k)
-            x[rows] += ps[:, :, None, None] * band[l]
-            xt[rows] += np.conj(ps)[:, :, None, None] * band_t[l]
-        flat = (len(ms), self.M * self.d, self.d)
-        return x.reshape(flat), xt.reshape(flat)
+            out[:, M + l, rows] = self._slot_powers(k, l if native else k).T
+        out = np.moveaxis(out, -1, 0)
+        if scaled == native:
+            return out
+        return self._scale(out, self._pole_powers(ms if scaled else -ms))
+
+    def vectors(self, kind, ms, scaled=False):
+        """The vectors x_m and x~_m of kind 'v' or 'w' (see slot_scalars)
+        for an integer array of indices m >= 1, each as a (len(ms), M d,
+        d) stack."""
+        scal = self.slot_scalars(kind, ms, scaled)
+        flat = (len(scal), self.M * self.d, self.d)
+        return tuple(np.einsum("nqe,eab->nqab", s, ext).reshape(flat)
+                     for s, ext in ((scal, self.ext_stack),
+                                    (np.conj(scal), self.ext_tilde_stack)))
 
     def beta_closed(self, k):
         """beta_k for k >= m0 + 1, from beta_k* = p_0^T Pi_{k-1} Theta p_0."""

@@ -26,8 +26,10 @@ same apply on the input reversed over the chunk grid, the reversal
 taken in the copy that forms the stack; an adjoint conjugate-transposes
 band and residues, conjugates the poles and flips the triangle. A_n is
 the lower triangle of the a_k, A~_n the adjoint of the one built from
-the h_sharp coefficients. That gives A~* A~ Y and A* A Y in O(n), the
-second apply of each reading the first's chunks directly.
+the h_sharp coefficients, and the pole factor Q_{mu,i} the upper triangle
+with a zero band, the pole p_mu and the identity residue in slot i. That
+gives A~* A~ Y and A* A Y in O(n), the second apply of each reading the
+first's chunks directly.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
 in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
@@ -286,28 +288,25 @@ def _gram(op, y):
     return _unchunk(x, flipped, np.empty_like(y))
 
 
-def _q_scans(spec, mu, n, y, adjoint):
-    """[Q_{mu,i,n} Y] (or Q* with adjoint=True) for i = 1..m_mu: the scans
-    with p_mu on the time-reversed input (Q is upper), or with conj(p_mu)
-    forward."""
-    p = spec.poles[mu]
-    rev = slice(None) if adjoint else slice(None, None, -1)
-    x = _to_time_last(as_block_vector(y, spec.d)[:n])[..., rev]
-    out = []
-    for _ in range(spec.mults[mu]):
-        x = _scan(np.conj(p) if adjoint else p, x)
-        out.append(_from_time_last(x[..., rev]))
-    return out
+def _q_ops(spec, mu):
+    """Q_{mu,i} for i = 1..m_mu as upper triangles: a zero band, the pole
+    p_mu and the identity residue in slot i."""
+    m, d = spec.mults[mu], spec.d
+    for i in range(1, m + 1):
+        blocks = np.zeros((m + 1, d, d))
+        blocks[i] = np.eye(d)
+        yield _Triangular(blocks, (spec.poles[mu],), (m,), True)
 
 
 def apply_Q(spec, mu, n, y):
     """[Q_{mu,i,n} Y for i = 1..m_mu] in O(n m_mu) block operations."""
-    return _q_scans(spec, mu, n, y, adjoint=False)
+    return [_applied(_apply, op, n, y, spec.d) for op in _q_ops(spec, mu)]
 
 
 def apply_Q_adjoint(spec, mu, n, y):
     """[Q*_{mu,i,n} Y for i = 1..m_mu]."""
-    return _q_scans(spec, mu, n, y, adjoint=True)
+    return [_applied(_apply, _adjoint(op), n, y, spec.d)
+            for op in _q_ops(spec, mu)]
 
 
 def _applied(fn, op, n, y, d):
@@ -350,7 +349,6 @@ class SolveReport:
     spectral_radius: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    truncation_bound: float = None
     # seconds per stage of solve: plan, gram, assembly, overlap, residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
@@ -365,23 +363,25 @@ class SolveReport:
 
 def _corrected_sums(kit, plan, y):
     """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for a
-    time-last (d, c, n) Y: the slot scalars of v_m, m > m0, contract with
-    Y in one gemm per sum before the residues act, and the m0 head blocks
-    add."""
+    time-last (d, c, n) Y: on each side the slot scalars of v_m contract
+    with Y in one gemm for m > m0 and one for the m0 heads, and the
+    ext-stack blocks act once on the (M, M + m0 + 1) sums."""
     d, c, n = y.shape
-    M, span = kit.M, plan.xi.shape[-1]
+    M, E, m0 = plan.heads.shape
+    span = n - m0
     xi = plan.xi.reshape(M * M, span)
+    heads = plan.heads.reshape(M * E, m0)
     flat = y.reshape(d * c, n)
-    top = xi @ flat[:, :span][:, ::-1].T
-    bot = np.conj(xi @ np.conj(flat[:, n - span:]).T)
-    heads, heads_tilde = plan.heads
-    sums = [np.einsum("rab,qrbc->qac", kit.rho_stack,
-                      top.reshape(M, M, d, c)).reshape(M * d, c)
-            + np.einsum("mqb,bcm->qc", heads, y[..., span:][..., ::-1]),
-            np.einsum("rab,qrbc->qac", kit.rho_tilde_stack,
-                      bot.reshape(M, M, d, c)).reshape(M * d, c)
-            + np.einsum("mqb,bcm->qc", heads_tilde, y[..., :n - span])]
-    return np.split(plan.k_n @ np.concatenate(sums), 2)
+    sides = []
+    for ext, body, head in (
+            (kit.ext_stack, xi @ flat[:, :span][:, ::-1].T,
+             heads @ flat[:, span:][:, ::-1].T),
+            (kit.ext_tilde_stack, np.conj(xi @ np.conj(flat[:, m0:]).T),
+             np.conj(heads @ np.conj(flat[:, :m0]).T))):
+        sums = head.reshape(M, E, d, c)
+        sums[:, :M] += body.reshape(M, M, d, c)
+        sides.append(np.einsum("eab,qebc->qac", ext, sums).reshape(M * d, c))
+    return np.split(plan.k_n @ np.concatenate(sides), 2)
 
 
 def _per_pole(kit, mat, vec):
@@ -488,10 +488,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
-    yt = _to_time_last(y)
-    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
-    z_p = _gram(_factor(spec, "plain"), yt)
-    lap("gram")
     plan = held = None
     if spec.K:
         if kit is None:
@@ -499,6 +495,10 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         held = kit._plan
         plan = kit.plan(n)
     lap("plan")
+    yt = _to_time_last(y)
+    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
+    z_p = _gram(_factor(spec, "plain"), yt)
+    lap("gram")
 
     # assemble: tilde rows cover s <= n - m0, plain rows s >= m0 + 1
     span = n - m0

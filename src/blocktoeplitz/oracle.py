@@ -1,6 +1,6 @@
 """Ground-truth computations and experiments: dense LU solves, the
 O(n^2) block Levinson recursion, the solution of the corresponding
-infinite system, convergence and timing experiments.
+infinite system and the convergence experiment.
 
 Every fast path in this package is cross-checked against these oracles
 in the test suite; nothing here is performance-critical except the
@@ -10,7 +10,7 @@ point.
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,72 +213,6 @@ def convergence_experiment(spec, y_seq, ns, tables=None, method="auto"):
         diff = rep.z - z_inf[:n]
         deltas.append(float(sum(np.linalg.norm(b, 2) for b in diff)))
     return ConvergenceReport(ns=list(ns), deltas=deltas)
-
-
-# -- benchmark ------------------------------------------------------------- #
-
-@dataclass
-class BenchRow:
-    method: str
-    n: int
-    d: int
-    K: int
-    m0: int
-    median_seconds: float = None
-    residual: float = None
-    skipped: bool = False
-
-
-@dataclass
-class BenchTable:
-    rows: list = field(default_factory=list)
-
-    def csv_lines(self):
-        out = ["method,n,d,K,m0,median_seconds,residual"]
-        for r in self.rows:
-            if r.skipped:
-                out.append(f"{r.method},{r.n},{r.d},{r.K},{r.m0},,skipped")
-            else:
-                res = "" if r.residual is None else f"{r.residual:.6e}"
-                out.append(f"{r.method},{r.n},{r.d},{r.K},{r.m0},"
-                           f"{r.median_seconds:.6e},{res}")
-        return out
-
-
-def bench(spec, ns, methods=("fast", "levinson", "dense"), repeats=5,
-          rng=None, tables=None):
-    """Median wall-clock per (method, n) plus a residual per run; the
-    dense and levinson rows above the dense cap are marked skipped."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if tables is None:
-        tables = CoefficientTables(spec)
-    table = BenchTable()
-    solvers = {
-        "fast": lambda n, y: fast_solve(spec, n, y, tables=tables),
-        "dense": lambda n, y: dense_solve(spec, n, y, tables=tables),
-        "levinson": lambda n, y: levinson_solve(spec, n, y, tables=tables),
-    }
-    for n in ns:
-        y = (rng.standard_normal((n, spec.d, spec.d))
-             + 1j * rng.standard_normal((n, spec.d, spec.d)))
-        for method in methods:
-            row = BenchRow(method=method, n=n, d=spec.d, K=spec.K,
-                           m0=spec.m0)
-            if method in ("dense", "levinson") and n > dense_cap():
-                row.skipped = True
-                table.rows.append(row)
-                continue
-            times = []
-            rep = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                rep = solvers[method](n, y)
-                times.append(time.perf_counter() - t0)
-            row.median_seconds = float(np.median(times))
-            row.residual = rep.residual
-            table.rows.append(row)
-    return table
 
 
 def yule_walker_rhs(spec, n, tables=None):

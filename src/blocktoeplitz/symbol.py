@@ -159,15 +159,6 @@ class RationalSymbolSpec:
         h = self.eval_h(np.exp(1j * float(theta)))
         return h @ h.conj().T
 
-    # -- serialization --------------------------------------------------- #
-
-    def to_dict(self):
-        return spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload):
-        return spec_from_dict(payload)
-
 
 def _eval_partial_fraction(spec, z, sharp):
     z = complex(z)

@@ -17,7 +17,7 @@ from blocktoeplitz.series_inverse import (b_level_1, b_recursion_step,
 from blocktoeplitz.synth import random_spec
 from blocktoeplitz.util import binom
 
-from conftest import SWEEP_CONFIGS, random_rhs
+from helpers import SWEEP_CONFIGS, random_rhs
 
 
 def _report(num, name, detail):

@@ -10,7 +10,7 @@ from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.synth import random_spec, scalar_ar
 from blocktoeplitz.util import binom
 
-from conftest import dense_toeplitz_matrix
+from helpers import dense_toeplitz_matrix
 
 
 def test_kit_requires_poles(ar1):

@@ -7,7 +7,7 @@ from blocktoeplitz.fast_solver import solve
 from blocktoeplitz.symbol import RationalSymbolSpec, w_on_circle
 from blocktoeplitz.synth import identity_spec, random_spec
 
-from conftest import random_rhs
+from helpers import random_rhs
 
 
 @pytest.fixture(scope="module")

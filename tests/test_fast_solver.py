@@ -13,7 +13,7 @@ from blocktoeplitz.oracle import dense_solve
 from blocktoeplitz.synth import random_spec, scalar_single_pole
 from blocktoeplitz.util import binom
 
-from conftest import dense_toeplitz_matrix, random_rhs
+from helpers import dense_toeplitz_matrix, random_rhs
 
 
 def dense_q(spec, mu, j, n):
@@ -46,14 +46,21 @@ def test_apply_q_unit_vector(ex52):
     np.testing.assert_allclose(w[:, 0, 0], [0.0, 0.0, 1.0])
 
 
-def test_apply_q_dense_oracle():
-    spec = random_spec(d=1, K=1, mults=(2,), m0=0,
+@pytest.mark.parametrize("mults, n", [
+    pytest.param((2,), 4, id="m2_n4"),
+    # one block past one and past two chunks of the triangular apply
+    pytest.param((2,), 17, id="m2_n17"),
+    pytest.param((2,), 33, id="m2_n33"),
+    pytest.param((3,), 33, id="m3_n33"),
+])
+def test_apply_q_dense_oracle(mults, n):
+    spec = random_spec(d=1, K=1, mults=mults, m0=0,
                        rng=np.random.default_rng(5))
-    n = 4
     y = random_rhs(n, 1, seed=7)
     zs = apply_Q(spec, 0, n, y)
     ws = apply_Q_adjoint(spec, 0, n, y)
-    for j in (1, 2):
+    assert len(zs) == len(ws) == mults[0]
+    for j in range(1, mults[0] + 1):
         q = dense_q(spec, 0, j, n)
         np.testing.assert_allclose(zs[j - 1][:, 0, 0], q @ y[:, 0, 0],
                                    atol=1e-12)
@@ -350,10 +357,10 @@ def test_warm_solve_reuses_plan(sweep_specs, sweep_tables, monkeypatch):
     kit = ClosedFormKit(spec)
     first = solve(spec, n, y, tables=tab, kit=kit)
     calls = []
-    vectors = ClosedFormKit.vectors
-    monkeypatch.setattr(ClosedFormKit, "vectors",
+    slot_scalars = ClosedFormKit.slot_scalars
+    monkeypatch.setattr(ClosedFormKit, "slot_scalars",
                         lambda self, *a, **k: calls.append(a) or
-                        vectors(self, *a, **k))
+                        slot_scalars(self, *a, **k))
     warm = solve(spec, n, y, tables=tab, kit=kit)
     assert calls == [] and warm.extras["plan_reused"]
     assert not first.extras["plan_reused"]
@@ -372,6 +379,29 @@ def test_plan_memo_holds_last_order(sweep_specs, sweep_tables):
         assert not rep.extras["plan_reused"]
         plans = [v for v in vars(kit).values() if isinstance(v, SolvePlan)]
         assert [p.n for p in plans] == [n]
+
+
+def test_plan_scalars_are_the_vector_blocks():
+    # xi, heads and diff, contracted with the ext stacks, are the blocks
+    # of v_m, v~_m and of hat-w - hat-v and its tilde partner
+    spec = warm_d3_spec()               # d = 3, mults (2, 2), m0 = 2
+    kit = ClosedFormKit(spec)
+    n, m0, M = 40, spec.m0, kit.M
+    plan = kit.plan(n)
+    ms = np.arange(1, n + 1)
+    v = kit.vectors("v", ms)
+    v_hat = kit.vectors("v", ms, scaled=True)
+    w_hat = kit.vectors("w", ms, scaled=True)
+    xi = np.zeros(plan.heads.shape[:2] + (n - m0,), dtype=complex)
+    xi[:, :M] = plan.xi
+    for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
+        conj = np.conj if side else np.asarray
+        for scal, want in ((plan.heads, v[side][:m0]),
+                           (xi, v[side][m0:]),
+                           (plan.diff, (w_hat[side] - v_hat[side])[:n - m0])):
+            got = np.einsum("qem,eab->mqab", conj(scal), ext)
+            np.testing.assert_allclose(got.reshape(want.shape), want,
+                                       rtol=1e-12, atol=1e-14)
 
 
 def test_plan_size_does_not_grow_with_d():

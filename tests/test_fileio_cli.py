@@ -11,7 +11,7 @@ from blocktoeplitz.fast_solver import SolveReport
 from blocktoeplitz.symbol import save_spec
 from blocktoeplitz.synth import random_spec
 
-from conftest import random_rhs
+from helpers import random_rhs
 
 
 @pytest.fixture()
@@ -166,18 +166,6 @@ def test_cli_invert_binary_round_trip(tmp_path, spec_file):
     assert d == 1 and data.shape == (3, 3)
 
 
-def test_cli_invert_threads(tmp_path, spec_file):
-    out1 = tmp_path / "inv1.csv"
-    out2 = tmp_path / "inv2.csv"
-    assert main(["invert", "--spec", spec_file, "--n", "4", "--method",
-                 "series", "--out", str(out1)]) == 0
-    assert main(["invert", "--spec", spec_file, "--n", "4", "--method",
-                 "series", "--threads", "4", "--out", str(out2)]) == 0
-    a, _ = fileio.read_block_matrix_csv(out1)
-    b, _ = fileio.read_block_matrix_csv(out2)
-    assert np.array_equal(a, b)
-
-
 def test_cli_coeffs(tmp_path, spec_file):
     prefix = tmp_path / "co"
     rc = main(["coeffs", "--spec", spec_file, "--n", "4", "--out",
@@ -214,16 +202,6 @@ def test_cli_converge_csv(tmp_path, spec_file):
     assert lines[0] == "n,delta"
     deltas = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert deltas[-1] < deltas[0]
-
-
-def test_cli_bench_csv(tmp_path, spec_file):
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--spec", spec_file, "--ns", "8,16", "--methods",
-               "fast,dense", "--repeats", "1", "--out", str(out)])
-    assert rc == 0
-    lines = open(out).read().strip().splitlines()
-    assert lines[0] == "method,n,d,K,m0,median_seconds,residual"
-    assert len(lines) == 1 + 4
 
 
 def test_cli_usage_error():

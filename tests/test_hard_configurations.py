@@ -14,7 +14,7 @@ from blocktoeplitz.series_inverse import SeriesInverter
 from blocktoeplitz.synth import random_spec
 from blocktoeplitz.symbol import validate
 
-from conftest import dense_toeplitz_matrix, random_rhs
+from helpers import dense_toeplitz_matrix, random_rhs
 
 
 def _check_all_routes(spec, n_solve, n_inv, seed):

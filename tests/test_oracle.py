@@ -3,13 +3,13 @@ import pytest
 
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import solve as fast_solve
-from blocktoeplitz.oracle import (bench, convergence_experiment,
-                                  dense_inverse, dense_solve, dense_toeplitz,
+from blocktoeplitz.oracle import (convergence_experiment, dense_inverse,
+                                  dense_solve, dense_toeplitz,
                                   infinite_solution, levinson_solve,
                                   yule_walker_rhs)
 from blocktoeplitz.synth import random_spec, scalar_ar
 
-from conftest import random_rhs
+from helpers import random_rhs
 
 
 def test_t2_golden(ex52, ex52_tables):
@@ -146,18 +146,6 @@ def test_yule_walker_predictor():
     want[0] = 0.6
     np.testing.assert_allclose(sol[:, 0, 0].real, want, atol=1e-12)
     np.testing.assert_allclose(sol[:, 0, 0].imag, 0, atol=1e-12)
-
-
-def test_bench_table_and_cap(ex52, monkeypatch):
-    monkeypatch.setenv("TPZ_DENSE_CAP", "32")
-    table = bench(ex52, [8, 64], methods=("fast", "dense", "levinson"),
-                  repeats=1)
-    lines = table.csv_lines()
-    assert lines[0] == "method,n,d,K,m0,median_seconds,residual"
-    skipped = [ln for ln in lines if ln.endswith(",skipped")]
-    assert len(skipped) == 2    # dense and levinson at n = 64
-    ran = [ln for ln in lines if not ln.endswith(",skipped")]
-    assert len(ran) == 1 + 4
 
 
 def test_dense_cap_enforced(ex52, monkeypatch):

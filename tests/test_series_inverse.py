@@ -9,7 +9,7 @@ from blocktoeplitz.series_inverse import (SeriesInverter, b_level_1,
                                           inverse_matrix_series)
 from blocktoeplitz.synth import identity_spec
 
-from conftest import dense_toeplitz_matrix
+from helpers import dense_toeplitz_matrix
 
 
 def test_identity_levels_vanish():
