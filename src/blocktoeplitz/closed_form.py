@@ -60,11 +60,12 @@ class SolvePlan(NamedTuple):
       diag(p^m)(w_m - v_m) for m = 1..n-m0;
     * powers: the (K, n + 1) pole powers p_mu^e, e = 0..n.
 
-    xi, heads and diff are read off kit.slot_scalars: they act on the
-    kit.ext_stack blocks (residues, then the band blocks
-    rho0_0..rho0_m0), and their conjugates on kit.ext_tilde_stack give
-    the tilde partners. The index m or e runs along the last axis, as
-    the block index of the time-last blocks in fast_solver does.
+    heads and diff are read off kit.slot_scalars, and xi off its residue
+    columns (kit.xi_scalars): they act on the kit.ext_stack blocks
+    (residues, then the band blocks rho0_0..rho0_m0), and their
+    conjugates on kit.ext_tilde_stack give the tilde partners. The index
+    m or e runs along the last axis, as the block index of the time-last
+    blocks in fast_solver does.
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -365,18 +366,23 @@ class ClosedFormKit:
             return self._plan
         self._plan = None       # free the old plan before building
         pit, g, gt, radius = self.checked_g_mats(n)
-        m0 = self.spec.m0
+        M, m0 = self.M, self.spec.m0
         span = n - m0
         ms = np.arange(1, n + 1)
         powers = self._pole_powers(np.arange(n + 1))
-        # built in this order and scaled in place, so that at most one
-        # array of the size of diff is held beside the plan's own
+        # v_m is its slot scalars (residues plus band terms) for m <= m0
+        # and its residue scalars alone past m0. The residue scalars are
+        # built first and freed last, so that the arrays the plan keeps
+        # sit above them in the heap and later solves reuse their space.
+        res = self.xi_scalars(ms)
         diff = self.slot_scalars("w", ms[:span], scaled=True)
-        v = self.slot_scalars("v", ms)
-        xi, heads = (np.moveaxis(x, 0, -1).copy() for x in
-                     (v[m0:, :, :self.M], v[:m0]))
-        diff -= self._scale(v[:span], powers[:, 1:span + 1])
-        lam, eye = self.lambda_mat, np.eye(self.M * self.d)
+        heads = self.slot_scalars("v", ms[:m0])
+        diff[:m0] -= self._scale(heads.copy(), powers[:, 1:m0 + 1])
+        diff[m0:, :, :M] -= self._scale(res[m0:span].copy(),
+                                        powers[:, m0 + 1:span + 1])
+        xi, heads = (np.moveaxis(x, 0, -1).copy() for x in (res[m0:], heads))
+        del res
+        lam, eye = self.lambda_mat, np.eye(M * self.d)
         top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],

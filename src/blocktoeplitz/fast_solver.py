@@ -349,7 +349,7 @@ class SolveReport:
     spectral_radius: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage of solve: plan, gram, assembly, overlap, residual
+    # seconds per stage of solve: gram, plan, assembly, overlap, residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), lambda_terms (of the kit's Lambda series
@@ -488,6 +488,13 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
+    # the Gram stage runs first: a plan built in this call then sits
+    # above the Gram stage's freed transients in the heap, so that later
+    # solves reuse that space rather than grow and trim the heap each time
+    yt = _to_time_last(y)
+    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
+    z_p = _gram(_factor(spec, "plain"), yt)
+    lap("gram")
     plan = held = None
     if spec.K:
         if kit is None:
@@ -495,10 +502,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         held = kit._plan
         plan = kit.plan(n)
     lap("plan")
-    yt = _to_time_last(y)
-    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
-    z_p = _gram(_factor(spec, "plain"), yt)
-    lap("gram")
 
     # assemble: tilde rows cover s <= n - m0, plain rows s >= m0 + 1
     span = n - m0
