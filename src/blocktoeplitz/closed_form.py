@@ -32,13 +32,17 @@ _LAMBDA_CHECK_TOL = 1e-10
 _LAMBDA_BLOCK = 256
 _LAMBDA_MAX_TERMS = 100_000
 _CONTOUR_NODES = 512
+# block length of the pole powers in ClosedFormKit.sequences
+_POWER_BLOCK = 256
 
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y (built by ClosedFormKit.plan). Every vector of
-    the rank correction is a stack of d x d blocks times slot scalars, so
-    the plan keeps the O(n M^2) scalars, not the O(n M d^2) blocks:
+    the right-hand side Y (built by ClosedFormKit.plan). Every slot
+    scalar of the rank correction is a pole power times a polynomial in
+    the block index m, so the plan keeps small coefficient arrays that
+    act on the 2M sequences of kit.sequences(n): nothing in it grows
+    with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * k_n: the fixed 2Md x 2Md map that takes the sums
@@ -50,43 +54,51 @@ class SolvePlan(NamedTuple):
           K_n = [[top Lambda^T P,  top              ],
                  [bot,             bot Lambda P*    ]];
 
-    * ut: U_n Theta, where Pi_n Theta = diag(p^n) U_n Theta;
-    * xi: the (M, M, n - m0) scalars of Xi_m for m = m0+1..n, where
-      v_m = (Xi_m (x) I_d) rho and v~_m = (conj(Xi_m) (x) I_d) rho~
-      (kit.rho_stack, kit.rho_tilde_stack);
-    * heads: the (M, M + m0 + 1, m0) scalars of v_m for m = 1..m0, where
-      the band terms add to them;
-    * diff: the (M, M + m0 + 1, n - m0) scalars of hat-w - hat-v =
-      diag(p^m)(w_m - v_m) for m = 1..n-m0;
-    * powers: the (K, n + 1) pole powers p_mu^e, e = 0..n.
-
-    heads and diff are read off kit.slot_scalars, and xi off its residue
-    columns (kit.xi_scalars): they act on the kit.ext_stack blocks
-    (residues, then the band blocks rho0_0..rho0_m0), and their
-    conjugates on kit.ext_tilde_stack give the tilde partners. The index
-    m or e runs along the last axis, as the block index of the time-last
-    blocks in fast_solver does.
+    * ut: U_n Theta, where Pi_n Theta = diag(p^n) U_n Theta; it is
+      block-diagonal by pole;
+    * v_coef: (M, M + m0 + 1, M + m0) coefficients of the slot scalars of
+      v_m on the residue and band blocks (kit.ext_stack, then
+      kit.ext_tilde_stack with the conjugates for v~_m): v_m[q, k] =
+      sum_j v_coef[q, k, j] G_j(m), with G the M v sequences (rows M..2M-1
+      of kit.sequences) followed by the m0 unit rows [m == 1] ..
+      [m == m0] that carry the band terms of the heads m <= m0;
+    * d_coef: (M, M + m0 + 1, 2M + m0) coefficients of the scalars of
+      diag(p^{n-m}) (hat-w - hat-v)_m = diag(p^{n-m}) hat-w_m
+      - diag(p^n) v_m on all 2M sequences and the m0 unit rows: the w
+      columns first, then -p_mu^n times v_coef.
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
 
         B_s  = diag(p^{s-1})    U_n Theta     (hat-w - hat-v)_{n+1-s},
-        B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s.
+        B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s,
+
+    so row s takes the d_coef scalars at m = s (tilde) or their
+    conjugates at m = n + 1 - s (plain), since ut keeps each pole's
+    power on its own slots.
     """
 
     n: int
     spectral_radius: float
     k_n: np.ndarray
     ut: np.ndarray
-    xi: np.ndarray
-    heads: np.ndarray
-    diff: np.ndarray
-    powers: np.ndarray
+    v_coef: np.ndarray
+    d_coef: np.ndarray
 
 
 def _kron_scalar(scal, d):
     """(M, M) scalar matrix -> (M d, M d) by scal (x) I_d."""
     return np.kron(np.asarray(scal, dtype=np.complex128), np.eye(d))
+
+
+def _basis(terms, out):
+    """Add sum const C(m + c, r) over the terms (c, r, const) to out as
+    coefficients on the basis C(m, a), a = 0, 1, ..., by Vandermonde's
+    identity C(m + c, r) = sum_a C(c, r - a) C(m, a), which holds for
+    any integer c."""
+    for c, r, const in terms:
+        for a in range(r + 1):
+            out[a] += const * binom(c, r - a)
 
 
 class ClosedFormKit:
@@ -284,25 +296,46 @@ class ClosedFormKit:
         return np.stack([binom_vec(k, i - 1) * poles[mu] ** (e - i + 1)
                          for mu, i in self.slots], axis=-1)
 
+    def _xi_terms(self, qr, qc):
+        """The terms (c, r, const) of the Xi scalar of slots qr = (mu, i),
+        qc = (nu, j): Xi_m[qr, qc] = conj(p_nu)^m sum const C(m + c, r),
+        with r < j."""
+        (mu, i), (nu, j) = self.slots[qr], self.slots[qc]
+        p, pb = self.spec.poles[mu], np.conj(self.spec.poles[nu])
+        denom = 1.0 - p * pb
+        for r in range(j):
+            yield i + j - 2, r, (binom(i + j - r - 2, i - 1)
+                                 * p ** (j - r - 1) * pb ** (i + j - r - 2)
+                                 / denom ** (i + j - r - 1))
+
+    def _phi_terms(self, qr, qc):
+        """The terms (c, k, const) of the scaled Phi scalar of slots
+        qr = (mu, i), qc = (nu, j): p_mu^m Phi_m[qr, qc] = sum const
+        C(m + c, k), with k < i. Each comes from a C(r - m, k) term by
+        C(r - m, k) = (-1)^k C(m + k - r - 1, k)."""
+        (mu, i), (nu, j) = self.slots[qr], self.slots[qc]
+        p, pb = self.spec.poles[mu], np.conj(self.spec.poles[nu])
+        denom = 1.0 - p * pb
+        for q in range(i):
+            k = i - q - 1
+            for r in range(j):
+                yield k - r - 1, k, ((-1) ** k * binom(j - 1, r)
+                                     * binom(r + q, q)
+                                     * p ** (r + q + 1 - i) * pb ** (r + q)
+                                     / denom ** (r + q + 1))
+
     def xi_scalars(self, ns):
         """Scalar entries of Xi_n for an array of n >= 1 (they decay like
         conj(p_nu)^n, safe at any n), as a (len(ns), M, M) view of an
         array with n along its last axis."""
         ns = np.asarray(ns, dtype=np.int64)
         out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
-        spec = self.spec
-        pbn = np.conj(spec.poles)[:, None] ** ns
-        for qr, (mu, i) in enumerate(self.slots):
-            for qc, (nu, j) in enumerate(self.slots):
-                p, pb = spec.poles[mu], np.conj(spec.poles[nu])
-                denom = 1.0 - p * pb
-                acc = np.zeros(len(ns), dtype=np.complex128)
-                for r in range(j):
-                    const = (binom(i + j - r - 2, i - 1)
-                             * p ** (j - r - 1) * pb ** (i + j - r - 2)
-                             / denom ** (i + j - r - 1))
-                    acc += binom_vec(ns + i + j - 2, r) * const
-                out[qr, qc] = acc * pbn[nu]
+        pbn = np.conj(self.spec.poles)[:, None] ** ns
+        for qr, qc in np.ndindex(self.M, self.M):
+            acc = out[qr, qc]
+            for c, r, const in self._xi_terms(qr, qc):
+                acc += binom_vec(ns + c, r) * const
+            acc *= pbn[self.slots[qc][0]]
         return np.moveaxis(out, -1, 0)
 
     def phi_scalars(self, ns, scaled=True):
@@ -312,18 +345,10 @@ class ClosedFormKit:
         view of an array with n along its last axis."""
         ns = np.asarray(ns, dtype=np.int64)
         out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
-        spec = self.spec
-        for qr, (mu, i) in enumerate(self.slots):
-            for qc, (nu, j) in enumerate(self.slots):
-                p, pb = spec.poles[mu], np.conj(spec.poles[nu])
-                denom = 1.0 - p * pb
-                acc = out[qr, qc]
-                for q in range(i):
-                    for r in range(j):
-                        const = (binom(j - 1, r) * binom(r + q, q)
-                                 * p ** (r + q + 1 - i) * pb ** (r + q)
-                                 / denom ** (r + q + 1))
-                        acc += binom_vec(r - ns, i - q - 1) * const
+        for qr, qc in np.ndindex(self.M, self.M):
+            acc = out[qr, qc]
+            for c, k, const in self._phi_terms(qr, qc):
+                acc += binom_vec(ns + c, k) * const
         out = np.moveaxis(out, -1, 0)
         return out if scaled else self._scale(out, self._pole_powers(-ns))
 
@@ -366,31 +391,66 @@ class ClosedFormKit:
             return self._plan
         self._plan = None       # free the old plan before building
         pit, g, gt, radius = self.checked_g_mats(n)
-        M, m0 = self.M, self.spec.m0
-        span = n - m0
-        ms = np.arange(1, n + 1)
-        powers = self._pole_powers(np.arange(n + 1))
-        # v_m is its slot scalars (residues plus band terms) for m <= m0
-        # and its residue scalars alone past m0. The residue scalars are
-        # built first and freed last, so that the arrays the plan keeps
-        # sit above them in the heap and later solves reuse their space.
-        res = self.xi_scalars(ms)
-        diff = self.slot_scalars("w", ms[:span], scaled=True)
-        heads = self.slot_scalars("v", ms[:m0])
-        diff[:m0] -= self._scale(heads.copy(), powers[:, 1:m0 + 1])
-        diff[m0:, :, :M] -= self._scale(res[m0:span].copy(),
-                                        powers[:, m0 + 1:span + 1])
-        xi, heads = (np.moveaxis(x, 0, -1).copy() for x in (res[m0:], heads))
-        del res
-        lam, eye = self.lambda_mat, np.eye(M * self.d)
+        lam, eye = self.lambda_mat, np.eye(self.M * self.d)
         top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
+        v_coef, w_coef = self._coefficients()
+        # -diag(p^n) v_m: the row of slot (mu, i) times -p_mu^n
+        minus_v = self._scale(-v_coef.reshape(1, self.M, -1),
+                              self._pole_powers(np.array([n])))
+        d_coef = np.concatenate([w_coef, minus_v.reshape(v_coef.shape)],
+                                axis=-1)
         self._plan = SolvePlan(n, radius, k_n,
-                               self.u_mat(n) @ self.theta_mat, xi, heads,
-                               np.moveaxis(diff, 0, -1), powers)
+                               self.u_mat(n) @ self.theta_mat, v_coef, d_coef)
         return self._plan
+
+    def _coefficients(self):
+        """(v_coef, w_coef): the n-free coefficients of the slot scalars
+        of v_m on [v sequences; unit rows of m = 1..m0] (see SolvePlan)
+        and of hat-w_m on the polynomials C(m, a), a < m_mu, of the slots
+        of the row's pole: hat-w_m[q, k] = sum_a w_coef[q, k, off_mu + a]
+        C(m, a). They are the xi_scalars, phi_scalars and band terms in
+        the basis C(m, a) (Vandermonde's identity, see _basis). v has no
+        band term past m = m0, so its band terms sit only in the m0 head
+        columns, read off slot_scalars."""
+        M, m0, poles = self.M, self.spec.m0, self.spec.poles
+        v_coef = np.zeros((M, M + m0 + 1, M + m0), dtype=np.complex128)
+        w_coef = np.zeros((M, M + m0 + 1, M), dtype=np.complex128)
+        for qr, qc in np.ndindex(M, M):
+            _basis(self._xi_terms(qr, qc),
+                   v_coef[qr, qc, self.offsets[self.slots[qc][0]]:])
+            _basis(self._phi_terms(qr, qc),
+                   w_coef[qr, qc, self.offsets[self.slots[qr][0]]:])
+        for qr, (mu, i) in enumerate(self.slots):
+            for l in range(m0 + 1):
+                # scaled band term l of w: C(l - m, i - 1) p^{l - i + 1}
+                _basis([(i - 2 - l, i - 1,
+                         (-1) ** (i - 1) * poles[mu] ** (l - i + 1))],
+                       w_coef[qr, M + l, self.offsets[mu]:])
+        heads = self.slot_scalars("v", np.arange(1, m0 + 1))
+        v_coef[:, M:, M:] = np.moveaxis(heads[..., M:], 0, -1)
+        return v_coef, w_coef
+
+    def sequences(self, n):
+        """The 2M sequences of the rank correction of order n as a (2M, n)
+        array over m = 1..n: for slot q = (mu, i), row q is
+        C(m, i-1) p_mu^{n-m} and row M + q is C(m, i-1) conj(p_mu)^m.
+        Both are bounded by C(n, i-1), so none leaves float range however
+        close |p_mu| is to 1. The powers p^e are an outer product of
+        block powers p^{a B} p^b, b < B = _POWER_BLOCK."""
+        B, M = _POWER_BLOCK, self.M
+        poles = np.asarray(self.spec.poles)[:, None]
+        pw = ((poles ** (B * np.arange(n // B + 1)))[:, :, None]
+              * (poles ** np.arange(B))[:, None]).reshape(len(poles), -1)
+        out = np.empty((2 * M, n), dtype=np.complex128)
+        for q, (mu, i) in enumerate(self.slots):
+            out[q] = pw[mu, n - 1::-1]
+            np.conjugate(pw[mu, 1:n + 1], out=out[M + q])
+            if i > 1:
+                out[q::M] *= binom_vec(np.arange(1, n + 1), i - 1)
+        return out
 
     def _pole_powers(self, es):
         """The (K, len(es)) pole powers p_mu^e for an integer array es."""

@@ -43,17 +43,20 @@ one SolvePlan from ClosedFormKit.plan(n): the fixed 2Md x 2Md map
     top = I + Lambda^T G R P*,   bot = I + Lambda G~ R~ P,
     K_n = [[top Lambda^T P, top], [bot, bot Lambda P*]]
 
-(P = Pi_n Theta, R = (I - G~G)^{-1}, R~ = (I - GG~)^{-1}) and, time-last,
-the slot scalars of the v and hat-w - hat-v vectors, O(n M^2) numbers
-where the d x d blocks would be O(n M d^2). So the correction is a few
-gemms: the scalars contract with Y before the residues act, K_n turns
-the two sums into [g_vec; g~_vec], and each pole's share of the
-correction rows is one gemm of the scalars with the residue and band
-blocks times g, scaled by that pole's powers. Every tilde row takes its
-correction; of the plain rows only the m0 assembled ones and the
-sampled overlap rows do. The kit keeps the plan of the last n it was
-asked for, so a warm solve on the same kit and n does only the Gram
-applies, those gemms and its checks.
+(P = Pi_n Theta, R = (I - G~G)^{-1}, R~ = (I - GG~)^{-1}), U_n Theta and
+two small coefficient arrays. Every slot scalar of v and of
+hat-w - hat-v is a pole power times a polynomial in the block index, so
+the coefficients act on 2M sequences C(m, a) p^{n-m} and
+C(m, a) conj(p)^m that each solve generates (ClosedFormKit.sequences),
+and the plan holds nothing whose size grows with n. The correction is a
+few gemms: one per side sums the sequences against Y, K_n turns the two
+sums into [g_vec; g~_vec], and the correction rows are one
+(d r, 2M) @ (2M, n) gemm of the sequences with a map formed per solve
+from g, the residue and band blocks and the coefficients. Every tilde
+row takes its correction; of the plain rows only the m0 assembled ones
+and the sampled overlap rows do. The kit keeps the plan of the last n
+it was asked for, so a warm solve on the same kit and n does only the
+Gram applies, the sequences, those gemms and its checks.
 
 The residual check convolves the gamma band with Z by overlap-save in
 O(n log L) (see _residual_banded). The literal reference formulas
@@ -361,51 +364,47 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def _corrected_sums(kit, plan, y):
+def _corrected_sums(kit, plan, fv, y):
     """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for a
-    time-last (d, c, n) Y: on each side the slot scalars of v_m contract
-    with Y in one gemm for m > m0 and one for the m0 heads, and the
-    ext-stack blocks act once on the (M, M + m0 + 1) sums."""
+    time-last (d, c, n) Y and the (M, n) v sequences fv of m = 1..n
+    (kit.sequences): on each side one gemm sums the sequences against Y,
+    the m0 head blocks of Y join them for the unit rows, and the plan's
+    v coefficients and the ext-stack blocks act once on those sums."""
     d, c, n = y.shape
-    M, E, m0 = plan.heads.shape
-    span = n - m0
-    xi = plan.xi.reshape(M * M, span)
-    heads = plan.heads.reshape(M * E, m0)
+    M, E, J = plan.v_coef.shape
     flat = y.reshape(d * c, n)
+    seq = np.ascontiguousarray(fv[:, ::-1])     # f(n + 1 - t), t = 1..n
     sides = []
-    for ext, body, head in (
-            (kit.ext_stack, xi @ flat[:, :span][:, ::-1].T,
-             heads @ flat[:, span:][:, ::-1].T),
-            (kit.ext_tilde_stack, np.conj(xi @ np.conj(flat[:, m0:]).T),
-             np.conj(heads @ np.conj(flat[:, :m0]).T))):
-        sums = head.reshape(M, E, d, c)
-        sums[:, :M] += body.reshape(M, M, d, c)
-        sides.append(np.einsum("eab,qebc->qac", ext, sums).reshape(M * d, c))
+    for ext, coef, heads in ((kit.ext_stack, plan.v_coef,
+                              flat[:, ::-1][:, :J - M]),
+                             (kit.ext_tilde_stack, np.conj(plan.v_coef),
+                              flat[:, :J - M])):
+        sums = coef.reshape(M * E, J) @ np.concatenate([seq @ flat.T,
+                                                        heads.T])
+        sides.append(np.einsum("eab,qebc->qac", ext,
+                               sums.reshape(M, E, d, c)).reshape(M * d, c))
+        np.conjugate(fv, out=seq)                # conj f(t), t = 1..n
     return np.split(plan.k_n @ np.concatenate(sides), 2)
 
 
-def _per_pole(kit, mat, vec):
-    """[mat[:, slots of pole mu] @ vec[those rows] for each pole mu], as
-    (K, M, d, c): the pole powers of a correction row are per pole."""
-    d, out = kit.d, []
-    for mu, q0 in enumerate(kit.offsets):
-        rows = slice(q0 * d, (q0 + kit.spec.mults[mu]) * d)
-        out.append((mat[:, rows] @ vec[rows]).reshape(kit.M, d, -1))
-    return np.stack(out)
+def _correction_map(coef, ext, h):
+    """The (d c, J) map whose column j is sum_{q,k} coef[q, k, j] ext[k]*
+    h_q, for (M, E, J) coefficients, (E, d, d) blocks ext and the (M d, c)
+    stack h of blocks h_q."""
+    M, E, J = coef.shape
+    d, c = ext.shape[-1], h.shape[-1]
+    blocks = np.einsum("kba,qbc->acqk", np.conj(ext), h.reshape(M, d, c))
+    return blocks.reshape(d * c, M * E) @ coef.reshape(M * E, J)
 
 
-def _corrections(coef, powers, ext, h):
-    """The rank-correction rows sum_{q,k,mu} coef[q,k,s] powers[mu,s]
-    ext[k]* h[mu,q] for (M, E, rows) scalars coef, (K, rows) powers,
-    (E, d, d) blocks ext and (K, M, d, c) h, time-last as (d, c, rows):
-    per pole, one gemm of the (d c, M E) block products with the scalars,
-    scaled by that pole's powers."""
-    K, M, d, c = h.shape
-    blocks = np.einsum("kba,uqbc->uacqk", np.conj(ext), h)
-    flat = coef.reshape(M * len(ext), -1)
-    out = sum(pw * (b.reshape(d * c, -1) @ flat)
-              for b, pw in zip(blocks, powers))
-    return out.reshape(d, c, -1)
+def _corrections(cmap, seq, ms):
+    """The rank-correction rows at the 1-based indices ms, as (d c,
+    len(ms)): the (d c, 2M + m0) map cmap times the 2M sequences at ms
+    (seq, (2M, len(ms))), plus its unit columns at the heads ms <= m0."""
+    out = cmap[:, :len(seq)] @ seq
+    head = np.flatnonzero(ms <= cmap.shape[1] - len(seq))
+    out[:, head] += cmap[:, len(seq) + ms[head] - 1]
+    return out
 
 
 def _residual_banded(tables, z, y, rel=1e-12):
@@ -430,7 +429,10 @@ def _residual_banded(tables, z, y, rel=1e-12):
     nfft = 1 << int(np.ceil(np.log2(min(8 * (2 * L + 1), n + 2 * L + 1))))
     step = nfft - 2 * L
     segments = -(-n // step)
-    gf = np.fft.fft(band, n=nfft, axis=0).transpose(1, 2, 0)
+    # the band's transform as a contiguous (d, d, nfft) array: the
+    # per-frequency products below run along its last axis
+    gf = np.ascontiguousarray(
+        np.fft.fft(band, n=nfft, axis=0).transpose(1, 2, 0))
     padded = np.zeros((d, r, segments * step + 2 * L), dtype=np.complex128)
     padded[..., L:L + n] = z
     windows = sliding_window_view(padded, nfft, axis=-1)[..., ::step, :]
@@ -488,9 +490,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
-    # the Gram stage runs first: a plan built in this call then sits
-    # above the Gram stage's freed transients in the heap, so that later
-    # solves reuse that space rather than grow and trim the heap each time
     yt = _to_time_last(y)
     z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
     z_p = _gram(_factor(spec, "plain"), yt)
@@ -506,21 +505,25 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     # assemble: tilde rows cover s <= n - m0, plain rows s >= m0 + 1
     span = n - m0
     if plan is not None:
-        g_vec, gt_vec = _corrected_sums(kit, plan, yt)
+        seq = kit.sequences(n)
+        g_vec, gt_vec = _corrected_sums(kit, plan, seq[kit.M:], yt)
         z[..., :span] += _corrections(
-            plan.diff, plan.powers[:, m0:n][:, ::-1],
-            kit.ext_tilde_stack, _per_pole(kit, plan.ut, gt_vec))
-        h_plain = _per_pole(kit, herm(plan.ut), g_vec)
+            _correction_map(plan.d_coef, kit.ext_tilde_stack,
+                            plan.ut @ gt_vec),
+            seq[:, :span], np.arange(1, span + 1)).reshape(d, r, span)
+        c_plain = _correction_map(np.conj(plan.d_coef), kit.ext_stack,
+                                  herm(plan.ut) @ g_vec)
 
     def plain_rows(idx):
         """The corrected plain-row blocks at 0-based indices idx >= m0,
-        time-last as (d, r, len(idx))."""
+        time-last as (d, r, len(idx)); row s = idx + 1 takes the
+        sequences at m = n + 1 - s."""
         out = z_p[..., idx]
         if plan is None:
             return out
-        return out + _corrections(np.conj(plan.diff[..., n - 1 - idx]),
-                                  np.conj(plan.powers[:, idx]),
-                                  kit.ext_stack, h_plain)
+        m = n - idx
+        return out + _corrections(c_plain, np.conj(seq[:, m - 1]),
+                                  m).reshape(d, r, -1)
 
     z[..., span:] = plain_rows(np.arange(span, n))
     lap("assembly")
@@ -542,7 +545,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
             raise errors.OverlapMismatch(
                 f"regional assemblies deviate by {overlap_max_dev:.3e} "
                 f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-    del z_p
+    z_p = seq = None     # not needed by the residual
     lap("overlap")
 
     counters = {"overlap_rows": overlap_checked, "plan_bytes": 0,

@@ -260,6 +260,32 @@ def test_overlap_save_residual_vs_dense(ex52, ex52_tables, n, segments):
     assert tail <= 1e-12 * np.linalg.norm(z)
 
 
+def test_overlap_save_residual_vs_dense_blocks():
+    # d = 3, r = 2: the per-frequency block products against T_n Z summed
+    # over every lag of T_n. The warm d = 3 shape has L = 141 and
+    # nfft = 4096, so a segment steps 3814 blocks and n = 3914 leaves a
+    # ragged last segment of 100 blocks
+    spec = warm_d3_spec()
+    tab = CoefficientTables(spec)
+    n = 3914
+    rng = np.random.default_rng(24)
+    # held as (d, n, r), so that one lag of T_n is one gemm
+    z, y = (rng.standard_normal((3, n, 2))
+            + 1j * rng.standard_normal((3, n, 2)) for _ in range(2))
+    resid, tail, counters = fast_solver._residual_banded(
+        tab, z.transpose(0, 2, 1), y.transpose(0, 2, 1))
+    assert counters == {"residual_band": 141, "residual_nfft": 4096,
+                        "residual_segments": 2}
+    tz = -y
+    for k in range(1 - n, n):
+        lo, hi = max(k, 0), n + min(k, 0)
+        tz[:, lo:hi] += (tab.gamma(k) @ z[:, lo - k:hi - k].reshape(3, -1)
+                         ).reshape(3, -1, 2)
+    dense = np.linalg.norm(tz)
+    assert abs(resid - dense) <= 1e-12 * dense
+    assert tail <= 1e-12 * np.linalg.norm(z)
+
+
 def test_residual_transform_independent_of_n(ex52, ex52_tables):
     # overlap-save: the transform size is set by the band, not by n
     reps = [solve(ex52, n, random_rhs(n, 1, seed=n), tables=ex52_tables)
@@ -381,39 +407,60 @@ def test_plan_memo_holds_last_order(sweep_specs, sweep_tables):
         assert [p.n for p in plans] == [n]
 
 
-def test_plan_scalars_are_the_vector_blocks():
-    # xi, heads and diff, contracted with the ext stacks, are the blocks
-    # of v_m, v~_m and of hat-w - hat-v and its tilde partner
-    spec = warm_d3_spec()               # d = 3, mults (2, 2), m0 = 2
+@pytest.mark.parametrize("make", [
+    pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
+    pytest.param(APPLY_SPECS["mult3"], id="mult3"),
+])
+def test_plan_coefficients_give_the_vector_blocks(make):
+    # v_coef and d_coef on the generated sequences and the m0 unit rows,
+    # contracted with the ext stacks, are the blocks of v_m, v~_m and of
+    # diag(p^{n-m}) (hat-w - hat-v)_m and its tilde partner, m = 1..n
+    spec = make()
     kit = ClosedFormKit(spec)
     n, m0, M = 40, spec.m0, kit.M
     plan = kit.plan(n)
     ms = np.arange(1, n + 1)
+    seq = kit.sequences(n)
+    units = np.eye(m0, n)
     v = kit.vectors("v", ms)
     v_hat = kit.vectors("v", ms, scaled=True)
     w_hat = kit.vectors("w", ms, scaled=True)
-    xi = np.zeros(plan.heads.shape[:2] + (n - m0,), dtype=complex)
-    xi[:, :M] = plan.xi
+    pw = np.repeat(kit.pole_of_slot ** (n - ms[:, None]), spec.d,
+                   axis=1)[:, :, None]
     for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
         conj = np.conj if side else np.asarray
-        for scal, want in ((plan.heads, v[side][:m0]),
-                           (xi, v[side][m0:]),
-                           (plan.diff, (w_hat[side] - v_hat[side])[:n - m0])):
-            got = np.einsum("qem,eab->mqab", conj(scal), ext)
+        for coef, rows, want in (
+                (plan.v_coef, np.concatenate([seq[M:], units]), v[side]),
+                (plan.d_coef, np.concatenate([seq, units]),
+                 conj(pw) * (w_hat[side] - v_hat[side]))):
+            scal = np.einsum("qej,jm->mqe", conj(coef), conj(rows))
+            got = np.einsum("mqe,eab->mqab", scal, ext)
             np.testing.assert_allclose(got.reshape(want.shape), want,
                                        rtol=1e-12, atol=1e-14)
 
 
-def test_plan_size_does_not_grow_with_d():
-    # the plan keeps O(n M^2) slot scalars, not O(n M d^2) blocks
-    n = 512
-    size = {}
+def test_plan_bytes_do_not_depend_on_n():
+    # the plan keeps coefficient arrays of fixed size, no O(n) scalars
     for d in (1, 3):
         spec = random_spec(d=d, K=2, mults=(2, 2), m0=2,
                            rng=np.random.default_rng(d))
-        rep = solve(spec, n, random_rhs(n, d, seed=d))
-        size[d] = rep.counters["plan_bytes"]
-    assert size[1] <= size[3] <= 1.1 * size[1]
+        tab = CoefficientTables(spec)
+        size = {n: solve(spec, n, random_rhs(n, d, seed=d), tables=tab,
+                         compute_residual=False).counters["plan_bytes"]
+                for n in (64, 4096)}
+        assert size[64] == size[4096] > 0, d
+
+
+def test_plan_build_memory_does_not_depend_on_n():
+    spec = warm_d3_spec()
+    peak = {}
+    for n in (4096, 65536):
+        kit = ClosedFormKit(spec)
+        tracemalloc.start()
+        kit.plan(n)
+        peak[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert abs(peak[65536] - peak[4096]) <= 0.1 * peak[4096]
 
 
 def test_singular_resolvent_raises_on_every_call(sweep_specs):
