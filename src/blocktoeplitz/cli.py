@@ -48,7 +48,7 @@ def _cmd_validate(args):
 
 def _cmd_coeffs(args):
     spec = _load_checked_spec(args.spec)
-    tab = CoefficientTables(spec, grid_points=args.grid)
+    tab = CoefficientTables(spec)
     n = args.n
     series = {
         "a": [tab.a(k) for k in range(n + 1)],
@@ -202,7 +202,6 @@ def build_parser():
     p.add_argument("--series", default="all",
                    choices=["all", "a", "atilde", "c", "ctilde", "gamma",
                             "beta"])
-    p.add_argument("--grid", type=int, default=8192)
     p.add_argument("--out", help="output path prefix (default 'coeffs')")
     p.set_defaults(fn=_cmd_coeffs)
 

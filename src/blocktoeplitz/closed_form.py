@@ -34,15 +34,18 @@ _LAMBDA_MAX_TERMS = 100_000
 _CONTOUR_NODES = 512
 # block length of the pole powers in ClosedFormKit.sequences
 _POWER_BLOCK = 256
+# relative tolerances of the region cross-checks of inverse_block_ar / _arma
+_AR_OVERLAP_TOL = 1e-12
+_ARMA_OVERLAP_TOL = 1e-11
 
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y (built by ClosedFormKit.plan). Every slot
-    scalar of the rank correction is a pole power times a polynomial in
-    the block index m, so the plan keeps small coefficient arrays that
-    act on the 2M sequences of kit.sequences(n): nothing in it grows
-    with n.
+    the right-hand side Y, built afresh by ClosedFormKit.plan(n). Every
+    slot scalar of the rank correction is a pole power times a polynomial
+    in the block index m, so the plan keeps a small coefficient array
+    that acts on the 2M sequences of kit.sequences(n); the slot scalars
+    of v_m come from kit.v_coef. Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * k_n: the fixed 2Md x 2Md map that takes the sums
@@ -56,16 +59,10 @@ class SolvePlan(NamedTuple):
 
     * ut: U_n Theta, where Pi_n Theta = diag(p^n) U_n Theta; it is
       block-diagonal by pole;
-    * v_coef: (M, M + m0 + 1, M + m0) coefficients of the slot scalars of
-      v_m on the residue and band blocks (kit.ext_stack, then
-      kit.ext_tilde_stack with the conjugates for v~_m): v_m[q, k] =
-      sum_j v_coef[q, k, j] G_j(m), with G the M v sequences (rows M..2M-1
-      of kit.sequences) followed by the m0 unit rows [m == 1] ..
-      [m == m0] that carry the band terms of the heads m <= m0;
     * d_coef: (M, M + m0 + 1, 2M + m0) coefficients of the scalars of
       diag(p^{n-m}) (hat-w - hat-v)_m = diag(p^{n-m}) hat-w_m
-      - diag(p^n) v_m on all 2M sequences and the m0 unit rows: the w
-      columns first, then -p_mu^n times v_coef.
+      - diag(p^n) v_m on all 2M sequences and the m0 unit rows: the
+      kit's w_coef first, then -p_mu^n times its v_coef.
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -78,11 +75,9 @@ class SolvePlan(NamedTuple):
     power on its own slots.
     """
 
-    n: int
     spectral_radius: float
     k_n: np.ndarray
     ut: np.ndarray
-    v_coef: np.ndarray
     d_coef: np.ndarray
 
 
@@ -134,7 +129,7 @@ class ClosedFormKit:
              herm(np.stack([spec.sharp_rho00, *spec.sharp_rho0]))])
         self.lambda_mat = self.build_lambda()
         self.theta_values, self.theta_mat = self.build_theta()
-        self._plan = None
+        self.v_coef, self.w_coef = self._coefficients()
         self._check_lambda_series()
 
     # -- Lambda ---------------------------------------------------------- #
@@ -324,34 +319,6 @@ class ClosedFormKit:
                                      * p ** (r + q + 1 - i) * pb ** (r + q)
                                      / denom ** (r + q + 1))
 
-    def xi_scalars(self, ns):
-        """Scalar entries of Xi_n for an array of n >= 1 (they decay like
-        conj(p_nu)^n, safe at any n), as a (len(ns), M, M) view of an
-        array with n along its last axis."""
-        ns = np.asarray(ns, dtype=np.int64)
-        out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
-        pbn = np.conj(self.spec.poles)[:, None] ** ns
-        for qr, qc in np.ndindex(self.M, self.M):
-            acc = out[qr, qc]
-            for c, r, const in self._xi_terms(qr, qc):
-                acc += binom_vec(ns + c, r) * const
-            acc *= pbn[self.slots[qc][0]]
-        return np.moveaxis(out, -1, 0)
-
-    def phi_scalars(self, ns, scaled=True):
-        """Scalar entries of diag(p_mu^n) Phi_n for an array of n (the
-        scaled variant is polynomial in n; scaled=False divides the power
-        back out and is only safe for moderate |n|), as a (len(ns), M, M)
-        view of an array with n along its last axis."""
-        ns = np.asarray(ns, dtype=np.int64)
-        out = np.zeros((self.M, self.M, len(ns)), dtype=np.complex128)
-        for qr, qc in np.ndindex(self.M, self.M):
-            acc = out[qr, qc]
-            for c, k, const in self._phi_terms(qr, qc):
-                acc += binom_vec(ns + c, k) * const
-        out = np.moveaxis(out, -1, 0)
-        return out if scaled else self._scale(out, self._pole_powers(-ns))
-
     # -- G and the beta / b closed forms -------------------------------- #
 
     def g_mats(self, n):
@@ -383,38 +350,31 @@ class ClosedFormKit:
     # -- the rank-correction vectors ------------------------------------- #
 
     def plan(self, n):
-        """The SolvePlan of order n. The kit keeps the plan of the last n
-        it was asked for, so it holds at most one; a build that raises
-        (ResolventSingular) is not kept."""
+        """The SolvePlan of order n, built afresh on every call: a few
+        2Md x 2Md products and one scaling of v_coef."""
         n = int(n)
-        if self._plan is not None and self._plan.n == n:
-            return self._plan
-        self._plan = None       # free the old plan before building
         pit, g, gt, radius = self.checked_g_mats(n)
         lam, eye = self.lambda_mat, np.eye(self.M * self.d)
         top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
-        v_coef, w_coef = self._coefficients()
         # -diag(p^n) v_m: the row of slot (mu, i) times -p_mu^n
-        minus_v = self._scale(-v_coef.reshape(1, self.M, -1),
-                              self._pole_powers(np.array([n])))
-        d_coef = np.concatenate([w_coef, minus_v.reshape(v_coef.shape)],
-                                axis=-1)
-        self._plan = SolvePlan(n, radius, k_n,
-                               self.u_mat(n) @ self.theta_mat, v_coef, d_coef)
-        return self._plan
+        minus_v = -(self.pole_of_slot ** n)[:, None, None] * self.v_coef
+        return SolvePlan(radius, k_n, self.u_mat(n) @ self.theta_mat,
+                         np.concatenate([self.w_coef, minus_v], axis=-1))
 
     def _coefficients(self):
         """(v_coef, w_coef): the n-free coefficients of the slot scalars
-        of v_m on [v sequences; unit rows of m = 1..m0] (see SolvePlan)
-        and of hat-w_m on the polynomials C(m, a), a < m_mu, of the slots
-        of the row's pole: hat-w_m[q, k] = sum_a w_coef[q, k, off_mu + a]
-        C(m, a). They are the xi_scalars, phi_scalars and band terms in
-        the basis C(m, a) (Vandermonde's identity, see _basis). v has no
-        band term past m = m0, so its band terms sit only in the m0 head
-        columns, read off slot_scalars."""
+        of v_m and of hat-w_m = diag(p^m) w_m (see slot_scalars), the one
+        source of both. Column j < M of v_coef weighs the sequence
+        C(m, i-1) conj(p_mu)^m of slot j = (mu, i), and columns M.. the m0
+        unit rows [m == 1] .. [m == m0]; column j of w_coef weighs
+        C(m, i-1), and only the slots of the row's pole are used. Xi_m, the scaled
+        Phi_m and the band terms are written in the basis C(m, a) by
+        Vandermonde's identity (see _basis). Band term l of slot (mu, i)
+        is C(l - m, i-1) p_mu^{l-m-i+1}: w takes it at every m, v only at
+        m <= l, so v's band terms sit on the m0 unit rows."""
         M, m0, poles = self.M, self.spec.m0, self.spec.poles
         v_coef = np.zeros((M, M + m0 + 1, M + m0), dtype=np.complex128)
         w_coef = np.zeros((M, M + m0 + 1, M), dtype=np.complex128)
@@ -424,13 +384,15 @@ class ClosedFormKit:
             _basis(self._phi_terms(qr, qc),
                    w_coef[qr, qc, self.offsets[self.slots[qr][0]]:])
         for qr, (mu, i) in enumerate(self.slots):
+            p = poles[mu]
             for l in range(m0 + 1):
-                # scaled band term l of w: C(l - m, i - 1) p^{l - i + 1}
+                # scaled by p^m, by C(l - m, k) = (-1)^k C(m + k - l - 1, k)
                 _basis([(i - 2 - l, i - 1,
-                         (-1) ** (i - 1) * poles[mu] ** (l - i + 1))],
+                         (-1) ** (i - 1) * p ** (l - i + 1))],
                        w_coef[qr, M + l, self.offsets[mu]:])
-        heads = self.slot_scalars("v", np.arange(1, m0 + 1))
-        v_coef[:, M:, M:] = np.moveaxis(heads[..., M:], 0, -1)
+                for m in range(1, l + 1):
+                    v_coef[qr, M + l, M + m - 1] = (binom(l - m, i - 1)
+                                                    * p ** (l - m - i + 1))
         return v_coef, w_coef
 
     def sequences(self, n):
@@ -452,52 +414,38 @@ class ClosedFormKit:
                 out[q::M] *= binom_vec(np.arange(1, n + 1), i - 1)
         return out
 
-    def _pole_powers(self, es):
-        """The (K, len(es)) pole powers p_mu^e for an integer array es."""
-        return np.asarray(self.spec.poles)[:, None] ** es
-
-    def _scale(self, scal, pw):
-        """Multiply the row of slot (mu, i) of (len, M, E) slot scalars by
-        pw[mu], for (K, len) pole powers pw, in place; returns scal."""
-        scal *= np.repeat(pw, self.spec.mults, axis=0).T[..., None]
-        return scal
-
     def slot_scalars(self, kind, ms, scaled=False):
         """The (len(ms), M, M + m0 + 1) slot scalars of the vectors x_m of
-        kind 'v' or 'w' on ext_stack, for an integer array of m >= 1:
+        kind 'v' or 'w' on ext_stack, for an integer array ms:
 
-            v_m = Xi_m rho + sum_{l=m}^{m0} p_{l-m} rho0_l,
-            w_m = Phi_m rho + sum_{l=0}^{m0} p_{l-m} rho0_l
+            v_m = Xi_m rho + sum_{l=m}^{m0} p_{l-m} rho0_l    (m >= 1),
+            w_m = Phi_m rho + sum_{l=0}^{m0} p_{l-m} rho0_l   (any m)
 
         (rho0_0 = rho00), so that block q of x_m is
         sum_e scal[m, q, e] ext_stack[e], the residue columns first. The
-        conjugated scalars on ext_tilde_stack give x~_m. scaled=True
-        multiplies the row of slot (mu, i) by p_mu^m; w is then
-        polynomial in m, while unscaled w overflows once |p_mu|^{-m}
-        leaves float range. Each kind is built in the form that is safe
-        at any m, v unscaled and w scaled, and rescaled if asked. The
-        result is a view of an array with m along its last axis.
-        """
+        conjugated scalars on ext_tilde_stack give x~_m. They are v_coef
+        or w_coef contracted with their basis sequences at ms (see
+        _coefficients). scaled=True multiplies the row of slot (mu, i) by
+        p_mu^m; w is then polynomial in m, while unscaled w overflows
+        once |p_mu|^{-m} leaves float range."""
         ms = np.asarray(ms, dtype=np.int64)
-        M, m0 = self.M, self.spec.m0
-        native = kind == "w"
-        out = np.zeros((M, M + m0 + 1, len(ms)), dtype=np.complex128)
-        res = self.phi_scalars(ms) if native else self.xi_scalars(ms)
-        out[:, :M] = np.moveaxis(res, 0, -1)
-        for l in range(m0 + 1):
-            # band term l: v takes it at m <= l only, w at every m
-            rows = slice(None) if native else ms <= l
-            k = l - ms[rows]
-            out[:, M + l, rows] = self._slot_powers(k, l if native else k).T
-        out = np.moveaxis(out, -1, 0)
-        if scaled == native:
-            return out
-        return self._scale(out, self._pole_powers(ms if scaled else -ms))
+        basis = np.stack([binom_vec(ms, i - 1) for _, i in self.slots])
+        if kind == "v":
+            units = ms == np.arange(1, self.spec.m0 + 1)[:, None]
+            basis = np.concatenate(
+                [basis * np.conj(self.pole_of_slot)[:, None] ** ms, units])
+            coef, power = self.v_coef, ms if scaled else None
+        else:
+            coef, power = self.w_coef, None if scaled else -ms
+        scal = np.einsum("qkj,jm->mqk", coef, basis)
+        if power is not None:
+            scal *= (self.pole_of_slot[:, None] ** power).T[..., None]
+        return scal
 
     def vectors(self, kind, ms, scaled=False):
         """The vectors x_m and x~_m of kind 'v' or 'w' (see slot_scalars)
-        for an integer array of indices m >= 1, each as a (len(ms), M d,
-        d) stack."""
+        for an integer array of indices m, each as a (len(ms), M d, d)
+        stack."""
         scal = self.slot_scalars(kind, ms, scaled)
         flat = (len(scal), self.M * self.d, self.d)
         return tuple(np.einsum("nqe,eab->nqab", s, ext).reshape(flat)
@@ -619,8 +567,7 @@ def gram_plain(tables, n, s, t):
     return _stacked_gram(a[lo - s:n - s + 1], a[lo - t:n - t + 1])
 
 
-def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True,
-                     overlap_tol=1e-12):
+def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True):
     """(s, t) block of T_n(w)^{-1} for an AR symbol (K = 0): the pure
     Gram sums, dispatched by the four coverage regions."""
     if spec.K != 0:
@@ -640,7 +587,7 @@ def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True,
         if plain_ok and check_overlap:
             other = gram_plain(tables, n, s, t)
             dev = float(np.abs(out - other).max())
-            if dev > overlap_tol * max(1.0, float(np.abs(out).max())):
+            if dev > _AR_OVERLAP_TOL * max(1.0, float(np.abs(out).max())):
                 raise errors.OverlapMismatch(
                     f"AR region overlap deviates by {dev:.3e} "
                     f"at (s, t) = ({s}, {t})")
@@ -649,7 +596,7 @@ def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True,
 
 
 def inverse_block_arma(spec, n, s, t, sv=None, tables=None,
-                       check_overlap=True, overlap_tol=1e-11):
+                       check_overlap=True):
     """(s, t) block of T_n(w)^{-1} for K >= 1: triangular Gram sum plus
     the dM-rank correction, dispatched by region with the row forms
     (l~ r~, l r) preferred; overlapping regions are cross-checked."""
@@ -687,7 +634,8 @@ def inverse_block_arma(spec, n, s, t, sv=None, tables=None,
             if (name in ("i", "ii")) != fam:
                 other = fn()
                 dev = float(np.abs(out - other).max())
-                if dev > overlap_tol * max(1.0, float(np.abs(out).max())):
+                if dev > _ARMA_OVERLAP_TOL * max(
+                        1.0, float(np.abs(out).max())):
                     raise errors.OverlapMismatch(
                         f"regions {candidates[0][0]}/{name} deviate by "
                         f"{dev:.3e} at (s, t) = ({s}, {t})")

@@ -34,6 +34,8 @@ from .util import binom, geometric_poly_tail, herm, unit_circle
 _REL_TOL = 1e-14
 _MAX_TERMS = 200_000
 _MAX_NODES = 1 << 20
+# unit-circle points of the trapezoid rule in beta_quadrature
+_PHASE_GRID = 8192
 
 
 def a_coeff(spec, n):
@@ -103,9 +105,8 @@ class CoefficientTables:
     extension happens under an internal lock.
     """
 
-    def __init__(self, spec, grid_points=8192):
+    def __init__(self, spec):
         self.spec = spec
-        self.grid_points = int(grid_points)
         self._lock = threading.RLock()
         self._a = []
         self._a_tilde = []
@@ -426,7 +427,7 @@ class CoefficientTables:
     def _phase_on_grid(self):
         with self._lock:
             if self._phase_grid is None:
-                zs, theta = unit_circle(self.grid_points)
+                zs, theta = unit_circle(_PHASE_GRID)
                 h = h_on_grid(self.spec, zs)
                 hs_inv = h_inv_on_grid(self.spec, zs, sharp=True)
                 phase = np.conj(np.swapaxes(h, -1, -2)) @ hs_inv

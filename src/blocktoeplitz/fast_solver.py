@@ -37,25 +37,27 @@ pole powers p^{-m} and p^{n} that overflow / underflow float range long
 before n reaches the sizes this path is for, but the diagonal power
 scalings cancel analytically, leaving only polynomially growing pieces
 (see the hat-variants of the closed forms). The assembly never forms l
-or r themselves. Everything in it that does not depend on Y is held by
-one SolvePlan from ClosedFormKit.plan(n): the fixed 2Md x 2Md map
+or r themselves. What it needs beyond Y is the kit and one SolvePlan
+from ClosedFormKit.plan(n): the fixed 2Md x 2Md map
 
     top = I + Lambda^T G R P*,   bot = I + Lambda G~ R~ P,
     K_n = [[top Lambda^T P, top], [bot, bot Lambda P*]]
 
 (P = Pi_n Theta, R = (I - G~G)^{-1}, R~ = (I - GG~)^{-1}), U_n Theta and
-two small coefficient arrays. Every slot scalar of v and of
+one small coefficient array. Every slot scalar of v and of
 hat-w - hat-v is a pole power times a polynomial in the block index, so
-the coefficients act on 2M sequences C(m, a) p^{n-m} and
-C(m, a) conj(p)^m that each solve generates (ClosedFormKit.sequences),
-and the plan holds nothing whose size grows with n. The correction is a
-few gemms: one per side sums the sequences against Y, K_n turns the two
-sums into [g_vec; g~_vec], and the correction rows are one
-(d r, 2M) @ (2M, n) gemm of the sequences with a map formed per solve
-from g, the residue and band blocks and the coefficients. Every tilde
-row takes its correction; of the plain rows only the m0 assembled ones
-and the sampled overlap rows do. The kit keeps the plan of the last n
-it was asked for, so a warm solve on the same kit and n does only the
+the kit's v coefficients (ClosedFormKit.v_coef, also the source of
+ClosedFormKit.vectors) and the plan's act on 2M sequences
+C(m, a) p^{n-m} and C(m, a) conj(p)^m that each solve generates
+(ClosedFormKit.sequences); neither the kit nor the plan holds anything
+whose size grows with n. The correction is a few gemms: one per side
+sums the sequences against Y, K_n turns the two sums into
+[g_vec; g~_vec], and the correction rows are one (d r, 2M) @ (2M, n)
+gemm of the sequences with a map formed per solve from g, the residue
+and band blocks and the coefficients. Every tilde row takes its
+correction; of the plain rows only the m0 assembled ones and the sampled
+overlap rows do. Each solve builds its plan afresh from the kit (a few
+2Md x 2Md products), so a warm solve on a prebuilt kit does that, the
 Gram applies, the sequences, those gemms and its checks.
 
 The residual check convolves the gamma band with Z by overlap-save in
@@ -361,30 +363,30 @@ class SolveReport:
     # took entries from) and, when the residual ran, residual_band (L),
     # residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
 
-def _corrected_sums(kit, plan, fv, y):
-    """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for a
-    time-last (d, c, n) Y and the (M, n) v sequences fv of m = 1..n
-    (kit.sequences): on each side one gemm sums the sequences against Y,
-    the m0 head blocks of Y join them for the unit rows, and the plan's
-    v coefficients and the ext-stack blocks act once on those sums."""
+def _corrected_sums(kit, k_n, fv, y):
+    """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for the
+    plan's map k_n, a time-last (d, c, n) Y and the (M, n) v sequences fv
+    of m = 1..n (kit.sequences): on each side one gemm sums the sequences
+    against Y, the m0 head blocks of Y join them for the unit rows, and
+    the kit's v coefficients and the ext-stack blocks act once on those
+    sums."""
     d, c, n = y.shape
-    M, E, J = plan.v_coef.shape
+    M, E, J = kit.v_coef.shape
     flat = y.reshape(d * c, n)
     seq = np.ascontiguousarray(fv[:, ::-1])     # f(n + 1 - t), t = 1..n
     sides = []
-    for ext, coef, heads in ((kit.ext_stack, plan.v_coef,
+    for ext, coef, heads in ((kit.ext_stack, kit.v_coef,
                               flat[:, ::-1][:, :J - M]),
-                             (kit.ext_tilde_stack, np.conj(plan.v_coef),
+                             (kit.ext_tilde_stack, np.conj(kit.v_coef),
                               flat[:, :J - M])):
         sums = coef.reshape(M * E, J) @ np.concatenate([seq @ flat.T,
                                                         heads.T])
         sides.append(np.einsum("eab,qebc->qac", ext,
                                sums.reshape(M, E, d, c)).reshape(M * d, c))
         np.conjugate(fv, out=seq)                # conj f(t), t = 1..n
-    return np.split(plan.k_n @ np.concatenate(sides), 2)
+    return np.split(k_n @ np.concatenate(sides), 2)
 
 
 def _correction_map(coef, ext, h):
@@ -494,11 +496,10 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
     z_p = _gram(_factor(spec, "plain"), yt)
     lap("gram")
-    plan = held = None
+    plan = None
     if spec.K:
         if kit is None:
             kit = ClosedFormKit(spec)
-        held = kit._plan
         plan = kit.plan(n)
     lap("plan")
 
@@ -506,7 +507,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     span = n - m0
     if plan is not None:
         seq = kit.sequences(n)
-        g_vec, gt_vec = _corrected_sums(kit, plan, seq[kit.M:], yt)
+        g_vec, gt_vec = _corrected_sums(kit, plan.k_n, seq[kit.M:], yt)
         z[..., :span] += _corrections(
             _correction_map(plan.d_coef, kit.ext_tilde_stack,
                             plan.ut @ gt_vec),
@@ -570,5 +571,4 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         overlap_max_dev=overlap_max_dev,
         timings=timings,
         counters=counters,
-        extras={"plan_reused": plan is not None and plan is held},
     )

@@ -20,6 +20,8 @@ from .coefficients import CoefficientTables
 from .fast_solver import SolveReport, solve as fast_solve
 
 DEFAULT_DENSE_CAP = 2048
+# the a~ horizon of infinite_solution may not pass this many terms
+_A_HORIZON_CAP = 100_000
 
 
 def dense_cap():
@@ -147,7 +149,9 @@ def infinite_solution(spec, y_seq, horizon, tables=None, rel_tol=1e-14):
 
     `y_seq` is a finite block stack, treated as zero beyond its length;
     it must be absolutely summable for the infinite system to make
-    sense, which a finite stack trivially is.
+    sense, which a finite stack trivially is. Raises
+    ToleranceUnreachable if the certified a~ tail is still above
+    rel_tol times the y scale at _A_HORIZON_CAP terms.
     """
     if tables is None:
         tables = CoefficientTables(spec)
@@ -160,7 +164,11 @@ def infinite_solution(spec, y_seq, horizon, tables=None, rel_tol=1e-14):
     ymax = float(np.abs(y).max()) if ny else 0.0
     # a~ horizon: certified tail small against the y scale
     J = 0
-    while tables.a_tail(J) > rel_tol * max(ymax, 1.0) and J < 100_000:
+    while tables.a_tail(J) > rel_tol * max(ymax, 1.0):
+        if J >= _A_HORIZON_CAP:
+            raise errors.ToleranceUnreachable(
+                f"a~ tail {tables.a_tail(J):.3e} above tolerance after "
+                f"{J} terms")
         J += max(1, J // 4)
     at = [tables.a_tilde(j) for j in range(max(J, horizon) + 1)]
     cols = y.shape[2]
@@ -186,16 +194,16 @@ class ConvergenceReport:
 
     ns: list
     deltas: list
-    y_decay: str = ""
 
     def rows(self):
         return list(zip(self.ns, self.deltas))
 
 
-def convergence_experiment(spec, y_seq, ns, tables=None, method="auto"):
+def convergence_experiment(spec, y_seq, ns, tables=None):
     """For each n, solve the order-n system against the first n blocks
     of y and report sum_k ||z_{n,k} - z_k|| versus the infinite
-    solution."""
+    solution. Orders n >= 2 m0 + 1 use the fast solver, the few below
+    it the dense one."""
     if tables is None:
         tables = CoefficientTables(spec)
     y = as_block_vector(np.asarray(y_seq), spec.d)
@@ -205,7 +213,7 @@ def convergence_experiment(spec, y_seq, ns, tables=None, method="auto"):
     for n in ns:
         if len(y) < n:
             raise ValueError("y_seq shorter than requested order")
-        if method == "fast" or (method == "auto" and n >= 2 * spec.m0 + 1):
+        if n >= 2 * spec.m0 + 1:
             rep = fast_solve(spec, n, y[:n], tables=tables,
                              compute_residual=False)
         else:

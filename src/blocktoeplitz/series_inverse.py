@@ -8,9 +8,10 @@ CoefficientTables; anything else can come in through RawTables at the
 caller's own risk). Truncation is certified whenever F(n+1) < 1: the
 level-k coefficient sequences are dominated by F(n+1)^{k-1} F(first),
 which both bounds the inner sums and closes the depth loop with a
-geometric remainder. When F(n+1) >= 1 certified mode refuses with
-DivergentRecursion; best_effort=True runs anyway with a fixed depth and
-reports nothing about the error.
+geometric remainder. When F(n+1) >= 1 nothing is certified, and the
+path refuses with DivergentRecursion; a depth loop that reaches
+_DEPTH_CAP, or a block whose error bound exceeds tol, raises
+ToleranceUnreachable.
 
 Block indices s, t, u are 1-based.
 """
@@ -94,7 +95,7 @@ def _beta_array(tables, upto, conj, cache=None):
     return np.conj(np.swapaxes(arr, -1, -2)) if conj else arr
 
 
-def b_level_1(tables, n, u, variant, rel_tol=_REL_TOL, beta_cache=None):
+def b_level_1(tables, n, u, variant, beta_cache=None):
     """Start of the recursion: b^1_l = beta_{u+l} (plain) or
     b~^1_l = beta*_{n+1-u+l} (tilde)."""
     F = tables.decay_bound_F
@@ -105,26 +106,25 @@ def b_level_1(tables, n, u, variant, rel_tol=_REL_TOL, beta_cache=None):
     else:
         raise ValueError("variant must be 'plain' or 'tilde'")
     scale = max(F(base), 1e-300)
-    L = _horizon(F, base, rel_tol * scale)
+    L = _horizon(F, base, _REL_TOL * scale)
     bet = _beta_array(tables, base + L - 1, conj, beta_cache)
     coeffs = bet[base - 1:base - 1 + L]
     return BRecursionState(n=n, u=u, variant=variant, level=1,
                            coeffs=coeffs, tail=F(base + L))
 
 
-def b_recursion_step(state, tables, rel_tol=_REL_TOL, enforce_bound=True,
-                     allow_divergent=False, beta_cache=None):
+def b_recursion_step(state, tables, beta_cache=None):
     """Advance one level: contract the current coefficients against the
     shifted beta (or beta*) sequence.
 
     Refuses with DivergentRecursion when F(n+1) >= 1, since the level
-    bound F(n+1)^{k-1} F(first) then certifies nothing; pass
-    allow_divergent=True to run uncertified anyway.
+    bound F(n+1)^{k-1} F(first) then certifies nothing, and raises
+    NumericalError when the new level breaks that bound.
     """
     n = state.n
     F = tables.decay_bound_F
     contraction = F(n + 1)
-    if contraction >= 1.0 and not allow_divergent:
+    if contraction >= 1.0:
         raise errors.DivergentRecursion(
             f"F(n+1) = {contraction:.4f} >= 1 at n = {n}")
     new_level = state.level + 1
@@ -133,7 +133,7 @@ def b_recursion_step(state, tables, rel_tol=_REL_TOL, enforce_bound=True,
     conj = (new_level % 2 == 0) if state.variant == "plain" \
         else (new_level % 2 == 1)
     s_in = state.l1()
-    L_out = _horizon(F, n + 1, rel_tol * max(contraction, 1e-300))
+    L_out = _horizon(F, n + 1, _REL_TOL * max(contraction, 1e-300))
     M = len(state.coeffs)
     bet = _beta_array(tables, n + 1 + (M - 1) + (L_out - 1) + 1, conj,
                       beta_cache)
@@ -146,13 +146,12 @@ def b_recursion_step(state, tables, rel_tol=_REL_TOL, enforce_bound=True,
     tail = s_in * F(n + 1 + L_out) + state.tail * contraction
     new = BRecursionState(n=n, u=state.u, variant=state.variant,
                           level=new_level, coeffs=out, tail=tail)
-    if enforce_bound:
-        first = state.u if state.variant == "plain" else n + 1 - state.u
-        bound = contraction ** (new_level - 1) * F(first)
-        if new.l1() > bound * (1.0 + 1e-6) + 1e-12:
-            raise errors.NumericalError(
-                f"level {new_level} l1 norm {new.l1():.3e} exceeds its "
-                f"certified bound {bound:.3e}")
+    first = state.u if state.variant == "plain" else n + 1 - state.u
+    bound = contraction ** (new_level - 1) * F(first)
+    if new.l1() > bound * (1.0 + 1e-6) + 1e-12:
+        raise errors.NumericalError(
+            f"level {new_level} l1 norm {new.l1():.3e} exceeds its "
+            f"certified bound {bound:.3e}")
     return new
 
 
@@ -169,15 +168,11 @@ class SeriesInverter:
     symbol spec, which gets wrapped), caching the per-u recursion levels
     across block requests."""
 
-    def __init__(self, tables, n, tol=1e-10, rel_tol=_REL_TOL,
-                 depth_cap=_DEPTH_CAP, best_effort=False):
+    def __init__(self, tables, n, tol=1e-10):
         tables = _as_tables(tables)
         self.tables = tables
         self.n = n
         self.tol = float(tol)
-        self.rel_tol = float(rel_tol)
-        self.depth_cap = depth_cap
-        self.best_effort = best_effort
         self.d = tables.d
         self._levels = {}
         self._corr = {}
@@ -186,10 +181,10 @@ class SeriesInverter:
         self._norms = {tilde: np.zeros(0) for tilde in (False, True)}
         self._contraction = tables.decay_bound_F(n + 1)
         self._supcoef = self._sup_coeff_bound()
-        if self._contraction >= 1.0 and not best_effort:
+        if self._contraction >= 1.0:
             raise errors.DivergentRecursion(
                 f"F(n+1) = {self._contraction:.4f} >= 1: certified "
-                "truncation unavailable (pass best_effort=True to force)")
+                "truncation unavailable")
 
     def _sup_coeff_bound(self):
         tail0 = getattr(self.tables, "a_tail", None)
@@ -202,13 +197,11 @@ class SeriesInverter:
         key = (u, variant)
         seq = self._levels.get(key)
         if seq is None:
-            seq = [b_level_1(self.tables, self.n, u, variant, self.rel_tol,
+            seq = [b_level_1(self.tables, self.n, u, variant,
                              beta_cache=self._beta_cache)]
             self._levels[key] = seq
         while len(seq) < depth:
-            seq.append(b_recursion_step(seq[-1], self.tables, self.rel_tol,
-                                        enforce_bound=not self.best_effort,
-                                        allow_divergent=self.best_effort,
+            seq.append(b_recursion_step(seq[-1], self.tables,
                                         beta_cache=self._beta_cache))
         return seq[:depth]
 
@@ -259,22 +252,15 @@ class SeriesInverter:
                 t2, e2 = self._contract(lv_even, False, n + 1 - s)
             acc += t1 + t2
             err += e1 + e2
-            if self._contraction >= 1.0:   # best-effort mode only
-                level_scale = lv_odd.l1() + lv_even.l1()
-                acc_scale = max(float(np.linalg.norm(acc)), 1e-300)
-                if k >= self.depth_cap or level_scale <= 1e-16 * acc_scale:
-                    self._corr[key] = (acc, np.inf)
-                    return self._corr[key]
-                continue
             remaining = (first * self._contraction ** (2 * k)
                          / (1.0 - self._contraction) * self._supcoef)
             if remaining <= 0.25 * self.tol / max(
                     self.n * self._supcoef, 1e-300):
                 self._corr[key] = (acc, err + remaining)
                 return self._corr[key]
-            if k >= self.depth_cap:
+            if k >= _DEPTH_CAP:
                 raise errors.ToleranceUnreachable(
-                    f"depth cap {self.depth_cap} reached with remainder "
+                    f"depth cap {_DEPTH_CAP} reached with remainder "
                     f"bound {remaining:.3e} > tolerance share")
 
     def block(self, s, t, variant="tilde"):
@@ -293,7 +279,7 @@ class SeriesInverter:
             k = t - u if tilde else u - t
             out += corr.conj().T @ coefs[k]
             err += e * norms[k]
-        if not self.best_effort and err > self.tol:
+        if err > self.tol:
             raise errors.ToleranceUnreachable(
                 f"accumulated error bound {err:.3e} > tol {self.tol:.3e}")
         return out
@@ -309,15 +295,11 @@ class SeriesInverter:
         return out
 
 
-def inverse_block_series(tables, n, s, t, tol=1e-10, variant="tilde",
-                         best_effort=False):
+def inverse_block_series(tables, n, s, t, tol=1e-10, variant="tilde"):
     """One-shot (s, t) block via the correction series."""
-    return SeriesInverter(tables, n, tol=tol,
-                          best_effort=best_effort).block(s, t, variant)
+    return SeriesInverter(tables, n, tol=tol).block(s, t, variant)
 
 
-def inverse_matrix_series(tables, n, tol=1e-10, variant="tilde",
-                          best_effort=False):
+def inverse_matrix_series(tables, n, tol=1e-10, variant="tilde"):
     """Full inverse via the correction series (reference path)."""
-    return SeriesInverter(tables, n, tol=tol,
-                          best_effort=best_effort).matrix(variant)
+    return SeriesInverter(tables, n, tol=tol).matrix(variant)

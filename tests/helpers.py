@@ -38,6 +38,18 @@ def make_sweep_spec(name):
                        rng=np.random.default_rng(1000 + idx))
 
 
+def warm_d3_spec():
+    """The shape of the d = 3 warm benchmark spec: mults (2, 2), m0 = 2."""
+    return random_spec(d=3, K=2, mults=(2, 2), m0=2,
+                       rng=np.random.default_rng(0))
+
+
+def mult3_spec():
+    """One pole of multiplicity 3, d = 2, m0 = 1."""
+    return random_spec(d=2, K=1, mults=(3,), m0=1,
+                       rng=np.random.default_rng(31))
+
+
 def dense_toeplitz_matrix(tables, n, d):
     """Independent dense T_n build used as the oracle in several tests."""
     band = np.stack([tables.gamma(k) for k in range(-(n - 1), n)])

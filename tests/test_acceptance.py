@@ -190,7 +190,7 @@ def test_criterion_5_summation_identities(sweep_specs):
     kit = ClosedFormKit(spec)
     worst_phi = 0.0
     for n in (-4, -1, 0, 3, 9):
-        phi = kit.phi_scalars([n], scaled=False)[0]
+        phi = kit.slot_scalars("w", [n])[0, :, :kit.M]
         for qr, (mu, i) in enumerate(kit.slots):
             for qc, (nu, j) in enumerate(kit.slots):
                 p, pb = spec.poles[mu], np.conj(spec.poles[nu])

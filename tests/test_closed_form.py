@@ -10,7 +10,8 @@ from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.synth import random_spec, scalar_ar
 from blocktoeplitz.util import binom
 
-from helpers import dense_toeplitz_matrix
+from helpers import (dense_toeplitz_matrix, make_sweep_spec, mult3_spec,
+                     warm_d3_spec)
 
 
 def test_kit_requires_poles(ar1):
@@ -112,7 +113,7 @@ def test_xi_simple_pole_entries(sweep_specs):
     spec = sweep_specs["d2_k2m11"]
     kit = ClosedFormKit(spec)
     n = 5
-    xi = kit.xi_scalars([n])[0]
+    xi = kit.slot_scalars("v", [n])[0, :, :kit.M]
     for qr, (mu, _) in enumerate(kit.slots):
         for qc, (nu, _) in enumerate(kit.slots):
             p, pb = spec.poles[mu], np.conj(spec.poles[nu])
@@ -125,7 +126,7 @@ def test_phi_matches_direct_series(sweep_specs):
     spec = sweep_specs["d2_k2m12"]
     kit = ClosedFormKit(spec)
     for n in (-3, 0, 2, 6):
-        phi = kit.phi_scalars([n], scaled=False)[0]
+        phi = kit.slot_scalars("w", [n])[0, :, :kit.M]
         for qr, (mu, i) in enumerate(kit.slots):
             for qc, (nu, j) in enumerate(kit.slots):
                 p, pb = spec.poles[mu], np.conj(spec.poles[nu])
@@ -203,10 +204,15 @@ def test_scaled_vectors_are_pole_powers_times_unscaled(sweep_specs):
                 1.0, np.abs(got).max()), kind
 
 
-def test_v_w_match_series(sweep_specs):
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: make_sweep_spec("d2_k1m2_p2"), id="d2_k1m2_p2"),
+    pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
+    pytest.param(mult3_spec, id="mult3"),
+])
+def test_v_w_match_series(make):
     # closed forms against the defining series (a-decay makes 600 terms
     # far more than enough)
-    spec = sweep_specs["d2_k1m2_p2"]
+    spec = make()
     kit = ClosedFormKit(spec)
     tab = CoefficientTables(spec)
     n = 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocktoeplitz import errors, fast_solver
-from blocktoeplitz.closed_form import ClosedFormKit, SolvePlan
+from blocktoeplitz.closed_form import ClosedFormKit
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
@@ -13,7 +13,8 @@ from blocktoeplitz.oracle import dense_solve
 from blocktoeplitz.synth import random_spec, scalar_single_pole
 from blocktoeplitz.util import binom
 
-from helpers import dense_toeplitz_matrix, random_rhs
+from helpers import (dense_toeplitz_matrix, mult3_spec, random_rhs,
+                     warm_d3_spec)
 
 
 def dense_q(spec, mu, j, n):
@@ -99,18 +100,11 @@ def test_gram_identity(ident2):
                                    atol=1e-14)
 
 
-def warm_d3_spec():
-    """The shape of the d = 3 warm benchmark spec: mults (2, 2), m0 = 2."""
-    return random_spec(d=3, K=2, mults=(2, 2), m0=2,
-                       rng=np.random.default_rng(0))
-
-
 T = fast_solver._CHUNK
 
 APPLY_SPECS = {
     "warm_d3": warm_d3_spec,
-    "mult3": lambda: random_spec(d=2, K=1, mults=(3,), m0=1,
-                                 rng=np.random.default_rng(31)),
+    "mult3": mult3_spec,
     "pole099": lambda: scalar_single_pole(0.99),
     "m0_3": lambda: random_spec(d=2, K=2, mults=(1, 2), m0=3,
                                 rng=np.random.default_rng(32)),
@@ -362,7 +356,6 @@ def test_report_fields(ex52):
                                 "residual"}
     assert min(rep.timings.values()) >= 0
     assert sum(rep.timings.values()) <= rep.seconds
-    assert rep.extras["plan_reused"] is False
     plan = rep.counters.pop("plan_bytes")
     lam = rep.counters.pop("lambda_terms")
     nodes = rep.counters.pop("table_nodes")
@@ -375,46 +368,32 @@ def test_report_fields(ex52):
                for sizes in nodes.values() for N in sizes)
 
 
-def test_warm_solve_reuses_plan(sweep_specs, sweep_tables, monkeypatch):
+def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
+    # the kit holds no per-order state: solves at several orders replace
+    # none of its attributes, and a used kit solves as a fresh one does
     spec = sweep_specs["d2_k2m12"]
     tab = sweep_tables["d2_k2m12"]
-    n = 48
-    y = random_rhs(n, spec.d, seed=19)
     kit = ClosedFormKit(spec)
-    first = solve(spec, n, y, tables=tab, kit=kit)
-    calls = []
-    slot_scalars = ClosedFormKit.slot_scalars
-    monkeypatch.setattr(ClosedFormKit, "slot_scalars",
-                        lambda self, *a, **k: calls.append(a) or
-                        slot_scalars(self, *a, **k))
-    warm = solve(spec, n, y, tables=tab, kit=kit)
-    assert calls == [] and warm.extras["plan_reused"]
-    assert not first.extras["plan_reused"]
-    fresh = solve(spec, n, y, tables=tab, kit=ClosedFormKit(spec))
-    assert calls                    # the fresh kit had to build its plan
+    state = dict(vars(kit))
+    y = random_rhs(48, spec.d, seed=19)
+    for n in (40, 48):
+        solve(spec, n, y, tables=tab, kit=kit)
+    warm = solve(spec, 48, y, tables=tab, kit=kit)
+    assert vars(kit).keys() == state.keys()
+    assert all(vars(kit)[k] is v for k, v in state.items())
+    fresh = solve(spec, 48, y, tables=tab, kit=ClosedFormKit(spec))
     np.testing.assert_array_equal(warm.z, fresh.z)
-
-
-def test_plan_memo_holds_last_order(sweep_specs, sweep_tables):
-    spec = sweep_specs["d2_k2m12"]
-    tab = sweep_tables["d2_k2m12"]
-    kit = ClosedFormKit(spec)
-    for n in (48, 40):
-        rep = solve(spec, n, random_rhs(n, spec.d, seed=n), tables=tab,
-                    kit=kit)
-        assert not rep.extras["plan_reused"]
-        plans = [v for v in vars(kit).values() if isinstance(v, SolvePlan)]
-        assert [p.n for p in plans] == [n]
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
-    pytest.param(APPLY_SPECS["mult3"], id="mult3"),
+    pytest.param(mult3_spec, id="mult3"),
 ])
 def test_plan_coefficients_give_the_vector_blocks(make):
-    # v_coef and d_coef on the generated sequences and the m0 unit rows,
-    # contracted with the ext stacks, are the blocks of v_m, v~_m and of
-    # diag(p^{n-m}) (hat-w - hat-v)_m and its tilde partner, m = 1..n
+    # kit.v_coef and plan.d_coef on the generated sequences and the m0
+    # unit rows, contracted with the ext stacks, are the blocks of v_m,
+    # v~_m and of diag(p^{n-m}) (hat-w - hat-v)_m and its tilde partner,
+    # m = 1..n
     spec = make()
     kit = ClosedFormKit(spec)
     n, m0, M = 40, spec.m0, kit.M
@@ -430,7 +409,7 @@ def test_plan_coefficients_give_the_vector_blocks(make):
     for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
         conj = np.conj if side else np.asarray
         for coef, rows, want in (
-                (plan.v_coef, np.concatenate([seq[M:], units]), v[side]),
+                (kit.v_coef, np.concatenate([seq[M:], units]), v[side]),
                 (plan.d_coef, np.concatenate([seq, units]),
                  conj(pw) * (w_hat[side] - v_hat[side]))):
             scal = np.einsum("qej,jm->mqe", conj(coef), conj(rows))

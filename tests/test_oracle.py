@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocktoeplitz import errors
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import solve as fast_solve
 from blocktoeplitz.oracle import (convergence_experiment, dense_inverse,
@@ -93,6 +94,15 @@ def test_infinite_solution_matches_large_system(sweep_specs, sweep_tables):
     z_inf = infinite_solution(spec, y, horizon, tab)
     z_big = dense_solve(spec, big_n, y, tab).z
     assert np.abs(z_inf - z_big[:horizon]).max() <= 1e-7
+
+
+def test_infinite_solution_refuses_unreached_tail(ex52, monkeypatch):
+    # an a~ tail that never falls below the tolerance must raise, not
+    # go on with a truncated sum
+    tab = CoefficientTables(ex52)
+    monkeypatch.setattr(tab, "a_tail", lambda J: 1.0)
+    with pytest.raises(errors.ToleranceUnreachable):
+        infinite_solution(ex52, np.ones((4, 1, 1)), 4, tab)
 
 
 def test_convergence_identity(ident2):
