@@ -53,5 +53,5 @@ print(f"  spectral radius of the correction product: "
       f"{rep.spectral_radius:.3e}")
 print(f"  overlap rows cross-checked: {rep.overlap_checked} "
       f"(max deviation {rep.overlap_max_dev:.2e})")
-print(f"  residual tail bound (neglected band, aliasing): "
+print(f"  residual tail bound (neglected band): "
       f"{rep.residual_tail_bound:.2e}")

@@ -39,10 +39,9 @@ def _load_checked_spec(path):
 
 def _cmd_validate(args):
     spec = load_spec(args.spec)
-    report = validate(spec, grid_points=args.grid)
+    report = validate(spec)
     print(report)
-    if not report.ok:
-        report.raise_if_failed()
+    report.raise_if_failed()
     return 0
 
 
@@ -193,7 +192,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check a symbol spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--grid", type=int, default=4096)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("coeffs", help="dump coefficient series as CSV")

@@ -203,7 +203,7 @@ class ClosedFormKit:
             dist = min(dist, abs(p))
         return 0.25 * dist
 
-    def _laurent_samples(self, mu, radius, nodes):
+    def _laurent_values(self, mu, radius, nodes):
         """Samples of f(z) = h_sharp(z) h_dagger(z)^{-1} on the circle of
         given radius around p_mu, plus the node phases."""
         spec = self.spec
@@ -227,8 +227,8 @@ class ClosedFormKit:
                 raise errors.ContourTooTight(
                     f"pole {mu}: usable radius {radius:.2e}; supply a "
                     "better-separated symbol or override the contour")
-            f1, ph1 = self._laurent_samples(mu, radius, _CONTOUR_NODES)
-            f2, ph2 = self._laurent_samples(mu, radius, 2 * _CONTOUR_NODES)
+            f1, ph1 = self._laurent_values(mu, radius, _CONTOUR_NODES)
+            f2, ph2 = self._laurent_values(mu, radius, 2 * _CONTOUR_NODES)
             mults = spec.mults[mu]
             vals, vals2 = [], []
             for j in range(1, mults + 1):

@@ -8,13 +8,11 @@ For a symbol w = h h* = h_sharp* h_sharp this module produces
 * the phase-function Fourier coefficients beta_k of h* h_sharp^{-1},
 * the decay majorant F(n) = (sum_j ||c~_j||) * sum_{l>=n} ||a_l||.
 
-a/a~ come from exact closed forms; c, c~ and gamma from one FFT of h, h~
-or w on N unit-circle nodes (the trapezoidal rule), whose aliases are
-bounded by a Cauchy estimate ||c_j|| <= const ratio^j on a circle inside
-the analyticity radius, found from the zeros of det h^{-1} (the poles of
-h; for an AR symbol they are the only source of decay, so the pole
-parameters alone would say nothing). The estimate widens a sampled
-maximum by a flat factor, so its bounds are not yet proven ones.
+a/a~ come from exact closed forms; c, c~ and gamma from the realization
+h(z) = c0 + z C (I - z A)^{-1} B of symbol.realization (c~ from the sharp
+side, gamma after one Stein solve for P). Their tail bounds follow from
+its decay certificate ||A^k|| <= growth rate^k; the proof covers the
+stored realization, which is exact up to the rounding of D^{-1} and P.
 
 beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
@@ -22,18 +20,17 @@ quadrature of the phase function for k < 0, which is exponentially
 accurate for these analytic integrands but carries no a-priori bound.
 """
 
-import math
 import threading
 
 import numpy as np
+import scipy.linalg
 
 from . import errors
-from .symbol import h_inv_on_grid, h_on_grid, w_on_circle
+from .symbol import h_inv_on_grid, h_on_grid, realization
 from .util import binom, geometric_poly_tail, herm, unit_circle
 
 _REL_TOL = 1e-14
 _MAX_TERMS = 200_000
-_MAX_NODES = 1 << 20
 # unit-circle points of the trapezoid rule in beta_quadrature
 _PHASE_GRID = 8192
 
@@ -72,34 +69,46 @@ def a_tilde_coeff(spec, n):
     return out
 
 
-def _analyticity_radius(spec, sharp):
-    """min |z| over zeros of det h^{-1} (resp. det h_sharp^{-1}); these
-    are the poles of h, hence the decay radius of its Taylor series.
-    Returns inf when the determinant has no zeros at all."""
-    deg = spec.d * (spec.m0 + spec.total_multiplicity)
-    if deg == 0:
-        return np.inf
-    npts = 1 << max(3, int(math.ceil(math.log2(deg + 1))) + 1)
-    zs, _ = unit_circle(npts)
-    vals = np.linalg.det(h_inv_on_grid(spec, zs, sharp=sharp))
-    for mu in range(spec.K):
-        vals *= (1.0 - np.conj(spec.poles[mu]) * zs) ** (
-            spec.d * spec.mults[mu])
-    coeffs = np.fft.fft(vals) / npts          # degree j coefficient at [j]
-    coeffs = coeffs[:deg + 1]
-    mags = np.abs(coeffs)
-    keep = np.nonzero(mags > 1e-10 * mags.max())[0]
-    if len(keep) == 0 or keep.max() == 0:
-        return np.inf
-    poly = coeffs[:keep.max() + 1]
-    roots = np.roots(poly[::-1])
-    if len(roots) == 0:
-        return np.inf
-    return float(np.abs(roots).min())
+class _Realized:
+    """f_0 = head and f_k = C A^{k-1} B (k >= 1) of one realized sequence,
+    appended under the tables' lock as they are read, with the certified
+    ||f_k|| <= const * rate^(k-1) for k >= 1."""
+
+    def __init__(self, lock, head, C, A, B, cert):
+        self._lock, self.entries = lock, [head]
+        self._out, self._a, self._state, self.rate = C, A, B, cert.rate
+        # the factor covers the rounding of the norms and of const rate^k
+        self.const = (float(np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
+                      * cert.growth * (1.0 + 1e-12) if len(A) else 0.0)
+        self._head = float(np.linalg.norm(head, 2))
+
+    def entry(self, k):
+        if k < 0:
+            raise ValueError("n must be >= 0")
+        with self._lock:
+            while len(self.entries) <= k:
+                self.entries.append(self._out @ self._state)
+                self._state = self._a @ self._state
+            return self.entries[k]
+
+    def sup(self, start):
+        """Certified sup_{j >= start} ||f_j||."""
+        bound = self.const * self.rate ** max(start - 1, 0)
+        return max(bound, self._head) if start == 0 else bound
+
+    def tail_sum(self, start):
+        """Certified sum_{j >= start} ||f_j||."""
+        tail = self.sup(max(start, 1)) / (1.0 - self.rate)
+        return tail + self._head if start == 0 else tail
 
 
 class CoefficientTables:
     """Lazily extended, lock-guarded coefficient tables for one symbol.
+
+    c, c~ and gamma are served from the realizations of h and h_sharp,
+    which are built and certified, on both sides, before the first of
+    them is served: SingularLeadingCoefficient for a singular a_0 or a~_0,
+    OuternessCheckFailed for a symbol whose h or h_sharp is not outer.
 
     Thread contract: concurrent readers are safe because every list
     extension happens under an internal lock.
@@ -111,16 +120,10 @@ class CoefficientTables:
         self._a = []
         self._a_tilde = []
         self._a_stacks = {}
-        # FFT tables; entry k is from the first transform with N/2 > k,
-        # and _nodes lists the N of each transform a table took entries from
-        self._tables = {"c": [], "c_tilde": [], "gamma": []}
-        self._nodes = {"c": [], "c_tilde": [], "gamma": []}
+        self._realized = None
         self._beta = {}
         self._kit = None
         self._phase_grid = None
-        # Cauchy data: ||c_j|| <= const * ratio^j (same for c~ on the
-        # sharp side); radius strictly between 1 and the analyticity radius
-        self._cauchy = {}
         self._a_norm_table = None
         self._a_norm_tail = None
         self._c_tilde_abs_sum = None
@@ -158,119 +161,47 @@ class CoefficientTables:
                 self._a_stacks[tilde] = stack
             return stack
 
-    # -- Taylor / Fourier tables by FFT on the unit circle ----------------- #
+    # -- sequences of the realizations ------------------------------------- #
 
-    def _samples(self, name, N):
-        """h (table c), h~ (c~) or w = h h* (gamma) on N circle nodes."""
-        if name == "gamma":
-            return w_on_circle(self.spec, N)
-        zs, _ = unit_circle(N)
-        if name == "c":
-            return h_on_grid(self.spec, zs)
-        return herm(h_on_grid(self.spec, np.conj(zs), sharp=True))
-
-    def _aliasing(self, name, N):
-        """Bound on the aliases sum_{m != 0} ||x_{k+mN}|| in DFT entry k < N/2
-        (only m >= 1 for the Taylor series c, c~; |k + mN| > N/2 for gamma)."""
-        if name == "gamma":
-            return self.gamma_band_tail(N // 2)
-        const, ratio = self._cauchy_bound(sharp=name == "c_tilde")
-        return const * ratio**N / (1.0 - ratio**N)
-
-    def _entry0_bound(self, name, N):
-        """Upper bound on ||DFT entry 0|| of an N-node transform: the
-        Cauchy bound on the leading coefficient (const; const^2/(1 -
-        ratio^2) for gamma(0) = sum_j c~_j c~_j*) plus its aliasing."""
-        const, ratio = self._cauchy_bound(sharp=name != "c")
-        lead = const**2 / (1.0 - ratio**2) if name == "gamma" else const
-        return lead + self._aliasing(name, N)
-
-    def _circle_table(self, name, k):
-        """Entry k >= 0 of table `name`: the N/2 first DFT entries of its
-        function, N = 64, 128, ... until N/2 > k and the aliasing bound
-        of N/4 nodes is <= 1e-14 ||entry 0||; the factor 4 averages down
-        the rounding noise of the samples, which a residual check sums
-        over its band. Sizes that fail against _entry0_bound are skipped
-        untransformed. Tables only append: served values never change."""
-        if k < 0:
-            raise ValueError("n must be >= 0")
+    def _series(self, name):
+        """The realized sequence "c", "c_tilde" (c~_k = (c_k of h_sharp)*,
+        the adjoint realization) or "gamma": gamma(k) = sum_j c_{k+j} c_j*,
+        so with P = A P A* + B B* (one Stein solve) gamma(0) = c0 c0* +
+        C P C* and gamma(k) = C A^{k-1} B_w for k >= 1, B_w = B c0* + A P C*.
+        """
         with self._lock:
-            table = self._tables[name]
-            if k < len(table):
-                return table[k]
-            # h(0) = -a_0^{-1}: a singular a_0 (or a~_0) is a pole at 0
-            if not table and min(map(np.linalg.matrix_rank, (
-                    self.a(0), self.a_tilde(0)))) < self.d:
-                raise errors.SingularLeadingCoefficient("a_0 or a~_0")
-            N = max(64, 2 * len(table))
-            while True:
-                # an N whose bound exceeds the tolerance times an upper
-                # bound on ||entry 0|| cannot pass: skip its transform
-                alias = self._aliasing(name, N // 4)
-                if N // 2 > k and alias <= _REL_TOL * self._entry0_bound(
-                        name, N):
-                    coef = np.fft.fft(self._samples(name, N), axis=0) / N
-                    if alias <= _REL_TOL * float(np.linalg.norm(coef[0], 2)):
-                        break
-                N *= 2
-                if N > _MAX_NODES:
-                    raise errors.ToleranceUnreachable(
-                        f"{name}({k}) needs more than {_MAX_NODES} nodes")
-            table.extend(coef[len(table):N // 2])
-            self._nodes[name].append(N)
-            return table[k]
+            if self._realized is None:
+                h = realization(self.spec, False)
+                hs = realization(self.spec, True)
+                P = scipy.linalg.solve_discrete_lyapunov(h.A, h.B @ herm(h.B))
+                g0 = h.c0 @ herm(h.c0) + h.C @ P @ herm(h.C)
+                bw = h.B @ herm(h.c0) + h.A @ P @ herm(h.C)
+                lock = self._lock
+                self._realized = {
+                    "c": _Realized(lock, h.c0, h.C, h.A, h.B, h),
+                    "c_tilde": _Realized(lock, herm(hs.c0), herm(hs.B),
+                                         herm(hs.A), herm(hs.C), hs),
+                    "gamma": _Realized(lock, g0, h.C, h.A, bw, h)}
+            return self._realized[name]
 
     def c(self, n):
-        """Taylor coefficient c_n of h(z) = sum z^n c_n, by FFT of h; the
-        Cauchy estimate bounds its aliasing by 1e-14 ||c_0||."""
-        return self._circle_table("c", int(n))
+        """Taylor coefficient c_n of h(z) = sum z^n c_n."""
+        return self._series("c").entry(int(n))
 
     def c_tilde(self, n):
-        """c~_n of h~(z) = h_sharp(conj(z))* = sum z^n c~_n, the same way."""
-        return self._circle_table("c_tilde", int(n))
+        """c~_n of h~(z) = h_sharp(conj(z))* = sum z^n c~_n."""
+        return self._series("c_tilde").entry(int(n))
 
     # -- certified tails --------------------------------------------------- #
-
-    def _cauchy_bound(self, sharp):
-        """(const, ratio) with ||c_j|| <= const * ratio^j certified by the
-        Cauchy integral on |z| = radius < analyticity radius."""
-        key = "sharp" if sharp else "plain"
-        with self._lock:
-            if key in self._cauchy:
-                return self._cauchy[key]
-            R = _analyticity_radius(self.spec, sharp)
-            radius = min(2.0, 0.5 * (1.0 + R)) if np.isfinite(R) else 2.0
-            # h is analytic on |z| <= radius, but it is evaluated by
-            # inverting h^{-1}, whose own poles sit at |1/p_mu|; keep the
-            # sampling circle clear of those magnitudes
-            pole_mags = [1.0 / abs(p) for p in self.spec.poles]
-            for _ in range(120):
-                if all(abs(radius - m) > 1e-3 * radius for m in pole_mags):
-                    break
-                radius *= 0.97
-                if radius <= 1.000001:
-                    radius = 1.000001
-                    break
-            zs, _ = unit_circle(1024)
-            h = h_on_grid(self.spec, radius * zs, sharp=sharp)
-            mx = float(np.linalg.norm(h, ord=2, axis=(-2, -1)).max())
-            # 1024 samples of an analytic function underestimate the true
-            # max only marginally; widen by a flat safety factor
-            const = 1.2 * mx
-            ratio = 1.0 / radius
-            self._cauchy[key] = (const, ratio)
-            return const, ratio
 
     def c_tail_sum(self, start, sharp=True):
         """Certified upper bound for sum_{j >= start} ||c_j|| (c~ when
         sharp=True, which is the variant gamma and F need)."""
-        const, ratio = self._cauchy_bound(sharp)
-        return const * ratio**start / (1.0 - ratio)
+        return self._series("c_tilde" if sharp else "c").tail_sum(start)
 
     def c_sup(self, start, sharp=True):
         """Certified sup_{j >= start} ||c_j||."""
-        const, ratio = self._cauchy_bound(sharp)
-        return const * ratio**start
+        return self._series("c_tilde" if sharp else "c").sup(start)
 
     def _a_pole_tail(self, start):
         """Certified bound for sum_{l >= start} of the pole terms of a_l
@@ -305,17 +236,17 @@ class CoefficientTables:
         return self._a_pole_tail(n)   # beyond the table
 
     def c_tilde_abs_sum(self):
-        """Certified upper bound for sum_j ||c~_j||: the table norms, the
-        tail beyond the table and the aliasing of the entries (each c~_j,
-        j >= N, lands on one entry of the N-node transform)."""
+        """Certified upper bound for sum_j ||c~_j||: the norms of c~_0..
+        c~_{J-1} plus the certified tail from J, the first J at which that
+        tail is below 1e-14 of the sum before it."""
         with self._lock:
             if self._c_tilde_abs_sum is None:
-                self.c_tilde(0)
-                table = self._tables["c_tilde"]
-                norms = np.linalg.norm(table, 2, axis=(-2, -1))
-                aliasing = sum(map(self.c_tail_sum, self._nodes["c_tilde"]))
-                self._c_tilde_abs_sum = (float(norms.sum()) + aliasing
-                                         + self.c_tail_sum(len(table)))
+                series = self._series("c_tilde")
+                total, j = 0.0, 0
+                while j == 0 or series.tail_sum(j) > _REL_TOL * total:
+                    total += float(np.linalg.norm(series.entry(j), 2))
+                    j += 1
+                self._c_tilde_abs_sum = total + series.tail_sum(j)
             return self._c_tilde_abs_sum
 
     def decay_bound_F(self, n):
@@ -328,33 +259,24 @@ class CoefficientTables:
     # -- autocovariance ----------------------------------------------------- #
 
     def gamma(self, k):
-        """gamma(k) = integral e^{-ik theta} w dtheta / 2pi, by FFT of w
-        (aliasing <= gamma_band_tail(N/2) <= 1e-14 ||gamma(0)||) for
-        k >= 0 and Hermitian symmetry for k < 0."""
+        """gamma(k) = integral e^{-ik theta} w dtheta / 2pi, from the
+        realization for k >= 0 and by Hermitian symmetry for k < 0."""
         k = int(k)
         if k < 0:
             return self.gamma(-k).conj().T
-        return self._circle_table("gamma", k)
-
-    def gamma_band_aliasing(self, L):
-        """Bound on sum_{|k| <= L} of the aliasing in the served gamma(k):
-        an N-node transform gives its entries distinct aliases k + mN
-        (gamma(-k) has the norms of those of -k), |k + mN| >= N - L."""
-        with self._lock:
-            return sum(self.gamma_band_tail(N - min(L, N // 2 - 1) - 1)
-                       for N in self._nodes["gamma"])
+        return self._series("gamma").entry(k)
 
     def gamma_via_c(self, k):
         """Alternative route gamma(k) = sum_j c_{k+j} c_j* (k >= 0), kept
-        as an oracle for the FFT route."""
+        as an oracle for the realized gamma."""
         k = int(k)
         if k < 0:
             return self.gamma_via_c(-k).conj().T
-        const, ratio = self._cauchy_bound(sharp=False)
         acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
         for j in range(_MAX_TERMS):
             acc += self.c(k + j) @ self.c(j).conj().T
-            rem = const**2 * ratio**(k + 2 * j + 2) / (1.0 - ratio**2)
+            rem = (self.c_sup(k + j + 1, sharp=False)
+                   * self.c_tail_sum(j + 1, sharp=False))
             if rem <= _REL_TOL * max(float(np.linalg.norm(acc, 2)), 1e-300) \
                     and j >= 1:
                 return acc
@@ -364,9 +286,7 @@ class CoefficientTables:
 
     def gamma_band_tail(self, L):
         """Certified bound for sum_{|k| > L} ||gamma(k)||."""
-        const, ratio = self._cauchy_bound(sharp=True)
-        per_k = const**2 / (1.0 - ratio**2)
-        return 2.0 * per_k * ratio**(L + 1) / (1.0 - ratio)
+        return 2.0 * self._series("gamma").tail_sum(L + 1)
 
     # -- phase-function Fourier coefficients -------------------------------- #
 

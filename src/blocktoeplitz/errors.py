@@ -38,7 +38,7 @@ class SharpFactorizationMismatch(ValidationError):
 
 
 class OuternessCheckFailed(ValidationError):
-    """det h(z) appears to vanish somewhere in the closed unit disk."""
+    """h or h_sharp is not outer, or no certificate proves that it is."""
 
 
 # -- evaluation -------------------------------------------------------------

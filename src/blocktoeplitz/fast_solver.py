@@ -359,8 +359,7 @@ class SolveReport:
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), lambda_terms (of the kit's Lambda series
     # check; 0 without a kit), gram_chunk (blocks per chunk of the Gram
-    # applies), table_nodes (the transform sizes N each coefficient table
-    # took entries from) and, when the residual ran, residual_band (L),
+    # applies) and, when the residual ran, residual_band (L),
     # residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
@@ -418,9 +417,9 @@ def _residual_banded(tables, z, y, rel=1e-12):
     points 2L.. of each segment's circular convolution are the next
     nfft - 2L blocks of T_n Z (the last segment's trimmed at n). The
     segments are transformed _RESIDUAL_BATCH points at a time. That is
-    O(n log L) work. Returns the value, the bound on the neglected band
-    plus the aliasing error of the band's entries, both times ||Z||_F,
-    and the counters residual_band, residual_nfft and residual_segments.
+    O(n log L) work. Returns the value, the certified bound on the
+    neglected band times ||Z||_F, and the counters residual_band,
+    residual_nfft and residual_segments.
     """
     d, r, n = z.shape
     L = 0
@@ -452,8 +451,7 @@ def _residual_banded(tables, z, y, rel=1e-12):
     znorm = float(np.linalg.norm(z.reshape(-1)))
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
-    return (sq ** 0.5, (tail + tables.gamma_band_aliasing(L)) * znorm,
-            counters)
+    return sq ** 0.5, tail * znorm, counters
 
 
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
@@ -560,7 +558,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         residual, tail, more = _residual_banded(tables, z, yt)
         counters.update(more)
     lap("residual")
-    counters["table_nodes"] = {k: list(v) for k, v in tables._nodes.items()}
     return SolveReport(
         z=_from_time_last(z), method="fast", n=n, d=d,
         seconds=time.perf_counter() - t0,

@@ -18,11 +18,13 @@ theta and evaluates on the unit circle.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import errors
-from .util import unit_circle, winding_number
+from .util import herm, unit_circle
 
 _POLE_EPS = 1e-12
 
@@ -219,6 +221,123 @@ def w_on_circle(spec, npoints):
     return h @ np.conj(np.swapaxes(h, -1, -2))
 
 
+# -- state-space realization and its decay certificate ---------------------- #
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+class Realization(NamedTuple):
+    """h(z) = c0 + z C (I - z A)^{-1} B, so c_k = C A^{k-1} B for k >= 1,
+    and ||A^k||_2 <= growth * rate^k for every k >= 0."""
+
+    c0: np.ndarray
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    rate: float
+    growth: float
+
+
+def realization(spec, sharp):
+    """The realization of h (h_sharp with sharp=True), of state size
+    (m0 + M) d, with rate (1 + 3 rho(A)) / 4 and its decay certificate.
+
+    -h^{-1}(z) = D + z C0 (I - z A0)^{-1} B0 with D = a_0: a block shift
+    register of m0 states carries rho0, and pole mu has the block
+    A0 = conj(p_mu) tril(ones(m_mu)) (x) I_d, the input conj(p_mu)
+    (1, 2, ..., m_mu)^T (x) I_d and the outputs rho[mu]; tril(ones(m))^(k-1)
+    (1, ..., m)^T holds the binomials C(k + j - 1, j - 1) of a_k. Then
+    c0 = -D^{-1}, C = D^{-1} C0, B = B0 D^{-1}, A = A0 - B0 D^{-1} C0. The
+    eigenvalues of A are the reciprocal zeros of det h^{-1} and modes of
+    non-minimal parts inside the disk, so h is outer exactly when
+    rho(A) < 1 (else OuternessCheckFailed, as for a failed certificate).
+    SingularLeadingCoefficient for a singular a_0, a pole of h at 0.
+    """
+    d, m0 = spec.d, spec.m0
+    rho0 = spec.sharp_rho0 if sharp else spec.rho0
+    rho = spec.sharp_rho if sharp else spec.rho
+    blocks, inputs, outputs = [np.eye(m0, k=-1)], [np.eye(m0, 1)], list(rho0)
+    for mu, m in enumerate(spec.mults):
+        pbar = np.conj(spec.poles[mu])
+        blocks.append(pbar * np.tril(np.ones((m, m))))
+        inputs.append(pbar * np.arange(1.0, m + 1)[:, None])
+        outputs += rho[mu]
+    a0 = np.kron(scipy.linalg.block_diag(*blocks), np.eye(d))
+    b0 = np.kron(np.concatenate(inputs), np.eye(d))
+    c0 = np.concatenate([np.zeros((d, 0))] + outputs, axis=1)
+    lead = sum(outputs[m0:], spec.sharp_rho00 if sharp else spec.rho00)
+    if np.linalg.matrix_rank(lead) < d:
+        raise errors.SingularLeadingCoefficient(
+            f"a_0{' of the sharp side' if sharp else ''} is singular")
+    lead_inv = np.linalg.inv(lead)
+    a = a0 - b0 @ lead_inv @ c0
+    radius = float(np.abs(np.linalg.eigvals(a)).max()) if len(a) else 0.0
+    if not radius < 1.0:
+        raise errors.OuternessCheckFailed(
+            f"spectral radius of A_x is {radius:.6g} >= 1: h"
+            f"{'_sharp' if sharp else ''} is not outer")
+    rate = (1.0 + 3.0 * radius) / 4.0
+    return Realization(-lead_inv, lead_inv @ c0, a, b0 @ lead_inv, rate,
+                       decay_certificate(a, rate) if len(a) else 1.0)
+
+
+def _proves_psd(m, err):
+    """True when a Cholesky proves m + E >= 0 for the Hermitian m and
+    every Hermitian E with ||E||_2 <= err. It factors the real embedding
+    S = [[Re m, -Im m], [Im m, Re m]] of order N, semidefinite exactly when
+    m is: by Rump ("Verification methods", Acta Numerica 19, 2010),
+    a floating-point Cholesky of S - c I that runs to completion proves
+    S >= 0 for c >= gamma_{N+1} / (1 - gamma_{N+1}) tr(S) plus an
+    underflow term. The shift doubles that c, to cover its own rounding
+    and that of the subtraction, and adds err."""
+    s = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    N = len(s)
+    gamma = (N + 1) * _UNIT_ROUNDOFF / (1.0 - (N + 1) * _UNIT_ROUNDOFF)
+    diag = np.maximum(np.diag(s), 0.0)
+    c = 2.0 * (gamma / (1.0 - gamma) * diag.sum()
+               + 4 * N * (2 * (N + 2) + diag.max()) * 2.0**-1074) + err
+    try:
+        np.linalg.cholesky(s - c * np.eye(N))
+    except np.linalg.LinAlgError:
+        return False
+    return np.isfinite(s).all()
+
+
+def decay_certificate(A, r):
+    """growth with ||A^k||_2 <= growth * r^k for every k >= 0, proven for
+    the stored A (n x n, n >= 1) and r; OuternessCheckFailed, with rho(A),
+    when the proof fails, as it must for r <= rho(A).
+
+    X solves (A/r)* X (A/r) - X = -I. _proves_psd checks X - lo I >= 0,
+    hi I - X >= 0 and r^2 X - A* X A >= 0, each with a bound on the
+    rounding of the matrix it is given; for A* X A that is twice the
+    classical n u |A|* |X| |A| of two products (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.5) with n + 4 in place of n
+    for complex arithmetic. Then ||A v||_X <= r ||v||_X in the norm
+    ||v||_X^2 = v* X v, and lo ||v||^2 <= ||v||_X^2 <= hi ||v||^2, so
+    growth = sqrt(hi / lo) >= sqrt(kappa(X)).
+    """
+    n, u = len(A), _UNIT_ROUNDOFF
+    try:
+        x = scipy.linalg.solve_discrete_lyapunov(herm(A) / r, np.eye(n))
+        x = (x + herm(x)) / 2      # exactly Hermitian
+        lam = np.linalg.eigvalsh(x)
+    except (np.linalg.LinAlgError, ValueError):
+        lam = [np.nan]
+    slack = 8.0 * (2 * n + 1) * n * u * abs(lam[-1])
+    lo, hi = lam[0] - slack, lam[-1] + slack
+    if not (lo > 0.0 and all(_proves_psd(m, err) for m, err in (
+            (x - lo * np.eye(n), 2 * u * (np.abs(np.diag(x)).max() + lo)),
+            (hi * np.eye(n) - x, 2 * u * (np.abs(np.diag(x)).max() + hi)),
+            (r * r * x - herm(A) @ (x @ A), 4 * (n + 4) * u * np.linalg.norm(
+                np.abs(A).T @ np.abs(x) @ np.abs(A) + r * r * np.abs(x)))))):
+        radius = float(np.abs(np.linalg.eigvals(A)).max())
+        raise errors.OuternessCheckFailed(
+            f"no proof that ||A_x^k|| decays at rate {r:.6g} (spectral "
+            f"radius of A_x {radius:.6g})")
+    return float(np.sqrt(hi / lo)) * (1.0 + 8 * u)
+
+
 # -- validation -------------------------------------------------------------- #
 
 @dataclass
@@ -255,14 +374,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(spec, grid_points=4096, factorization_tol=1e-8):
+def validate(spec, factorization_tol=1e-8):
     """Check every invariant of a symbol spec and return a ValidationReport.
 
     Beyond the structural pole/residue constraints this performs the two
-    numerical checks: a zero winding of det h around the unit circle plus
-    interior samples (h outer, i.e. det h has no zeros in the closed
-    disk), and agreement of h h* with h_sharp* h_sharp on a 512-point
-    grid (the supplied sharp coefficients factor the same symbol).
+    numerical checks: outerness of h and h_sharp, proven by the decay
+    certificate of each one's realization (a singular a_0 is a pole of h
+    at 0 and fails it too), and agreement of h h* with h_sharp* h_sharp on
+    a 512-point grid (the supplied sharp coefficients factor the same
+    symbol).
     """
     report = ValidationReport()
     add = report.checks.append
@@ -313,36 +433,16 @@ def validate(spec, grid_points=4096, factorization_tol=1e-8):
     if not report.ok:
         return report
 
-    # winding of det h on |z| = 1; equivalently -winding of det h^{-1},
-    # which is pole-free on the closed disk, so zero winding of det h^{-1}
-    # certifies no zeros of det h^{-1} (= poles of h) inside.
-    zs, _ = unit_circle(grid_points)
-    ok = True
+    # h and h_sharp are outer exactly when the A of each realization is
+    # stable, which its decay certificate proves
     detail = ""
     try:
-        det_hinv = np.linalg.det(h_inv_on_grid(spec, zs))
-        if np.abs(det_hinv).min() < 1e-12:
-            ok = False
-            detail = "det h^{-1} nearly vanishes on the unit circle"
-        else:
-            wind = winding_number(det_hinv)
-            if wind != 0:
-                ok = False
-                detail = (f"det h winds {-wind} times around 0 on |z|=1; "
-                          "h is not outer")
-    except ValueError as exc:
-        ok, detail = False, str(exc)
-    if ok:
-        # interior samples: h^{-1}(z) invertible on a coarse disk mesh
-        radii = np.array([0.0, 0.25, 0.5, 0.75, 0.95])
-        angles = np.exp(1j * 2.0 * np.pi * np.arange(8) / 8)
-        pts = np.concatenate([[0.0 + 0.0j]] +
-                             [r * angles for r in radii[1:]])
-        dets = np.linalg.det(h_inv_on_grid(spec, pts))
-        if np.abs(dets).min() < 1e-12:
-            ok = False
-            detail = "det h^{-1} nearly vanishes inside the disk"
-    add(CheckResult("outerness_winding", ok, detail,
+        for sharp in (False, True):
+            realization(spec, sharp)
+    except (errors.OuternessCheckFailed,
+            errors.SingularLeadingCoefficient) as exc:
+        detail = str(exc)
+    add(CheckResult("outerness", not detail, detail,
                     errors.OuternessCheckFailed))
 
     # factorization consistency: h h* == h_sharp* h_sharp on the circle

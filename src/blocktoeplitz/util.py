@@ -1,5 +1,5 @@
 """Small numerical helpers: generalized binomials, geometric tail bounds,
-winding numbers on the unit circle."""
+unit-circle points."""
 
 import math
 
@@ -66,22 +66,6 @@ def unit_circle(n):
     """n equispaced points e^{i theta} with theta = 2 pi k / n."""
     theta = 2.0 * np.pi * np.arange(n) / n
     return np.exp(1j * theta), theta
-
-
-def winding_number(values):
-    """Winding number of a closed discrete curve in C \\ {0}.
-
-    `values` samples the curve at equispaced parameters; consecutive
-    argument increments must stay below pi for the count to be reliable,
-    which a 4096-point grid guarantees for the smooth determinants used
-    here.
-    """
-    v = np.asarray(values)
-    if np.any(v == 0) or np.any(~np.isfinite(v)):
-        raise ValueError("curve passes through 0 or is not finite")
-    ratios = np.roll(v, -1) / v
-    increments = np.angle(ratios)
-    return int(round(increments.sum() / (2.0 * np.pi)))
 
 
 def herm(a):

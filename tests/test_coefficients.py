@@ -5,18 +5,28 @@ from blocktoeplitz import coefficients, errors
 from blocktoeplitz.coefficients import CoefficientTables, RawTables
 from blocktoeplitz.fast_solver import solve
 from blocktoeplitz.symbol import RationalSymbolSpec, w_on_circle
-from blocktoeplitz.synth import identity_spec, random_spec
+from blocktoeplitz.synth import identity_spec, random_spec, scalar_ar
 
-from helpers import random_rhs
+from helpers import mult3_spec, random_rhs, warm_d3_spec
 
 
 @pytest.fixture(scope="module")
 def near_unit_tables():
-    """|p| = 0.97, d = 2, multiplicity 2, m0 = 1: the Cauchy ratio is
-    about 0.986, so the tables need thousands of nodes."""
+    """|p| = 0.97, d = 2, multiplicity 2, m0 = 1: the realization's
+    spectral radius is about 0.97, so the certified gamma tail falls below
+    1e-12 of gamma(0) only after a band of thousands of entries."""
     spec = random_spec(d=2, K=1, mults=(2,), m0=1,
                        rng=np.random.default_rng(0), pole_radii=(0.97, 0.97))
     return CoefficientTables(spec)
+
+
+@pytest.fixture(scope="module")
+def shape_tables(sweep_tables, near_unit_tables):
+    """The sweep's tables plus those of the near-unit, warm d = 3 and
+    multiplicity-3 shapes, by name."""
+    return dict(sweep_tables, near_unit=near_unit_tables,
+                warm_d3=CoefficientTables(warm_d3_spec()),
+                mult3=CoefficientTables(mult3_spec()))
 
 
 def test_a_sequence_ex52(ex52_tables):
@@ -42,9 +52,10 @@ def test_c_sequence_ex52(ex52_tables):
         assert np.abs(ex52_tables.c(k)).max() <= 1e-15
 
 
-def test_convolution_identity(sweep_tables, near_unit_tables):
+def test_convolution_identity(shape_tables):
     # sum_k c_k a_{n-k} = -delta_{n0} I, and the same for c~ and a~
-    for tab in (sweep_tables["d2_k2m12"], near_unit_tables):
+    for name in ("d2_k2m12", "near_unit", "warm_d3", "mult3"):
+        tab = shape_tables[name]
         d = tab.spec.d
         for n in range(21):
             acc = np.zeros((d, d), dtype=complex)
@@ -53,8 +64,8 @@ def test_convolution_identity(sweep_tables, near_unit_tables):
                 acc += tab.c(k) @ tab.a(n - k)
                 acc_t += tab.c_tilde(k) @ tab.a_tilde(n - k)
             want = -np.eye(d) if n == 0 else np.zeros((d, d))
-            assert np.abs(acc - want).max() <= 1e-12
-            assert np.abs(acc_t - want).max() <= 1e-12
+            assert np.abs(acc - want).max() <= 1e-12, name
+            assert np.abs(acc_t - want).max() <= 1e-12, name
 
 
 def test_gamma_ex52(ex52_tables):
@@ -68,11 +79,12 @@ def test_gamma_identity():
     assert np.abs(tab.gamma(2)).max() == 0.0
 
 
-@pytest.mark.parametrize("name", ["d1_ar2", "d2_k2m12", "d3_k1m2"])
-def test_gamma_quadrature_oracle(sweep_specs, sweep_tables, name):
+@pytest.mark.parametrize("name", ["d1_ar2", "d2_k2m12", "d3_k1m2",
+                                  "warm_d3", "mult3"])
+def test_gamma_quadrature_oracle(shape_tables, name):
     # gamma(k) vs the trapezoid Fourier integral of w on 8192 points
-    spec = sweep_specs[name]
-    tab = sweep_tables[name]
+    tab = shape_tables[name]
+    spec = tab.spec
     N = 8192
     w = w_on_circle(spec, N)
     theta = 2 * np.pi * np.arange(N) / N
@@ -95,49 +107,13 @@ def test_gamma_via_c_matches(sweep_tables, near_unit_tables):
 
 
 def test_near_unit_solve_residual(near_unit_tables):
-    # the residual check with the default band, on tables of ~8k nodes
+    # the residual check with the default band, thousands of entries wide
     tab = near_unit_tables
     n = 4096
     y = random_rhs(n, tab.d, seed=5)
     rep = solve(tab.spec, n, y, tables=tab)
     ynorm = np.linalg.norm(y)
     assert (rep.residual + rep.residual_tail_bound) / ynorm <= 1e-8
-
-
-def test_gamma_table_grows_by_appending(sweep_specs):
-    tab = CoefficientTables(sweep_specs["d2_k1m2"])
-    served = [tab.gamma(k).copy() for k in range(8)]
-    nodes = tab._nodes["gamma"][-1]
-    far = tab.gamma(nodes // 2)
-    assert tab._nodes["gamma"][-1] > nodes
-    for k, before in enumerate(served):
-        np.testing.assert_array_equal(tab.gamma(k), before)
-    assert np.abs(far).max() <= 1e-14 * np.abs(served[0]).max()
-
-
-def _unskipped_table(tab, name):
-    """(N, entries) of a first build by the rule without skips: the first
-    N = 64, 128, ... whose transform passes the aliasing test."""
-    N = 64
-    while True:
-        coef = np.fft.fft(tab._samples(name, N), axis=0) / N
-        if tab._aliasing(name, N // 4) <= 1e-14 * np.linalg.norm(coef[0], 2):
-            return N, coef[:N // 2]
-        N *= 2
-
-
-@pytest.mark.parametrize("name", ["d1_ar2", "d2_k1m2", "d2_k2m11",
-                                  "d2_k2m12", "d3_k1m2", "near_unit"])
-def test_skipped_sizes_leave_tables_unchanged(sweep_specs, near_unit_tables,
-                                              name):
-    spec = (near_unit_tables.spec if name == "near_unit"
-            else sweep_specs[name])
-    for table in ("c", "c_tilde", "gamma"):
-        tab = CoefficientTables(spec)
-        tab._circle_table(table, 0)
-        N, want = _unskipped_table(tab, table)
-        assert tab._nodes[table] == [N]
-        np.testing.assert_array_equal(np.array(tab._tables[table]), want)
 
 
 def test_singular_leading_coefficient_raises():
@@ -151,6 +127,14 @@ def test_singular_leading_coefficient_raises():
     for fn in (tab.c, tab.c_tilde, tab.gamma):
         with pytest.raises(errors.SingularLeadingCoefficient):
             fn(0)
+
+
+@pytest.mark.parametrize("phi, read", [(2.0, "gamma"), (1.25, "c")])
+def test_non_outer_tables_raise(phi, read):
+    # 1 - phi z vanishes inside the disk: c would be a Laurent series
+    tab = CoefficientTables(scalar_ar([phi]))
+    with pytest.raises(errors.OuternessCheckFailed, match="spectral radius"):
+        getattr(tab, read)(0)
 
 
 def test_series_term_cap_raises(sweep_specs, monkeypatch):

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocktoeplitz import errors
-from blocktoeplitz.symbol import (RationalSymbolSpec, load_spec, save_spec,
+from blocktoeplitz.symbol import (RationalSymbolSpec, decay_certificate,
+                                  load_spec, realization, save_spec,
                                   spec_from_dict, spec_to_dict, validate,
                                   w_on_circle)
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
+
+from helpers import make_sweep_spec, mult3_spec, warm_d3_spec
 
 
 def test_ex52_validates(ex52):
@@ -54,11 +58,12 @@ def test_sharp_shape_mismatch_rejected():
 
 
 def test_non_outer_symbol_rejected():
-    # 1 - 2z vanishes at z = 0.5 inside the disk
+    # 1 - 2z vanishes at z = 0.5 inside the disk; A_x = 2
     spec = scalar_ar([2.0])
     report = validate(spec)
     assert not report.ok
-    with pytest.raises(errors.OuternessCheckFailed):
+    with pytest.raises(errors.OuternessCheckFailed,
+                       match="spectral radius of A_x is 2 "):
         report.raise_if_failed()
 
 
@@ -164,3 +169,88 @@ def test_d2_without_sharp_rejected():
     with pytest.raises(ValueError):
         RationalSymbolSpec(d=2, m0=0, K=0, rho00=-np.eye(2), rho0=(),
                            poles=(), mults=(), rho=())
+
+
+def _embedded(m):
+    """The real embedding [[Re m, -Im m], [Im m, Re m]] as an mpmath
+    interval matrix; it is positive definite exactly when m is."""
+    from mpmath import iv
+    s = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    return iv.matrix([[iv.mpf(float(x)) for x in row] for row in s])
+
+
+def _interval_cholesky_passes(m):
+    """A Cholesky in interval arithmetic whose pivots all stay positive
+    proves every matrix of the interval matrix m positive definite."""
+    from mpmath import iv
+    n = m.rows
+    low = iv.matrix(n, n)
+    for j in range(n):
+        pivot = m[j, j] - sum((low[j, k] ** 2 for k in range(j)), iv.mpf(0))
+        if not pivot.a > 0:
+            return False
+        low[j, j] = iv.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i, j] = (m[i, j] - sum((low[i, k] * low[j, k]
+                                        for k in range(j)), iv.mpf(0))
+                         ) / low[j, j]
+    return True
+
+
+@pytest.mark.parametrize("spec", [scalar_ar([0.9]), scalar_single_pole(0.5),
+                                  make_sweep_spec("d2_k1m2")],
+                         ids=["ar1", "ex52", "d2_k1m2"])
+def test_certificate_holds_in_interval_arithmetic(spec):
+    # the X of the certificate, checked in interval arithmetic: X - lo I,
+    # hi I - X and r^2 X - A* X A are positive definite, with
+    # sqrt(hi / lo) within the certified growth, so ||A^k|| <= growth r^k
+    from mpmath import iv
+    h = realization(spec, False)
+    a, r, n = h.A, h.rate, len(h.A)
+    x = scipy.linalg.solve_discrete_lyapunov(a.conj().T / r, np.eye(n))
+    x = (x + x.conj().T) / 2
+    lam = np.linalg.eigvalsh(x)
+    margin = 4 * n * np.finfo(float).eps * lam[-1]
+    lo, hi = lam[0] - margin, lam[-1] + margin
+    assert np.sqrt(hi / lo) <= h.growth
+    iv.prec = 200
+    try:
+        ex, ea, eye = _embedded(x), _embedded(a), iv.eye(2 * n)
+        assert _interval_cholesky_passes(ex - iv.mpf(lo) * eye)
+        assert _interval_cholesky_passes(iv.mpf(hi) * eye - ex)
+        r2 = iv.mpf(r) ** 2
+        assert _interval_cholesky_passes(r2 * ex - ea.T * ex * ea)
+    finally:
+        iv.prec = 53
+    power = np.eye(n)
+    for k in range(60):
+        assert np.linalg.norm(power, 2) <= h.growth * r ** k
+        power = a @ power
+
+
+@pytest.mark.parametrize("spec", [warm_d3_spec(), mult3_spec(),
+                                  make_sweep_spec("d3_k2m11")],
+                         ids=["warm_d3", "mult3", "d3_k2m11"])
+def test_certificate_bounds_the_exact_powers(spec):
+    # max_k ||A^k|| / r^k is 1.74 (warm_d3), 11.9 (mult3) and 1.53
+    # (d3_k2m11) against a growth of 4.97, 43.1 and 1.94: a growth that
+    # is dropped fails on every spec, and a halved one on d3_k2m11
+    for sharp in (False, True):
+        h = realization(spec, sharp)
+        power, worst = np.eye(len(h.A)), 0.0
+        for k in range(300):
+            ratio = np.linalg.norm(power, 2) / h.rate ** k
+            assert ratio <= h.growth * (1 + 1e-12), (sharp, k)
+            worst = max(worst, ratio)
+            power = h.A @ power
+        assert worst > 1.0
+
+
+@pytest.mark.parametrize("spec", [scalar_ar([0.9]), warm_d3_spec()],
+                         ids=["ar1", "warm_d3"])
+@pytest.mark.parametrize("shrink", [0.5, 0.99])
+def test_certificate_below_spectral_radius_raises(spec, shrink):
+    a = realization(spec, False).A
+    radius = np.abs(np.linalg.eigvals(a)).max()
+    with pytest.raises(errors.OuternessCheckFailed, match="spectral radius"):
+        decay_certificate(a, shrink * radius)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blocktoeplitz.util import (binom, binom_vec, geometric_poly_tail,
-                                unit_circle, winding_number)
+from blocktoeplitz.util import binom, binom_vec, geometric_poly_tail
 
 
 def test_binom_matches_comb_for_nonnegative():
@@ -38,12 +37,3 @@ def test_geometric_tail_dominates_partial_sum(r, j):
     # for j = 1 the bound IS the exact sum, so allow accumulation rounding
     assert partial <= bound * (1 + 1e-12) + 1e-12
     assert bound <= 20 * partial + 1e-12
-
-
-def test_winding_number():
-    zs, _ = unit_circle(256)
-    assert winding_number(zs) == 1
-    assert winding_number(zs ** 3) == 3
-    assert winding_number(2.0 + 0.5 * zs) == 0
-    with pytest.raises(ValueError):
-        winding_number(np.array([1.0, 0.0, 1.0]))
