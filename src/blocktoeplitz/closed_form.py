@@ -5,9 +5,9 @@ slot) pairs, M = sum of multiplicities:
 
 * Lambda: the Gram matrix sum_l p_l p_l* of the stacked pole-power
   vectors, in closed form;
-* Theta: block-diagonal Hankel matrices of Laurent data of
-  h_sharp(z) h_dagger(z)^{-1} at each pole (the one ingredient needing
-  analytic evaluation; computed by contour quadrature);
+* Theta: block-diagonal Hankel matrices of the principal parts of
+  h_sharp(z) h_dagger(z)^{-1} at each pole, in closed form from the
+  Taylor coefficients of h_sharp^{-1} there;
 * Pi_n, Xi_n, Phi_n: closed-form matrix functions of the block order n;
 * G_n = Pi_n Theta Lambda and its tilde partner, whose Neumann series
   condenses the infinite correction series of the general inverse
@@ -26,12 +26,12 @@ import numpy as np
 
 from . import errors
 from .coefficients import CoefficientTables
+from .symbol import _invert, h_inv_taylor
 from .util import binom, binom_vec, herm
 
 _LAMBDA_CHECK_TOL = 1e-10
 _LAMBDA_BLOCK = 256
 _LAMBDA_MAX_TERMS = 100_000
-_CONTOUR_NODES = 512
 # block length of the pole powers in ClosedFormKit.sequences
 _POWER_BLOCK = 256
 # relative tolerances of the region cross-checks of inverse_block_ar / _arma
@@ -192,56 +192,36 @@ class ClosedFormKit:
 
     # -- Theta ------------------------------------------------------------ #
 
-    def _contour_radius(self, mu):
-        spec = self.spec
-        p = spec.poles[mu]
-        dist = 1.0 - abs(p)
-        for nu in range(spec.K):
-            if nu != mu:
-                dist = min(dist, abs(p - spec.poles[nu]))
-        if spec.m0 >= 1:
-            dist = min(dist, abs(p))
-        return 0.25 * dist
-
-    def _laurent_values(self, mu, radius, nodes):
-        """Samples of f(z) = h_sharp(z) h_dagger(z)^{-1} on the circle of
-        given radius around p_mu, plus the node phases."""
-        spec = self.spec
-        phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        zs = spec.poles[mu] + radius * phases
-        from .symbol import h_inv_on_grid
-        hs = np.linalg.inv(h_inv_on_grid(spec, zs, sharp=True))
-        hdag_inv = herm(h_inv_on_grid(spec, 1.0 / np.conj(zs)))
-        return hs @ hdag_inv, phases
-
     def build_theta(self):
-        """theta_{mu,j}: minus the coefficient of (z - p_mu)^{-j} in the
-        Laurent expansion of h_sharp h_dagger^{-1} at p_mu, by trapezoid
-        contour quadrature (doubled-node agreement within 1e-9 required);
-        assembled into the anti-triangular Hankel blocks of Theta."""
+        """theta_{mu,i}: minus the coefficient of (z - p)^{-i} in the
+        Laurent expansion of h_sharp h_dagger^{-1} at p = p_mu, assembled
+        into the anti-triangular Hankel blocks of Theta. The principal
+        part of h_dagger(z)^{-1} at p is -sum_j z^j (z - p)^{-j} rho_{mu,j}*
+        and h_sharp is analytic there, so theta_{mu,i} sums the
+        (j - i)-th Taylor coefficients of z^j h_sharp(z) at p times
+        rho_{mu,j}*:
+
+            theta_{mu,i} = sum_{j=i..m} sum_{a=0..j-i}
+                               C(j, a) p^{j-a} H_{j-i-a} rho_{mu,j}*
+
+        with the Taylor coefficients H_k of h_sharp at p from those F_k of
+        h_sharp^{-1} by power-series inversion: H_0 = F_0^{-1},
+        H_k = -H_0 sum_{l=1..k} F_l H_{k-l}."""
         spec = self.spec
         theta_values = []
-        for mu in range(spec.K):
-            radius = self._contour_radius(mu)
-            if radius < 1e-6:
-                raise errors.ContourTooTight(
-                    f"pole {mu}: usable radius {radius:.2e}; supply a "
-                    "better-separated symbol or override the contour")
-            f1, ph1 = self._laurent_values(mu, radius, _CONTOUR_NODES)
-            f2, ph2 = self._laurent_values(mu, radius, 2 * _CONTOUR_NODES)
-            mults = spec.mults[mu]
-            vals, vals2 = [], []
-            for j in range(1, mults + 1):
-                w1 = (radius ** j) * ph1 ** j
-                w2 = (radius ** j) * ph2 ** j
-                vals.append(-(w1[:, None, None] * f1).mean(axis=0))
-                vals2.append(-(w2[:, None, None] * f2).mean(axis=0))
-            dev = max(float(np.abs(a - b).max())
-                      for a, b in zip(vals, vals2))
-            if dev > 1e-9:
-                raise errors.QuadratureNotConverged(
-                    f"pole {mu}: doubling nodes moved theta by {dev:.3e}")
-            theta_values.append(vals2)
+        for mu, p in enumerate(spec.poles):
+            m = spec.mults[mu]
+            f = [h_inv_taylor(spec, [p], k, sharp=True)[0]
+                 for k in range(m)]
+            h = [_invert(f[0])]
+            for k in range(1, m):
+                h.append(-h[0] @ sum(f[l] @ h[k - l]
+                                     for l in range(1, k + 1)))
+            theta_values.append([
+                sum(sum(binom(j, a) * p ** (j - a) * h[j - i - a]
+                        for a in range(j - i + 1)) @ herm(spec.rho[mu][j - 1])
+                    for j in range(i, m + 1))
+                for i in range(1, m + 1)])
         # Hankel assembly: Theta_mu[i, j] = theta_{mu, i+j-1}, zero past m_mu
         Md = self.M * self.d
         theta = np.zeros((Md, Md), dtype=np.complex128)

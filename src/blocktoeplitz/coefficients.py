@@ -26,8 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .symbol import h_inv_on_grid, h_on_grid, realization
-from .util import binom, geometric_poly_tail, herm, unit_circle
+from .symbol import h_inv_on_grid, h_inv_taylor, h_on_grid, realization
+from .util import geometric_poly_tail, herm, unit_circle
 
 _REL_TOL = 1e-14
 _MAX_TERMS = 200_000
@@ -39,34 +39,15 @@ def a_coeff(spec, n):
     """Coefficient a_n of -h(z)^{-1} = sum z^n a_n (exact closed form)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = np.zeros((spec.d, spec.d), dtype=np.complex128)
-    if n == 0:
-        out += spec.rho00
-    elif n <= spec.m0:
-        out += spec.rho0[n - 1]
-    for mu in range(spec.K):
-        pbar_n = np.conj(spec.poles[mu]) ** n
-        for j in range(1, spec.mults[mu] + 1):
-            out += binom(n + j - 1, j - 1) * pbar_n * spec.rho[mu][j - 1]
-    return out
+    return -h_inv_taylor(spec, [0.0], n, sharp=False)[0]
 
 
 def a_tilde_coeff(spec, n):
-    """Coefficient a~_n of -h~(z)^{-1}, built from the sharp residues
-    rho~ = (rho_sharp)*."""
+    """Coefficient a~_n of -h~(z)^{-1}, the adjoint of a_n of h_sharp,
+    since h~(z) = h_sharp(conj(z))*."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = np.zeros((spec.d, spec.d), dtype=np.complex128)
-    if n == 0:
-        out += spec.sharp_rho00.conj().T
-    elif n <= spec.m0:
-        out += spec.sharp_rho0[n - 1].conj().T
-    for mu in range(spec.K):
-        p_n = spec.poles[mu] ** n
-        for j in range(1, spec.mults[mu] + 1):
-            out += (binom(n + j - 1, j - 1) * p_n
-                    * spec.sharp_rho[mu][j - 1].conj().T)
-    return out
+    return -herm(h_inv_taylor(spec, [0.0], n, sharp=True)[0])
 
 
 class _Realized:

@@ -85,14 +85,6 @@ class ResolventSingular(NumericalError):
     """I - G~G is numerically singular (spectral radius >= 1)."""
 
 
-class ContourTooTight(NumericalError):
-    """Poles too clustered for a reliable default integration radius."""
-
-
-class QuadratureNotConverged(NumericalError):
-    """Doubling the quadrature nodes moved the result too much."""
-
-
 class OverlapMismatch(NumericalError):
     """The two regional assembly formulas disagreed on a sampled index."""
 

@@ -116,8 +116,7 @@ def _factor(spec, variant):
     ('tilde') is the adjoint of the same triangle built from the
     h_sharp^{-1} coefficients, since a~_k = (a_k of h_sharp)*."""
     sharp = {"tilde": True, "plain": False}[variant]
-    rho00, rho0, rho = ((spec.sharp_rho00, spec.sharp_rho0, spec.sharp_rho)
-                        if sharp else (spec.rho00, spec.rho0, spec.rho))
+    rho00, rho0, rho = spec.side(sharp)
     blocks = np.stack([rho00, *rho0, *(r for res in rho for r in res)])
     op = _Triangular(blocks, np.conj(spec.poles),
                      tuple(len(res) for res in rho), False)

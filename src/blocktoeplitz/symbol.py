@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .util import herm, unit_circle
+from .util import binom, herm, unit_circle
 
 _POLE_EPS = 1e-12
 
@@ -123,13 +123,19 @@ class RationalSymbolSpec:
 
     # -- evaluation ----------------------------------------------------- #
 
+    def side(self, sharp):
+        """(rho00, rho0, rho) of h^{-1}, or of h_sharp^{-1} with sharp=True."""
+        if sharp:
+            return self.sharp_rho00, self.sharp_rho0, self.sharp_rho
+        return self.rho00, self.rho0, self.rho
+
     def eval_h_inv(self, z):
         """h^{-1}(z) from the partial-fraction form (empty sums vanish)."""
-        return _eval_partial_fraction(self, z, sharp=False)
+        return h_inv_taylor(self, [z], 0, sharp=False)[0]
 
     def eval_h_sharp_inv(self, z):
         """h_sharp^{-1}(z)."""
-        return _eval_partial_fraction(self, z, sharp=True)
+        return h_inv_taylor(self, [z], 0, sharp=True)[0]
 
     def eval_h(self, z):
         """h(z), by numerically inverting h^{-1}(z)."""
@@ -162,23 +168,35 @@ class RationalSymbolSpec:
         return h @ h.conj().T
 
 
-def _eval_partial_fraction(spec, z, sharp):
-    z = complex(z)
-    rho00 = spec.sharp_rho00 if sharp else spec.rho00
-    rho0 = spec.sharp_rho0 if sharp else spec.rho0
-    rho = spec.sharp_rho if sharp else spec.rho
-    out = -rho00.copy()
-    for mu in range(spec.K):
-        pbar = np.conj(spec.poles[mu])
-        base = 1.0 - pbar * z
-        if abs(base) < _POLE_EPS:
+def h_inv_taylor(spec, zs, k, sharp):
+    """The k-th Taylor coefficient of h^{-1} (h_sharp^{-1} with
+    sharp=True) at each point of zs -> (len(zs), d, d); k = 0 is the
+    value. Term by term from the partial fractions,
+
+        -[k=0] rho00 - sum_{j>=k} C(j, k) z^{j-k} rho0_j
+        - sum_{mu,j} C(j+k-1, k) conj(p_mu)^k (1 - conj(p_mu) z)^{-j-k}
+                     rho_{mu,j}.
+
+    EvaluationAtPole at a pole z = 1/conj(p_mu).
+    """
+    zs = np.asarray(zs, dtype=np.complex128)
+    rho00, rho0, rho = spec.side(sharp)
+    out = np.zeros(zs.shape + (spec.d, spec.d), dtype=np.complex128)
+    if k == 0:
+        out -= rho00
+    for j in range(max(k, 1), spec.m0 + 1):
+        out -= binom(j, k) * zs[..., None, None] ** (j - k) * rho0[j - 1]
+    for mu, pole in enumerate(spec.poles):
+        pbar = np.conj(pole)
+        base = 1.0 - pbar * zs
+        at_pole = np.abs(base) < _POLE_EPS
+        if at_pole.any():
             raise errors.EvaluationAtPole(
-                f"z = {z} is a pole of the partial fraction "
-                f"(pole parameter p = {spec.poles[mu]})")
+                f"z = {zs[at_pole][0]} is a pole of the partial fraction "
+                f"(pole parameter p = {pole})")
         for j in range(1, spec.mults[mu] + 1):
-            out = out - rho[mu][j - 1] / base**j
-    for j in range(1, spec.m0 + 1):
-        out = out - z**j * rho0[j - 1]
+            scale = binom(j + k - 1, k) * pbar ** k * base ** (-j - k)
+            out -= scale[..., None, None] * rho[mu][j - 1]
     return out
 
 
@@ -196,18 +214,7 @@ def _invert(m):
 
 def h_inv_on_grid(spec, zs, sharp=False):
     """h^{-1} (or h_sharp^{-1}) at an array of points -> (len(zs), d, d)."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    rho00 = spec.sharp_rho00 if sharp else spec.rho00
-    rho0 = spec.sharp_rho0 if sharp else spec.rho0
-    rho = spec.sharp_rho if sharp else spec.rho
-    out = np.broadcast_to(-rho00, zs.shape + (spec.d, spec.d)).copy()
-    for mu in range(spec.K):
-        base = 1.0 - np.conj(spec.poles[mu]) * zs
-        for j in range(1, spec.mults[mu] + 1):
-            out -= base[..., None, None] ** (-j) * rho[mu][j - 1]
-    for j in range(1, spec.m0 + 1):
-        out -= zs[..., None, None] ** j * rho0[j - 1]
-    return out
+    return h_inv_taylor(spec, zs, 0, sharp=sharp)
 
 
 def h_on_grid(spec, zs, sharp=False):
@@ -254,8 +261,7 @@ def realization(spec, sharp):
     SingularLeadingCoefficient for a singular a_0, a pole of h at 0.
     """
     d, m0 = spec.d, spec.m0
-    rho0 = spec.sharp_rho0 if sharp else spec.rho0
-    rho = spec.sharp_rho if sharp else spec.rho
+    rho00, rho0, rho = spec.side(sharp)
     blocks, inputs, outputs = [np.eye(m0, k=-1)], [np.eye(m0, 1)], list(rho0)
     for mu, m in enumerate(spec.mults):
         pbar = np.conj(spec.poles[mu])
@@ -265,7 +271,7 @@ def realization(spec, sharp):
     a0 = np.kron(scipy.linalg.block_diag(*blocks), np.eye(d))
     b0 = np.kron(np.concatenate(inputs), np.eye(d))
     c0 = np.concatenate([np.zeros((d, 0))] + outputs, axis=1)
-    lead = sum(outputs[m0:], spec.sharp_rho00 if sharp else spec.rho00)
+    lead = sum(outputs[m0:], rho00)
     if np.linalg.matrix_rank(lead) < d:
         raise errors.SingularLeadingCoefficient(
             f"a_0{' of the sharp side' if sharp else ''} is singular")
@@ -319,7 +325,8 @@ def decay_certificate(A, r):
     """
     n, u = len(A), _UNIT_ROUNDOFF
     try:
-        x = scipy.linalg.solve_discrete_lyapunov(herm(A) / r, np.eye(n))
+        x = scipy.linalg.solve_discrete_lyapunov(herm(A) / r, np.eye(n),
+                                                 method="bilinear")
         x = (x + herm(x)) / 2      # exactly Hermitian
         lam = np.linalg.eigvalsh(x)
     except (np.linalg.LinAlgError, ValueError):
@@ -408,8 +415,7 @@ def validate(spec, factorization_tol=1e-8):
     ok = True
     detail = ""
     for sharp in (False, True):
-        rho = spec.sharp_rho if sharp else spec.rho
-        rho0 = spec.sharp_rho0 if sharp else spec.rho0
+        _, rho0, rho = spec.side(sharp)
         tag = "sharp " if sharp else ""
         for mu in range(spec.K):
             lead = rho[mu][spec.mults[mu] - 1]

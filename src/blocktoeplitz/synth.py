@@ -85,7 +85,8 @@ def random_spec(d=1, K=1, mults=(1,), m0=0, rng=None, pole_radii=(0.2, 0.75)):
     radii = rng.uniform(lo, hi, size=K)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=K)
     poles = radii * np.exp(1j * angles)
-    # enforce pairwise separation for stable contour quadrature
+    # redraw poles closer than 0.15 to another; kept so that seeded specs
+    # stay the same draws
     for _ in range(100):
         clashes = [(i, j) for i in range(K) for j in range(i + 1, K)
                    if abs(poles[i] - poles[j]) < 0.15]

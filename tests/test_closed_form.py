@@ -7,11 +7,14 @@ from blocktoeplitz.closed_form import (ClosedFormKit, SolveVectors,
                                        inverse_block_closed,
                                        inverse_matrix_closed)
 from blocktoeplitz.coefficients import CoefficientTables
-from blocktoeplitz.synth import random_spec, scalar_ar
-from blocktoeplitz.util import binom
+from blocktoeplitz.fast_solver import solve
+from blocktoeplitz.oracle import dense_solve
+from blocktoeplitz.symbol import RationalSymbolSpec
+from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
+from blocktoeplitz.util import binom, herm
 
 from helpers import (dense_toeplitz_matrix, make_sweep_spec, mult3_spec,
-                     warm_d3_spec)
+                     random_rhs, warm_d3_spec)
 
 
 def test_kit_requires_poles(ar1):
@@ -72,7 +75,7 @@ def test_theta_multiplicity_finite_difference():
         hs = spec.eval_h_sharp(z)
         return ((z - p) ** 2 * hs @ spec.eval_h_dagger_inv(z))[0, 0]
 
-    h = 1e-3 * abs(kit._contour_radius(0))
+    h = 2.5e-4 * (1 - abs(p))
     # theta_{1,2} = -lim g(z); theta_{1,1} = -g'(p); the pole of
     # h_dagger^{-1} at z = p forbids evaluating g(p) itself, so both use
     # central stencils
@@ -80,6 +83,75 @@ def test_theta_multiplicity_finite_difference():
     theta1 = -(g(p + h) - g(p - h)) / (2 * h)
     assert abs(kit.theta_values[0][1][0, 0] - theta2) <= 1e-7
     assert abs(kit.theta_values[0][0][0, 0] - theta1) <= 1e-7
+
+
+def _h_inv(spec, zs, sharp):
+    """h^{-1} (h_sharp^{-1}) at zs, written out from the partial fractions
+    independently of the package's evaluation."""
+    rho00, rho0, rho = spec.side(sharp)
+    z = zs[:, None, None]
+    out = -rho00 - sum((z ** j * r for j, r in enumerate(rho0, 1)), 0)
+    for p, group in zip(spec.poles, rho):
+        out = out - sum((1 - np.conj(p) * z) ** -j * r
+                        for j, r in enumerate(group, 1))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(mult3_spec, id="mult3"),
+    pytest.param(lambda: random_spec(d=2, K=2, mults=(1, 2), m0=3,
+                                     rng=np.random.default_rng(32)),
+                 id="m0_3"),
+    pytest.param(warm_d3_spec, id="warm_d3"),
+    pytest.param(lambda: scalar_single_pole(0.99), id="pole099"),
+])
+def test_theta_contour_oracle(make):
+    # theta_{mu,j} = -(1 / 2 pi i) contour integral of
+    # (z - p)^{j-1} h_sharp(z) h_dagger(z)^{-1} around p, by the trapezoid
+    # rule on a circle a quarter of the way to the nearest singularity
+    spec = make()
+    kit = ClosedFormKit(spec)
+    nodes = 2048
+    phases = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    for mu, p in enumerate(spec.poles):
+        radius = 0.25 * min([1 - abs(p)] + ([abs(p)] if spec.m0 else [])
+                            + [abs(p - q) for q in spec.poles if q != p])
+        zs = p + radius * phases
+        f = (np.linalg.inv(_h_inv(spec, zs, True))
+             @ herm(_h_inv(spec, 1 / np.conj(zs), False)))
+        for j in range(1, spec.mults[mu] + 1):
+            want = -(((radius * phases) ** j)[:, None, None] * f).mean(0)
+            got = kit.theta_values[mu][j - 1]
+            assert np.abs(got - want).max() <= 1e-12 * max(
+                1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("gap", [2e-6, 1e-8])
+def test_theta_clustered_poles(gap):
+    # two simple poles closer than any contour around one of them could
+    # stay clear of the other
+    import mpmath
+    p1 = 0.6 * np.exp(0.3j)
+    poles, res = (p1, p1 + gap), (0.1, 0.07j)
+    spec = RationalSymbolSpec(
+        d=1, m0=0, K=2, rho00=-np.eye(1), rho0=(), poles=poles,
+        mults=(1, 1), rho=tuple((np.array([[r]]),) for r in res))
+    kit = ClosedFormKit(spec)
+    with mpmath.workdps(50):
+        def h_inv(z):
+            return 1 - sum(mpmath.mpc(r) / (1 - mpmath.conj(q) * z)
+                           for q, r in zip(poles, res))
+        for mu, p in enumerate(poles):
+            p_mp = mpmath.mpc(p)
+            want = p_mp / h_inv(p_mp) * mpmath.conj(mpmath.mpc(res[mu]))
+            got = kit.theta_values[mu][0][0, 0]
+            assert abs(mpmath.mpc(got) - want) <= 1e-14 * abs(want)
+    tab = CoefficientTables(spec)
+    for n in (64, 300):
+        y = random_rhs(n, 1, seed=n)
+        dense = dense_solve(spec, n, y, tables=tab).z
+        fast = solve(spec, n, y, tables=tab, kit=kit).z
+        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_theta_hankel_pattern(sweep_specs):
