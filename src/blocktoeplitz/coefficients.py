@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import errors
 from .symbol import h_inv_on_grid, h_inv_taylor, h_on_grid, realization
-from .util import geometric_poly_tail, herm, unit_circle
+from .util import binom_vec, geometric_poly_tail, herm, unit_circle
 
 _REL_TOL = 1e-14
 _MAX_TERMS = 200_000
@@ -48,6 +48,26 @@ def a_tilde_coeff(spec, n):
     if n < 0:
         raise ValueError("n must be >= 0")
     return -herm(h_inv_taylor(spec, [0.0], n, sharp=True)[0])
+
+
+def _a_range(spec, start, stop, sharp):
+    """a_k of -h^{-1} (of -h_sharp^{-1} with sharp=True) for k = start ..
+    stop - 1 as one (stop - start, d, d) array: the partial fractions of
+    a_coeff at z = 0 for all k at once,
+
+        [k=0] rho00 + rho0_k + sum_{mu,j} C(j+k-1, k) conj(p_mu)^k rho_{mu,j}
+
+    with rho0_k = 0 past m0."""
+    rho00, rho0, rho = spec.side(sharp)
+    ks = np.arange(start, stop)
+    out = np.zeros((len(ks), spec.d, spec.d), dtype=np.complex128)
+    head = np.stack([rho00, *rho0])[start:stop]
+    out[:len(head)] = head
+    for pole, res in zip(spec.poles, rho):
+        for j, r in enumerate(res, 1):
+            scale = binom_vec(ks + j - 1, j - 1) * np.conj(pole) ** ks
+            out += scale[:, None, None] * r
+    return out
 
 
 class _Realized:
@@ -115,18 +135,21 @@ class CoefficientTables:
 
     # -- exact closed-form series ---------------------------------------- #
 
-    def a(self, n):
+    def _filled(self, upto, tilde):
+        """The list of a_k (a~_k with tilde=True), every k <= upto filled:
+        all missing k at once by _a_range."""
         with self._lock:
-            while len(self._a) <= n:
-                self._a.append(a_coeff(self.spec, len(self._a)))
-            return self._a[n]
+            have = self._a_tilde if tilde else self._a
+            if len(have) <= upto:
+                new = _a_range(self.spec, len(have), upto + 1, tilde)
+                have.extend(herm(new) if tilde else new)
+            return have
+
+    def a(self, n):
+        return self._filled(n, False)[n]
 
     def a_tilde(self, n):
-        with self._lock:
-            while len(self._a_tilde) <= n:
-                self._a_tilde.append(a_tilde_coeff(self.spec,
-                                                   len(self._a_tilde)))
-            return self._a_tilde[n]
+        return self._filled(n, True)[n]
 
     def a_stack(self, upto, tilde=False):
         """a_0..a_m (a~_0..a~_m with tilde=True) as one read-only
@@ -135,9 +158,8 @@ class CoefficientTables:
         with self._lock:
             stack = self._a_stacks.get(tilde)
             if stack is None or len(stack) <= upto:
-                fn = self.a_tilde if tilde else self.a
                 size = max(upto + 1, 0 if stack is None else 2 * len(stack))
-                stack = np.stack([fn(k) for k in range(size)])
+                stack = np.stack(self._filled(size - 1, tilde)[:size])
                 stack.flags.writeable = False
                 self._a_stacks[tilde] = stack
             return stack
@@ -204,8 +226,8 @@ class CoefficientTables:
             if spec.K:
                 horizon = min(spec.m0 + max(64, int(np.ceil(
                     np.log(1e-18) / np.log(max(r, 1e-3))))), 20_000)
-            self._a_norm_table = np.array([np.linalg.norm(self.a(l), 2)
-                                           for l in range(horizon + 1)])
+            self._a_norm_table = np.linalg.norm(
+                self.a_stack(horizon)[:horizon + 1], 2, axis=(1, 2))
             self._a_norm_tail = self._a_pole_tail(horizon + 1)
             return self._a_norm_table, self._a_norm_tail
 

@@ -28,8 +28,13 @@ band and residues, conjugates the poles and flips the triangle. A_n is
 the lower triangle of the a_k, A~_n the adjoint of the one built from
 the h_sharp coefficients, and the pole factor Q_{mu,i} the upper triangle
 with a zero band, the pole p_mu and the identity residue in slot i. That
-gives A~* A~ Y and A* A Y in O(n), the second apply of each reading the
-first's chunks directly.
+gives A~* A~ Y in O(n), the second apply reading the first's chunks
+directly. Of A* A Y, solve reads only the last m0 rows and the sampled
+overlap chunks, so it computes just those (see _gram_rows): one pass over
+Y gives the end sums of A and, through an n-free map, those of A* on
+every chunk without forming A Y; two scans give the slot states at each
+chunk's entry and exit, and the chunk gemms of both applies run only on
+the chunks read.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
 in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
@@ -55,10 +60,11 @@ sums the sequences against Y, K_n turns the two sums into
 [g_vec; g~_vec], and the correction rows are one (d r, 2M) @ (2M, n)
 gemm of the sequences with a map formed per solve from g, the residue
 and band blocks and the coefficients. Every tilde row takes its
-correction; of the plain rows only the m0 assembled ones and the sampled
-overlap rows do. Each solve builds its plan afresh from the kit (a few
-2Md x 2Md products), so a warm solve on a prebuilt kit does that, the
-Gram applies, the sequences, those gemms and its checks.
+correction; the plain rows exist only for the m0 assembled ones and the
+sampled overlap chunks, and those take theirs. Each solve builds its
+plan afresh from the kit (a few 2Md x 2Md products), so a warm solve on
+a prebuilt kit does that, the Gram work, the sequences, those gemms and
+its checks.
 
 The residual check convolves the gamma band with Z by overlap-save in
 O(n log L) (see _residual_banded). The literal reference formulas
@@ -211,6 +217,24 @@ def _chunk_blocks(m0):
     return max(_CHUNK, m0 + 1)
 
 
+def _carry_states(states, mults, carry):
+    """Turn the end-weighted sums of each chunk, states (S, ..., nc) of
+    any strides, into the slot states at each chunk's entry, in place:
+    scans with p^T over the nc chunk values, where slot i of a pole also
+    takes the states of its slots i' < i as input (carry from
+    _chunk_operator); the first chunk enters with zero states."""
+    nc = states.shape[-1]
+    q0 = 0
+    for m in mults:
+        for q in range(q0, q0 + m):
+            if nc > 1:
+                u = states[q, ..., :-1] + np.tensordot(
+                    carry[q, q0:q], states[q0:q, ..., :-1], 1)
+                states[q, ..., 1:] = _scan(carry[q, q], u)
+            states[q, ..., 0] = 0
+        q0 += m
+
+
 def _chunked(op, x, n, flipped):
     """op X in chunk form: (out, out_flipped), out a (T, d, r, nc) array
     of the nc = ceil(n / T) chunks of T = _chunk_blocks(m0) blocks, zero
@@ -227,9 +251,7 @@ def _chunked(op, x, n, flipped):
     Each chunk's stack is [last m0 blocks of the previous chunk; its T
     blocks; the S slot states at its entry], so L X is one gemm with the
     chunk operator. The entry states are the end-weighted sums of each
-    chunk, carried across chunks by scans with p^T over the nc chunk
-    values; slot i of a pole takes the states of its slots i' < i as
-    input."""
+    chunk, carried across chunks by _carry_states."""
     d, r = x.shape[1:3] if x.ndim == 4 else x.shape[:2]
     S = sum(op.mults)
     m0 = len(op.blocks) - S - 1
@@ -249,15 +271,7 @@ def _chunked(op, x, n, flipped):
             g[..., -1, :rest.shape[-1]] = rest
             g[..., -1, rest.shape[-1]:] = 0
     np.matmul(ends, rows.reshape(T, -1), out=states.reshape(S, d * r * nc))
-    q0 = 0
-    for m in op.mults:
-        for q in range(q0, q0 + m):
-            if nc > 1:
-                u = states[q, ..., :-1] + np.tensordot(
-                    carry[q, q0:q], states[q0:q, ..., :-1], 1)
-                states[q, ..., 1:] = _scan(carry[q, q], u)
-            states[q, ..., 0] = 0
-        q0 += m
+    _carry_states(states, op.mults, carry)
     stack[:m0, ..., 0] = 0
     stack[:m0, ..., 1:] = rows[T - m0:, ..., :-1]
     out = (mat @ stack.reshape(len(mat[0]), -1)).reshape(T, d, r, nc)
@@ -290,6 +304,85 @@ def _gram(op, y):
     x, flipped = _chunked(op, y, n, False)
     x, flipped = _chunked(_adjoint(op), x, n, flipped)
     return _unchunk(x, flipped, np.empty_like(y))
+
+
+def _gram_rows(op, y, chunks):
+    """The blocks of op* op Y on the given chunks only, for a lower
+    triangle op and a time-last (d, r, n) Y: a (T, d, r, len(chunks))
+    array, block c T + u of op* op Y at [u, ..., i] for c = chunks[i],
+    zero past n (chunks as in _chunked, T = _chunk_blocks(m0)).
+
+    Chunk c of the upper apply op* reads X = op Y on chunk c, the first
+    m0 blocks of chunk c + 1 and the slot states of op* at the chunk's
+    exit (_chunked on the grid read backwards, here in forward block
+    order). Those exit states are carried from op*'s end-weighted sums
+    ends* X_c of each chunk, and ends* X_c = red stack_c(Y) with red =
+    (ends* x I_d) mat, an n-free (S d, (m0 + T + S) d) map on the
+    stack of _chunked. So one pass over Y, fused with op's own end sums,
+    gives both kinds of sums without forming X; red then acts on the
+    halo blocks and, after the forward scans, on the entry states, and
+    the backward scans give the exit states. X is formed only on the
+    given chunks and the halos of their successors, and X past n is
+    zero (the ragged last chunk's sums are taken from X itself)."""
+    d, r, n = y.shape
+    S = sum(op.mults)
+    m0 = len(op.blocks) - S - 1
+    T = _chunk_blocks(m0)
+    nc = -(-n // T)
+    mat, ends, carry = _chunk_operator(op, T)
+    mat_a, ends_a, carry_a = _chunk_operator(_adjoint(op), T)
+    ends_a = ends_a[:, ::-1]            # in forward block order
+    P = m0 + T + S
+    red = np.einsum("qt,tiaj->qiaj", ends_a,
+                    mat.reshape(T, d, P, d)).reshape(S * d, P, d)
+    # per column j of the blocks: [ends; red's chunk columns of j]
+    fused = np.concatenate([np.broadcast_to(ends, (d, S, T)),
+                            red[:, m0:m0 + T].transpose(2, 0, 1)], axis=1)
+    # the end sums of op (-> entry states) and of op* (-> exit states)
+    fw = np.zeros((r, S, d, nc), dtype=np.complex128)
+    bw = np.zeros((r, S * d, nc), dtype=np.complex128)
+    whole, _ = _split(y, T)
+    nw = whole.shape[-2]
+    for j in range(d):
+        part = fused[j] @ whole[j].swapaxes(-1, -2)    # (r, S + S d, nw)
+        fw[:, :, j, :nw] = part[:, :S]
+        bw[..., :nw] += part[:, S:]
+        if m0 and nw > 1:
+            bw[..., 1:nw] += (red[:, :m0, j]
+                              @ whole[j][:, :-1, T - m0:].swapaxes(-1, -2))
+    _carry_states(fw.transpose(1, 2, 0, 3), op.mults, carry)
+    bw += red[:, m0 + T:].reshape(S * d, S * d) @ fw.reshape(r, S * d, nc)
+
+    def lower(cs, rows):
+        """X on the first `rows` blocks of the chunks cs, zero past n."""
+        pos = cs * T - m0 + np.arange(m0 + T)[:, None]
+        stack = np.empty((P, d, r, len(cs)), dtype=np.complex128)
+        stack[:m0 + T] = np.where(
+            ((pos >= 0) & (pos < n))[:, None, None],
+            y[..., np.clip(pos, 0, n - 1)].transpose(2, 0, 1, 3), 0)
+        stack[m0 + T:] = fw[..., cs].transpose(1, 2, 0, 3)
+        x = mat[:rows * d] @ stack.reshape(P * d, -1)
+        return np.where((pos[m0:m0 + rows] < n)[:, None, None],
+                        x.reshape(rows, d, r, -1), 0)
+
+    if nw < nc:
+        bw[..., -1] = np.einsum("qt,tirk->rqi", ends_a,
+                                lower(np.array([nc - 1]), T)).reshape(
+                                    r, S * d)
+    _carry_states(bw.reshape(r, S, d, nc).transpose(1, 2, 0, 3)[..., ::-1],
+                  op.mults, carry_a)
+    # op*'s stack of chunk c in forward block order: [X_c; the first m0
+    # blocks of X_{c+1}; exit states]
+    up = np.zeros((T + m0 + S, d, r, len(chunks)), dtype=np.complex128)
+    up[:T] = lower(chunks, T)
+    nxt = chunks + 1 < nc
+    if m0:
+        up[T:T + m0, ..., nxt] = lower(chunks[nxt] + 1, m0)
+    up[T + m0:] = bw[..., chunks].reshape(r, S, d, len(chunks)).transpose(
+        1, 2, 0, 3)
+    order = np.r_[np.arange(m0 + T)[::-1], m0 + T:P]
+    mat_u = mat_a.reshape(T, d, P, d)[::-1][:, :, order].reshape(T * d, -1)
+    return (mat_u @ up.reshape(P * d, -1)).reshape(T, d, r, -1)
 
 
 def _q_ops(spec, mu):
@@ -358,8 +451,9 @@ class SolveReport:
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), lambda_terms (of the kit's Lambda series
     # check; 0 without a kit), gram_chunk (blocks per chunk of the Gram
-    # applies) and, when the residual ran, residual_band (L),
-    # residual_nfft and residual_segments
+    # applies), plain_chunks (chunks whose plain rows were computed in
+    # full) and, when the residual ran, residual_band (L), residual_nfft
+    # and residual_segments
     counters: dict = field(default_factory=dict)
 
 
@@ -453,6 +547,21 @@ def _residual_banded(tables, z, y, rel=1e-12):
     return sq ** 0.5, tail * znorm, counters
 
 
+def _overlap_sample(n, m0, T, seed):
+    """The sorted 0-based rows of the overlap check: whole chunks of T
+    blocks, taken in an order drawn from default_rng(seed) until they
+    hold at least max(8, ceil(0.05 size)) (or all) of the size = n - 2 m0
+    rows s = m0 + 1 .. n - m0 that both regional formulas cover."""
+    lo, hi = m0, n - m0
+    count = min(hi - lo, max(8, int(np.ceil(0.05 * (hi - lo)))))
+    cs = np.random.default_rng(seed).permutation(
+        np.arange(lo // T, (hi - 1) // T + 1))
+    held = np.cumsum(np.minimum(cs * T + T, hi) - np.maximum(cs * T, lo))
+    cs = np.sort(cs[:np.searchsorted(held, count) + 1])
+    rows = (cs[:, None] * T + np.arange(T)).ravel()
+    return rows[(rows >= lo) & (rows < hi)]
+
+
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
           seed=0, compute_residual=True):
     """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
@@ -460,11 +569,13 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     Y is an (n, d, r) block vector with any r >= 1 columns, and Z has
     the same shape. Needs n >= 2 m0 + 1 so the two regional assembly rows
     cover every index (RegionGap otherwise; fall back to a dense solve
-    for the few uncovered orders). A random 5% of the overlap rows (at
-    least 8) is computed by both regional formulas and cross-checked:
-    OverlapMismatch if ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r)))
-    exceeds 1e-9 on a row. Since ||z_s||_F <= sqrt(min(d, r)) ||z_s||_2
-    for a d x r block, that ratio is never below the spectral
+    for the few uncovered orders). Whole chunks of overlap rows, drawn
+    from default_rng(seed) until they hold at least 5% of those rows (at
+    least 8; see _overlap_sample), are computed by both regional formulas
+    and cross-checked: OverlapMismatch if
+    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 on a
+    row. Since ||z_s||_F <= sqrt(min(d, r)) ||z_s||_2 for a d x r block,
+    that ratio is never below the spectral
     ||dev||_2 / max(1, ||z_s||_2), so the reported overlap_max_dev is an
     upper bound on the spectral one.
     """
@@ -489,9 +600,16 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
+    # tilde rows cover s <= n - m0, plain rows s >= m0 + 1; of the plain
+    # rows only the last m0 and the sampled overlap rows are computed
+    span, T = n - m0, _chunk_blocks(m0)
+    sample = (_overlap_sample(n, m0, T, seed) if check_overlap
+              else np.arange(0))
+    chunks = np.unique(np.r_[span:n, sample] // T)
     yt = _to_time_last(y)
     z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
-    z_p = _gram(_factor(spec, "plain"), yt)
+    z_p = (_gram_rows(_factor(spec, "plain"), yt, chunks) if len(chunks)
+           else None)
     lap("gram")
     plan = None
     if spec.K:
@@ -500,8 +618,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         plan = kit.plan(n)
     lap("plan")
 
-    # assemble: tilde rows cover s <= n - m0, plain rows s >= m0 + 1
-    span = n - m0
     if plan is not None:
         seq = kit.sequences(n)
         g_vec, gt_vec = _corrected_sums(kit, plan.k_n, seq[kit.M:], yt)
@@ -516,29 +632,24 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         """The corrected plain-row blocks at 0-based indices idx >= m0,
         time-last as (d, r, len(idx)); row s = idx + 1 takes the
         sequences at m = n + 1 - s."""
-        out = z_p[..., idx]
+        out = np.moveaxis(
+            z_p[idx % T, ..., np.searchsorted(chunks, idx // T)], 0, -1)
         if plan is None:
             return out
         m = n - idx
         return out + _corrections(c_plain, np.conj(seq[:, m - 1]),
                                   m).reshape(d, r, -1)
 
-    z[..., span:] = plain_rows(np.arange(span, n))
+    if m0:
+        z[..., span:] = plain_rows(np.arange(span, n))
     lap("assembly")
 
-    overlap_checked = 0
     overlap_max_dev = 0.0
-    lo, hi = m0 + 1, n - m0
-    if check_overlap and hi >= lo:
-        size = hi - lo + 1
-        count = min(size, max(8, int(np.ceil(0.05 * size))))
-        rng = np.random.default_rng(seed)
-        rows = rng.choice(size, size=count, replace=False) + lo - 1
-        z_s = z[..., rows]
-        dev = np.linalg.norm(z_s - plain_rows(rows), axis=(0, 1))
+    if check_overlap:
+        z_s = z[..., sample]
+        dev = np.linalg.norm(z_s - plain_rows(sample), axis=(0, 1))
         scale = np.linalg.norm(z_s, axis=(0, 1)) / np.sqrt(min(d, r))
         overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
-        overlap_checked = count
         if overlap_max_dev > _OVERLAP_TOL:
             raise errors.OverlapMismatch(
                 f"regional assemblies deviate by {overlap_max_dev:.3e} "
@@ -546,8 +657,9 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     z_p = seq = None     # not needed by the residual
     lap("overlap")
 
-    counters = {"overlap_rows": overlap_checked, "plan_bytes": 0,
-                "lambda_terms": 0, "gram_chunk": _chunk_blocks(m0)}
+    counters = {"overlap_rows": len(sample), "plan_bytes": 0,
+                "lambda_terms": 0, "gram_chunk": T,
+                "plain_chunks": len(chunks)}
     if plan is not None:
         counters["plan_bytes"] = sum(a.nbytes for a in plan
                                      if isinstance(a, np.ndarray))
@@ -563,7 +675,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         residual=residual, residual_tail_bound=tail,
         residual_is_approximate=True,
         spectral_radius=None if plan is None else plan.spectral_radius,
-        overlap_checked=overlap_checked,
+        overlap_checked=len(sample),
         overlap_max_dev=overlap_max_dev,
         timings=timings,
         counters=counters,

@@ -44,6 +44,24 @@ def test_a_sequence_identity():
         assert np.abs(tab.a(k)).max() == 0.0
 
 
+@pytest.mark.parametrize("name", ["warm_d3", "mult3", "d2_k2m12",
+                                  "d1_ar2", "near_unit"])
+def test_a_stack_matches_a_coeff(shape_tables, name):
+    # the batch fill against the one-point closed forms, on a fresh
+    # table grown by a_stack, then by a() and a_tilde() past its end
+    spec = shape_tables[name].spec
+    tab = CoefficientTables(spec)
+    got = [tab.a_stack(40), tab.a_stack(40, tilde=True)]
+    got = [np.concatenate([g, [fn(k) for k in range(len(g), 90)]])
+           for g, fn in zip(got, (tab.a, tab.a_tilde))]
+    for k in range(90):
+        for stack, fn in zip(got, (coefficients.a_coeff,
+                                   coefficients.a_tilde_coeff)):
+            want = fn(spec, k)
+            err = np.linalg.norm(stack[k] - want)
+            assert err <= 1e-15 * max(np.linalg.norm(want), 1e-300)
+
+
 def test_c_sequence_ex52(ex52_tables):
     # c_0 = -1/rho, c_1 = pbar/rho, c_k = 0 beyond
     assert ex52_tables.c(0)[0, 0] == pytest.approx(-1.0)

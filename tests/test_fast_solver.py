@@ -176,6 +176,88 @@ def test_gram_memory_bound(variant):
     assert peak <= 4 * y.nbytes
 
 
+def _solve_chunks(n, m0, seed=0):
+    """The chunks whose plain rows solve computes: those of the last m0
+    rows and the sampled overlap chunks."""
+    T = fast_solver._chunk_blocks(m0)
+    sample = fast_solver._overlap_sample(n, m0, T, seed)
+    return np.unique(np.r_[n - m0:n, sample] // T)
+
+
+@pytest.mark.parametrize("name, n, width", [
+    # m0 = 3 with n % T in {1, 2}: the last m0 rows span two chunks
+    *(pytest.param("m0_3", 4 * T + k, w, id=f"m0_3_n{4 * T + k}_r{w}")
+      for k in (1, 2) for w in (1, 2)),
+    # n = 2 m0 + 1, and n < 2 T with a ragged second chunk
+    pytest.param("m0_3", 7, None, id="m0_3_n7"),
+    pytest.param("warm_d3", 5, None, id="warm_d3_n5"),
+    pytest.param("warm_d3", T + 5, 1, id="warm_d3_n21_r1"),
+    pytest.param("warm_d3", 6 * T, None, id="warm_d3_n96"),
+    pytest.param("mult3", 5 * T + 3, None, id="mult3"),
+    pytest.param("pole099", 5 * T + 3, None, id="pole099"),
+    pytest.param("ar2", 3 * T + 1, None, id="ar2"),
+])
+def test_gram_rows_vs_gram(name, n, width):
+    # the plain rows on chunk 0, a middle chunk, the last chunk and those
+    # of the last m0 rows against the full plain Gram; zero past n
+    spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
+            random_spec(d=2, K=0, mults=(), m0=2,
+                        rng=np.random.default_rng(33)))
+    d, m0 = spec.d, spec.m0
+    y = fast_solver._to_time_last(
+        random_rhs(n, d, seed=34)[:, :, :width or d])
+    op = fast_solver._factor(spec, "plain")
+    nc = -(-n // T)
+    chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
+    want = np.zeros((d, y.shape[1], nc * T), dtype=complex)
+    want[..., :n] = fast_solver._gram(op, y)
+    got = fast_solver._gram_rows(op, y, chunks)
+    assert got.shape == (T, d, y.shape[1], len(chunks))
+    rows = chunks * T + np.arange(T)[:, None]       # (T, len(chunks))
+    got = got.transpose(1, 2, 0, 3)                  # (d, r, T, chunks)
+    assert np.abs(got - want[..., rows]).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(got[..., rows >= n] == 0)
+
+
+def test_gram_rows_memory_bound():
+    # the plain rows solve reads, on warm_d3 at n = 4096: the end sums
+    # and states are S / T of Y each, the chunk stacks a few chunks
+    spec = warm_d3_spec()
+    n = 4096
+    y = fast_solver._to_time_last(random_rhs(n, spec.d, seed=30))
+    op = fast_solver._factor(spec, "plain")
+    chunks = _solve_chunks(n, spec.m0)
+    fast_solver._gram_rows(op, y, chunks)
+    tracemalloc.start()
+    try:
+        fast_solver._gram_rows(op, y, chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * y.nbytes
+
+
+@pytest.mark.parametrize("n, m0", [(4096, 2), (48, 1), (7, 3), (300, 0)])
+def test_overlap_sample_is_whole_chunks(n, m0):
+    # at least max(8, ceil(5%)) of the rows m0 + 1 .. n - m0 (1-based),
+    # in whole chunks clipped to that range, fewer than T rows beyond
+    # the count, and drawn from the seed
+    T = fast_solver._chunk_blocks(m0)
+    size = n - 2 * m0
+    count = min(size, max(8, int(np.ceil(0.05 * size))))
+    rows = fast_solver._overlap_sample(n, m0, T, seed=5)
+    assert np.all(np.diff(rows) > 0)
+    assert rows.min() >= m0 and rows.max() <= n - m0 - 1
+    assert count <= len(rows) < count + T
+    whole = (np.unique(rows // T)[:, None] * T + np.arange(T)).ravel()
+    assert np.array_equal(rows, whole[(whole >= m0) & (whole < n - m0)])
+    again = fast_solver._overlap_sample(n, m0, T, seed=5)
+    assert np.array_equal(rows, again)
+    if size > 4 * T:
+        other = fast_solver._overlap_sample(n, m0, T, seed=6)
+        assert not np.array_equal(rows, other)
+
+
 def test_solve_identity(ident2):
     y = random_rhs(6, 2, seed=5)
     rep = solve(ident2, 6, y)
@@ -361,7 +443,8 @@ def test_report_fields(ex52):
     lam = rep.counters.pop("lambda_terms")
     assert plan > 0 and lam > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
-        "residual_band": 7, "residual_nfft": 32, "residual_segments": 1}
+        "plain_chunks": 1, "residual_band": 7, "residual_nfft": 32,
+        "residual_segments": 1}
 
 
 def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
@@ -462,14 +545,13 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
     delta = 0.0
     if fails:
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
-    gram = fast_solver._gram
+    rows = fast_solver._gram_rows
 
-    def perturbed(op, y):
-        # time-last (d, r, n) blocks; A_n, the plain factor, is lower
-        out = gram(op, y)
-        return out if op.upper else out + delta * np.eye(spec.d)[..., None]
+    def perturbed(op, y, chunks):
+        # every plain row it returns, in chunk form (T, d, r, chunks)
+        return rows(op, y, chunks) + delta * np.eye(spec.d)[..., None]
 
-    monkeypatch.setattr(fast_solver, "_gram", perturbed)
+    monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
     if fails:
         with pytest.raises(errors.OverlapMismatch):
             solve(spec, n, y, tables=tab)
@@ -488,16 +570,15 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     y = 100 * random_rhs(n, spec.d, seed=23)[:, :, :1]
     norms = np.linalg.norm(solve(spec, n, y, tables=tab).z[:, :, 0], axis=1)
     assert norms[spec.m0:n - spec.m0].min() > 2
-    gram = fast_solver._gram
+    rows = fast_solver._gram_rows
 
-    def perturbed(op, y):
-        out = gram(op, y)
-        if not op.upper:                # the plain rows, time-last
-            out = out.copy()
-            out[0, 0] += frac * 1e-9 * norms
+    def perturbed(op, y, chunks):
+        # the plain rows of the chunks, in chunk form (T, d, r, chunks)
+        out = rows(op, y, chunks)
+        out[:, 0, 0] += frac * 1e-9 * norms[chunks * T + np.arange(T)[:, None]]
         return out
 
-    monkeypatch.setattr(fast_solver, "_gram", perturbed)
+    monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
     if frac > 1:
         with pytest.raises(errors.OverlapMismatch):
             solve(spec, n, y, tables=tab)
