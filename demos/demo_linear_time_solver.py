@@ -2,9 +2,10 @@
 recursion and the O(n^3) dense LU on a coupled bivariate two-pole
 symbol.
 
-The fast path applies the triangular Gram factors by per-pole scans and
-adds a rank correction of fixed dimension, so doubling n should roughly
-double the wall time; the table printed below shows exactly that, while
+The fast path applies the triangular Gram factors as one gemm per chunk
+of 16 blocks, with the pole states carried between chunks by short
+scans, and adds a rank correction of fixed dimension, so doubling n
+should roughly double the wall time; the table printed below shows exactly that, while
 Levinson quadruples and dense LU falls off the chart early.
 
 Run:  python3 demos/demo_linear_time_solver.py

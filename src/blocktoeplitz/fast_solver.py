@@ -21,20 +21,34 @@ the chunk's entry. So one apply is one gemm of the Y-independent chunk
 operator, built per apply from the spec, with the stack [previous m0
 blocks; the chunk; its entry states] of every chunk. The entry states
 are each chunk's end-weighted sums carried across chunks by scans with
-p^T over the n / T chunk values (see _chunked). An upper triangle is the
-same apply on the input reversed over the chunk grid, the reversal
-taken in the copy that forms the stack; an adjoint conjugate-transposes
-band and residues, conjugates the poles and flips the triangle. A_n is
-the lower triangle of the a_k, A~_n the adjoint of the one built from
-the h_sharp coefficients, and the pole factor Q_{mu,i} the upper triangle
-with a zero band, the pole p_mu and the identity residue in slot i. That
-gives A~* A~ Y in O(n), the second apply reading the first's chunks
-directly. Of A* A Y, solve reads only the last m0 rows and the sampled
-overlap chunks, so it computes just those (see _gram_rows): one pass over
-Y gives the end sums of A and, through an n-free map, those of A* on
-every chunk without forming A Y; two scans give the slot states at each
-chunk's entry and exit, and the chunk gemms of both applies run only on
-the chunks read.
+p^T over the n / T chunk values (see _carry_states). An upper triangle
+is R L R with R the reversal over the chunk grid: its stack holds the
+next m0 blocks, the chunk and the states at its exit, each run read
+backwards, and its scans run backwards over the chunks (see _operator).
+An adjoint conjugate-transposes band and residues, conjugates the poles
+and flips the triangle. A_n is the lower triangle of the a_k, A~_n the
+adjoint of the one built from the h_sharp coefficients, and the pole
+factor Q_{mu,i} the upper triangle with a zero band, the pole p_mu and
+the identity residue in slot i.
+
+A Gram op* op Y computes the slot states of both applies first (see
+_states): one pass over Y gives the end sums of op and, through an
+n-free map, those of op* on every chunk without forming op Y. Then the
+chunk gemms run over ranges of chunks sized to a core's L2, in one
+workspace of two stacks: op's gemm writes straight into the chunk rows
+of op*'s stacks, and op*'s gemm into the time-last output (see _run).
+So the Gram holds its output, the states (2 S / T of Y) and the
+workspace, never a whole stack or an intermediate op Y. Of A* A Y,
+solve reads only the last m0 rows and the sampled overlap chunks, so it
+computes just those (see _gram_rows), from the same states.
+
+When the work n d r is at least _LANE_WORK (2^17, from a measured
+crossover) and the process may run on two CPUs, solve runs on two lanes:
+a second thread, which lives for one call, computes the plain rows while
+the caller runs the tilde Gram, then takes ranges of the tilde Gram's
+chunks as it comes free, and the residual's batches go to whichever
+lane is free. Each block is computed by the same arithmetic either way,
+so Z does not depend on the lane count.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
 in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
@@ -72,7 +86,11 @@ O(n log L) (see _residual_banded). The literal reference formulas
 production path.
 """
 
+import itertools
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,8 +107,14 @@ from .util import binom_vec, herm
 _OVERLAP_TOL = 1e-9
 # blocks per chunk of a triangular apply (raised to the band length m0 + 1)
 _CHUNK = 16
+# bytes of the two chunk stacks of a range in a Gram or apply: well
+# inside the 2 MB L2 of a core
+_RANGE_BYTES = 1 << 20
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
+# n d r from which solve runs on two lanes: below it a second thread
+# costs more than it saves (the crossover is measured in CHANGES.md)
+_LANE_WORK = 1 << 17
 
 # -- O(n) structured applies ------------------------------------------------ #
 
@@ -127,12 +151,6 @@ def _factor(spec, variant):
     op = _Triangular(blocks, np.conj(spec.poles),
                      tuple(len(res) for res in rho), False)
     return _adjoint(op) if sharp else op
-
-
-def _scan(p, x):
-    """The forward recursion out_s = p out_{s-1} + x_s along the last
-    axis, i.e. the lower scalar Toeplitz operator with entries p^k."""
-    return lfilter([1.0], [1.0, -p], x, axis=-1)
 
 
 def _to_time_last(y):
@@ -196,6 +214,23 @@ def _chunk_operator(op, T):
             .reshape(T * d, -1), ends, carry)
 
 
+def _operator(op, T, rows_back):
+    """op's chunk apply, run over the chunks in forward order: (mat, ends,
+    carry) of _chunk_operator. For a lower op its stack is [last m0
+    blocks of the chunk before; the chunk; the states at its entry]. An
+    upper op is R L R, L the lower triangle of its coefficients and R
+    the reversal over the chunk grid, so its stack is [first m0 blocks
+    of the chunk after; the chunk; the states at its exit], each run of
+    blocks read backwards, and ends weighs the chunk into the states of
+    the chunk before. Either way mat's output blocks run backwards over
+    the chunk if rows_back and forwards otherwise. (Read in this order,
+    each output sums its terms from the farthest, smallest lag on.)"""
+    mat, ends, carry = _chunk_operator(op, T)
+    if op.upper != rows_back:
+        mat = mat.reshape(T, -1)[::-1].reshape(mat.shape)
+    return mat, ends, carry
+
+
 def _split(x, T):
     """(d, r, n) -> the (d, r, n // T, T) view of its whole chunks and
     the (d, r, n % T) view of the rest (splitting the last axis never
@@ -204,17 +239,19 @@ def _split(x, T):
     return x[..., :cut].reshape(*x.shape[:-1], -1, T), x[..., cut:]
 
 
-def _grid(x, flip):
-    """The (d, r, nc, T) view of chunk-form (T, d, r, nc) blocks, block
-    a T + u at [..., a, u]; read backwards over the nc T grid if flip."""
-    g = x.transpose(1, 2, 3, 0)
-    return g[..., ::-1, ::-1] if flip else g
-
-
 def _chunk_blocks(m0):
     """The chunk length T of a triangular apply with band m0 + 1: a
-    chunk's halo is the m0 blocks before it, all in one chunk."""
+    chunk's halo is the m0 blocks next to it, all in one chunk."""
     return max(_CHUNK, m0 + 1)
+
+
+def _sizes(op, n):
+    """(S, m0, T, nc): op's slots, band, chunk length and the number of
+    chunks of n blocks."""
+    S = sum(op.mults)
+    m0 = len(op.blocks) - S - 1
+    T = _chunk_blocks(m0)
+    return S, m0, T, -(-n // T)
 
 
 def _carry_states(states, mults, carry):
@@ -222,167 +259,246 @@ def _carry_states(states, mults, carry):
     any strides, into the slot states at each chunk's entry, in place:
     scans with p^T over the nc chunk values, where slot i of a pole also
     takes the states of its slots i' < i as input (carry from
-    _chunk_operator); the first chunk enters with zero states."""
-    nc = states.shape[-1]
+    _chunk_operator); the first chunk enters with zero states. The
+    filter's numerator z^-1 is the shift by one chunk, so each slot is
+    one filter over whole lines. On the chunk axis read backwards the
+    same scans give an upper op's exit states."""
     q0 = 0
     for m in mults:
         for q in range(q0, q0 + m):
-            if nc > 1:
-                u = states[q, ..., :-1] + np.tensordot(
-                    carry[q, q0:q], states[q0:q, ..., :-1], 1)
-                states[q, ..., 1:] = _scan(carry[q, q], u)
-            states[q, ..., 0] = 0
+            u = states[q] + np.tensordot(carry[q, q0:q], states[q0:q], 1)
+            states[q] = lfilter([0.0, 1.0], [1.0, -carry[q, q]], u,
+                                axis=-1)
         q0 += m
 
 
-def _chunked(op, x, n, flipped):
-    """op X in chunk form: (out, out_flipped), out a (T, d, r, nc) array
-    of the nc = ceil(n / T) chunks of T = _chunk_blocks(m0) blocks, zero
-    past n, that holds op X read backwards over the nc T grid if
-    out_flipped.
+def _fill(stack, y, a, upper, m0, T):
+    """Write [halo; chunk] of the stacks (see _operator) of the k chunks
+    a .. a + k - 1 of a time-last (d, r, n) Y into stack, a (P, d, r, k)
+    array, read backwards if upper and zero past n; the states are the
+    caller's."""
+    n, k = y.shape[-1], stack.shape[-1]
+    rows = stack[m0:m0 + T][::-1] if upper else stack[m0:m0 + T]
+    whole, rest = _split(y[..., a * T:(a + k) * T], T)
+    w, m = whole.shape[-2], rest.shape[-1]
+    rows[..., :w] = whole.transpose(3, 0, 1, 2)
+    if w < k:
+        rows[:m, ..., w] = rest.transpose(2, 0, 1)
+        rows[m:, ..., w] = 0
+    if not m0:
+        return
+    _halo(stack, m0, T, upper)
+    # the one halo from outside the range, zero outside 0 .. n - 1
+    edge = a * T + (k * T + np.arange(m0)[::-1] if upper
+                    else np.arange(-m0, 0))
+    stack[:m0, ..., -1 if upper else 0] = np.where(
+        ((edge >= 0) & (edge < n))[:, None, None],
+        y[..., np.clip(edge, 0, n - 1)].transpose(2, 0, 1), 0)
 
-    X is a time-last (d, r, n) array of any strides (flipped False) or
-    the chunk form of a padded operand, read backwards if flipped. The
-    lower triangle L of op's coefficients applies to X as copied into
-    the stack; an upper triangle is R L R with R the reversal over the
-    grid, so the copy reverses when exactly one of flipped and op.upper
-    holds, and the output of an upper triangle reads backwards.
 
-    Each chunk's stack is [last m0 blocks of the previous chunk; its T
-    blocks; the S slot states at its entry], so L X is one gemm with the
-    chunk operator. The entry states are the end-weighted sums of each
-    chunk, carried across chunks by _carry_states."""
-    d, r = x.shape[1:3] if x.ndim == 4 else x.shape[:2]
-    S = sum(op.mults)
-    m0 = len(op.blocks) - S - 1
-    T = _chunk_blocks(m0)
-    nc = -(-n // T)
-    mat, ends, carry = _chunk_operator(op, T)
-    stack = np.empty((m0 + T + S, d, r, nc), dtype=np.complex128)
-    rows, states = stack[m0:m0 + T], stack[m0 + T:]
-    flip = flipped != op.upper
-    if x.ndim == 4:
-        rows[...] = x[::-1, ..., ::-1] if flip else x
+def _halo(stack, m0, T, upper):
+    """Copy into the stacks (P, d, r, k) of k consecutive chunks each
+    halo that lies in the same array: read as the stack reads them, a
+    halo is the last m0 chunk rows of the chunk before (lower) or of the
+    chunk after (upper)."""
+    if upper:
+        stack[:m0, ..., :-1] = stack[T:T + m0, ..., 1:]
     else:
-        g = _grid(rows, flip)
-        whole, rest = _split(x, T)
-        g[..., :whole.shape[-2], :] = whole
-        if rest.shape[-1]:
-            g[..., -1, :rest.shape[-1]] = rest
-            g[..., -1, rest.shape[-1]:] = 0
-    np.matmul(ends, rows.reshape(T, -1), out=states.reshape(S, d * r * nc))
-    _carry_states(states, op.mults, carry)
-    stack[:m0, ..., 0] = 0
-    stack[:m0, ..., 1:] = rows[T - m0:, ..., :-1]
-    out = (mat @ stack.reshape(len(mat[0]), -1)).reshape(T, d, r, nc)
-    if not op.upper:
-        # blocks past n: zero, so that a reversal puts only zeros first
-        out[n - (nc - 1) * T:, ..., -1] = 0
-    return out, op.upper
+        stack[:m0, ..., 1:] = stack[T:T + m0, ..., :-1]
 
 
-def _unchunk(x, flipped, out):
-    """Write the first n blocks of chunk-form x (read backwards if
-    flipped) into the time-last (d, r, n) array out and return it."""
-    g = _grid(x, flipped)
-    whole, rest = _split(out, len(x))
-    whole[...] = g[..., :whole.shape[-2], :]
-    rest[...] = g[..., -1, :rest.shape[-1]]
+def _zero_past(x, n, back):
+    """Zero the blocks past n in the last column, chunk nc - 1, of the
+    chunk-form x (T, d, r, k) whose blocks run backwards if back."""
+    T = len(x)
+    rest = n - (-(-n // T) - 1) * T
+    x[slice(0, T - rest) if back else slice(rest, T), ..., -1] = 0
+
+
+def _states(op, y, gram):
+    """The slot states of op's stacks (see _operator) on every chunk of
+    a time-last (d, r, n) Y, and with gram those of op*'s stacks in
+    op* op Y: [(mat, states)] or [(mat, states), (mat*, states*)], each
+    states an (S, d, r, nc) array and each mat's output rows ordered as
+    the next stack reads them (forward for the last).
+
+    op*'s end sums are ends* X_c for X = op Y, and ends* X_c = red
+    stack_c(Y) with red = (ends* x I_d) mat, an n-free (S d, P d) map on
+    op's stack. So one pass over Y, two gemms per block column j, with
+    ends and with red's chunk columns of j, gives op's end sums and the
+    chunk part of op*'s without forming X, in one scratch array the size
+    of op*'s states; red then takes the halo
+    blocks and, after op's scans, op's states, and op*'s scans follow.
+    X past n is zero: from the last whole chunk on, where the ragged
+    chunk enters, op*'s sums are taken from X itself."""
+    d, r, n = y.shape
+    S, m0, T, nc = _sizes(op, n)
+    P = m0 + T + S
+    adj = _adjoint(op)
+    mat, ends, carry = _operator(op, T, gram and adj.upper)
+    # op's stack positions on forward blocks
+    back = slice(None, None, -1) if op.upper else slice(None)
+    st = np.zeros((S, d, r, nc), dtype=np.complex128)
+    if gram:
+        mat_a, ends_a, carry_a = _operator(adj, T, False)
+        red = np.einsum("qt,tiaj->qiaj", ends_a,
+                        mat.reshape(T, d, P, d)).reshape(S * d, P, d)
+        chunk, halo = red[:, m0:m0 + T][:, back], red[:, :m0][:, back]
+        st_a = np.zeros((S * d, r, nc), dtype=np.complex128)
+        part = np.empty((r, S * d, nc), dtype=np.complex128)
+    whole, rest = _split(y, T)
+    nw = whole.shape[-2]
+    for j in range(d):
+        blocks = whole[j].swapaxes(-1, -2)              # (r, T, nw)
+        np.matmul(ends[:, back], blocks,
+                  out=st[:, j, :, :nw].transpose(1, 0, 2))
+        if gram:
+            np.matmul(chunk[..., j], blocks, out=part[..., :nw])
+            st_a[..., :nw] += part[..., :nw].transpose(1, 0, 2)
+            if m0 and nw > 1:
+                nb, cs = ((whole[j][:, 1:, :m0], slice(0, nw - 1))
+                          if op.upper else
+                          (whole[j][:, :-1, T - m0:], slice(1, nw)))
+                np.matmul(halo[..., j], nb.swapaxes(-1, -2),
+                          out=part[..., :nw - 1])
+                st_a[..., cs] += part[..., :nw - 1].transpose(1, 0, 2)
+    if nw < nc:
+        st[..., -1] = np.einsum("qt,drt->qdr",
+                                ends[:, back][:, :rest.shape[-1]], rest)
+    _carry_states(st[..., ::-1] if op.upper else st, op.mults, carry)
+    if not gram:
+        return [(mat, st)]
+    part = part.reshape(S * d, r * nc)
+    np.matmul(red[:, m0 + T:].reshape(S * d, S * d),
+              st.reshape(S * d, r * nc), out=part)
+    st_a += part.reshape(S * d, r, nc)
+    del part
+    if nw < nc:
+        a = max(nw - 1, 0)
+        stack = np.empty((P, d, r, nc - a), dtype=np.complex128)
+        _fill(stack, y, a, op.upper, m0, T)
+        stack[m0 + T:] = st[..., a:]
+        x = (mat @ stack.reshape(P * d, -1)).reshape(T, d, r, -1)
+        _zero_past(x, n, adj.upper)
+        st_a[..., a:] = np.einsum("qt,tdrc->qdrc", ends_a, x).reshape(
+            S * d, r, nc - a)
+    st_a = st_a.reshape(S, d, r, nc)
+    _carry_states(st_a[..., ::-1] if adj.upper else st_a, op.mults, carry_a)
+    return [(mat, st), (mat_a, st_a)]
+
+
+def _write(out, x, c0):
+    """Write the chunk-form blocks x (T, d, r, k) of chunks c0 ..
+    c0 + k - 1 into the time-last (d, r, n) out, up to n."""
+    T, k = len(x), x.shape[-1]
+    whole, rest = _split(out[..., c0 * T:(c0 + k) * T], T)
+    w, m = whole.shape[-2], rest.shape[-1]
+    whole[...] = x[..., :w].transpose(1, 2, 3, 0)
+    if w < k:
+        rest[...] = x[:m, ..., w].transpose(1, 2, 0)
+
+
+def _apply(op, y, gram=False, pool=None):
+    """op Y, or op* op Y if gram, for a time-last (d, r, n) Y, as a new
+    array laid out like Y (allocated before the states of _states, which
+    die first). After the state scans the chunk gemms run over ranges of
+    chunks in one workspace of two stacks of at most about _RANGE_BYTES:
+    op's stacks are filled from Y; in a Gram op's gemm writes straight into
+    the chunk rows of op*'s stacks, whose halos are copied within the
+    range, and the last gemm writes into the output. op*'s halo lies in
+    the chunk after (op* upper) or before, so op's range reaches one
+    chunk further that way, and that chunk's output is dropped. With a
+    pool, its lane takes ranges too, in a workspace of its own, once it
+    is free; each range is computed the same way whichever lane takes
+    it."""
+    d, r, n = y.shape
+    S, m0, T, nc = _sizes(op, n)
+    P = m0 + T + S
+    out = np.empty_like(y)
+    applies = _states(op, y, gram)
+    width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
+    starts = itertools.count(0, width)      # the ranges not yet taken
+
+    def sweep():
+        """Run the ranges no lane has taken yet, in this lane's own
+        workspace."""
+        space = np.empty((2, P * d * r * min(width + gram, nc)),
+                         dtype=np.complex128)
+        while (c0 := next(starts)) < nc:
+            c1 = min(c0 + width, nc)
+            a = max(c0 - 1, 0) if gram and op.upper else c0
+            b = min(c1 + 1, nc) if gram and not op.upper else c1
+            src, dst = space[:, :P * d * r * (b - a)].reshape(
+                2, P, d, r, b - a)
+            _fill(src, y, a, op.upper, m0, T)
+            for i, (mat, st) in enumerate(applies):
+                src[m0 + T:] = st[..., a:b]
+                if i + 1 == len(applies):
+                    np.matmul(mat, src.reshape(P * d, -1),
+                              out=dst[:T].reshape(T * d, -1))
+                    break
+                x = dst[m0:m0 + T]
+                np.matmul(mat, src.reshape(P * d, -1),
+                          out=x.reshape(T * d, -1))
+                if b == nc:
+                    _zero_past(x, n, not op.upper)
+                _halo(dst, m0, T, not op.upper)
+                # the halo beyond the range: a dropped chunk's, or zero
+                # at chunk 0 or nc - 1
+                dst[:m0, ..., 0 if op.upper else -1] = 0
+                src, dst = dst, src
+            _write(out, dst[:T, ..., c0 - a:c1 - a], c0)
+
+    helper = None if pool is None else pool.submit(sweep)
+    sweep()
+    if helper is not None:
+        helper.result()
     return out
 
 
-def _apply(op, y):
-    """op Y for a time-last (d, r, n) Y, as a new array laid out like Y:
-    one chunked gemm (see _chunked)."""
-    return _unchunk(*_chunked(op, y, y.shape[-1], False), np.empty_like(y))
-
-
-def _gram(op, y):
-    """op* op Y for a time-last Y: the second apply reads the first's
-    chunk form directly."""
-    n = y.shape[-1]
-    x, flipped = _chunked(op, y, n, False)
-    x, flipped = _chunked(_adjoint(op), x, n, flipped)
-    return _unchunk(x, flipped, np.empty_like(y))
+def _gram(op, y, pool=None):
+    """op* op Y for a time-last Y (see _apply)."""
+    return _apply(op, y, True, pool)
 
 
 def _gram_rows(op, y, chunks):
     """The blocks of op* op Y on the given chunks only, for a lower
     triangle op and a time-last (d, r, n) Y: a (T, d, r, len(chunks))
     array, block c T + u of op* op Y at [u, ..., i] for c = chunks[i],
-    zero past n (chunks as in _chunked, T = _chunk_blocks(m0)).
+    zero past n (T = _chunk_blocks(m0)).
 
     Chunk c of the upper apply op* reads X = op Y on chunk c, the first
     m0 blocks of chunk c + 1 and the slot states of op* at the chunk's
-    exit (_chunked on the grid read backwards, here in forward block
-    order). Those exit states are carried from op*'s end-weighted sums
-    ends* X_c of each chunk, and ends* X_c = red stack_c(Y) with red =
-    (ends* x I_d) mat, an n-free (S d, (m0 + T + S) d) map on the
-    stack of _chunked. So one pass over Y, fused with op's own end sums,
-    gives both kinds of sums without forming X; red then acts on the
-    halo blocks and, after the forward scans, on the entry states, and
-    the backward scans give the exit states. X is formed only on the
-    given chunks and the halos of their successors, and X past n is
-    zero (the ragged last chunk's sums are taken from X itself)."""
+    exit, which _states gives without forming X. X is formed only on
+    the given chunks and the halos of their successors, and X past n is
+    zero."""
     d, r, n = y.shape
-    S = sum(op.mults)
-    m0 = len(op.blocks) - S - 1
-    T = _chunk_blocks(m0)
-    nc = -(-n // T)
-    mat, ends, carry = _chunk_operator(op, T)
-    mat_a, ends_a, carry_a = _chunk_operator(_adjoint(op), T)
-    ends_a = ends_a[:, ::-1]            # in forward block order
+    S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
-    red = np.einsum("qt,tiaj->qiaj", ends_a,
-                    mat.reshape(T, d, P, d)).reshape(S * d, P, d)
-    # per column j of the blocks: [ends; red's chunk columns of j]
-    fused = np.concatenate([np.broadcast_to(ends, (d, S, T)),
-                            red[:, m0:m0 + T].transpose(2, 0, 1)], axis=1)
-    # the end sums of op (-> entry states) and of op* (-> exit states)
-    fw = np.zeros((r, S, d, nc), dtype=np.complex128)
-    bw = np.zeros((r, S * d, nc), dtype=np.complex128)
-    whole, _ = _split(y, T)
-    nw = whole.shape[-2]
-    for j in range(d):
-        part = fused[j] @ whole[j].swapaxes(-1, -2)    # (r, S + S d, nw)
-        fw[:, :, j, :nw] = part[:, :S]
-        bw[..., :nw] += part[:, S:]
-        if m0 and nw > 1:
-            bw[..., 1:nw] += (red[:, :m0, j]
-                              @ whole[j][:, :-1, T - m0:].swapaxes(-1, -2))
-    _carry_states(fw.transpose(1, 2, 0, 3), op.mults, carry)
-    bw += red[:, m0 + T:].reshape(S * d, S * d) @ fw.reshape(r, S * d, nc)
+    (mat, st), (mat_a, st_a) = _states(op, y, True)
 
     def lower(cs, rows):
-        """X on the first `rows` blocks of the chunks cs, zero past n."""
+        """X on the first `rows` blocks of the chunks cs, last block
+        first (as op*'s stack reads them), zero past n."""
         pos = cs * T - m0 + np.arange(m0 + T)[:, None]
         stack = np.empty((P, d, r, len(cs)), dtype=np.complex128)
         stack[:m0 + T] = np.where(
             ((pos >= 0) & (pos < n))[:, None, None],
             y[..., np.clip(pos, 0, n - 1)].transpose(2, 0, 1, 3), 0)
-        stack[m0 + T:] = fw[..., cs].transpose(1, 2, 0, 3)
-        x = mat[:rows * d] @ stack.reshape(P * d, -1)
-        return np.where((pos[m0:m0 + rows] < n)[:, None, None],
+        stack[m0 + T:] = st[..., cs]
+        x = mat[(T - rows) * d:] @ stack.reshape(P * d, -1)
+        return np.where((pos[m0:m0 + rows] < n)[::-1, None, None],
                         x.reshape(rows, d, r, -1), 0)
 
-    if nw < nc:
-        bw[..., -1] = np.einsum("qt,tirk->rqi", ends_a,
-                                lower(np.array([nc - 1]), T)).reshape(
-                                    r, S * d)
-    _carry_states(bw.reshape(r, S, d, nc).transpose(1, 2, 0, 3)[..., ::-1],
-                  op.mults, carry_a)
-    # op*'s stack of chunk c in forward block order: [X_c; the first m0
-    # blocks of X_{c+1}; exit states]
-    up = np.zeros((T + m0 + S, d, r, len(chunks)), dtype=np.complex128)
-    up[:T] = lower(chunks, T)
+    # op*'s stack of chunk c: [the first m0 blocks of X_{c+1}; X_c; exit
+    # states], each run read backwards
+    up = np.zeros((P, d, r, len(chunks)), dtype=np.complex128)
+    up[m0:m0 + T] = lower(chunks, T)
     nxt = chunks + 1 < nc
     if m0:
-        up[T:T + m0, ..., nxt] = lower(chunks[nxt] + 1, m0)
-    up[T + m0:] = bw[..., chunks].reshape(r, S, d, len(chunks)).transpose(
-        1, 2, 0, 3)
-    order = np.r_[np.arange(m0 + T)[::-1], m0 + T:P]
-    mat_u = mat_a.reshape(T, d, P, d)[::-1][:, :, order].reshape(T * d, -1)
-    return (mat_u @ up.reshape(P * d, -1)).reshape(T, d, r, -1)
+        up[:m0, ..., nxt] = lower(chunks[nxt] + 1, m0)
+    up[m0 + T:] = st_a[..., chunks]
+    return (mat_a @ up.reshape(P * d, -1)).reshape(T, d, r, -1)
 
 
 def _q_ops(spec, mu):
@@ -409,8 +525,10 @@ def apply_Q_adjoint(spec, mu, n, y):
 def _applied(fn, op, n, y, d):
     """fn(op, Y) for a public (n, d, r) Y, returned as (n, d, r): fn
     reads the time-last view of Y and lays its output out like it."""
-    y = as_block_vector(y, d)[:n]
-    return np.ascontiguousarray(fn(op, y.transpose(1, 2, 0))
+    y = as_block_vector(y, d)
+    if len(y) < n:
+        raise ValueError(f"Y has {len(y)} blocks, need {n}")
+    return np.ascontiguousarray(fn(op, y[:n].transpose(1, 2, 0))
                                 .transpose(2, 0, 1))
 
 
@@ -501,7 +619,7 @@ def _corrections(cmap, seq, ms):
     return out
 
 
-def _residual_banded(tables, z, y, rel=1e-12):
+def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
     band k = -L..L, by overlap-save. The band is transformed once at
     nfft = 2^ceil(log2(8 (2L + 1))) points, or at the single transform
@@ -509,10 +627,12 @@ def _residual_banded(tables, z, y, rel=1e-12):
     front, is cut into segments of nfft points stepping by nfft - 2L, and
     points 2L.. of each segment's circular convolution are the next
     nfft - 2L blocks of T_n Z (the last segment's trimmed at n). The
-    segments are transformed _RESIDUAL_BATCH points at a time. That is
-    O(n log L) work. Returns the value, the certified bound on the
-    neglected band times ||Z||_F, and the counters residual_band,
-    residual_nfft and residual_segments.
+    segments are padded and transformed _RESIDUAL_BATCH points at a
+    time, so no padded copy of the whole Z is made; with a pool, batches
+    of half that size go to whichever lane is free, and their squares
+    are summed in batch order. That is O(n log L) work. Returns the
+    value, the certified bound on the neglected band times ||Z||_F, and
+    the counters residual_band, residual_nfft and residual_segments.
     """
     d, r, n = z.shape
     L = 0
@@ -527,24 +647,39 @@ def _residual_banded(tables, z, y, rel=1e-12):
     # per-frequency products below run along its last axis
     gf = np.ascontiguousarray(
         np.fft.fft(band, n=nfft, axis=0).transpose(1, 2, 0))
-    padded = np.zeros((d, r, segments * step + 2 * L), dtype=np.complex128)
-    padded[..., L:L + n] = z
-    windows = sliding_window_view(padded, nfft, axis=-1)[..., ::step, :]
-    batch = max(1, _RESIDUAL_BATCH // nfft)
-    sq = 0.0
-    for i in range(0, segments, batch):
-        zf = np.fft.fft(windows[..., i:i + batch, :], axis=-1)
-        conv = np.fft.ifft(np.einsum("abw,bcsw->acsw", gf, zf), axis=-1)
-        lo, hi = i * step, min((i + batch) * step, n)
-        dev = conv[..., 2 * L:].reshape(d, r, -1)[..., :hi - lo] \
-            - y[..., lo:hi]
-        sq += float(np.vdot(dev, dev).real)
+    # with a pool, each lane at half the batch
+    batch = max(1, _RESIDUAL_BATCH // nfft // (1 if pool is None else 2))
+    sq = [0.0] * -(-segments // batch)      # per batch, summed in order
+    starts = itertools.count()              # the batches not yet taken
+
+    def squares():
+        """Sum the squares of the batches no lane has taken yet."""
+        while (k := next(starts)) < len(sq):
+            i, j = k * batch, min(k * batch + batch, segments)
+            lo, hi = i * step, min(j * step, n)
+            # the batch's points of Z padded: Z from lo - L on, zero
+            # outside 0 .. n - 1
+            padded = np.zeros((d, r, (j - i) * step + 2 * L),
+                              dtype=np.complex128)
+            a, b = max(lo - L, 0), min(j * step + L, n)
+            padded[..., a - lo + L:b - lo + L] = z[..., a:b]
+            zf = np.fft.fft(sliding_window_view(padded, nfft, axis=-1)
+                            [..., ::step, :], axis=-1)
+            conv = np.fft.ifft(np.einsum("abw,bcsw->acsw", gf, zf), axis=-1)
+            dev = conv[..., 2 * L:].reshape(d, r, -1)[..., :hi - lo] \
+                - y[..., lo:hi]
+            sq[k] = float(np.vdot(dev, dev).real)
+
+    helper = None if pool is None else pool.submit(squares)
+    squares()
+    if helper is not None:
+        helper.result()
     # at L = n - 1 the band holds every block of T_n
     tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
     znorm = float(np.linalg.norm(z.reshape(-1)))
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
-    return sq ** 0.5, tail * znorm, counters
+    return sum(sq) ** 0.5, tail * znorm, counters
 
 
 def _overlap_sample(n, m0, T, seed):
@@ -560,6 +695,21 @@ def _overlap_sample(n, m0, T, seed):
     cs = np.sort(cs[:np.searchsorted(held, count) + 1])
     rows = (cs[:, None] * T + np.arange(T)).ravel()
     return rows[(rows >= lo) & (rows < hi)]
+
+
+def _two_lanes(work):
+    """Whether solve runs on two lanes: the work n d r is at least
+    _LANE_WORK and the process may run on two CPUs or more."""
+    return work >= _LANE_WORK and len(os.sched_getaffinity(0)) >= 2
+
+
+def _beside(pool, fn, *args):
+    """Start fn(*args) on the pool's lane, or without a pool run it here;
+    returns a callable that gives its result or raises its error."""
+    if pool is None:
+        out = fn(*args)
+        return lambda: out
+    return pool.submit(fn, *args).result
 
 
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
@@ -607,68 +757,76 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
               else np.arange(0))
     chunks = np.unique(np.r_[span:n, sample] // T)
     yt = _to_time_last(y)
-    z = _gram(_factor(spec, "tilde"), yt)   # becomes the assembled Z
-    z_p = (_gram_rows(_factor(spec, "plain"), yt, chunks) if len(chunks)
-           else None)
-    lap("gram")
-    plan = None
-    if spec.K:
-        if kit is None:
-            kit = ClosedFormKit(spec)
-        plan = kit.plan(n)
-    lap("plan")
+    lanes = 2 if _two_lanes(n * d * r) else 1
+    with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
+        # the plain rows beside the tilde Gram, which becomes the assembled Z
+        rows = (_beside(pool, _gram_rows, _factor(spec, "plain"), yt, chunks)
+                if len(chunks) else lambda: None)
+        z = _gram(_factor(spec, "tilde"), yt, pool)
+        z_p = rows()
+        lap("gram")
+        plan = None
+        if spec.K:
+            if kit is None:
+                kit = ClosedFormKit(spec)
+            plan = kit.plan(n)
+        lap("plan")
 
-    if plan is not None:
-        seq = kit.sequences(n)
-        g_vec, gt_vec = _corrected_sums(kit, plan.k_n, seq[kit.M:], yt)
-        z[..., :span] += _corrections(
-            _correction_map(plan.d_coef, kit.ext_tilde_stack,
-                            plan.ut @ gt_vec),
-            seq[:, :span], np.arange(1, span + 1)).reshape(d, r, span)
-        c_plain = _correction_map(np.conj(plan.d_coef), kit.ext_stack,
-                                  herm(plan.ut) @ g_vec)
+        if plan is not None:
+            seq = kit.sequences(n)
+            g_vec, gt_vec = _corrected_sums(kit, plan.k_n, seq[kit.M:], yt)
+            c_tilde = _correction_map(plan.d_coef, kit.ext_tilde_stack,
+                                      plan.ut @ gt_vec)
+            # in ranges, so that no correction array the size of Z is held
+            for lo in range(0, span, _RESIDUAL_BATCH):
+                hi = min(lo + _RESIDUAL_BATCH, span)
+                z[..., lo:hi] += _corrections(
+                    c_tilde, seq[:, lo:hi], np.arange(lo + 1, hi + 1)
+                ).reshape(d, r, hi - lo)
+            c_plain = _correction_map(np.conj(plan.d_coef), kit.ext_stack,
+                                      herm(plan.ut) @ g_vec)
 
-    def plain_rows(idx):
-        """The corrected plain-row blocks at 0-based indices idx >= m0,
-        time-last as (d, r, len(idx)); row s = idx + 1 takes the
-        sequences at m = n + 1 - s."""
-        out = np.moveaxis(
-            z_p[idx % T, ..., np.searchsorted(chunks, idx // T)], 0, -1)
-        if plan is None:
-            return out
-        m = n - idx
-        return out + _corrections(c_plain, np.conj(seq[:, m - 1]),
-                                  m).reshape(d, r, -1)
+        def plain_rows(idx):
+            """The corrected plain-row blocks at 0-based indices idx >= m0,
+            time-last as (d, r, len(idx)); row s = idx + 1 takes the
+            sequences at m = n + 1 - s."""
+            out = np.moveaxis(
+                z_p[idx % T, ..., np.searchsorted(chunks, idx // T)], 0, -1)
+            if plan is None:
+                return out
+            m = n - idx
+            return out + _corrections(c_plain, np.conj(seq[:, m - 1]),
+                                      m).reshape(d, r, -1)
 
-    if m0:
-        z[..., span:] = plain_rows(np.arange(span, n))
-    lap("assembly")
+        if m0:
+            z[..., span:] = plain_rows(np.arange(span, n))
+        lap("assembly")
 
-    overlap_max_dev = 0.0
-    if check_overlap:
-        z_s = z[..., sample]
-        dev = np.linalg.norm(z_s - plain_rows(sample), axis=(0, 1))
-        scale = np.linalg.norm(z_s, axis=(0, 1)) / np.sqrt(min(d, r))
-        overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
-        if overlap_max_dev > _OVERLAP_TOL:
-            raise errors.OverlapMismatch(
-                f"regional assemblies deviate by {overlap_max_dev:.3e} "
-                f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-    z_p = seq = None     # not needed by the residual
-    lap("overlap")
+        overlap_max_dev = 0.0
+        if check_overlap:
+            z_s = z[..., sample]
+            dev = np.linalg.norm(z_s - plain_rows(sample), axis=(0, 1))
+            scale = np.linalg.norm(z_s, axis=(0, 1)) / np.sqrt(min(d, r))
+            overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
+            if overlap_max_dev > _OVERLAP_TOL:
+                raise errors.OverlapMismatch(
+                    f"regional assemblies deviate by {overlap_max_dev:.3e} "
+                    f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
+        z_p = rows = seq = None     # not needed by the residual
+        lap("overlap")
 
-    counters = {"overlap_rows": len(sample), "plan_bytes": 0,
-                "lambda_terms": 0, "gram_chunk": T,
-                "plain_chunks": len(chunks)}
-    if plan is not None:
-        counters["plan_bytes"] = sum(a.nbytes for a in plan
-                                     if isinstance(a, np.ndarray))
-        counters["lambda_terms"] = kit.lambda_terms
-    residual = tail = None
-    if compute_residual:
-        residual, tail, more = _residual_banded(tables, z, yt)
-        counters.update(more)
-    lap("residual")
+        counters = {"overlap_rows": len(sample), "plan_bytes": 0,
+                    "lambda_terms": 0, "gram_chunk": T,
+                    "plain_chunks": len(chunks), "lanes": lanes}
+        if plan is not None:
+            counters["plan_bytes"] = sum(a.nbytes for a in plan
+                                         if isinstance(a, np.ndarray))
+            counters["lambda_terms"] = kit.lambda_terms
+        residual = tail = None
+        if compute_residual:
+            residual, tail, more = _residual_banded(tables, z, yt, pool)
+            counters.update(more)
+        lap("residual")
     return SolveReport(
         z=_from_time_last(z), method="fast", n=n, d=d,
         seconds=time.perf_counter() - t0,

@@ -1,4 +1,7 @@
+import multiprocessing
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
                                        apply_Q_adjoint, solve)
+from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
+                                      upper_block_toeplitz)
 from blocktoeplitz.oracle import dense_solve
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
 from blocktoeplitz.util import binom
@@ -128,8 +133,6 @@ APPLY_SPECS = {
 def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n, width):
     # apply_A, apply_A_adjoint and both Gram variants against the dense
     # triangles, on an (n, d, width) Y
-    from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
-                                          upper_block_toeplitz)
     if name in APPLY_SPECS:
         spec = APPLY_SPECS[name]()
         tab = CoefficientTables(spec)
@@ -159,21 +162,91 @@ def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n, width):
                       - want_adj).max() <= 1e-10
 
 
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("name, width", [
+    ("warm_d3", None), ("warm_d3", 1), ("m0_3", None), ("mult3", None),
+    ("ar2", None)])
+def test_ranges_dense_oracle(monkeypatch, name, width, chunks):
+    # ranges of 1 and 3 chunks: the halos and states across ranges, the
+    # extra chunk of the first apply of a Gram, the ragged last chunk
+    spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
+            random_spec(d=2, K=0, mults=(), m0=2,
+                        rng=np.random.default_rng(33)))
+    tab = CoefficientTables(spec)
+    d, m0 = spec.d, spec.m0
+    S = sum(spec.mults)
+    P = m0 + T + S
+    r = width or d
+    monkeypatch.setattr(fast_solver, "_RANGE_BYTES",
+                        chunks * 2 * P * d * r * 16)
+    n = 7 * T + 5
+    y = random_rhs(n, d, seed=35)[:, :, :r]
+    tall = y.reshape(n * d, r)
+    for variant, tri, coef in (
+            ("tilde", upper_block_toeplitz, tab.a_tilde),
+            ("plain", lower_block_toeplitz, tab.a)):
+        a = tri([coef(k) for k in range(n)], n, d).data
+        for got, want in ((apply_A(spec, n, y, variant), a @ tall),
+                          (apply_A_adjoint(spec, n, y, variant),
+                           a.conj().T @ tall),
+                          (apply_A_gram(spec, n, y, variant),
+                           a.conj().T @ (a @ tall))):
+            want = want.reshape(n, d, r)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("variant", ["tilde", "plain"])
 def test_gram_memory_bound(variant):
-    # the applies hold a chunk stack and their outputs, each about the
-    # size of Y, never a buffer of one copy of Y per band shift and slot
+    # the Gram holds its output, the slot states of both applies (S / T
+    # of Y each) and one workspace of two chunk stacks for a range of
+    # chunks, never a stack or an output of the whole Y per apply
     spec = warm_d3_spec()
-    n = 4096
-    y = random_rhs(n, spec.d, seed=30)
-    apply_A_gram(spec, n, y, variant)
-    tracemalloc.start()
-    try:
+    for n in (4096, 1 << 16):
+        y = random_rhs(n, spec.d, seed=30)
         apply_A_gram(spec, n, y, variant)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * y.nbytes
+        tracemalloc.start()
+        try:
+            apply_A_gram(spec, n, y, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * y.nbytes + fast_solver._RANGE_BYTES, n
+
+
+@pytest.mark.parametrize("backwards", [False, True])
+def test_carry_states_vs_recurrence(backwards):
+    # mults (3, 1): a pole of multiplicity 3, whose slot i takes the
+    # states of its slots i' < i, and a simple pole; each chunk's state
+    # is carry @ (the state before) + the sums of the chunk before, in
+    # scan order, from zero
+    rng = np.random.default_rng(42)
+    S, nc = 4, 9
+    carry = np.zeros((S, S), dtype=complex)
+    carry[:3, :3] = np.tril(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+    carry[3, 3] = 0.6 - 0.5j
+    sums = rng.standard_normal((S, 2, 3, nc)) + 1j * rng.standard_normal(
+        (S, 2, 3, nc))
+    want = np.zeros_like(sums)
+    state = np.zeros((S, 2, 3), dtype=complex)
+    for c in (range(nc - 1, -1, -1) if backwards else range(nc)):
+        want[..., c] = state
+        state = np.tensordot(carry, state, 1) + sums[..., c]
+    got = sums.copy()
+    fast_solver._carry_states(got[..., ::-1] if backwards else got,
+                              (3, 1), carry)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("fn", [
+    apply_A, apply_A_adjoint, apply_A_gram,
+    lambda spec, n, y: apply_Q(spec, 0, n, y),
+    lambda spec, n, y: apply_Q_adjoint(spec, 0, n, y),
+], ids=["A", "A_adjoint", "A_gram", "Q", "Q_adjoint"])
+def test_apply_short_y_raises(ex52, fn):
+    # fewer than n blocks is an error, as in solve, not a shorter result
+    with pytest.raises(ValueError, match="Y has 50 blocks, need 100"):
+        fn(ex52, 100, np.ones((50, 1, 1)))
 
 
 def _solve_chunks(n, m0, seed=0):
@@ -443,8 +516,8 @@ def test_report_fields(ex52):
     lam = rep.counters.pop("lambda_terms")
     assert plan > 0 and lam > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
-        "plain_chunks": 1, "residual_band": 7, "residual_nfft": 32,
-        "residual_segments": 1}
+        "plain_chunks": 1, "lanes": 1, "residual_band": 7,
+        "residual_nfft": 32, "residual_segments": 1}
 
 
 def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
@@ -533,11 +606,17 @@ def test_singular_resolvent_raises_on_every_call(sweep_specs):
             solve(spec, n, y, kit=kit)
 
 
+def lanes(monkeypatch, count):
+    """Force solve onto one or two lanes."""
+    monkeypatch.setattr(fast_solver, "_two_lanes", lambda work: count == 2)
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
                                  fails):
     # delta I on every plain row: its spectral norm is delta, so delta
-    # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2)
+    # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2);
+    # on two lanes the perturbed rows come from the second lane
     spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
     n = 48
     y = random_rhs(n, spec.d, seed=21)
@@ -552,11 +631,15 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
         return rows(op, y, chunks) + delta * np.eye(spec.d)[..., None]
 
     monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
-    if fails:
-        with pytest.raises(errors.OverlapMismatch):
-            solve(spec, n, y, tables=tab)
-    else:
-        assert solve(spec, n, y, tables=tab).overlap_max_dev <= 1e-12
+    for count in (1, 2):
+        lanes(monkeypatch, count)
+        if fails:
+            with pytest.raises(errors.OverlapMismatch):
+                solve(spec, n, y, tables=tab)
+        else:
+            rep = solve(spec, n, y, tables=tab)
+            assert rep.counters["lanes"] == count
+            assert rep.overlap_max_dev <= 1e-12
 
 
 @pytest.mark.parametrize("frac", [0.9, 1.1])
@@ -585,3 +668,126 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     else:
         dev = solve(spec, n, y, tables=tab).overlap_max_dev
         assert 0.89e-9 <= dev <= 0.91e-9
+
+
+@pytest.mark.parametrize("name, n, width", [
+    pytest.param("warm_d3", 4000, None, id="warm_d3"),
+    pytest.param("warm_d3", 4000, 1, id="warm_d3_r1"),
+    pytest.param("mult3", 6001, None, id="mult3"),
+    pytest.param("m0_3", 3000 + 2, None, id="m0_3_ragged"),
+    pytest.param("m0_3", 3000 + 2, 1, id="m0_3_ragged_r1"),
+    pytest.param("pole099", 3001, None, id="pole099"),
+])
+def test_two_lanes_bit_identical(monkeypatch, name, n, width):
+    # the second lane runs the same arithmetic on the plain rows and on
+    # its half of the residual segments: Z is the same to the bit, the
+    # residual the same up to the order of the two lanes' sums
+    spec = APPLY_SPECS[name]()
+    tab = CoefficientTables(spec)
+    y = random_rhs(n, spec.d, seed=36)[:, :, :width or spec.d]
+    where = []
+    rows = fast_solver._gram_rows
+
+    def traced(*args):
+        where.append(threading.current_thread() is threading.main_thread())
+        return rows(*args)
+
+    monkeypatch.setattr(fast_solver, "_gram_rows", traced)
+    reps = {}
+    for count in (1, 2):
+        lanes(monkeypatch, count)
+        reps[count] = solve(spec, n, y, tables=tab)
+        assert reps[count].counters.pop("lanes") == count
+    assert where == [True, False]
+    assert np.array_equal(reps[1].z, reps[2].z)
+    assert reps[1].counters == reps[2].counters
+    assert reps[1].counters["residual_segments"] >= 2
+    assert abs(reps[2].residual - reps[1].residual) <= 1e-13 * reps[1].residual
+
+
+def test_two_lanes_leave_no_thread(monkeypatch):
+    # the second lane lives for one solve, whether it returns or raises,
+    # and an error in it leaves solve as itself
+    lanes(monkeypatch, 2)
+    spec = warm_d3_spec()
+    y = random_rhs(200, spec.d, seed=37)
+    before = threading.active_count()
+    solve(spec, 200, y)
+    assert threading.active_count() == before
+
+    def broken(op, y, chunks):
+        raise errors.DomainViolation("in the second lane")
+
+    monkeypatch.setattr(fast_solver, "_gram_rows", broken)
+    with pytest.raises(errors.DomainViolation, match="second lane"):
+        solve(spec, 200, y)
+    assert threading.active_count() == before
+
+
+def test_fork_after_two_lane_solve(monkeypatch):
+    # no lane outlives a solve, so a forked child solves on two lanes too
+    lanes(monkeypatch, 2)
+    spec = warm_d3_spec()
+    y = random_rhs(300, spec.d, seed=38)
+    want = solve(spec, 300, y).z
+
+    def child():
+        assert np.array_equal(solve(spec, 300, y).z, want)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+
+
+def test_two_lane_solve_memory_bound(monkeypatch):
+    # the plain rows beside the range-blocked tilde Gram and the residual
+    # at half the batch per lane: a warm two-lane solve at 2^16 peaks no
+    # higher than a one-lane solve did with the Gram that held a whole
+    # stack and output per apply, 4.38 Y
+    lanes(monkeypatch, 2)
+    spec = warm_d3_spec()
+    n = 1 << 16
+    tab, kit = CoefficientTables(spec), ClosedFormKit(spec)
+    y = random_rhs(n, spec.d, seed=39)
+    solve(spec, n, y, tables=tab, kit=kit)
+    tracemalloc.start()
+    try:
+        rep = solve(spec, n, y, tables=tab, kit=kit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counters["lanes"] == 2
+    assert peak <= 4.38 * y.nbytes
+
+
+def test_batches_leave_the_solve_unchanged(monkeypatch):
+    # the tilde corrections and the residual segments in batches of a
+    # few hundred points instead of one: the same Z to the bit, the same
+    # residual up to the order of its sums
+    spec = warm_d3_spec()
+    n = 4000
+    tab = CoefficientTables(spec)
+    y = random_rhs(n, spec.d, seed=40)
+    whole = solve(spec, n, y, tables=tab)
+    monkeypatch.setattr(fast_solver, "_RESIDUAL_BATCH", 1 << 9)
+    batched = solve(spec, n, y, tables=tab)
+    assert np.array_equal(whole.z, batched.z)
+    assert abs(batched.residual - whole.residual) <= 1e-13 * whole.residual
+
+
+def test_gram_ranges_on_two_lanes(monkeypatch):
+    # with a pool both lanes take ranges of chunks as they come free, one
+    # chunk per range here: the same Gram to the bit as on one lane
+    monkeypatch.setattr(fast_solver, "_RANGE_BYTES", 1)
+    spec = warm_d3_spec()
+    n = 64 * T + 5
+    y = fast_solver._to_time_last(random_rhs(n, spec.d, seed=41))
+    for variant in ("tilde", "plain"):
+        op = fast_solver._factor(spec, variant)
+        with ThreadPoolExecutor(1) as pool:
+            two = fast_solver._gram(op, y, pool)
+        assert np.array_equal(two, fast_solver._gram(op, y))
