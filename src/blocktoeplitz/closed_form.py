@@ -26,12 +26,9 @@ import numpy as np
 
 from . import errors
 from .coefficients import CoefficientTables
-from .symbol import _invert, h_inv_taylor
+from .symbol import _UNIT_ROUNDOFF, _invert, h_inv_taylor
 from .util import binom, binom_vec, herm
 
-_LAMBDA_CHECK_TOL = 1e-10
-_LAMBDA_BLOCK = 256
-_LAMBDA_MAX_TERMS = 100_000
 # block length of the pole powers in ClosedFormKit.sequences
 _POWER_BLOCK = 256
 # relative tolerances of the region cross-checks of inverse_block_ar / _arma
@@ -97,7 +94,8 @@ def _basis(terms, out):
 
 
 class ClosedFormKit:
-    """All n-independent closed-form data for one symbol with K >= 1."""
+    """All n-independent closed-form data for one symbol with K >= 1, in
+    closed form with no series and no iteration cap (_check_lambda_stein)."""
 
     def __init__(self, spec):
         if spec.K < 1:
@@ -130,7 +128,7 @@ class ClosedFormKit:
         self.lambda_mat = self.build_lambda()
         self.theta_values, self.theta_mat = self.build_theta()
         self.v_coef, self.w_coef = self._coefficients()
-        self._check_lambda_series()
+        self._check_lambda_stein()
 
     # -- Lambda ---------------------------------------------------------- #
 
@@ -162,33 +160,24 @@ class ClosedFormKit:
         s = self.p_scalars(n)
         return (s[:, None, None] * np.eye(self.d)).reshape(-1, self.d)
 
-    def _check_lambda_series(self):
-        """Construction-time check: closed-form Lambda matches its
-        defining series within 1e-10, with a certified tail. Keeps the
-        number of series terms summed as lambda_terms."""
-        total = np.zeros((self.M, self.M), dtype=np.complex128)
-        rmax, mmax = self.spec.pole_decay, max(self.spec.mults)
-        for l in range(_LAMBDA_BLOCK, _LAMBDA_MAX_TERMS + 1, _LAMBDA_BLOCK):
-            ls = np.arange(l - _LAMBDA_BLOCK, l)
-            s = self._slot_powers(ls, ls)       # p_m scalars, m < l
-            total += s.T @ np.conj(s)
-            # tail: sum_{m>=l} ||s_m||^2, closed with a ratio bound once
-            # the per-term ratio bound, decreasing in l, falls below 1
-            term = float(np.vdot(self.p_scalars(l), self.p_scalars(l)).real)
-            ratio = rmax ** 2 * ((l + mmax) / l) ** (2 * (mmax - 1))
-            if ratio < 1.0 and l >= 2 * mmax and term / (1.0 - ratio) \
-                    < 1e-14 * max(1.0, float(np.abs(total).max())):
-                break
-        else:
-            raise errors.ToleranceUnreachable(
-                f"Lambda series tail above tolerance after {l} terms")
-        self.lambda_terms = l
-        series = _kron_scalar(total, self.d)
-        dev = float(np.abs(series - self.lambda_mat).max())
-        if dev > _LAMBDA_CHECK_TOL * max(
-                1.0, float(np.abs(self.lambda_mat).max())):
+    def _check_lambda_stein(self):
+        """Construction-time check of the closed-form Lambda against the
+        Stein identity of its series, Lambda = J Lambda J* + p_0 p_0*, with
+        J = (diag(p) + the shift within each pole's slots) (x) I_d, so that
+        p_{l+1} = J p_l. NumericalError unless every entry of the residual
+        is within 8 (Md + 4) u (|J| |Lambda| |J|^T + |Lambda| + |p_0| |p_0|^T),
+        the rounding bound of the products (Higham, Accuracy and Stability
+        of Numerical Algorithms, sec. 3.5)."""
+        shift = np.diag([float(i > 1) for _, i in self.slots[1:]], -1)
+        J = _kron_scalar(np.diag(self.pole_of_slot) + shift, self.d)
+        lam, p0 = self.lambda_mat, self.p_vec(0)
+        dev = np.abs(lam - J @ lam @ herm(J) - p0 @ herm(p0))
+        bound = 8 * (len(lam) + 4) * _UNIT_ROUNDOFF * (
+            np.abs(J) @ np.abs(lam) @ np.abs(J).T + np.abs(lam)
+            + np.abs(p0) @ np.abs(p0).T)
+        if not (dev <= bound).all():
             raise errors.NumericalError(
-                f"Lambda closed form deviates from its series by {dev:.3e}")
+                f"Lambda misses its Stein identity by {dev.max():.3e}")
 
     # -- Theta ------------------------------------------------------------ #
 
@@ -263,13 +252,6 @@ class ClosedFormKit:
                     c0 = (base + c - 1) * d
                     out[r0:r0 + d, c0:c0 + d] = val * np.eye(d)
         return out
-
-    def _slot_powers(self, k, e):
-        """C(k, i-1) p_mu^{e-i+1} per slot (mu, i), vectorized over
-        integer arrays k and e -> (len, M); p_n has k = e = n."""
-        poles = self.spec.poles
-        return np.stack([binom_vec(k, i - 1) * poles[mu] ** (e - i + 1)
-                         for mu, i in self.slots], axis=-1)
 
     def _xi_terms(self, qr, qc):
         """The terms (c, r, const) of the Xi scalar of slots qr = (mu, i),

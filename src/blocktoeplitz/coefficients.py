@@ -10,9 +10,11 @@ For a symbol w = h h* = h_sharp* h_sharp this module produces
 
 a/a~ come from exact closed forms; c, c~ and gamma from the realization
 h(z) = c0 + z C (I - z A)^{-1} B of symbol.realization (c~ from the sharp
-side, gamma after one Stein solve for P). Their tail bounds follow from
-its decay certificate ||A^k|| <= growth rate^k; the proof covers the
-stored realization, which is exact up to the rounding of D^{-1} and P.
+side, gamma after one Stein solve for P), built once per spec as
+spec.realizations. Their tail bounds, and the gamma band a tolerance
+needs, follow from its decay certificate ||A^k|| <= growth rate^k; the
+proof covers the stored realization, exact up to the rounding of D^{-1}
+and P.
 
 beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .symbol import h_inv_on_grid, h_inv_taylor, h_on_grid, realization
+from .symbol import h_inv_on_grid, h_inv_taylor, h_on_grid
 from .util import binom_vec, geometric_poly_tail, herm, unit_circle
 
 _REL_TOL = 1e-14
@@ -106,8 +108,8 @@ class _Realized:
 class CoefficientTables:
     """Lazily extended, lock-guarded coefficient tables for one symbol.
 
-    c, c~ and gamma are served from the realizations of h and h_sharp,
-    which are built and certified, on both sides, before the first of
+    c, c~ and gamma are served from spec.realizations, of h and h_sharp,
+    which are built and certified once per spec, before the first of
     them is served: SingularLeadingCoefficient for a singular a_0 or a~_0,
     OuternessCheckFailed for a symbol whose h or h_sharp is not outer.
 
@@ -118,8 +120,6 @@ class CoefficientTables:
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()
-        self._a = []
-        self._a_tilde = []
         self._a_stacks = {}
         self._realized = None
         self._beta = {}
@@ -135,31 +135,23 @@ class CoefficientTables:
 
     # -- exact closed-form series ---------------------------------------- #
 
-    def _filled(self, upto, tilde):
-        """The list of a_k (a~_k with tilde=True), every k <= upto filled:
-        all missing k at once by _a_range."""
-        with self._lock:
-            have = self._a_tilde if tilde else self._a
-            if len(have) <= upto:
-                new = _a_range(self.spec, len(have), upto + 1, tilde)
-                have.extend(herm(new) if tilde else new)
-            return have
-
     def a(self, n):
-        return self._filled(n, False)[n]
+        return self.a_stack(n)[n]
 
     def a_tilde(self, n):
-        return self._filled(n, True)[n]
+        return self.a_stack(n, tilde=True)[n]
 
     def a_stack(self, upto, tilde=False):
         """a_0..a_m (a~_0..a~_m with tilde=True) as one read-only
-        (m + 1, d, d) array, m >= upto. The stack is kept and grows by
-        doubling, so block sums over many (s, t) read it in O(1) each."""
+        (m + 1, d, d) array, m >= upto, the one store of the sequence. It
+        grows by doubling, from _a_range, so block sums read it in O(1)."""
         with self._lock:
-            stack = self._a_stacks.get(tilde)
-            if stack is None or len(stack) <= upto:
-                size = max(upto + 1, 0 if stack is None else 2 * len(stack))
-                stack = np.stack(self._filled(size - 1, tilde)[:size])
+            stack = self._a_stacks.get(tilde, np.zeros((0, self.d, self.d),
+                                                      dtype=np.complex128))
+            if len(stack) <= upto:
+                new = _a_range(self.spec, len(stack),
+                               max(upto + 1, 2 * len(stack)), tilde)
+                stack = np.concatenate([stack, herm(new) if tilde else new])
                 stack.flags.writeable = False
                 self._a_stacks[tilde] = stack
             return stack
@@ -174,8 +166,7 @@ class CoefficientTables:
         """
         with self._lock:
             if self._realized is None:
-                h = realization(self.spec, False)
-                hs = realization(self.spec, True)
+                h, hs = self.spec.realizations
                 P = scipy.linalg.solve_discrete_lyapunov(h.A, h.B @ herm(h.B))
                 g0 = h.c0 @ herm(h.c0) + h.C @ P @ herm(h.C)
                 bw = h.B @ herm(h.c0) + h.A @ P @ herm(h.C)
@@ -290,6 +281,19 @@ class CoefficientTables:
     def gamma_band_tail(self, L):
         """Certified bound for sum_{|k| > L} ||gamma(k)||."""
         return 2.0 * self._series("gamma").tail_sum(L + 1)
+
+    def gamma_band_width(self, tol):
+        """The least L >= 0 with gamma_band_tail(L) <= tol (tol > 0). The
+        tail is 2 const rate^L / (1 - rate), so L is solved for, then
+        stepped up only where the rounding of that solve requires it."""
+        series = self._series("gamma")
+        L = 0
+        if self.gamma_band_tail(0) > tol:
+            L = int(np.log(tol * (1.0 - series.rate) / (2.0 * series.const))
+                    / np.log(series.rate))
+        while self.gamma_band_tail(L) > tol:
+            L += 1
+        return L
 
     # -- phase-function Fourier coefficients -------------------------------- #
 

@@ -567,11 +567,10 @@ class SolveReport:
     # seconds per stage of solve: gram, plan, assembly, overlap, residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
-    # arrays; 0 without a plan), lambda_terms (of the kit's Lambda series
-    # check; 0 without a kit), gram_chunk (blocks per chunk of the Gram
+    # arrays; 0 without a plan), gram_chunk (blocks per chunk of the Gram
     # applies), plain_chunks (chunks whose plain rows were computed in
-    # full) and, when the residual ran, residual_band (L), residual_nfft
-    # and residual_segments
+    # full), lanes and, when the residual ran, residual_band (L, the
+    # least the certificate allows), residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
 
@@ -621,7 +620,8 @@ def _corrections(cmap, seq, ms):
 
 def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
-    band k = -L..L, by overlap-save. The band is transformed once at
+    band k = -L..L, by overlap-save, with L = tables.gamma_band_width(rel
+    ||gamma(0)||_2) capped at n - 1. The band is transformed once at
     nfft = 2^ceil(log2(8 (2L + 1))) points, or at the single transform
     that covers n + 2L if that is shorter; Z, padded by L zero blocks in
     front, is cut into segments of nfft points stepping by nfft - 2L, and
@@ -635,10 +635,8 @@ def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     the counters residual_band, residual_nfft and residual_segments.
     """
     d, r, n = z.shape
-    L = 0
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
-    while L < n - 1 and tables.gamma_band_tail(L) > rel * g0:
-        L = min(L + max(1, L // 2), n - 1)
+    L = min(tables.gamma_band_width(rel * g0), n - 1)
     band = np.stack([tables.gamma(k) for k in range(-L, L + 1)])
     nfft = 1 << int(np.ceil(np.log2(min(8 * (2 * L + 1), n + 2 * L + 1))))
     step = nfft - 2 * L
@@ -816,12 +814,11 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         lap("overlap")
 
         counters = {"overlap_rows": len(sample), "plan_bytes": 0,
-                    "lambda_terms": 0, "gram_chunk": T,
-                    "plain_chunks": len(chunks), "lanes": lanes}
+                    "gram_chunk": T, "plain_chunks": len(chunks),
+                    "lanes": lanes}
         if plan is not None:
             counters["plan_bytes"] = sum(a.nbytes for a in plan
                                          if isinstance(a, np.ndarray))
-            counters["lambda_terms"] = kit.lambda_terms
         residual = tail = None
         if compute_residual:
             residual, tail, more = _residual_banded(tables, z, yt, pool)

@@ -16,6 +16,7 @@ All evaluation helpers take a complex point z; `eval_w` takes an angle
 theta and evaluates on the unit circle.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from . import errors
 from .util import binom, herm, unit_circle
 
 _POLE_EPS = 1e-12
+_FACTORIZATION_TOL = 1e-8   # of max |h h* - h_sharp* h_sharp| in validate
 
 
 def _as_matrix(a, d, name):
@@ -120,6 +122,14 @@ class RationalSymbolSpec:
     def pole_decay(self):
         """max_mu |p_mu| (0.0 when K = 0)."""
         return max((abs(p) for p in self.poles), default=0.0)
+
+    @functools.cached_property
+    def realizations(self):
+        """(realization of h, realization of h_sharp), built and certified
+        on the first read and kept on the instance (its arrays are
+        read-only, so the pair cannot go stale). A build that raises is
+        not kept: the next read raises again."""
+        return realization(self, False), realization(self, True)
 
     # -- evaluation ----------------------------------------------------- #
 
@@ -381,15 +391,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(spec, factorization_tol=1e-8):
+def validate(spec):
     """Check every invariant of a symbol spec and return a ValidationReport.
 
     Beyond the structural pole/residue constraints this performs the two
     numerical checks: outerness of h and h_sharp, proven by the decay
     certificate of each one's realization (a singular a_0 is a pole of h
-    at 0 and fails it too), and agreement of h h* with h_sharp* h_sharp on
-    a 512-point grid (the supplied sharp coefficients factor the same
-    symbol).
+    at 0 and fails it too; the tables reuse spec.realizations), and
+    agreement of h h* with h_sharp* h_sharp within 1e-8 on a 512-point
+    grid (the supplied sharp coefficients factor the same symbol).
     """
     report = ValidationReport()
     add = report.checks.append
@@ -443,8 +453,7 @@ def validate(spec, factorization_tol=1e-8):
     # stable, which its decay certificate proves
     detail = ""
     try:
-        for sharp in (False, True):
-            realization(spec, sharp)
+        spec.realizations
     except (errors.OuternessCheckFailed,
             errors.SingularLeadingCoefficient) as exc:
         detail = str(exc)
@@ -458,7 +467,7 @@ def validate(spec, factorization_tol=1e-8):
     w1 = h @ np.conj(np.swapaxes(h, -1, -2))
     w2 = np.conj(np.swapaxes(hs, -1, -2)) @ hs
     dev = float(np.abs(w1 - w2).max())
-    ok = dev <= factorization_tol
+    ok = dev <= _FACTORIZATION_TOL
     add(CheckResult("sharp_factorization", ok,
                     f"max |h h* - h_sharp* h_sharp| = {dev:.3e}",
                     errors.SharpFactorizationMismatch))

@@ -38,15 +38,21 @@ def test_lambda_matches_series(sweep_specs):
     assert np.abs(total - kit.lambda_mat).max() <= 1e-10
 
 
-def test_lambda_check_cap_raises(monkeypatch):
-    # |p| = 0.97 closes its tail after ~700 terms; a 256-term cap refuses
-    from blocktoeplitz import closed_form
-    spec = random_spec(d=2, K=1, mults=(2,), m0=1,
-                       rng=np.random.default_rng(0), pole_radii=(0.97, 0.97))
-    ClosedFormKit(spec)
-    monkeypatch.setattr(closed_form, "_LAMBDA_MAX_TERMS", 256)
-    with pytest.raises(errors.ToleranceUnreachable):
-        ClosedFormKit(spec)
+def test_lambda_stein_check_catches_perturbed_entries():
+    # 1e-9 max(1, max|Lambda|) added to any one entry breaks the Stein
+    # identity Lambda = J Lambda J* + p_0 p_0* beyond its rounding bound
+    near_unit = random_spec(d=2, K=1, mults=(2,), m0=1,
+                            rng=np.random.default_rng(0),
+                            pole_radii=(0.97, 0.97))
+    for spec in (warm_d3_spec(), mult3_spec(), near_unit):
+        kit = ClosedFormKit(spec)
+        lam = kit.lambda_mat
+        delta = 1e-9 * max(1.0, float(np.abs(lam).max()))
+        for idx in np.ndindex(lam.shape):
+            kit.lambda_mat = lam.copy()
+            kit.lambda_mat[idx] += delta
+            with pytest.raises(errors.NumericalError):
+                kit._check_lambda_stein()
 
 
 def test_theta_simple_pole_formula(sweep_specs):

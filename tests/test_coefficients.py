@@ -62,6 +62,28 @@ def test_a_stack_matches_a_coeff(shape_tables, name):
             assert err <= 1e-15 * max(np.linalg.norm(want), 1e-300)
 
 
+@pytest.mark.parametrize("name", ["warm_d3", "mult3", "near_unit"])
+def test_a_store_grows_bit_identically(shape_tables, name):
+    # a(5) then a_stack(100) fills the one store in two ranges; a fresh
+    # a_stack(100) fills it in one, with the same bytes
+    spec = shape_tables[name].spec
+    for tilde, read in ((False, "a"), (True, "a_tilde")):
+        grown = CoefficientTables(spec)
+        getattr(grown, read)(5)
+        fresh = CoefficientTables(spec).a_stack(100, tilde=tilde)
+        assert grown.a_stack(100, tilde=tilde).tobytes() == fresh.tobytes()
+
+
+def test_gamma_band_width_is_minimal(shape_tables):
+    for name, tab in shape_tables.items():
+        g0 = float(np.linalg.norm(tab.gamma(0), 2))
+        for rel in (1e-6, 1e-12, 1e-15):
+            tol = rel * g0
+            L = tab.gamma_band_width(tol)
+            assert tab.gamma_band_tail(L) <= tol, name
+            assert L == 0 or tab.gamma_band_tail(L - 1) > tol, name
+
+
 def test_c_sequence_ex52(ex52_tables):
     # c_0 = -1/rho, c_1 = pbar/rho, c_k = 0 beyond
     assert ex52_tables.c(0)[0, 0] == pytest.approx(-1.0)

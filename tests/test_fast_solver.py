@@ -392,10 +392,10 @@ def test_solve_any_rhs_width():
         [(n, 3, 1)] * 2
 
 
-@pytest.mark.parametrize("n, segments", [(899, 2), (1803, 3), (500, 1)])
+@pytest.mark.parametrize("n, segments", [(917, 2), (1839, 3), (500, 1)])
 def test_overlap_save_residual_vs_dense(n, segments):
-    # AR(1) with phi = 0.45 has L = 63 and nfft = 1024, so a segment steps
-    # 898 blocks: n = step + 1 and 2 step + 7 leave a ragged last segment,
+    # AR(1) with phi = 0.45 has L = 54 and nfft = 1024, so a segment steps
+    # 916 blocks: n = step + 1 and 2 step + 7 leave a ragged last segment,
     # and at n = 500 one segment covers n + 2L
     tab = CoefficientTables(scalar_ar([0.45]))
     rng = np.random.default_rng(n)
@@ -403,7 +403,7 @@ def test_overlap_save_residual_vs_dense(n, segments):
             for _ in range(2))
     resid, tail, counters = fast_solver._residual_banded(
         tab, z.reshape(1, 1, n), y.reshape(1, 1, n))
-    assert counters == {"residual_band": 63, "residual_nfft": 1024,
+    assert counters == {"residual_band": 54, "residual_nfft": 1024,
                         "residual_segments": segments}
     dense = np.linalg.norm(dense_toeplitz_matrix(tab, n, 1) @ z - y)
     assert abs(resid - dense) <= 1e-12 * dense
@@ -412,19 +412,19 @@ def test_overlap_save_residual_vs_dense(n, segments):
 
 def test_overlap_save_residual_vs_dense_blocks():
     # d = 3, r = 2: the per-frequency block products against T_n Z summed
-    # over every lag of T_n. The warm d = 3 shape has L = 94 and
-    # nfft = 2048, so a segment steps 1860 blocks and n = 1960 leaves a
+    # over every lag of T_n. The warm d = 3 shape has L = 81 and
+    # nfft = 2048, so a segment steps 1886 blocks and n = 1986 leaves a
     # ragged last segment of 100 blocks
     spec = warm_d3_spec()
     tab = CoefficientTables(spec)
-    n = 1960
+    n = 1986
     rng = np.random.default_rng(24)
     # held as (d, n, r), so that one lag of T_n is one gemm
     z, y = (rng.standard_normal((3, n, 2))
             + 1j * rng.standard_normal((3, n, 2)) for _ in range(2))
     resid, tail, counters = fast_solver._residual_banded(
         tab, z.transpose(0, 2, 1), y.transpose(0, 2, 1))
-    assert counters == {"residual_band": 94, "residual_nfft": 2048,
+    assert counters == {"residual_band": 81, "residual_nfft": 2048,
                         "residual_segments": 2}
     tz = -y
     for k in range(1 - n, n):
@@ -433,7 +433,8 @@ def test_overlap_save_residual_vs_dense_blocks():
                          ).reshape(3, -1, 2)
     dense = np.linalg.norm(tz)
     assert abs(resid - dense) <= 1e-12 * dense
-    assert tail <= 1e-12 * np.linalg.norm(z)
+    # the least band whose tail is within 1e-12 of ||gamma(0)||_2 (about 2)
+    assert tail <= 1e-12 * np.linalg.norm(tab.gamma(0), 2) * np.linalg.norm(z)
 
 
 def test_residual_transform_independent_of_n(ex52, ex52_tables):
@@ -513,8 +514,7 @@ def test_report_fields(ex52):
     assert min(rep.timings.values()) >= 0
     assert sum(rep.timings.values()) <= rep.seconds
     plan = rep.counters.pop("plan_bytes")
-    lam = rep.counters.pop("lambda_terms")
-    assert plan > 0 and lam > 0 and rep.counters == {
+    assert plan > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
         "plain_chunks": 1, "lanes": 1, "residual_band": 7,
         "residual_nfft": 32, "residual_segments": 1}

@@ -5,13 +5,14 @@ is additionally allowed to refuse when its contraction bound fails, but
 for these symbols it holds)."""
 
 import numpy as np
+import pytest
 
-from blocktoeplitz.closed_form import inverse_matrix_closed
+from blocktoeplitz.closed_form import ClosedFormKit, inverse_matrix_closed
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import solve
-from blocktoeplitz.oracle import levinson_solve
+from blocktoeplitz.oracle import dense_solve, levinson_solve
 from blocktoeplitz.series_inverse import SeriesInverter
-from blocktoeplitz.synth import random_spec
+from blocktoeplitz.synth import random_spec, scalar_single_pole
 from blocktoeplitz.symbol import validate
 
 from helpers import dense_toeplitz_matrix, random_rhs
@@ -81,3 +82,19 @@ def test_beta_triple_path_hard_cases():
             closed = tab.beta_closed(k)
             assert np.abs(closed - tab.beta_series(k)).max() <= 1e-9
             assert np.abs(closed - tab.beta_quadrature(k)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [
+    scalar_single_pole(0.9999),
+    random_spec(d=2, K=1, mults=(2,), m0=0, rng=np.random.default_rng(3),
+                pole_radii=(0.9999, 0.9999))], ids=["d1", "d2_mult2"])
+def test_pole_at_radius_0_9999(spec):
+    # the kit's Lambda check has no series to sum, so a pole this close
+    # to the circle builds a kit, and the fast solve matches the dense one
+    ClosedFormKit(spec)
+    n = 512
+    tab = CoefficientTables(spec)
+    y = random_rhs(n, spec.d, seed=7)
+    fast = solve(spec, n, y, tables=tab).z
+    dense = dense_solve(spec, n, y, tables=tab).z
+    assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blocktoeplitz import errors
+from blocktoeplitz import errors, symbol
+from blocktoeplitz.coefficients import CoefficientTables
+from blocktoeplitz.fast_solver import solve
 from blocktoeplitz.symbol import (RationalSymbolSpec, decay_certificate,
                                   load_spec, realization, save_spec,
                                   spec_from_dict, spec_to_dict, validate,
                                   w_on_circle)
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
 
-from helpers import make_sweep_spec, mult3_spec, warm_d3_spec
+from helpers import make_sweep_spec, mult3_spec, random_rhs, warm_d3_spec
 
 
 def test_ex52_validates(ex52):
@@ -65,6 +67,30 @@ def test_non_outer_symbol_rejected():
     with pytest.raises(errors.OuternessCheckFailed,
                        match="spectral radius of A_x is 2 "):
         report.raise_if_failed()
+
+
+def test_realizations_built_once_per_spec(monkeypatch):
+    # validate, the tables and a cold solve share the spec's one pair
+    built = []
+
+    def counted(spec, sharp):
+        built.append(sharp)
+        return realization(spec, sharp)
+
+    monkeypatch.setattr(symbol, "realization", counted)
+    spec = warm_d3_spec()
+    validate(spec).raise_if_failed()
+    assert CoefficientTables(spec).gamma(3).shape == (3, 3)
+    solve(spec, 64, random_rhs(64, 3, seed=1))
+    assert built == [False, True]
+
+
+def test_failed_realizations_are_not_kept():
+    spec = scalar_ar([2.0])
+    for _ in range(2):
+        with pytest.raises(errors.OuternessCheckFailed):
+            spec.realizations
+    assert "realizations" not in vars(spec)
 
 
 def test_wrong_sharp_factor_rejected():
