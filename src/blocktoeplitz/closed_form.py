@@ -45,6 +45,8 @@ class SolvePlan(NamedTuple):
     of v_m come from kit.v_coef. Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
+    * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
+      matrix whose inverse R enters k_n;
     * k_n: the fixed 2Md x 2Md map that takes the sums
       [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v) to the
       resolvent-corrected [g_vec; g~_vec]. With P = Pi_n Theta,
@@ -73,6 +75,7 @@ class SolvePlan(NamedTuple):
     """
 
     spectral_radius: float
+    resolvent_cond: float
     k_n: np.ndarray
     ut: np.ndarray
     d_coef: np.ndarray
@@ -317,13 +320,15 @@ class ClosedFormKit:
         n = int(n)
         pit, g, gt, radius = self.checked_g_mats(n)
         lam, eye = self.lambda_mat, np.eye(self.M * self.d)
-        top = eye + lam.T @ g @ np.linalg.solve(eye - gt @ g, herm(pit))
+        i_gtg = eye - gt @ g
+        top = eye + lam.T @ g @ np.linalg.solve(i_gtg, herm(pit))
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
         # -diag(p^n) v_m: the row of slot (mu, i) times -p_mu^n
         minus_v = -(self.pole_of_slot ** n)[:, None, None] * self.v_coef
-        return SolvePlan(radius, k_n, self.u_mat(n) @ self.theta_mat,
+        return SolvePlan(radius, float(np.linalg.cond(i_gtg)), k_n,
+                         self.u_mat(n) @ self.theta_mat,
                          np.concatenate([self.w_coef, minus_v], axis=-1))
 
     def _coefficients(self):

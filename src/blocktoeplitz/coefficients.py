@@ -11,10 +11,13 @@ For a symbol w = h h* = h_sharp* h_sharp this module produces
 a/a~ come from exact closed forms; c, c~ and gamma from the realization
 h(z) = c0 + z C (I - z A)^{-1} B of symbol.realization (c~ from the sharp
 side, gamma after one Stein solve for P), built once per spec as
-spec.realizations. Their tail bounds, and the gamma band a tolerance
-needs, follow from its decay certificate ||A^k|| <= growth rate^k; the
-proof covers the stored realization, exact up to the rounding of D^{-1}
-and P.
+spec.realizations. Each sequence is built only when it is first read,
+and is held as one read-only (m, d, d) stack that grows by doubling: the
+states [B, A B, .., A^{w-1} B] gain A^w times themselves, with A^w
+squared at each step, so a block of entries is one product with C. Their
+tail bounds, and the gamma band a tolerance needs, follow from its decay
+certificate ||A^k|| <= growth rate^k; the proof covers the stored
+realization, exact up to the rounding of D^{-1} and P.
 
 beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
@@ -72,27 +75,46 @@ def _a_range(spec, start, stop, sharp):
     return out
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class _Realized:
     """f_0 = head and f_k = C A^{k-1} B (k >= 1) of one realized sequence,
-    appended under the tables' lock as they are read, with the certified
-    ||f_k|| <= const * rate^(k-1) for k >= 1."""
+    held as one read-only (m, d, d) stack that grows by doubling under
+    the tables' lock, with the certified ||f_k|| <= const * rate^(k-1)
+    for k >= 1."""
 
     def __init__(self, lock, head, C, A, B, cert):
-        self._lock, self.entries = lock, [head]
-        self._out, self._a, self._state, self.rate = C, A, B, cert.rate
+        self._lock, self._out, self.rate = lock, C, cert.rate
+        # the states [B, A B, .., A^{w-1} B] as (N, w d) columns, and A^w
+        self._states, self._power = B, A
+        self._stack = _read_only(np.stack([head, C @ B]))
         # the factor covers the rounding of the norms and of const rate^k
         self.const = (float(np.linalg.norm(C, 2) * np.linalg.norm(B, 2))
                       * cert.growth * (1.0 + 1e-12) if len(A) else 0.0)
         self._head = float(np.linalg.norm(head, 2))
 
+    def upto(self, k):
+        """f_0..f_m as one read-only (m + 1, d, d) array, m >= k: each
+        doubling maps the w states by A^w to the next w, whose entries
+        are one product with C, and squares A^w."""
+        with self._lock:
+            while len(self._stack) <= k:
+                new = self._power @ self._states
+                d = self._stack.shape[-1]
+                out = (self._out @ new).reshape(-1, new.shape[1] // d, d)
+                self._stack = _read_only(np.concatenate(
+                    [self._stack, out.transpose(1, 0, 2)]))
+                self._states = np.concatenate([self._states, new], axis=1)
+                self._power = self._power @ self._power
+            return self._stack
+
     def entry(self, k):
         if k < 0:
             raise ValueError("n must be >= 0")
-        with self._lock:
-            while len(self.entries) <= k:
-                self.entries.append(self._out @ self._state)
-                self._state = self._a @ self._state
-            return self.entries[k]
+        return self.upto(k)[k]
 
     def sup(self, start):
         """Certified sup_{j >= start} ||f_j||."""
@@ -113,15 +135,17 @@ class CoefficientTables:
     them is served: SingularLeadingCoefficient for a singular a_0 or a~_0,
     OuternessCheckFailed for a symbol whose h or h_sharp is not outer.
 
-    Thread contract: concurrent readers are safe because every list
-    extension happens under an internal lock.
+    Thread contract: concurrent readers are safe because every stack and
+    cache is extended under an internal lock, and a stack is replaced by
+    a longer read-only one, never written, so a reader's array stays
+    whole.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()
         self._a_stacks = {}
-        self._realized = None
+        self._realized = {}
         self._beta = {}
         self._kit = None
         self._phase_grid = None
@@ -151,9 +175,8 @@ class CoefficientTables:
             if len(stack) <= upto:
                 new = _a_range(self.spec, len(stack),
                                max(upto + 1, 2 * len(stack)), tilde)
-                stack = np.concatenate([stack, herm(new) if tilde else new])
-                stack.flags.writeable = False
-                self._a_stacks[tilde] = stack
+                self._a_stacks[tilde] = stack = _read_only(np.concatenate(
+                    [stack, herm(new) if tilde else new]))
             return stack
 
     # -- sequences of the realizations ------------------------------------- #
@@ -163,19 +186,20 @@ class CoefficientTables:
         the adjoint realization) or "gamma": gamma(k) = sum_j c_{k+j} c_j*,
         so with P = A P A* + B B* (one Stein solve) gamma(0) = c0 c0* +
         C P C* and gamma(k) = C A^{k-1} B_w for k >= 1, B_w = B c0* + A P C*.
-        """
+        Each is built on its first read; the others are not built."""
         with self._lock:
-            if self._realized is None:
+            if name not in self._realized:
                 h, hs = self.spec.realizations
-                P = scipy.linalg.solve_discrete_lyapunov(h.A, h.B @ herm(h.B))
-                g0 = h.c0 @ herm(h.c0) + h.C @ P @ herm(h.C)
-                bw = h.B @ herm(h.c0) + h.A @ P @ herm(h.C)
-                lock = self._lock
-                self._realized = {
-                    "c": _Realized(lock, h.c0, h.C, h.A, h.B, h),
-                    "c_tilde": _Realized(lock, herm(hs.c0), herm(hs.B),
-                                         herm(hs.A), herm(hs.C), hs),
-                    "gamma": _Realized(lock, g0, h.C, h.A, bw, h)}
+                if name == "c":
+                    args = h.c0, h.C, h.A, h.B, h
+                elif name == "c_tilde":
+                    args = herm(hs.c0), herm(hs.B), herm(hs.A), herm(hs.C), hs
+                else:
+                    P = scipy.linalg.solve_discrete_lyapunov(
+                        h.A, h.B @ herm(h.B))
+                    args = (h.c0 @ herm(h.c0) + h.C @ P @ herm(h.C), h.C,
+                            h.A, h.B @ herm(h.c0) + h.A @ P @ herm(h.C), h)
+                self._realized[name] = _Realized(self._lock, *args)
             return self._realized[name]
 
     def c(self, n):
@@ -259,6 +283,12 @@ class CoefficientTables:
         if k < 0:
             return self.gamma(-k).conj().T
         return self._series("gamma").entry(k)
+
+    def gamma_band(self, L):
+        """gamma(-L..L) as one (2L + 1, d, d) array: the stored gamma(0..L)
+        after their adjoints in reverse, gamma(-k) = gamma(k)*."""
+        stack = self._series("gamma").upto(L)
+        return np.concatenate([herm(stack[L:0:-1]), stack[:L + 1]])
 
     def gamma_via_c(self, k):
         """Alternative route gamma(k) = sum_j c_{k+j} c_j* (k >= 0), kept

@@ -77,10 +77,6 @@ class RegionUncovered(NumericalError):
     """Block index (s, t) lies outside every closed-form coverage region."""
 
 
-class RegionGap(NumericalError):
-    """n < 2*m0 + 1: the fast assembly does not cover every block row."""
-
-
 class ResolventSingular(NumericalError):
     """I - G~G is numerically singular (spectral radius >= 1)."""
 

@@ -80,8 +80,13 @@ plan afresh from the kit (a few 2Md x 2Md products), so a warm solve on
 a prebuilt kit does that, the Gram work, the sequences, those gemms and
 its checks.
 
-The residual check convolves the gamma band with Z by overlap-save in
-O(n log L) (see _residual_banded). The literal reference formulas
+The residual check convolves the gamma band, read as one array from the
+tables' bulk gamma store, with Z by overlap-save in O(n log L), at the
+transform size with the least segments nfft log2 nfft: one transform of
+next_fast_len(n + 2L) points when that is cheapest, as at moderate n,
+else segments of a power of two set by the band (see _residual_size and
+_residual_banded). Below n = 2 m0 + 1 solve returns the dense solve.
+The literal reference formulas
 (unscaled, block by block) live in closed_form; this module is the
 production path.
 """
@@ -96,6 +101,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+import scipy.fft
 from scipy.signal import lfilter
 
 from . import errors
@@ -562,6 +568,8 @@ class SolveReport:
     residual_tail_bound: float = None
     residual_is_approximate: bool = True
     spectral_radius: float = None
+    # 2-norm condition number of I - G~G (None when K = 0)
+    resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
     # seconds per stage of solve: gram, plan, assembly, overlap, residual
@@ -618,33 +626,44 @@ def _corrections(cmap, seq, ms):
     return out
 
 
+def _residual_size(n, L):
+    """(nfft, segments) of the overlap-save residual of n blocks with the
+    band -L..L: the size with the least segments nfft log2 nfft, among the
+    powers of two from 8 (2L + 1) up to n + 2L and the fast size that
+    covers n + 2L in one segment (scipy.fft.next_fast_len)."""
+    sizes = [1 << k for k in range((16 * L + 7).bit_length(),
+                                   (n + 2 * L).bit_length())]
+    sizes.append(scipy.fft.next_fast_len(n + 2 * L))
+    nfft = min(sizes, key=lambda f: -(-n // (f - 2 * L)) * f * np.log2(f))
+    return nfft, -(-n // (nfft - 2 * L))
+
+
 def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
-    band k = -L..L, by overlap-save, with L = tables.gamma_band_width(rel
-    ||gamma(0)||_2) capped at n - 1. The band is transformed once at
-    nfft = 2^ceil(log2(8 (2L + 1))) points, or at the single transform
-    that covers n + 2L if that is shorter; Z, padded by L zero blocks in
-    front, is cut into segments of nfft points stepping by nfft - 2L, and
-    points 2L.. of each segment's circular convolution are the next
-    nfft - 2L blocks of T_n Z (the last segment's trimmed at n). The
-    segments are padded and transformed _RESIDUAL_BATCH points at a
-    time, so no padded copy of the whole Z is made; with a pool, batches
-    of half that size go to whichever lane is free, and their squares
-    are summed in batch order. That is O(n log L) work. Returns the
-    value, the certified bound on the neglected band times ||Z||_F, and
-    the counters residual_band, residual_nfft and residual_segments.
+    band k = -L..L (tables.gamma_band), by overlap-save, with L =
+    tables.gamma_band_width(rel ||gamma(0)||_2) capped at n - 1. The band
+    is transformed once, from a contiguous (d, d, 2L + 1) layout, at the
+    nfft of _residual_size; Z, padded by L zero blocks in front, is cut
+    into segments of nfft points stepping by nfft - 2L, and points 2L..
+    of each segment's circular convolution are the next nfft - 2L blocks
+    of T_n Z (the last segment's trimmed at n). One segment that covers
+    n + 2L is the common case at moderate n. The segments are padded and
+    transformed _RESIDUAL_BATCH points at a time, so no padded copy of
+    the whole Z is made; each lane keeps its transform, product and
+    deviation in buffers it reuses from batch to batch. With a pool,
+    batches of half that size go to whichever lane is free, and their
+    squares are summed in batch order. That is O(n log L) work. Returns
+    the value, the certified bound on the neglected band times ||Z||_F,
+    and the counters residual_band, residual_nfft and residual_segments.
     """
     d, r, n = z.shape
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
     L = min(tables.gamma_band_width(rel * g0), n - 1)
-    band = np.stack([tables.gamma(k) for k in range(-L, L + 1)])
-    nfft = 1 << int(np.ceil(np.log2(min(8 * (2 * L + 1), n + 2 * L + 1))))
+    nfft, segments = _residual_size(n, L)
     step = nfft - 2 * L
-    segments = -(-n // step)
-    # the band's transform as a contiguous (d, d, nfft) array: the
-    # per-frequency products below run along its last axis
-    gf = np.ascontiguousarray(
-        np.fft.fft(band, n=nfft, axis=0).transpose(1, 2, 0))
+    band = np.ascontiguousarray(tables.gamma_band(L).transpose(1, 2, 0))
+    # (d, d, nfft): the per-frequency products run along its last axis
+    gf = np.fft.fft(band, n=nfft, axis=-1)
     # with a pool, each lane at half the batch
     batch = max(1, _RESIDUAL_BATCH // nfft // (1 if pool is None else 2))
     sq = [0.0] * -(-segments // batch)      # per batch, summed in order
@@ -652,6 +671,8 @@ def _residual_banded(tables, z, y, pool=None, rel=1e-12):
 
     def squares():
         """Sum the squares of the batches no lane has taken yet."""
+        zf, prod, part = np.empty((3, d, r, min(batch, segments), nfft),
+                                  dtype=np.complex128)
         while (k := next(starts)) < len(sq):
             i, j = k * batch, min(k * batch + batch, segments)
             lo, hi = i * step, min(j * step, n)
@@ -661,12 +682,26 @@ def _residual_banded(tables, z, y, pool=None, rel=1e-12):
                               dtype=np.complex128)
             a, b = max(lo - L, 0), min(j * step + L, n)
             padded[..., a - lo + L:b - lo + L] = z[..., a:b]
-            zf = np.fft.fft(sliding_window_view(padded, nfft, axis=-1)
-                            [..., ::step, :], axis=-1)
-            conv = np.fft.ifft(np.einsum("abw,bcsw->acsw", gf, zf), axis=-1)
-            dev = conv[..., 2 * L:].reshape(d, r, -1)[..., :hi - lo] \
-                - y[..., lo:hi]
-            sq[k] = float(np.vdot(dev, dev).real)
+            f, c = zf[..., :j - i, :], prod[..., :j - i, :]
+            np.fft.fft(sliding_window_view(padded, nfft, axis=-1)
+                       [..., ::step, :], axis=-1, out=f)
+            # sum_b gf[:, b] zf[b], one broadcast product per term
+            np.multiply(gf[:, 0, None, None], f[0], out=c)
+            for e in range(1, d):
+                np.multiply(gf[:, e, None, None], f[e], out=part[:, :, :j - i])
+                c += part[:, :, :j - i]
+            np.fft.ifft(c, axis=-1, out=c)
+            # the trimmed deviation, in place: whole segments, then the
+            # ragged rest of the last
+            dev = c[..., 2 * L:]
+            whole, rest = divmod(hi - lo, step)
+            dev[..., :whole, :] -= y[..., lo:lo + whole * step].reshape(
+                d, r, whole, step)
+            total = _sum_squares(dev[..., :whole, :])
+            if rest:
+                dev[..., whole, :rest] -= y[..., hi - rest:hi]
+                total += _sum_squares(dev[..., whole, :rest])
+            sq[k] = total
 
     helper = None if pool is None else pool.submit(squares)
     squares()
@@ -678,6 +713,13 @@ def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
     return sum(sq) ** 0.5, tail * znorm, counters
+
+
+def _sum_squares(x):
+    """sum |x|^2 over a complex array whose last axis is contiguous,
+    without a copy."""
+    re = x.view(np.float64)
+    return float(np.einsum("...i,...i->...", re, re).sum())
 
 
 def _overlap_sample(n, m0, T, seed):
@@ -715,9 +757,9 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
 
     Y is an (n, d, r) block vector with any r >= 1 columns, and Z has
-    the same shape. Needs n >= 2 m0 + 1 so the two regional assembly rows
-    cover every index (RegionGap otherwise; fall back to a dense solve
-    for the few uncovered orders). Whole chunks of overlap rows, drawn
+    the same shape. Below n = 2 m0 + 1 the two regional assembly rows do
+    not cover every index, and solve returns dense_solve's report (method
+    "dense") for those few orders. Whole chunks of overlap rows, drawn
     from default_rng(seed) until they hold at least 5% of those rows (at
     least 8; see _overlap_sample), are computed by both regional formulas
     and cross-checked: OverlapMismatch if
@@ -734,8 +776,8 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     y = y[:n]
     d, r, m0 = spec.d, y.shape[2], spec.m0
     if n < 2 * m0 + 1:
-        raise errors.RegionGap(
-            f"fast assembly needs n >= 2 m0 + 1 = {2 * m0 + 1}, got {n}")
+        from .oracle import dense_solve     # oracle imports this module
+        return dense_solve(spec, n, y, tables=tables)
     if tables is None:
         tables = CoefficientTables(spec)
 
@@ -830,6 +872,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         residual=residual, residual_tail_bound=tail,
         residual_is_approximate=True,
         spectral_radius=None if plan is None else plan.spectral_radius,
+        resolvent_cond=None if plan is None else plan.resolvent_cond,
         overlap_checked=len(sample),
         overlap_max_dev=overlap_max_dev,
         timings=timings,

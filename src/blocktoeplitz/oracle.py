@@ -202,8 +202,7 @@ class ConvergenceReport:
 def convergence_experiment(spec, y_seq, ns, tables=None):
     """For each n, solve the order-n system against the first n blocks
     of y and report sum_k ||z_{n,k} - z_k|| versus the infinite
-    solution. Orders n >= 2 m0 + 1 use the fast solver, the few below
-    it the dense one."""
+    solution, by the fast solver (dense below n = 2 m0 + 1)."""
     if tables is None:
         tables = CoefficientTables(spec)
     y = as_block_vector(np.asarray(y_seq), spec.d)
@@ -213,11 +212,8 @@ def convergence_experiment(spec, y_seq, ns, tables=None):
     for n in ns:
         if len(y) < n:
             raise ValueError("y_seq shorter than requested order")
-        if n >= 2 * spec.m0 + 1:
-            rep = fast_solve(spec, n, y[:n], tables=tables,
-                             compute_residual=False)
-        else:
-            rep = dense_solve(spec, n, y[:n], tables=tables)
+        rep = fast_solve(spec, n, y[:n], tables=tables,
+                         compute_residual=False)
         diff = rep.z - z_inf[:n]
         deltas.append(float(sum(np.linalg.norm(b, 2) for b in diff)))
     return ConvergenceReport(ns=list(ns), deltas=deltas)

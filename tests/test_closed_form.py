@@ -268,6 +268,21 @@ def test_resolvent_recorded(sweep_specs):
     assert 0.0 <= sv.spectral_radius < 1.0
 
 
+def test_resolvent_cond_reported():
+    # the plan and the report carry the 2-norm condition number of
+    # I - G~G; a solve without poles has no plan and reports None
+    spec = warm_d3_spec()
+    kit = ClosedFormKit(spec)
+    for n in (5, 8, 40):
+        g, gt = kit.g_mats(n)
+        want = np.linalg.cond(np.eye(kit.M * spec.d) - gt @ g)
+        assert kit.plan(n).resolvent_cond == pytest.approx(want, rel=1e-12)
+        rep = solve(spec, n, random_rhs(n, spec.d, seed=n), kit=kit)
+        assert rep.resolvent_cond == pytest.approx(want, rel=1e-12)
+    assert solve(scalar_ar([0.5]), 8, random_rhs(8, 1)).resolvent_cond \
+        is None
+
+
 def test_scaled_vectors_are_pole_powers_times_unscaled(sweep_specs):
     spec = sweep_specs["d2_k1m2_p2"]    # multiplicity 2, m0 = 2
     kit = ClosedFormKit(spec)

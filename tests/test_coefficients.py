@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blocktoeplitz import coefficients, errors
 from blocktoeplitz.coefficients import CoefficientTables, RawTables
 from blocktoeplitz.fast_solver import solve
 from blocktoeplitz.symbol import RationalSymbolSpec, w_on_circle
 from blocktoeplitz.synth import identity_spec, random_spec, scalar_ar
+from blocktoeplitz.util import herm
 
 from helpers import mult3_spec, random_rhs, warm_d3_spec
 
@@ -144,6 +146,88 @@ def test_gamma_via_c_matches(sweep_tables, near_unit_tables):
     for tab in (sweep_tables["d2_k2m11"], near_unit_tables):
         for k in range(11):
             assert np.abs(tab.gamma(k) - tab.gamma_via_c(k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("warm_d3", None), ("mult3", None), ("near_unit", 0.97),
+    ("pole0999", 0.999)], ids=["warm_d3", "mult3", "near_unit", "pole0999"])
+def test_bulk_stacks_match_sequential_recurrence(name, radius):
+    # the doubling store (states times A^w, A^w squared) against one
+    # product per entry, f_k = C A^{k-1} B, over 4096 entries, and
+    # gamma against the independent route gamma_via_c
+    spec = {"warm_d3": warm_d3_spec, "mult3": mult3_spec}.get(
+        name, lambda: random_spec(d=2, K=1, mults=(2,), m0=1,
+                                  rng=np.random.default_rng(0),
+                                  pole_radii=(radius, radius)))()
+    tab = CoefficientTables(spec)
+    h, hs = spec.realizations
+    P = scipy.linalg.solve_discrete_lyapunov(h.A, h.B @ herm(h.B))
+    runs = {"c": (h.c0, h.C, h.A, h.B),
+            "c_tilde": (herm(hs.c0), herm(hs.B), herm(hs.A), herm(hs.C)),
+            "gamma": (h.c0 @ herm(h.c0) + h.C @ P @ herm(h.C), h.C, h.A,
+                      h.B @ herm(h.c0) + h.A @ P @ herm(h.C))}
+    m = 4096
+    for read, (head, C, A, state) in runs.items():
+        want = [head]
+        for _ in range(m):
+            want.append(C @ state)
+            state = A @ state
+        want = np.stack(want)
+        got = np.stack([getattr(tab, read)(k) for k in range(m + 1)])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), read
+    band = tab.gamma_band(m)
+    assert np.array_equal(band[m:], got)
+    assert np.array_equal(band[:m][::-1], herm(got[1:]))
+    # gamma_via_c sums about 40 000 terms per entry at |p| = 0.999
+    for k in (1,) if radius == 0.999 else (0, 1, 5, 40):
+        assert np.abs(tab.gamma(k) - tab.gamma_via_c(k)).max() <= \
+            1e-12 * np.abs(got).max()
+
+
+def test_gamma_band_concurrent_readers():
+    # four threads (more than the cores) fill and read one cold store at
+    # once, each its own order of band widths, with the switch interval
+    # shortened, on 20 fresh stores: each gets the bands a serial read
+    # gives, to the bit
+    import sys
+    import threading
+    spec = warm_d3_spec()
+    widths = (3, 40, 300, 17, 129)
+    serial = CoefficientTables(spec)
+    expect = {L: serial.gamma_band(L) for L in widths}
+    failures, threads = [], []
+
+    def reader(shared, start, i):
+        start.wait()
+        for L in widths[i:] + widths[:i]:
+            if not np.array_equal(shared.gamma_band(L), expect[L]):
+                failures.append((i, L))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared, start = CoefficientTables(spec), threading.Barrier(4)
+            threads = [threading.Thread(target=reader,
+                                        args=(shared, start, i))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+
+
+def test_series_built_on_first_read():
+    # a read of gamma builds gamma alone; c and c~ wait for their reads
+    tab = CoefficientTables(warm_d3_spec())
+    tab.gamma_band(10)
+    assert set(tab._realized) == {"gamma"}
+    tab.c(3)
+    assert set(tab._realized) == {"gamma", "c"}
 
 
 def test_near_unit_solve_residual(near_unit_tables):

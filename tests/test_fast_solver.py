@@ -392,18 +392,21 @@ def test_solve_any_rhs_width():
         [(n, 3, 1)] * 2
 
 
-@pytest.mark.parametrize("n, segments", [(917, 2), (1839, 3), (500, 1)])
-def test_overlap_save_residual_vs_dense(n, segments):
-    # AR(1) with phi = 0.45 has L = 54 and nfft = 1024, so a segment steps
-    # 916 blocks: n = step + 1 and 2 step + 7 leave a ragged last segment,
-    # and at n = 500 one segment covers n + 2L
+@pytest.mark.parametrize("n, nfft, segments", [
+    (500, 616, 1), (1820, 1024, 2), (2700, 1024, 3)],
+    ids=["500-1", "1820-2", "2700-3"])
+def test_overlap_save_residual_vs_dense(n, nfft, segments):
+    # AR(1) with phi = 0.45 has L = 54. At n = 500 one transform of
+    # next_fast_len(n + 2L) = 616 points costs least; at 1820 and 2700
+    # segments of 1024 points, stepping 916 blocks, cost less than one
+    # transform of 1936 or 2816 points, and the last segment is ragged
     tab = CoefficientTables(scalar_ar([0.45]))
     rng = np.random.default_rng(n)
     z, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for _ in range(2))
     resid, tail, counters = fast_solver._residual_banded(
         tab, z.reshape(1, 1, n), y.reshape(1, 1, n))
-    assert counters == {"residual_band": 54, "residual_nfft": 1024,
+    assert counters == {"residual_band": 54, "residual_nfft": nfft,
                         "residual_segments": segments}
     dense = np.linalg.norm(dense_toeplitz_matrix(tab, n, 1) @ z - y)
     assert abs(resid - dense) <= 1e-12 * dense
@@ -412,12 +415,13 @@ def test_overlap_save_residual_vs_dense(n, segments):
 
 def test_overlap_save_residual_vs_dense_blocks():
     # d = 3, r = 2: the per-frequency block products against T_n Z summed
-    # over every lag of T_n. The warm d = 3 shape has L = 81 and
-    # nfft = 2048, so a segment steps 1886 blocks and n = 1986 leaves a
-    # ragged last segment of 100 blocks
+    # over every lag of T_n. The warm d = 3 shape has L = 81; at
+    # n = 3700 two segments of 2048 points, stepping 1886 blocks, cost
+    # less than one transform of 3872, and the last segment is ragged
+    # (1814 blocks)
     spec = warm_d3_spec()
     tab = CoefficientTables(spec)
-    n = 1986
+    n = 3700
     rng = np.random.default_rng(24)
     # held as (d, n, r), so that one lag of T_n is one gemm
     z, y = (rng.standard_normal((3, n, 2))
@@ -435,6 +439,48 @@ def test_overlap_save_residual_vs_dense_blocks():
     assert abs(resid - dense) <= 1e-12 * dense
     # the least band whose tail is within 1e-12 of ||gamma(0)||_2 (about 2)
     assert tail <= 1e-12 * np.linalg.norm(tab.gamma(0), 2) * np.linalg.norm(z)
+
+
+# the benchmark's specs (perfbench/workloads.py): the nine cold-fit
+# shapes (d, K, mults, m0), each drawn with default_rng([1, k]), at
+# n = 4096, and the three warm-stream specs at 65536
+COLD_FIT_SHAPES = (
+    (1, 0, (), 1), (1, 1, (2,), 0), (1, 2, (1, 2), 2),
+    (2, 0, (), 2), (2, 1, (1,), 1), (2, 2, (2, 1), 0),
+    (3, 0, (), 1), (3, 1, (2,), 2), (3, 2, (1, 1), 1),
+)
+
+
+def bench_specs():
+    cold = [(random_spec(d=d, K=K, mults=mults, m0=m0,
+                         rng=np.random.default_rng([1, k])), 4096)
+            for k, (d, K, mults, m0) in enumerate(COLD_FIT_SHAPES)]
+    rng = np.random.default_rng(0)
+    warm = [scalar_single_pole(p=0.5, rho=1.0),
+            random_spec(d=2, K=2, mults=(1, 2), m0=1, rng=rng),
+            random_spec(d=3, K=2, mults=(2, 2), m0=2, rng=rng)]
+    return cold + [(spec, 65536) for spec in warm]
+
+
+def test_residual_size_never_costs_more():
+    # segments nfft log2 nfft of the chosen size is at most that of the
+    # power of two the band alone sets, 2^ceil(log2 min(8 (2L + 1),
+    # n + 2L + 1)); every cold-fit shape takes one transform, and the
+    # warm specs keep 512, 2048 and 1024 points
+    def cost(nfft, segments):
+        return segments * nfft * np.log2(nfft)
+
+    sizes = []
+    for spec, n in bench_specs():
+        tab = CoefficientTables(spec)
+        g0 = float(np.linalg.norm(tab.gamma(0), 2))
+        L = min(tab.gamma_band_width(1e-12 * g0), n - 1)
+        nfft, segments = fast_solver._residual_size(n, L)
+        old = 1 << int(np.ceil(np.log2(min(8 * (2 * L + 1), n + 2 * L + 1))))
+        assert cost(nfft, segments) <= cost(old, -(-n // (old - 2 * L)))
+        sizes.append((nfft, segments))
+    assert all(segments == 1 for _, segments in sizes[:9])
+    assert [nfft for nfft, _ in sizes[9:]] == [512, 2048, 1024]
 
 
 def test_residual_transform_independent_of_n(ex52, ex52_tables):
@@ -477,12 +523,22 @@ def test_solve_linearity(sweep_specs, sweep_tables):
         1.0, np.abs(z12).max())
 
 
-def test_region_gap_raises():
-    spec = random_spec(d=1, K=1, mults=(1,), m0=1,
-                       rng=np.random.default_rng(15))
-    y = random_rhs(2, 1, seed=16)
-    with pytest.raises(errors.RegionGap):
-        solve(spec, 2, y)   # needs n >= 2 m0 + 1 = 3
+@pytest.mark.parametrize("m0", [1, 2, 3])
+def test_solve_below_2m0_plus_1_is_dense(m0):
+    # below n = 2 m0 + 1 the two regional assembly rows leave a gap, so
+    # solve returns the dense solve; from 2 m0 + 1 on it is fast
+    spec = random_spec(d=2, K=1, mults=(2,), m0=m0,
+                       rng=np.random.default_rng(15 + m0))
+    tab = CoefficientTables(spec)
+    for n in range(1, 2 * m0 + 2):
+        y = random_rhs(n, spec.d, seed=16 + n)
+        rep = solve(spec, n, y, tables=tab)
+        assert rep.method == ("dense" if n <= 2 * m0 else "fast"), n
+        dense = np.linalg.solve(dense_toeplitz_matrix(tab, n, spec.d),
+                                y.reshape(n * spec.d, spec.d))
+        rel = np.abs(rep.z.reshape(-1, spec.d) - dense).max() / \
+            np.abs(dense).max()
+        assert rel <= 1e-10, n
 
 
 def test_solve_at_minimal_order(sweep_specs, sweep_tables):
@@ -509,6 +565,7 @@ def test_report_fields(ex52):
     # the band holds all of T_8, so nothing is neglected
     assert rep.residual_tail_bound == 0
     assert 0 <= rep.spectral_radius < 1
+    assert rep.resolvent_cond >= 1
     assert set(rep.timings) == {"plan", "gram", "assembly", "overlap",
                                 "residual"}
     assert min(rep.timings.values()) >= 0
@@ -517,7 +574,7 @@ def test_report_fields(ex52):
     assert plan > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
         "plain_chunks": 1, "lanes": 1, "residual_band": 7,
-        "residual_nfft": 32, "residual_segments": 1}
+        "residual_nfft": 22, "residual_segments": 1}
 
 
 def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
@@ -671,17 +728,20 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
 
 
 @pytest.mark.parametrize("name, n, width", [
-    pytest.param("warm_d3", 4000, None, id="warm_d3"),
-    pytest.param("warm_d3", 4000, 1, id="warm_d3_r1"),
-    pytest.param("mult3", 6001, None, id="mult3"),
-    pytest.param("m0_3", 3000 + 2, None, id="m0_3_ragged"),
-    pytest.param("m0_3", 3000 + 2, 1, id="m0_3_ragged_r1"),
-    pytest.param("pole099", 3001, None, id="pole099"),
+    pytest.param("warm_d3", 9000, None, id="warm_d3"),
+    pytest.param("warm_d3", 9000, 1, id="warm_d3_r1"),
+    pytest.param("mult3", 11000, None, id="mult3"),
+    pytest.param("m0_3", 9000 + 2, None, id="m0_3_ragged"),
+    pytest.param("m0_3", 9000 + 2, 1, id="m0_3_ragged_r1"),
+    pytest.param("pole099", 8001, None, id="pole099"),
 ])
 def test_two_lanes_bit_identical(monkeypatch, name, n, width):
     # the second lane runs the same arithmetic on the plain rows and on
     # its half of the residual segments: Z is the same to the bit, the
-    # residual the same up to the order of the two lanes' sums
+    # residual the same up to the order of the two lanes' sums. Each n
+    # is the size at which the residual has more segments than one
+    # lane's batch (5 of 2048 points for warm_d3 and m0_3, 3 of 4096 for
+    # mult3, 17 of 512 for pole099), so both lanes take batches
     spec = APPLY_SPECS[name]()
     tab = CoefficientTables(spec)
     y = random_rhs(n, spec.d, seed=36)[:, :, :width or spec.d]

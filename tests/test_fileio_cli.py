@@ -7,11 +7,12 @@ import pytest
 
 from blocktoeplitz import fileio
 from blocktoeplitz.cli import main
+from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import SolveReport
 from blocktoeplitz.symbol import save_spec
 from blocktoeplitz.synth import random_spec
 
-from helpers import random_rhs
+from helpers import dense_toeplitz_matrix, random_rhs
 
 
 @pytest.fixture()
@@ -125,22 +126,35 @@ def test_cli_solve_report_json(tmp_path, spec_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {f.name for f in fields(SolveReport)} - {"z"}
     assert report["method"] == "fast" and report["n"] == 8
-    assert report["counters"]["residual_nfft"] == 32
+    assert report["counters"]["residual_nfft"] == 22
+    assert report["resolvent_cond"] >= 1
     assert report["counters"]["gram_chunk"] >= 1
 
 
-def test_cli_solve_region_gap_exit_4(tmp_path, capsys):
-    spec = random_spec(d=1, K=1, mults=(1,), m0=1,
+@pytest.mark.parametrize("m0", [1, 2, 3])
+def test_cli_solve_below_2m0_plus_1_is_dense(tmp_path, capsys, m0):
+    # --method fast below n = 2 m0 + 1 returns the dense solve's report
+    spec = random_spec(d=1, K=1, mults=(1,), m0=m0,
                        rng=np.random.default_rng(12))
-    spec_path = tmp_path / "m01.json"
+    spec_path = tmp_path / "spec.json"
     save_spec(spec, spec_path)
-    y_path = tmp_path / "y.csv"
-    fileio.write_block_vector_csv(y_path, random_rhs(2, 1, seed=5))
-    rc = main(["solve", "--spec", str(spec_path), "--n", "2", "--y",
-               str(y_path), "--method", "fast"])
-    assert rc == 4
-    assert json.loads(capsys.readouterr().err.strip())["error"] == \
-        "RegionGap"
+    tab = CoefficientTables(spec)
+    y_path, out_path = tmp_path / "y.csv", tmp_path / "z.csv"
+    for n in range(1, 2 * m0 + 1):
+        y = random_rhs(n, 1, seed=5 + n)
+        fileio.write_block_vector_csv(y_path, y)
+        rc = main(["solve", "--spec", str(spec_path), "--n", str(n), "--y",
+                   str(y_path), "--method", "fast", "--out", str(out_path),
+                   "--report-json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["method"] == "dense" and report["n"] == n
+        assert report["resolvent_cond"] is None
+        dense = np.linalg.solve(dense_toeplitz_matrix(tab, n, 1),
+                                y.reshape(n, 1))
+        z = fileio.read_block_vector_csv(out_path)
+        np.testing.assert_allclose(z.reshape(n, 1), dense, rtol=1e-10,
+                                   atol=1e-12 * np.abs(dense).max())
 
 
 def test_cli_invert_methods_agree(tmp_path, spec_file):
