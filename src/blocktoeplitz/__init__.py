@@ -14,8 +14,7 @@ Quick start::
 """
 
 from .blockarray import BlockMatrix, as_block_vector
-from .closed_form import (ClosedFormKit, SolveVectors, inverse_block_ar,
-                          inverse_block_arma, inverse_block_closed,
+from .closed_form import (ClosedFormKit, SolveVectors, inverse_block_closed,
                           inverse_matrix_closed)
 from .coefficients import CoefficientTables, RawTables, a_coeff, a_tilde_coeff
 from .fast_solver import (SolveReport, apply_A, apply_A_gram, apply_Q,
@@ -34,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockMatrix", "as_block_vector",
-    "ClosedFormKit", "SolveVectors", "inverse_block_ar",
-    "inverse_block_arma", "inverse_block_closed", "inverse_matrix_closed",
+    "ClosedFormKit", "SolveVectors", "inverse_block_closed",
+    "inverse_matrix_closed",
     "CoefficientTables", "RawTables", "a_coeff", "a_tilde_coeff",
     "SolveReport", "apply_A", "apply_A_gram", "apply_Q", "apply_Q_adjoint",
     "solve",

@@ -31,7 +31,7 @@ from .util import binom, binom_vec, herm
 
 # block length of the pole powers in ClosedFormKit.sequences
 _POWER_BLOCK = 256
-# relative tolerances of the region cross-checks of inverse_block_ar / _arma
+# relative tolerances of inverse_block_closed's cross-check, K = 0 and K >= 1
 _AR_OVERLAP_TOL = 1e-12
 _ARMA_OVERLAP_TOL = 1e-11
 
@@ -534,88 +534,48 @@ def gram_plain(tables, n, s, t):
     return _stacked_gram(a[lo - s:n - s + 1], a[lo - t:n - t + 1])
 
 
-def inverse_block_ar(spec, n, s, t, tables=None, check_overlap=True):
-    """(s, t) block of T_n(w)^{-1} for an AR symbol (K = 0): the pure
-    Gram sums, dispatched by the four coverage regions."""
-    if spec.K != 0:
-        raise errors.DomainViolation("AR formulas need K = 0")
+def inverse_block_closed(spec, n, s, t, sv=None, tables=None,
+                         check_overlap=True):
+    """(s, t) block of T_n(w)^{-1}: the tilde or plain triangular Gram sum,
+    plus the dM-rank correction when K >= 1 (it vanishes for an AR
+    symbol). The forms are tried by region: tilde row (s <= n - m0),
+    plain row (s >= m0 + 1), tilde column (t <= n - m0), plain column
+    (t >= m0 + 1); the first that covers the block gives it, and the
+    first covering form of the other family cross-checks it, within
+    _AR_OVERLAP_TOL for K = 0 and _ARMA_OVERLAP_TOL for K >= 1."""
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
     if tables is None:
         tables = CoefficientTables(spec)
-    m0 = spec.m0
-    tilde_ok = (t <= n - m0) or (s <= n - m0)
-    plain_ok = (t >= m0 + 1) or (s >= m0 + 1)
-    if not (tilde_ok or plain_ok):
-        raise errors.RegionUncovered(
-            f"(s, t) = ({s}, {t}) outside every region at n = {n}")
-    if tilde_ok:
-        out = gram_tilde(tables, s, t)
-        if plain_ok and check_overlap:
-            other = gram_plain(tables, n, s, t)
-            dev = float(np.abs(out - other).max())
-            if dev > _AR_OVERLAP_TOL * max(1.0, float(np.abs(out).max())):
-                raise errors.OverlapMismatch(
-                    f"AR region overlap deviates by {dev:.3e} "
-                    f"at (s, t) = ({s}, {t})")
-        return out
-    return gram_plain(tables, n, s, t)
-
-
-def inverse_block_arma(spec, n, s, t, sv=None, tables=None,
-                       check_overlap=True):
-    """(s, t) block of T_n(w)^{-1} for K >= 1: triangular Gram sum plus
-    the dM-rank correction, dispatched by region with the row forms
-    (l~ r~, l r) preferred; overlapping regions are cross-checked."""
-    if spec.K < 1:
-        return inverse_block_ar(spec, n, s, t, tables=tables,
-                                check_overlap=check_overlap)
-    if tables is None:
-        tables = CoefficientTables(spec)
-    if sv is None:
+    if spec.K and sv is None:
         sv = SolveVectors(ClosedFormKit(spec), n)
     m0 = spec.m0
-    candidates = []  # (name, value or lazy)
-    if s <= n - m0:
-        candidates.append(("ii", lambda: sv.ell_tilde(s) @ sv.r_tilde(t)
-                           + gram_tilde(tables, s, t)))
-    if t <= n - m0:
-        candidates.append(("i", lambda: herm(sv.r_tilde(s)) @
-                           herm(sv.ell_tilde(t)) + gram_tilde(tables, s, t)))
-    if s >= m0 + 1:
-        candidates.append(("iv", lambda: sv.ell(s) @ sv.r(t)
-                           + gram_plain(tables, n, s, t)))
-    if t >= m0 + 1:
-        candidates.append(("iii", lambda: herm(sv.r(s)) @ herm(sv.ell(t))
-                           + gram_plain(tables, n, s, t)))
-    if not candidates:
+    # (tilde family, covers the block, rank correction), in the order tried
+    forms = [(True, s <= n - m0, lambda: sv.ell_tilde(s) @ sv.r_tilde(t)),
+             (False, s >= m0 + 1, lambda: sv.ell(s) @ sv.r(t)),
+             (True, t <= n - m0,
+              lambda: herm(sv.r_tilde(s)) @ herm(sv.ell_tilde(t))),
+             (False, t >= m0 + 1, lambda: herm(sv.r(s)) @ herm(sv.ell(t)))]
+    covering = [(tilde, corr) for tilde, ok, corr in forms if ok]
+    if not covering:
         raise errors.RegionUncovered(
             f"(s, t) = ({s}, {t}) outside every region at n = {n}")
-    order = {"ii": 0, "iv": 1, "i": 2, "iii": 3}
-    candidates.sort(key=lambda c: order[c[0]])
-    out = candidates[0][1]()
-    if check_overlap and len(candidates) > 1:
-        # cross-check against one formula from the other family, if any
-        fam = candidates[0][0] in ("i", "ii")
-        for name, fn in candidates[1:]:
-            if (name in ("i", "ii")) != fam:
-                other = fn()
-                dev = float(np.abs(out - other).max())
-                if dev > _ARMA_OVERLAP_TOL * max(
-                        1.0, float(np.abs(out).max())):
-                    raise errors.OverlapMismatch(
-                        f"regions {candidates[0][0]}/{name} deviate by "
-                        f"{dev:.3e} at (s, t) = ({s}, {t})")
-                break
+
+    def value(tilde, corr):
+        gram = (gram_tilde(tables, s, t) if tilde
+                else gram_plain(tables, n, s, t))
+        return corr() + gram if spec.K else gram
+
+    out = value(*covering[0])
+    other = [f for f in covering if f[0] != covering[0][0]]
+    if check_overlap and other:
+        dev = float(np.abs(out - value(*other[0])).max())
+        tol = _ARMA_OVERLAP_TOL if spec.K else _AR_OVERLAP_TOL
+        if dev > tol * max(1.0, float(np.abs(out).max())):
+            raise errors.OverlapMismatch(
+                f"tilde and plain forms deviate by {dev:.3e} at "
+                f"(s, t) = ({s}, {t})")
     return out
-
-
-def inverse_block_closed(spec, n, s, t, **kwargs):
-    """Region-dispatched closed-form block, AR or ARMA as appropriate."""
-    if spec.K == 0:
-        kwargs.pop("sv", None)
-        return inverse_block_ar(spec, n, s, t, **kwargs)
-    return inverse_block_arma(spec, n, s, t, **kwargs)
 
 
 def inverse_matrix_closed(spec, n, tables=None, check_overlap=False):
@@ -624,9 +584,7 @@ def inverse_matrix_closed(spec, n, tables=None, check_overlap=False):
     if tables is None:
         tables = CoefficientTables(spec)
     d = spec.d
-    sv = None
-    if spec.K >= 1:
-        sv = SolveVectors(ClosedFormKit(spec), n)
+    sv = SolveVectors(ClosedFormKit(spec), n) if spec.K else None
     out = np.zeros((n * d, n * d), dtype=np.complex128)
     for s in range(1, n + 1):
         for t in range(1, n + 1):

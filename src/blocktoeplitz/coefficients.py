@@ -23,6 +23,13 @@ beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
 quadrature of the phase function for k < 0, which is exponentially
 accurate for these analytic integrands but carries no a-priori bound.
+beta_stack holds beta_1, beta_2, .. as one stacked store, as a_stack
+holds a.
+
+The certified series sums (beta_series, the oracle gamma_via_c and
+sum_j ||c~_j||) share one loop, _certified_sum: it adds slices of the
+stacks over ranges of terms that double in length, and stops once the
+certified bound on the remaining terms is within _REL_TOL of the sum.
 """
 
 import threading
@@ -78,6 +85,25 @@ def _a_range(spec, start, stop, sharp):
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _certified_sum(block, remainder, what):
+    """A series summed over ranges of terms that double in length:
+    block(lo, hi) is the sum of terms lo..hi-1, and remainder(J) a
+    certified bound on the sum of the norms of the terms from J on. The
+    partial sum and J, at the first J = 2, 4, 8, .. whose remainder is
+    within _REL_TOL of the partial sum's norm; ToleranceUnreachable if
+    _MAX_TERMS terms do not reach that."""
+    acc, lo, hi = 0.0, 0, 2
+    while True:
+        acc = acc + block(lo, hi)
+        scale = max(float(np.linalg.norm(np.atleast_2d(acc), 2)), 1e-300)
+        if remainder(hi) <= _REL_TOL * scale:
+            return acc, hi
+        if hi >= _MAX_TERMS:
+            raise errors.ToleranceUnreachable(
+                f"{what}: tail above tolerance after {hi} terms")
+        lo, hi = hi, min(2 * hi, _MAX_TERMS)
 
 
 class _Realized:
@@ -147,6 +173,7 @@ class CoefficientTables:
         self._a_stacks = {}
         self._realized = {}
         self._beta = {}
+        self._beta_stack = np.zeros((0, spec.d, spec.d), dtype=np.complex128)
         self._kit = None
         self._phase_grid = None
         self._a_norm_table = None
@@ -255,16 +282,15 @@ class CoefficientTables:
 
     def c_tilde_abs_sum(self):
         """Certified upper bound for sum_j ||c~_j||: the norms of c~_0..
-        c~_{J-1} plus the certified tail from J, the first J at which that
-        tail is below 1e-14 of the sum before it."""
+        c~_{J-1} plus the certified tail from J (see _certified_sum)."""
         with self._lock:
             if self._c_tilde_abs_sum is None:
                 series = self._series("c_tilde")
-                total, j = 0.0, 0
-                while j == 0 or series.tail_sum(j) > _REL_TOL * total:
-                    total += float(np.linalg.norm(series.entry(j), 2))
-                    j += 1
-                self._c_tilde_abs_sum = total + series.tail_sum(j)
+                total, J = _certified_sum(
+                    lambda lo, hi: np.linalg.norm(
+                        series.upto(hi - 1)[lo:hi], 2, axis=(1, 2)).sum(),
+                    series.tail_sum, "c_tilde_abs_sum")
+                self._c_tilde_abs_sum = total + series.tail_sum(J)
             return self._c_tilde_abs_sum
 
     def decay_bound_F(self, n):
@@ -296,17 +322,16 @@ class CoefficientTables:
         k = int(k)
         if k < 0:
             return self.gamma_via_c(-k).conj().T
-        acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-        for j in range(_MAX_TERMS):
-            acc += self.c(k + j) @ self.c(j).conj().T
-            rem = (self.c_sup(k + j + 1, sharp=False)
-                   * self.c_tail_sum(j + 1, sharp=False))
-            if rem <= _REL_TOL * max(float(np.linalg.norm(acc, 2)), 1e-300) \
-                    and j >= 1:
-                return acc
-        raise errors.ToleranceUnreachable(
-            f"gamma_via_c({k}): tail above tolerance after {_MAX_TERMS} "
-            "terms")
+        series = self._series("c")
+
+        def block(lo, hi):
+            c = series.upto(k + hi - 1)
+            return np.einsum("jab,jcb->ac", c[k + lo:k + hi], c[lo:hi].conj())
+
+        return _certified_sum(
+            block, lambda J: (self.c_sup(k + J, sharp=False)
+                              * self.c_tail_sum(J, sharp=False)),
+            f"gamma_via_c({k})")[0]
 
     def gamma_band_tail(self, L):
         """Certified bound for sum_{|k| > L} ||gamma(k)||."""
@@ -357,20 +382,32 @@ class CoefficientTables:
             self._beta[k] = out
             return out
 
+    def beta_stack(self, upto):
+        """beta_1..beta_m as one read-only (m, d, d) array, m >= upto, the
+        one stacked store of beta: entry k - 1 is beta(k). It grows by
+        doubling, like a_stack."""
+        with self._lock:
+            stack = self._beta_stack
+            if len(stack) < upto:
+                new = [self.beta(k) for k in range(
+                    len(stack) + 1, max(upto, 2 * len(stack)) + 1)]
+                self._beta_stack = stack = _read_only(
+                    np.concatenate([stack, new]))
+            return stack
+
     def beta_series(self, k):
         """beta_k = sum_j a_{j+k} c~_j for k >= 0, certified truncation."""
         if k < 0:
             raise ValueError("series route needs k >= 0")
-        acc = np.zeros((self.spec.d, self.spec.d), dtype=np.complex128)
-        for j in range(_MAX_TERMS):
-            acc += self.a(j + k) @ self.c_tilde(j)
-            rem = self.c_sup(j + 1, sharp=True) * self.a_tail(k + j + 1)
-            if rem <= _REL_TOL * max(float(np.linalg.norm(acc, 2)), 1e-300) \
-                    and j >= 1:
-                return acc
-        raise errors.ToleranceUnreachable(
-            f"beta_series({k}): tail above tolerance after {_MAX_TERMS} "
-            "terms")
+        series = self._series("c_tilde")
+
+        def block(lo, hi):
+            return np.einsum("jab,jbc->ac", self.a_stack(k + hi - 1)
+                             [k + lo:k + hi], series.upto(hi - 1)[lo:hi])
+
+        return _certified_sum(
+            block, lambda J: self.c_sup(J) * self.a_tail(k + J),
+            f"beta_series({k})")[0]
 
     def beta_closed(self, k):
         """Closed-form route, valid for k >= m0 + 1 (K >= 1)."""
@@ -432,6 +469,10 @@ class RawTables:
     def beta(self, k):
         z = np.zeros((self.d, self.d), dtype=np.complex128)
         return self._beta.get(int(k), z)
+
+    def beta_stack(self, upto):
+        """beta_1..beta_upto as one (upto, d, d) array."""
+        return np.stack([self.beta(k) for k in range(1, upto + 1)])
 
     def decay_bound_F(self, n):
         return float(self._F(n)) if callable(self._F) else float(

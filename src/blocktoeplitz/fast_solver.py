@@ -118,6 +118,8 @@ _CHUNK = 16
 _RANGE_BYTES = 1 << 20
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
+# the neglected gamma band of the residual, relative to ||gamma(0)||_2
+_RESIDUAL_REL = 1e-12
 # n d r from which solve runs on two lanes: below it a second thread
 # costs more than it saves (the crossover is measured in CHANGES.md)
 _LANE_WORK = 1 << 17
@@ -462,11 +464,6 @@ def _apply(op, y, gram=False, pool=None):
     return out
 
 
-def _gram(op, y, pool=None):
-    """op* op Y for a time-last Y (see _apply)."""
-    return _apply(op, y, True, pool)
-
-
 def _gram_rows(op, y, chunks):
     """The blocks of op* op Y on the given chunks only, for a lower
     triangle op and a time-last (d, r, n) Y: a (T, d, r, len(chunks))
@@ -519,40 +516,40 @@ def _q_ops(spec, mu):
 
 def apply_Q(spec, mu, n, y):
     """[Q_{mu,i,n} Y for i = 1..m_mu] in O(n m_mu) block operations."""
-    return [_applied(_apply, op, n, y, spec.d) for op in _q_ops(spec, mu)]
+    return [_applied(op, n, y, spec.d) for op in _q_ops(spec, mu)]
 
 
 def apply_Q_adjoint(spec, mu, n, y):
     """[Q*_{mu,i,n} Y for i = 1..m_mu]."""
-    return [_applied(_apply, _adjoint(op), n, y, spec.d)
-            for op in _q_ops(spec, mu)]
+    return [_applied(_adjoint(op), n, y, spec.d) for op in _q_ops(spec, mu)]
 
 
-def _applied(fn, op, n, y, d):
-    """fn(op, Y) for a public (n, d, r) Y, returned as (n, d, r): fn
-    reads the time-last view of Y and lays its output out like it."""
+def _applied(op, n, y, d, gram=False):
+    """op Y, or op* op Y if gram (see _apply), for a public (n, d, r) Y,
+    returned as (n, d, r): _apply reads the time-last view of Y and lays
+    its output out like it."""
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    return np.ascontiguousarray(fn(op, y[:n].transpose(1, 2, 0))
+    return np.ascontiguousarray(_apply(op, y[:n].transpose(1, 2, 0), gram)
                                 .transpose(2, 0, 1))
 
 
 def apply_A(spec, n, y, variant="tilde"):
     """A~_n Y (variant 'tilde') or A_n Y ('plain') in O(n)."""
-    return _applied(_apply, _factor(spec, variant), n, y, spec.d)
+    return _applied(_factor(spec, variant), n, y, spec.d)
 
 
 def apply_A_adjoint(spec, n, x, variant="tilde"):
     """A~_n* X or A_n* X in O(n)."""
-    return _applied(_apply, _adjoint(_factor(spec, variant)), n, x, spec.d)
+    return _applied(_adjoint(_factor(spec, variant)), n, x, spec.d)
 
 
 def apply_A_gram(spec, n, y, variant="tilde"):
     """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1)."""
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
-    return _applied(_gram, _factor(spec, variant), n, y, spec.d)
+    return _applied(_factor(spec, variant), n, y, spec.d, gram=True)
 
 
 @dataclass
@@ -638,12 +635,12 @@ def _residual_size(n, L):
     return nfft, -(-n // (nfft - 2 * L))
 
 
-def _residual_banded(tables, z, y, pool=None, rel=1e-12):
+def _residual_banded(tables, z, y, pool=None):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
     band k = -L..L (tables.gamma_band), by overlap-save, with L =
-    tables.gamma_band_width(rel ||gamma(0)||_2) capped at n - 1. The band
-    is transformed once, from a contiguous (d, d, 2L + 1) layout, at the
-    nfft of _residual_size; Z, padded by L zero blocks in front, is cut
+    tables.gamma_band_width(_RESIDUAL_REL ||gamma(0)||_2) capped at n - 1.
+    The band is transformed once, from a contiguous (d, d, 2L + 1) layout,
+    at the nfft of _residual_size; Z, padded by L zero blocks in front, is cut
     into segments of nfft points stepping by nfft - 2L, and points 2L..
     of each segment's circular convolution are the next nfft - 2L blocks
     of T_n Z (the last segment's trimmed at n). One segment that covers
@@ -658,7 +655,7 @@ def _residual_banded(tables, z, y, pool=None, rel=1e-12):
     """
     d, r, n = z.shape
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
-    L = min(tables.gamma_band_width(rel * g0), n - 1)
+    L = min(tables.gamma_band_width(_RESIDUAL_REL * g0), n - 1)
     nfft, segments = _residual_size(n, L)
     step = nfft - 2 * L
     band = np.ascontiguousarray(tables.gamma_band(L).transpose(1, 2, 0))
@@ -802,7 +799,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         # the plain rows beside the tilde Gram, which becomes the assembled Z
         rows = (_beside(pool, _gram_rows, _factor(spec, "plain"), yt, chunks)
                 if len(chunks) else lambda: None)
-        z = _gram(_factor(spec, "tilde"), yt, pool)
+        z = _apply(_factor(spec, "tilde"), yt, True, pool)
         z_p = rows()
         lap("gram")
         plan = None

@@ -5,7 +5,10 @@ infinite system and the convergence experiment.
 Every fast path in this package is cross-checked against these oracles
 in the test suite; nothing here is performance-critical except the
 Levinson baseline, which exists precisely to be the O(n^2) comparison
-point.
+point. Each reads its store once: the infinite solution the a~ stack of
+tables.a_stack, Levinson gamma(-n..n) as one stack; dense_toeplitz and
+yule_walker_rhs call tables.gamma(k) per lag, the one read that every
+tables object offers.
 """
 
 import os
@@ -18,6 +21,7 @@ from . import errors
 from .blockarray import BlockMatrix, as_block_vector
 from .coefficients import CoefficientTables
 from .fast_solver import SolveReport, solve as fast_solve
+from .util import herm
 
 DEFAULT_DENSE_CAP = 2048
 # the a~ horizon of infinite_solution may not pass this many terms
@@ -93,7 +97,8 @@ def levinson_solve(spec, n, y, tables=None):
     if tables is None:
         tables = CoefficientTables(spec)
     d = spec.d
-    gam = {k: tables.gamma(k) for k in range(-n, n + 1)}
+    # gamma(k) at gam[n + k], k = -n..n
+    gam = np.stack([tables.gamma(k) for k in range(-n, n + 1)])
 
     def solve_block(a, b):
         try:
@@ -106,18 +111,16 @@ def levinson_solve(spec, n, y, tables=None):
         return np.einsum("sba,sbc->ac", np.conj(us), blocks)
 
     # x = X[:m] and w = W[:m] grow at the end, v = V[n-m:] at the front
-    g0 = gam[0]
+    g0 = gam[n]
     X = np.empty(y.shape, dtype=np.complex128)
     V, W = (np.empty((n, d, d), dtype=np.complex128) for _ in range(2))
     X[0] = solve_block(g0, y[0])
-    V[n - 1] = solve_block(g0, gam[-1])
-    W[0] = solve_block(g0, gam[1])
-    gneg = np.stack([gam[-k] for k in range(1, n + 1)])  # gamma(-k)
-    gpos = np.stack([gam[k] for k in range(1, n + 1)])   # gamma(k)
+    V[n - 1] = solve_block(g0, gam[n - 1])
+    W[0] = solve_block(g0, gam[n + 1])
     for m in range(1, n):
         x, v, w = X[:m], V[n - m:], W[:m]
-        u = gneg[:m][::-1]          # u_s = gamma(s - m - 1), s = 1..m
-        ut = gpos[:m]               # u~_s = gamma(s)
+        u = gam[n - m:n]            # u_s = gamma(s - m - 1), s = 1..m
+        ut = gam[n + 1:n + 1 + m]   # u~_s = gamma(s)
         schur_end = g0 - dot(u, v)          # gamma(0) - u* V_m
         schur_front = g0 - dot(ut, w)       # gamma(0) - u~* W_m
         # grow the right-hand-side solution (append at the end)
@@ -128,8 +131,8 @@ def levinson_solve(spec, n, y, tables=None):
             break
         # backward vector via the front bordering, forward via the end;
         # both updates consume this step's (not yet updated) V and W
-        eta_v = solve_block(schur_front, gam[-m - 1] - dot(ut, v))
-        eta_w = solve_block(schur_end, gam[m + 1] - dot(u, w))
+        eta_v = solve_block(schur_front, gam[n - m - 1] - dot(ut, v))
+        eta_w = solve_block(schur_end, gam[n + m + 1] - dot(u, w))
         dv, dw = w @ eta_v, v @ eta_w
         v -= dv
         V[n - m - 1] = eta_v
@@ -170,20 +173,16 @@ def infinite_solution(spec, y_seq, horizon, tables=None, rel_tol=1e-14):
                 f"a~ tail {tables.a_tail(J):.3e} above tolerance after "
                 f"{J} terms")
         J += max(1, J // 4)
-    at = [tables.a_tilde(j) for j in range(max(J, horizon) + 1)]
-    cols = y.shape[2]
-    g = np.zeros((horizon + 1, d, cols), dtype=np.complex128)
-    for l in range(1, horizon + 1):
-        acc = np.zeros((d, cols), dtype=np.complex128)
-        for j in range(0, min(J + 1, ny - l + 1)):
-            acc += at[j] @ y[l + j - 1]
-        g[l] = acc
-    z = np.zeros((horizon, d, cols), dtype=np.complex128)
+    at = tables.a_stack(max(J, horizon), tilde=True)
+    g = np.zeros((horizon + 1, d, y.shape[2]), dtype=np.complex128)
+    # each sum is one batch of products added in term order
+    for l in range(1, min(horizon, ny) + 1):
+        m = min(J + 1, ny - l + 1)
+        g[l] = (at[:m] @ y[l - 1:l - 1 + m]).sum(axis=0)
+    z = np.empty((horizon, d, y.shape[2]), dtype=np.complex128)
     for s in range(1, horizon + 1):
-        acc = np.zeros((d, cols), dtype=np.complex128)
-        for l in range(1, s + 1):
-            acc += at[s - l].conj().T @ g[l]
-        z[s - 1] = acc
+        # sum_l a~*_{s-l} g_l over l = 1..s
+        z[s - 1] = (herm(at[s - 1::-1]) @ g[1:s + 1]).sum(axis=0)
     return z
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import errors
 from .closed_form import gram_plain, gram_tilde
+from .util import herm
 
 _REL_TOL = 1e-13
 _DEPTH_CAP = 64
@@ -68,34 +69,7 @@ def _horizon(F, base, target, cap=_LEVEL_CAP):
     return min(L, cap)
 
 
-class _BetaCache:
-    """Grow-on-demand stacked beta_1..beta_L arrays (plain and conjugate
-    transposed), so recursion steps never re-stack the whole table."""
-
-    def __init__(self, tables):
-        self.tables = tables
-        d = tables.d
-        self._plain = np.zeros((0, d, d), dtype=np.complex128)
-        self._conj = self._plain
-
-    def get(self, upto, conj):
-        if len(self._plain) < upto:
-            extra = np.stack([self.tables.beta(k)
-                              for k in range(len(self._plain) + 1, upto + 1)])
-            self._plain = np.concatenate([self._plain, extra]) \
-                if len(self._plain) else extra
-            self._conj = np.conj(np.swapaxes(self._plain, -1, -2))
-        return self._conj[:upto] if conj else self._plain[:upto]
-
-
-def _beta_array(tables, upto, conj, cache=None):
-    if cache is not None:
-        return cache.get(upto, conj)
-    arr = np.stack([tables.beta(k) for k in range(1, upto + 1)])
-    return np.conj(np.swapaxes(arr, -1, -2)) if conj else arr
-
-
-def b_level_1(tables, n, u, variant, beta_cache=None):
+def b_level_1(tables, n, u, variant):
     """Start of the recursion: b^1_l = beta_{u+l} (plain) or
     b~^1_l = beta*_{n+1-u+l} (tilde)."""
     F = tables.decay_bound_F
@@ -107,13 +81,14 @@ def b_level_1(tables, n, u, variant, beta_cache=None):
         raise ValueError("variant must be 'plain' or 'tilde'")
     scale = max(F(base), 1e-300)
     L = _horizon(F, base, _REL_TOL * scale)
-    bet = _beta_array(tables, base + L - 1, conj, beta_cache)
-    coeffs = bet[base - 1:base - 1 + L]
+    coeffs = tables.beta_stack(base + L - 1)[base - 1:base - 1 + L]
+    if conj:
+        coeffs = herm(coeffs)
     return BRecursionState(n=n, u=u, variant=variant, level=1,
                            coeffs=coeffs, tail=F(base + L))
 
 
-def b_recursion_step(state, tables, beta_cache=None):
+def b_recursion_step(state, tables):
     """Advance one level: contract the current coefficients against the
     shifted beta (or beta*) sequence.
 
@@ -135,13 +110,14 @@ def b_recursion_step(state, tables, beta_cache=None):
     s_in = state.l1()
     L_out = _horizon(F, n + 1, _REL_TOL * max(contraction, 1e-300))
     M = len(state.coeffs)
-    bet = _beta_array(tables, n + 1 + (M - 1) + (L_out - 1) + 1, conj,
-                      beta_cache)
-    # out[l] = sum_m coeffs[m] beta^{(*)}_{n+1+m+l}; index n+1+m+l -> bet[n+m+l]
-    d = bet.shape[-1]
+    # out[l] = sum_m coeffs[m] beta^{(*)}_{n+1+m+l}, beta_k at stack[k - 1]
     idx = n + np.arange(L_out)[:, None] + np.arange(M)[None, :]
+    bet = tables.beta_stack(n + M + L_out - 1)[idx]
+    if conj:
+        bet = herm(bet)
+    d = bet.shape[-1]
     out = (state.coeffs.transpose(1, 0, 2).reshape(d, M * d)
-           @ bet[idx].reshape(L_out, M * d, d))
+           @ bet.reshape(L_out, M * d, d))
     # tail: beyond L_out plus the inner-sum truncation carried in state.tail
     tail = s_in * F(n + 1 + L_out) + state.tail * contraction
     new = BRecursionState(n=n, u=state.u, variant=state.variant,
@@ -176,7 +152,6 @@ class SeriesInverter:
         self.d = tables.d
         self._levels = {}
         self._corr = {}
-        self._beta_cache = _BetaCache(tables)
         # tilde -> spectral norms of a~_0.. or a_0.., in tables.a_stack order
         self._norms = {tilde: np.zeros(0) for tilde in (False, True)}
         self._contraction = tables.decay_bound_F(n + 1)
@@ -197,12 +172,10 @@ class SeriesInverter:
         key = (u, variant)
         seq = self._levels.get(key)
         if seq is None:
-            seq = [b_level_1(self.tables, self.n, u, variant,
-                             beta_cache=self._beta_cache)]
+            seq = [b_level_1(self.tables, self.n, u, variant)]
             self._levels[key] = seq
         while len(seq) < depth:
-            seq.append(b_recursion_step(seq[-1], self.tables,
-                                        beta_cache=self._beta_cache))
+            seq.append(b_recursion_step(seq[-1], self.tables))
         return seq[:depth]
 
     def _coeff_stack(self, tilde, upto):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blocktoeplitz import errors
+from blocktoeplitz import closed_form
 from blocktoeplitz.closed_form import (ClosedFormKit, SolveVectors,
-                                       inverse_block_ar,
+                                       gram_plain, gram_tilde,
                                        inverse_block_closed,
                                        inverse_matrix_closed)
 from blocktoeplitz.coefficients import CoefficientTables
@@ -360,10 +361,64 @@ def test_region_uncovered():
     # m0 = 2, n = 3: the middle block (2, 2) is in no region
     spec = scalar_ar([0.3, 0.2])
     tab = CoefficientTables(spec)
-    blk = inverse_block_ar(spec, 3, 1, 2, tables=tab)
+    blk = inverse_block_closed(spec, 3, 1, 2, tables=tab)
     assert np.isfinite(blk).all()
     with pytest.raises(errors.RegionUncovered):
-        inverse_block_ar(spec, 3, 2, 2, tables=tab)
+        inverse_block_closed(spec, 3, 2, 2, tables=tab)
+
+
+@pytest.mark.parametrize("name", ["d2_ar2", "d2_k1m2_p2"])
+def test_dispatcher_takes_first_covering_form(sweep_specs, sweep_tables,
+                                              name):
+    # m0 = 2, n = 3, K = 0 and K = 1: row 1 lies only in the tilde row
+    # region, row 3 in the plain row region, and the middle row's (2, 1)
+    # and (2, 3) only in the tilde and plain column regions; each block is
+    # its first form to the bit and matches the dense inverse
+    spec, tab = sweep_specs[name], sweep_tables[name]
+    n, d = 3, spec.d
+    sv = SolveVectors(ClosedFormKit(spec), n) if spec.K else None
+    forms = {
+        "tilde row": (True, lambda s, t: sv.ell_tilde(s) @ sv.r_tilde(t)),
+        "plain row": (False, lambda s, t: sv.ell(s) @ sv.r(t)),
+        "tilde column": (True, lambda s, t: herm(sv.r_tilde(s))
+                         @ herm(sv.ell_tilde(t))),
+        "plain column": (False, lambda s, t: herm(sv.r(s))
+                         @ herm(sv.ell(t)))}
+    first = {(1, 1): "tilde row", (1, 3): "tilde row", (3, 1): "plain row",
+             (3, 3): "plain row", (2, 1): "tilde column",
+             (2, 3): "plain column"}
+    dense = np.linalg.inv(dense_toeplitz_matrix(tab, n, d))
+    for (s, t), form in first.items():
+        tilde, corr = forms[form]
+        want = gram_tilde(tab, s, t) if tilde else gram_plain(tab, n, s, t)
+        if spec.K:
+            want = corr(s, t) + want
+        got = inverse_block_closed(spec, n, s, t, sv=sv, tables=tab)
+        assert np.array_equal(got, want), (s, t, form)
+        blk = dense[(s - 1) * d:s * d, (t - 1) * d:t * d]
+        assert np.abs(got - blk).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("name, tol", [("d2_ar2", 1e-12),
+                                       ("d2_k1m2_p2", 1e-11)])
+def test_overlap_tolerance_per_K(sweep_specs, sweep_tables, monkeypatch,
+                                 name, tol):
+    # the cross-check of block (3, 4) at n = 8 (tilde row first, plain row
+    # second) passes with the plain Gram off by half its tolerance and
+    # raises at twice it: 1e-12 for K = 0, 1e-11 for K >= 1
+    spec, tab = sweep_specs[name], sweep_tables[name]
+    sv = SolveVectors(ClosedFormKit(spec), 8) if spec.K else None
+    blk = inverse_block_closed(spec, 8, 3, 4, sv=sv, tables=tab)
+    scale = max(1.0, float(np.abs(blk).max()))
+    for factor in (0.5, 2.0):
+        monkeypatch.setattr(closed_form, "gram_plain",
+                            lambda *args: gram_plain(*args)
+                            + factor * tol * scale)
+        if factor < 1:
+            inverse_block_closed(spec, 8, 3, 4, sv=sv, tables=tab)
+        else:
+            with pytest.raises(errors.OverlapMismatch):
+                inverse_block_closed(spec, 8, 3, 4, sv=sv, tables=tab)
 
 
 def test_inverse_arma_vs_dense(sweep_specs, sweep_tables):

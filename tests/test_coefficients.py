@@ -178,8 +178,7 @@ def test_bulk_stacks_match_sequential_recurrence(name, radius):
     band = tab.gamma_band(m)
     assert np.array_equal(band[m:], got)
     assert np.array_equal(band[:m][::-1], herm(got[1:]))
-    # gamma_via_c sums about 40 000 terms per entry at |p| = 0.999
-    for k in (1,) if radius == 0.999 else (0, 1, 5, 40):
+    for k in (0, 1, 5, 40):
         assert np.abs(tab.gamma(k) - tab.gamma_via_c(k)).max() <= \
             1e-12 * np.abs(got).max()
 
@@ -268,6 +267,26 @@ def test_series_term_cap_raises(sweep_specs, monkeypatch):
         tab.beta_series(0)
     with pytest.raises(errors.ToleranceUnreachable):
         tab.gamma_via_c(1)
+    with pytest.raises(errors.ToleranceUnreachable):
+        tab.c_tilde_abs_sum()
+
+
+@pytest.mark.parametrize("name", ["d2_k1m2_p2", "d2_ar2"])
+def test_beta_stack_is_beta(sweep_specs, name):
+    # entry k - 1 of the one store is beta(k) to the bit, whether the
+    # store grew from single reads, from short stacks or in one go
+    spec = sweep_specs[name]
+    want = CoefficientTables(spec)
+    want = np.stack([want.beta(k) for k in range(1, 41)])
+    singles, short, fresh = (CoefficientTables(spec) for _ in range(3))
+    for k in (7, 1, 30):
+        singles.beta(k)
+    for m in (3, 5, 11):
+        short.beta_stack(m)
+    for tab in (singles, short, fresh):
+        stack = tab.beta_stack(40)
+        assert len(stack) >= 40
+        assert np.array_equal(stack[:40], want)
 
 
 def test_beta_identity_zero():

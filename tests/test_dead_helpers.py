@@ -1,7 +1,7 @@
 """Every private helper of the package is used somewhere in the package:
 a module-level or class-level name with a leading underscore (dunders
 aside) must be referenced in src/blocktoeplitz beyond its own
-definition."""
+definition. Every public export resolves."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,11 @@ def test_no_private_name_is_unused():
     unused = sorted({name for tree in trees for name in _defined(tree.body)
                      if _private(name) and name not in used})
     assert not unused, f"private names defined but never used: {unused}"
+
+
+def test_exports_resolve_once():
+    # a stale export of a deleted name, or one listed twice
+    names = blocktoeplitz.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(blocktoeplitz, name)]
+    assert not missing, f"exported but undefined: {missing}"

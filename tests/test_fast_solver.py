@@ -283,7 +283,7 @@ def test_gram_rows_vs_gram(name, n, width):
     nc = -(-n // T)
     chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
     want = np.zeros((d, y.shape[1], nc * T), dtype=complex)
-    want[..., :n] = fast_solver._gram(op, y)
+    want[..., :n] = fast_solver._apply(op, y, True)
     got = fast_solver._gram_rows(op, y, chunks)
     assert got.shape == (T, d, y.shape[1], len(chunks))
     rows = chunks * T + np.arange(T)[:, None]       # (T, len(chunks))
@@ -849,5 +849,5 @@ def test_gram_ranges_on_two_lanes(monkeypatch):
     for variant in ("tilde", "plain"):
         op = fast_solver._factor(spec, variant)
         with ThreadPoolExecutor(1) as pool:
-            two = fast_solver._gram(op, y, pool)
-        assert np.array_equal(two, fast_solver._gram(op, y))
+            two = fast_solver._apply(op, y, True, pool)
+        assert np.array_equal(two, fast_solver._apply(op, y, True))

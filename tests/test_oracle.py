@@ -96,6 +96,29 @@ def test_infinite_solution_matches_large_system(sweep_specs, sweep_tables):
     assert np.abs(z_inf - z_big[:horizon]).max() <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["d1_k2m21", "d2_k2m12", "d3_k2m11"])
+def test_infinite_solution_matches_term_loop(sweep_specs, sweep_tables,
+                                             name):
+    # against the per-term double loops over a~ and y, written out here
+    spec, tab = sweep_specs[name], sweep_tables[name]
+    d, horizon = spec.d, 48
+    y = random_rhs(40, d, seed=12)
+    J = 0
+    while tab.a_tail(J) > 1e-14 * max(float(np.abs(y).max()), 1.0):
+        J += max(1, J // 4)
+    at = [tab.a_tilde(j) for j in range(max(J, horizon) + 1)]
+    g = np.zeros((horizon + 1, d, d), dtype=complex)
+    for l in range(1, horizon + 1):
+        for j in range(min(J + 1, len(y) - l + 1)):
+            g[l] += at[j] @ y[l + j - 1]
+    want = np.zeros((horizon, d, d), dtype=complex)
+    for s in range(1, horizon + 1):
+        for l in range(1, s + 1):
+            want[s - 1] += at[s - l].conj().T @ g[l]
+    got = infinite_solution(spec, y, horizon, tab)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_infinite_solution_refuses_unreached_tail(ex52, monkeypatch):
     # an a~ tail that never falls below the tolerance must raise, not
     # go on with a truncated sum
