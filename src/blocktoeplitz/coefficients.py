@@ -23,8 +23,8 @@ beta_k is served by three routes: the pole-machinery closed form for
 k >= m0 + 1, the series sum_j a_{j+k} c~_j for 0 <= k <= m0, and direct
 quadrature of the phase function for k < 0, which is exponentially
 accurate for these analytic integrands but carries no a-priori bound.
-beta_stack holds beta_1, beta_2, .. as one stacked store, as a_stack
-holds a.
+beta_stack, filled straight from the first two routes, is the one store
+of beta_1, beta_2, .., as a_stack is of a; beta(k) reads it for k >= 1.
 
 The certified series sums (beta_series, the oracle gamma_via_c and
 sum_j ||c~_j||) share one loop, _certified_sum: it adds slices of the
@@ -172,7 +172,6 @@ class CoefficientTables:
         self._lock = threading.RLock()
         self._a_stacks = {}
         self._realized = {}
-        self._beta = {}
         self._beta_stack = np.zeros((0, spec.d, spec.d), dtype=np.complex128)
         self._kit = None
         self._phase_grid = None
@@ -362,35 +361,26 @@ class CoefficientTables:
         """beta_k, the (negated) k-th Fourier coefficient of the phase
         function h* h_sharp^{-1}.
 
-        Route by index: closed form (pole machinery) for k >= m0 + 1,
-        the a / c~ series for 0 <= k <= m0, quadrature for k < 0.
+        Route by index: entry k - 1 of beta_stack for k >= 1, the a / c~
+        series for k = 0, quadrature for k < 0.
         """
         k = int(k)
-        with self._lock:
-            if k in self._beta:
-                return self._beta[k]
-            if k >= self.spec.m0 + 1:
-                if self.spec.K == 0:
-                    out = np.zeros((self.spec.d, self.spec.d),
-                                   dtype=np.complex128)
-                else:
-                    out = self._closed_kit().beta_closed(k)
-            elif k >= 0:
-                out = self.beta_series(k)
-            else:
-                out = self.beta_quadrature(k)
-            self._beta[k] = out
-            return out
+        if k >= 1:
+            return self.beta_stack(k)[k - 1]
+        return self.beta_series(k) if k == 0 else self.beta_quadrature(k)
 
     def beta_stack(self, upto):
         """beta_1..beta_m as one read-only (m, d, d) array, m >= upto, the
-        one stacked store of beta: entry k - 1 is beta(k). It grows by
+        one store of beta for k >= 1: the a / c~ series for k <= m0, the
+        closed form (pole machinery) from m0 + 1 on. It grows by
         doubling, like a_stack."""
         with self._lock:
             stack = self._beta_stack
             if len(stack) < upto:
-                new = [self.beta(k) for k in range(
-                    len(stack) + 1, max(upto, 2 * len(stack)) + 1)]
+                m0 = self.spec.m0
+                new = [self.beta_series(k) if k <= m0 else self.beta_closed(k)
+                       for k in range(len(stack) + 1,
+                                      max(upto, 2 * len(stack)) + 1)]
                 self._beta_stack = stack = _read_only(
                     np.concatenate([stack, new]))
             return stack

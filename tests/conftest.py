@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.synth import identity_spec, scalar_ar, scalar_single_pole
@@ -36,3 +37,11 @@ def ident2():
 @pytest.fixture(scope="session")
 def ar1():
     return scalar_ar([0.9])
+
+
+# the property suite's settings: the same draws on every run, no
+# per-example deadline (a cold solve at n = 512 takes a while) and no
+# example database
+settings.register_profile("blocktoeplitz", derandomize=True, deadline=None,
+                          database=None, max_examples=40)
+settings.load_profile("blocktoeplitz")

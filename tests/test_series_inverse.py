@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from blocktoeplitz import errors
+from blocktoeplitz import errors, series_inverse
 from blocktoeplitz.coefficients import CoefficientTables, RawTables
 from blocktoeplitz.series_inverse import (SeriesInverter, b_level_1,
                                           b_recursion_step, first_term_gram,
@@ -9,7 +11,7 @@ from blocktoeplitz.series_inverse import (SeriesInverter, b_level_1,
                                           inverse_matrix_series)
 from blocktoeplitz.synth import identity_spec
 
-from helpers import dense_toeplitz_matrix
+from helpers import dense_toeplitz_matrix, warm_d3_spec
 
 
 def test_identity_levels_vanish():
@@ -150,3 +152,75 @@ def test_raw_tables_inverse(ex52, ex52_tables):
 def test_single_block_api(ex52_tables):
     blk = inverse_block_series(ex52_tables, 2, 1, 2, tol=1e-11)
     assert blk[0, 0] == pytest.approx(0.5 / 1.3125, abs=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["tilde", "plain"])
+def test_matrix_advances_every_u_in_one_step_per_level(sweep_tables,
+                                                       monkeypatch, variant):
+    # the levels of every u advance together: one step per level, so the
+    # deepest u's 2 depth levels take 2 depth - 1 steps in all
+    tab = sweep_tables["d2_k2m12"]
+    n = 8
+    steps = []
+    step = series_inverse.b_recursion_step
+
+    def counted(state, tables):
+        out = step(state, tables)
+        steps.append((out.level, len(out.u)))
+        return out
+
+    monkeypatch.setattr(series_inverse, "b_recursion_step", counted)
+    SeriesInverter(tab, n, tol=1e-10).matrix(variant)
+    levels = [level for level, _ in steps]
+    assert levels == list(range(2, len(steps) + 2))
+    assert len(steps) % 2 == 1 and len(steps) >= 3
+    # every u starts; a u whose depth is reached drops out
+    counts = [count for _, count in steps]
+    assert counts[0] == n and counts[-1] < n
+    assert counts == sorted(counts, reverse=True)
+
+
+@pytest.mark.parametrize("variant", ["tilde", "plain"])
+def test_levels_of_an_array_of_u_match_one_u_at_a_time(variant):
+    # at n = 12 the level-1 horizons of this spec differ across u
+    tab = CoefficientTables(warm_d3_spec())
+    n = 12
+    us = np.arange(1, n + 1)
+    bulk = b_level_1(tab, n, us, variant)
+    singles = [b_level_1(tab, n, int(u), variant) for u in us]
+    for level in range(1, 5):
+        for i, one in enumerate(singles):
+            L = len(one.coeffs)
+            scale = np.abs(one.coeffs).max()
+            assert np.abs(bulk.coeffs[i, :L] - one.coeffs).max() \
+                <= 1e-15 * scale
+            if level == 1:
+                assert not bulk.coeffs[i, L:].any()
+            assert bulk.tail[i] == pytest.approx(one.tail, rel=1e-15)
+            assert bulk.l1()[i] == pytest.approx(one.l1(), rel=1e-15)
+        bulk = b_recursion_step(bulk, tab)
+        singles = [b_recursion_step(one, tab) for one in singles]
+    horizons = {len(b_level_1(tab, n, int(u), variant).coeffs) for u in us}
+    assert len(horizons) > 1   # so the padding above was exercised
+
+
+def test_one_u_past_its_bound_raises(sweep_tables):
+    tab = sweep_tables["d2_k2m12"]
+    n = 8
+    state = b_level_1(tab, n, np.arange(1, n + 1), "plain")
+    b_recursion_step(state, tab)        # every u within its bound
+    coeffs = state.coeffs.copy()
+    coeffs[3] *= 10.0
+    with pytest.raises(errors.NumericalError, match="u = 4 "):
+        b_recursion_step(replace(state, coeffs=coeffs), tab)
+
+
+def test_unreachable_tolerance_raises(sweep_tables, monkeypatch):
+    tab = sweep_tables["d2_k2m12"]
+    # the depth is reachable, but the level tails alone exceed the tol
+    with pytest.raises(errors.ToleranceUnreachable,
+                       match="accumulated error bound"):
+        SeriesInverter(tab, 8, tol=1e-18).block(1, 8)
+    monkeypatch.setattr(series_inverse, "_DEPTH_CAP", 1)
+    with pytest.raises(errors.ToleranceUnreachable, match="depth cap"):
+        SeriesInverter(tab, 8, tol=1e-10).matrix("plain")
