@@ -29,8 +29,6 @@ from .coefficients import CoefficientTables
 from .symbol import _UNIT_ROUNDOFF, _invert, h_inv_taylor
 from .util import binom, binom_vec, herm
 
-# block length of the pole powers in ClosedFormKit.sequences
-_POWER_BLOCK = 256
 # relative tolerances of inverse_block_closed's cross-check, K = 0 and K >= 1
 _AR_OVERLAP_TOL = 1e-12
 _ARMA_OVERLAP_TOL = 1e-11
@@ -41,8 +39,9 @@ class SolvePlan(NamedTuple):
     the right-hand side Y, built afresh by ClosedFormKit.plan(n). Every
     slot scalar of the rank correction is a pole power times a polynomial
     in the block index m, so the plan keeps a small coefficient array
-    that acts on the 2M sequences of kit.sequences(n); the slot scalars
-    of v_m come from kit.v_coef. Nothing in it grows with n.
+    that acts on the 2M sequences C(m, a) p^{n-m} and C(m, a) conj(p)^m
+    (which the linear-time solver generates chunk by chunk); the slot
+    scalars of v_m come from kit.v_coef. Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
@@ -361,25 +360,6 @@ class ClosedFormKit:
                     v_coef[qr, M + l, M + m - 1] = (binom(l - m, i - 1)
                                                     * p ** (l - m - i + 1))
         return v_coef, w_coef
-
-    def sequences(self, n):
-        """The 2M sequences of the rank correction of order n as a (2M, n)
-        array over m = 1..n: for slot q = (mu, i), row q is
-        C(m, i-1) p_mu^{n-m} and row M + q is C(m, i-1) conj(p_mu)^m.
-        Both are bounded by C(n, i-1), so none leaves float range however
-        close |p_mu| is to 1. The powers p^e are an outer product of
-        block powers p^{a B} p^b, b < B = _POWER_BLOCK."""
-        B, M = _POWER_BLOCK, self.M
-        poles = np.asarray(self.spec.poles)[:, None]
-        pw = ((poles ** (B * np.arange(n // B + 1)))[:, :, None]
-              * (poles ** np.arange(B))[:, None]).reshape(len(poles), -1)
-        out = np.empty((2 * M, n), dtype=np.complex128)
-        for q, (mu, i) in enumerate(self.slots):
-            out[q] = pw[mu, n - 1::-1]
-            np.conjugate(pw[mu, 1:n + 1], out=out[M + q])
-            if i > 1:
-                out[q::M] *= binom_vec(np.arange(1, n + 1), i - 1)
-        return out
 
     def slot_scalars(self, kind, ms, scaled=False):
         """The (len(ms), M, M + m0 + 1) slot scalars of the vectors x_m of

@@ -36,7 +36,7 @@ _states): one pass over Y gives the end sums of op and, through an
 n-free map, those of op* on every chunk without forming op Y. Then the
 chunk gemms run over ranges of chunks sized to a core's L2, in one
 workspace of two stacks: op's gemm writes straight into the chunk rows
-of op*'s stacks, and op*'s gemm into the time-last output (see _run).
+of op*'s stacks, and op*'s gemm into the time-last output (see _apply).
 So the Gram holds its output, the states (2 S / T of Y) and the
 workspace, never a whole stack or an intermediate op Y. Of A* A Y,
 solve reads only the last m0 rows and the sampled overlap chunks, so it
@@ -44,11 +44,11 @@ computes just those (see _gram_rows), from the same states.
 
 When the work n d r is at least _LANE_WORK (2^17, from a measured
 crossover) and the process may run on two CPUs, solve runs on two lanes:
-a second thread, which lives for one call, computes the plain rows while
-the caller runs the tilde Gram, then takes ranges of the tilde Gram's
-chunks as it comes free, and the residual's batches go to whichever
-lane is free. Each block is computed by the same arithmetic either way,
-so Z does not depend on the lane count.
+a second thread, which lives for one call, computes the plain states
+and rows while the caller runs the tilde states, then takes ranges of
+the tilde Gram's chunks as it comes free, and the residual's batches go
+to whichever lane is free. Each block is computed by the same
+arithmetic either way, so Z does not depend on the lane count.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
 in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
@@ -67,18 +67,19 @@ one small coefficient array. Every slot scalar of v and of
 hat-w - hat-v is a pole power times a polynomial in the block index, so
 the kit's v coefficients (ClosedFormKit.v_coef, also the source of
 ClosedFormKit.vectors) and the plan's act on 2M sequences
-C(m, a) p^{n-m} and C(m, a) conj(p)^m that each solve generates
-(ClosedFormKit.sequences); neither the kit nor the plan holds anything
-whose size grows with n. The correction is a few gemms: one per side
-sums the sequences against Y, K_n turns the two sums into
-[g_vec; g~_vec], and the correction rows are one (d r, 2M) @ (2M, n)
-gemm of the sequences with a map formed per solve from g, the residue
-and band blocks and the coefficients. Every tilde row takes its
-correction; the plain rows exist only for the m0 assembled ones and the
-sampled overlap chunks, and those take theirs. Each solve builds its
-plan afresh from the kit (a few 2Md x 2Md products), so a warm solve on
-a prebuilt kit does that, the Gram work, the sequences, those gemms and
-its checks.
+C(m, a) p^{n-m} and C(m, a) conj(p)^m; neither the kit nor the plan
+holds anything whose size grows with n. The correction makes no pass of
+its own over Y or Z. The two sums that K_n takes are read from the
+Gram's carry states (see _edge_sums), and K_n turns them into
+[g_vec; g~_vec]. On the chunk grid each sequence value is a fixed table
+times a few anchors of its chunk (see _sequences), so a range's tilde
+corrections are one gemm of a per-solve (T d r, 2M + 1) map, formed from
+g~_vec, the residue and band blocks and the coefficients, with the
+anchors of its chunks, added in _apply while the range is in cache. The
+plain rows take theirs from the same table in one gemm (see _mirrored).
+The plain states must be done first: on one lane the plain states and
+rows run before the tilde Gram; on two the caller waits for the plain
+sums after its tilde states.
 
 The residual check convolves the gamma band, read as one array from the
 tables' bulk gamma store, with Z by overlap-save in O(n log L), at the
@@ -91,7 +92,9 @@ The literal reference formulas
 production path.
 """
 
+import bisect
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -108,7 +111,7 @@ from . import errors
 from .blockarray import as_block_vector
 from .closed_form import ClosedFormKit
 from .coefficients import CoefficientTables
-from .util import binom_vec, herm
+from .util import binom, binom_vec, herm
 
 _OVERLAP_TOL = 1e-9
 # blocks per chunk of a triangular apply (raised to the band length m0 + 1)
@@ -116,6 +119,9 @@ _CHUNK = 16
 # bytes of the two chunk stacks of a range in a Gram or apply: well
 # inside the 2 MB L2 of a core
 _RANGE_BYTES = 1 << 20
+# pole powers of the correction anchors below this are flushed to zero:
+# a product of two floats above it is a normal float
+_FLUSH = np.sqrt(np.finfo(np.float64).tiny)
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
 # the neglected gamma band of the residual, relative to ||gamma(0)||_2
@@ -323,7 +329,7 @@ def _zero_past(x, n, back):
     x[slice(0, T - rest) if back else slice(rest, T), ..., -1] = 0
 
 
-def _states(op, y, gram):
+def _states(op, y, gram, spare=None):
     """The slot states of op's stacks (see _operator) on every chunk of
     a time-last (d, r, n) Y, and with gram those of op*'s stacks in
     op* op Y: [(mat, states)] or [(mat, states), (mat*, states*)], each
@@ -335,7 +341,8 @@ def _states(op, y, gram):
     op's stack. So one pass over Y, two gemms per block column j, with
     ends and with red's chunk columns of j, gives op's end sums and the
     chunk part of op*'s without forming X, in one scratch array the size
-    of op*'s states; red then takes the halo
+    of op*'s states (in spare, a flat complex array the pass may
+    overwrite, if it is large enough); red then takes the halo
     blocks and, after op's scans, op's states, and op*'s scans follow.
     X past n is zero: from the last whole chunk on, where the ragged
     chunk enters, op*'s sums are taken from X itself."""
@@ -353,7 +360,9 @@ def _states(op, y, gram):
                         mat.reshape(T, d, P, d)).reshape(S * d, P, d)
         chunk, halo = red[:, m0:m0 + T][:, back], red[:, :m0][:, back]
         st_a = np.zeros((S * d, r, nc), dtype=np.complex128)
-        part = np.empty((r, S * d, nc), dtype=np.complex128)
+        size = r * S * d * nc
+        part = (spare[:size] if spare is not None and spare.size >= size
+                else np.empty(size, np.complex128)).reshape(r, S * d, nc)
     whole, rest = _split(y, T)
     nw = whole.shape[-2]
     for j in range(d):
@@ -406,24 +415,34 @@ def _write(out, x, c0):
         rest[...] = x[:m, ..., w].transpose(1, 2, 0)
 
 
-def _apply(op, y, gram=False, pool=None):
+def _apply(op, y, gram=False, pool=None, term=None):
     """op Y, or op* op Y if gram, for a time-last (d, r, n) Y, as a new
     array laid out like Y (allocated before the states of _states, which
-    die first). After the state scans the chunk gemms run over ranges of
-    chunks in one workspace of two stacks of at most about _RANGE_BYTES:
-    op's stacks are filled from Y; in a Gram op's gemm writes straight into
-    the chunk rows of op*'s stacks, whose halos are copied within the
-    range, and the last gemm writes into the output. op*'s halo lies in
-    the chunk after (op* upper) or before, so op's range reaches one
-    chunk further that way, and that chunk's output is dropped. With a
-    pool, its lane takes ranges too, in a workspace of its own, once it
-    is free; each range is computed the same way whichever lane takes
-    it."""
+    die first, and lent to _states as its scratch). After the state scans
+    the chunk gemms run over ranges of chunks in one workspace of two
+    stacks of at most about _RANGE_BYTES: op's stacks are filled from Y;
+    in a Gram op's gemm writes straight into the chunk rows of op*'s
+    stacks, whose halos are copied within the range, and the last gemm
+    writes into the output. op*'s halo lies in the chunk after (op*
+    upper) or before, so op's range reaches one chunk further that way,
+    and that chunk's output is dropped. With a pool, its lane takes
+    ranges too, in a workspace of its own, once it is free; each range
+    is computed the same way whichever lane takes it. term, if given, is called with the states once they are done; it
+    may return a (T d r, Q) map and (Q, nc) anchors, and then their
+    product on a range's chunks, read as chunk-form blocks (T, d, r, k),
+    is added to its output before it is written, from the first chunk to
+    the last whose anchors are not all zero."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
     out = np.empty_like(y)
-    applies = _states(op, y, gram)
+    # out's memory, flat in memory order, is the states pass's scratch
+    applies = _states(op, y, gram, out.transpose(
+        np.argsort(out.strides)[::-1]).reshape(-1))
+    extra = None if term is None else term(applies)
+    # the chunks whose anchors are not all zero
+    live = [] if extra is None else np.flatnonzero(
+        extra[1].any(axis=0)).tolist()
     width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
     starts = itertools.count(0, width)      # the ranges not yet taken
 
@@ -455,7 +474,16 @@ def _apply(op, y, gram=False, pool=None):
                 # at chunk 0 or nc - 1
                 dst[:m0, ..., 0 if op.upper else -1] = 0
                 src, dst = dst, src
-            _write(out, dst[:T, ..., c0 - a:c1 - a], c0)
+            x = dst[:T, ..., c0 - a:c1 - a]
+            i, j = bisect.bisect_left(live, c0), bisect.bisect_left(live, c1)
+            if i < j:
+                lo, hi = live[i], live[j - 1] + 1
+                part = x[..., lo - c0:hi - c0]
+                # src is free after the last gemm
+                add = src.reshape(-1)[:part.size].reshape(len(extra[0]), -1)
+                np.matmul(extra[0], extra[1][:, lo:hi], out=add)
+                part += add.reshape(part.shape)
+            _write(out, x, c0)
 
     helper = None if pool is None else pool.submit(sweep)
     sweep()
@@ -464,11 +492,12 @@ def _apply(op, y, gram=False, pool=None):
     return out
 
 
-def _gram_rows(op, y, chunks):
+def _gram_rows(op, y, chunks, applies):
     """The blocks of op* op Y on the given chunks only, for a lower
-    triangle op and a time-last (d, r, n) Y: a (T, d, r, len(chunks))
-    array, block c T + u of op* op Y at [u, ..., i] for c = chunks[i],
-    zero past n (T = _chunk_blocks(m0)).
+    triangle op, a time-last (d, r, n) Y and the states of the Gram,
+    applies = _states(op, y, True): a (T, d, r, len(chunks)) array, block
+    c T + u of op* op Y at [u, ..., i] for c = chunks[i], zero past n
+    (T = _chunk_blocks(m0)).
 
     Chunk c of the upper apply op* reads X = op Y on chunk c, the first
     m0 blocks of chunk c + 1 and the slot states of op* at the chunk's
@@ -478,7 +507,7 @@ def _gram_rows(op, y, chunks):
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
-    (mat, st), (mat_a, st_a) = _states(op, y, True)
+    (mat, st), (mat_a, st_a) = applies
 
     def lower(cs, rows):
         """X on the first `rows` blocks of the chunks cs, last block
@@ -569,7 +598,10 @@ class SolveReport:
     resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage of solve: gram, plan, assembly, overlap, residual
+    # seconds per stage of solve: plan (the SolvePlan and the sequence
+    # tables), gram (both Grams, the tilde one with its in-range
+    # corrections), assembly (the correction maps and the corrected plain
+    # rows), overlap and residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), gram_chunk (blocks per chunk of the Gram
@@ -579,28 +611,119 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
 
-def _corrected_sums(kit, k_n, fv, y):
+def _edge_sums(op, st, y):
+    """Per slot (mu, i) of op, a sum of the time-last (d, r, n) Y on the
+    v basis of the rank correction, read from op's slot states st (S, d,
+    r, nc): sum_t C(t, i - 1) p^t y_t for the tilde factor (upper, poles
+    p), from the state at chunk 0's exit, and sum_t C(n + 1 - t, i - 1)
+    conj(p)^{n+1-t} y_t for the plain one (lower, poles conj(p)), from
+    the state at the last chunk's entry; the chunk's own blocks are
+    summed directly. A state sigma_j = sum_l C(l + j - 1, j - 1) p^l y
+    weighs blocks at lags l whose weight is C(l + s, i - 1) p^{l+s}
+    = p^s sum_{j <= i} C(s - j, i - j) C(l + j - 1, j - 1) p^l, by
+    Vandermonde's identity."""
+    n = y.shape[-1]
+    S, m0, T, nc = _sizes(op, n)
+    last = (nc - 1) * T
+    state, s, ks, blocks = ((st[..., 0], T + 1, np.arange(1, min(T, n) + 1),
+                             y[..., :T]) if op.upper else
+                            (st[..., -1], n - last + 1,
+                             np.arange(n - last, 0, -1), y[..., last:]))
+    degs = [e for m in op.mults for e in range(m)]
+    p = np.repeat(op.poles, op.mults)[:, None]
+    binoms = np.stack([binom_vec(ks, e) for e in range(max(degs) + 1)])
+    shift = np.zeros((S, S), dtype=np.complex128)
+    q0 = 0
+    for pole, m in zip(op.poles, op.mults):
+        for j, i in itertools.combinations_with_replacement(range(m), 2):
+            shift[q0 + i, q0 + j] = pole ** s * binom(s - j - 1, i - j)
+        q0 += m
+    return (np.einsum("qk,drk->qdr", binoms[degs] * p ** ks, blocks)
+            + np.tensordot(shift, state, 1))
+
+
+def _resolvent_sums(kit, k_n, plain, tilde, y):
     """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for the
-    plan's map k_n, a time-last (d, c, n) Y and the (M, n) v sequences fv
-    of m = 1..n (kit.sequences): on each side one gemm sums the sequences
-    against Y, the m0 head blocks of Y join them for the unit rows, and
-    the kit's v coefficients and the ext-stack blocks act once on those
-    sums."""
-    d, c, n = y.shape
+    plan's map k_n, a time-last (d, r, n) Y and its sums on the v basis by
+    the plain and the tilde factor (see _edge_sums): the m0 head blocks
+    of Y join them for the unit rows, and the kit's v coefficients and
+    the ext-stack blocks act once on those sums."""
+    d, r, n = y.shape
     M, E, J = kit.v_coef.shape
-    flat = y.reshape(d * c, n)
-    seq = np.ascontiguousarray(fv[:, ::-1])     # f(n + 1 - t), t = 1..n
     sides = []
-    for ext, coef, heads in ((kit.ext_stack, kit.v_coef,
-                              flat[:, ::-1][:, :J - M]),
-                             (kit.ext_tilde_stack, np.conj(kit.v_coef),
-                              flat[:, :J - M])):
-        sums = coef.reshape(M * E, J) @ np.concatenate([seq @ flat.T,
-                                                        heads.T])
+    for ext, coef, sums, heads in (
+            (kit.ext_stack, kit.v_coef, plain, y[..., ::-1][..., :J - M]),
+            (kit.ext_tilde_stack, np.conj(kit.v_coef), tilde,
+             y[..., :J - M])):
+        basis = np.concatenate([sums.reshape(M, d * r),
+                                np.moveaxis(heads, -1, 0).reshape(-1, d * r)])
+        sums = coef.reshape(M * E, J) @ basis
         sides.append(np.einsum("eab,qebc->qac", ext,
-                               sums.reshape(M, E, d, c)).reshape(M * d, c))
-        np.conjugate(fv, out=seq)                # conj f(t), t = 1..n
+                               sums.reshape(M, E, d, r)).reshape(M * d, r))
     return np.split(k_n @ np.concatenate(sides), 2)
+
+
+def _sequences(poles, mults, m0, n, T):
+    """The R = 2M + m0 rows of the rank correction of order n over the
+    block index m = 1..n, C(m, i - 1) p^{n-m} and C(m, i - 1) conj(p)^m
+    for slot q = (mu, i) at rows q and M + q and [m == j + 1] at row
+    2M + j, as a (R, Q, T) table and (Q, nc + 1) anchors: the rows at
+    m = c T + u + 1 are table[..., u] @ anchors[:, c], by
+    C(c T + u + 1, i - 1) = sum_a C(c T, a) C(u + 1, i - 1 - a). Chunk c's
+    anchors are p^{n-(c+1)T} C(c T, a), conj(p)^{c T} C(c T, a) (at the
+    row of slot (mu, a + 1)) and [c == 0], so none leaves float range
+    (an end anchor past n by at most |p|^{1-T}); column nc is zero. The
+    powers p^{c T} = p^{a B T} p^{b T}, b < B, are each a power of p, and
+    those below _FLUSH are zero: they add under 1e-154 of the anchors of
+    chunk 0, and products of floats above _FLUSH stay normal floats."""
+    degs = [e for m in mults for e in range(m)]
+    p = np.repeat(np.asarray(poles, dtype=np.complex128), mults)[:, None]
+    M, u, nc = len(degs), np.arange(T), -(-n // T)
+    # slot q takes C(u + 1, k) at the anchor of slot q - k, k <= its degree
+    qs, ks = np.array([(q, k) for q, e in enumerate(degs)
+                       for k in range(e + 1)]).T
+    steps = np.stack([binom_vec(u + 1, k) for k in range(max(degs) + 1)])
+    table = np.zeros((2 * M + m0, 2 * M + 1, T), dtype=np.complex128)
+    table[qs, qs - ks] = steps[ks] * p[qs] ** (T - 1 - u)
+    table[M + qs, M + qs - ks] = steps[ks] * np.conj(p[qs]) ** (u + 1)
+    table[2 * M + np.arange(m0), 2 * M, np.arange(m0)] = 1
+    # the chunks c whose largest power |p|^{c T} is above _FLUSH
+    live = min(nc, int(np.log(_FLUSH) / (T * np.log(np.abs(p).max()))) + 1)
+    B = math.isqrt(live) + 1
+    powers = ((p ** (B * T * np.arange(-(-live // B))))[..., None]
+              * (p ** (T * np.arange(B)))[:, None]).reshape(M, -1)[:, :live]
+    powers[np.abs(powers) < _FLUSH] = 0
+    anchors = np.zeros((2 * M + 1, nc + 1), dtype=np.complex128)
+    for rows, cs, power in ((slice(M, 2 * M), np.arange(live),
+                             np.conj(powers)),
+                            (slice(M), np.arange(nc - live, nc),
+                             p ** (n - nc * T) * powers[:, ::-1])):
+        anchors[rows, cs] = power * np.stack(
+            [binom_vec(T * cs, e) for e in range(max(degs) + 1)])[degs]
+    anchors[2 * M, 0] = 1
+    return table, anchors
+
+
+def _chunk_map(cmap, table):
+    """The (T x, Q) map that takes a chunk's anchors to cmap (x, R) times
+    the rows of table (R, Q, T), the chunk's blocks in order."""
+    return np.einsum("xr,rqu->uxq", cmap, table).reshape(
+        table.shape[-1] * len(cmap), -1)
+
+
+def _mirrored(table, anchors, n, cmap, cs):
+    """cmap (x, R) times the rows of _sequences at m = n - c T - u for
+    the chunks cs and u < T, as (T x, len(cs)), zero at m < 1. With
+    n - 1 = N T + rho, row u lies in chunk N - c at rho - u if u <= rho,
+    else in chunk N - c - 1 (the zero column at c = N) at rho - u + T."""
+    R, Q, T = table.shape
+    N, rho = divmod(n - 1, T)
+    u = np.arange(T)
+    both = np.zeros((R, 2, Q, T), dtype=np.complex128)
+    both[:, 0][..., u <= rho] = table[..., rho - u[u <= rho]]
+    both[:, 1][..., u > rho] = table[..., rho - u[u > rho] + T]
+    return _chunk_map(cmap, both.reshape(R, 2 * Q, T)) @ np.concatenate(
+        [anchors[:, N - cs], anchors[:, N - cs - 1]])
 
 
 def _correction_map(coef, ext, h):
@@ -611,16 +734,6 @@ def _correction_map(coef, ext, h):
     d, c = ext.shape[-1], h.shape[-1]
     blocks = np.einsum("kba,qbc->acqk", np.conj(ext), h.reshape(M, d, c))
     return blocks.reshape(d * c, M * E) @ coef.reshape(M * E, J)
-
-
-def _corrections(cmap, seq, ms):
-    """The rank-correction rows at the 1-based indices ms, as (d c,
-    len(ms)): the (d c, 2M + m0) map cmap times the 2M sequences at ms
-    (seq, (2M, len(ms))), plus its unit columns at the heads ms <= m0."""
-    out = cmap[:, :len(seq)] @ seq
-    head = np.flatnonzero(ms <= cmap.shape[1] - len(seq))
-    out[:, head] += cmap[:, len(seq) + ms[head] - 1]
-    return out
 
 
 def _residual_size(n, L):
@@ -780,6 +893,9 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
 
     timings = {}
     tick = time.perf_counter()
+    # seconds of the correction maps, spent inside the Gram call but
+    # counted as assembly
+    maps = 0.0
 
     def lap(stage):
         nonlocal tick
@@ -790,54 +906,79 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     # tilde rows cover s <= n - m0, plain rows s >= m0 + 1; of the plain
     # rows only the last m0 and the sampled overlap rows are computed
     span, T = n - m0, _chunk_blocks(m0)
+    plan = None
+    if spec.K:
+        if kit is None:
+            kit = ClosedFormKit(spec)
+        plan = kit.plan(n)
+        table, anchors = _sequences(spec.poles, spec.mults, m0, n, T)
+    lap("plan")
+
     sample = (_overlap_sample(n, m0, T, seed) if check_overlap
               else np.arange(0))
     chunks = np.unique(np.r_[span:n, sample] // T)
     yt = _to_time_last(y)
+    plain, tilde = _factor(spec, "plain"), _factor(spec, "tilde")
     lanes = 2 if _two_lanes(n * d * r) else 1
     with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-        # the plain rows beside the tilde Gram, which becomes the assembled Z
-        rows = (_beside(pool, _gram_rows, _factor(spec, "plain"), yt, chunks)
-                if len(chunks) else lambda: None)
-        z = _apply(_factor(spec, "tilde"), yt, True, pool)
-        z_p = rows()
-        lap("gram")
-        plan = None
-        if spec.K:
-            if kit is None:
-                kit = ClosedFormKit(spec)
-            plan = kit.plan(n)
-        lap("plan")
+        # the plain states beside the tilde states: the correction reads
+        # their sums, and the plain rows follow them on the same lane
+        held, c_plain = [], None
 
-        if plan is not None:
-            seq = kit.sequences(n)
-            g_vec, gt_vec = _corrected_sums(kit, plan.k_n, seq[kit.M:], yt)
-            c_tilde = _correction_map(plan.d_coef, kit.ext_tilde_stack,
-                                      plan.ut @ gt_vec)
-            # in ranges, so that no correction array the size of Z is held
-            for lo in range(0, span, _RESIDUAL_BATCH):
-                hi = min(lo + _RESIDUAL_BATCH, span)
-                z[..., lo:hi] += _corrections(
-                    c_tilde, seq[:, lo:hi], np.arange(lo + 1, hi + 1)
-                ).reshape(d, r, hi - lo)
+        def plain_sums():
+            """The plain states, kept for the plain rows, and with K >= 1
+            their sums on the v basis."""
+            applies = _states(plain, yt, len(chunks) > 0)
+            if len(chunks):
+                held.append(applies)
+            return None if plan is None else _edge_sums(plain, applies[0][1],
+                                                        yt)
+
+        sums = _beside(pool, plain_sums)
+        rows = (_beside(pool, lambda: _gram_rows(plain, yt, chunks,
+                                                 held.pop()))
+                if len(chunks) else lambda: None)
+
+        def correct(applies):
+            """Once the tilde states are done, wait for the plain ones;
+            with K >= 1, the correction sums of both factors, and the
+            tilde rows' corrections, one chunk map on the anchors."""
+            nonlocal c_plain, maps
+            found = sums()
+            if plan is None:
+                return None
+            t = time.perf_counter()
+            g_vec, gt_vec = _resolvent_sums(
+                kit, plan.k_n, found, _edge_sums(tilde, applies[0][1], yt), yt)
             c_plain = _correction_map(np.conj(plan.d_coef), kit.ext_stack,
                                       herm(plan.ut) @ g_vec)
+            lhs = _chunk_map(_correction_map(
+                plan.d_coef, kit.ext_tilde_stack, plan.ut @ gt_vec), table)
+            maps = time.perf_counter() - t
+            return lhs, anchors
+
+        # the corrected tilde Gram becomes the assembled Z
+        z = _apply(tilde, yt, True, pool, correct)
+        z_p = rows()
+        lap("gram")
+        timings["gram"] -= maps
+
+        if plan is not None and len(chunks):
+            # row s = c T + u + 1 takes the conjugate sequences at
+            # m = n + 1 - s
+            z_p += np.conj(_mirrored(table, anchors, n, np.conj(c_plain),
+                                     chunks)).reshape(z_p.shape)
 
         def plain_rows(idx):
             """The corrected plain-row blocks at 0-based indices idx >= m0,
-            time-last as (d, r, len(idx)); row s = idx + 1 takes the
-            sequences at m = n + 1 - s."""
-            out = np.moveaxis(
+            time-last as (d, r, len(idx))."""
+            return np.moveaxis(
                 z_p[idx % T, ..., np.searchsorted(chunks, idx // T)], 0, -1)
-            if plan is None:
-                return out
-            m = n - idx
-            return out + _corrections(c_plain, np.conj(seq[:, m - 1]),
-                                      m).reshape(d, r, -1)
 
         if m0:
             z[..., span:] = plain_rows(np.arange(span, n))
         lap("assembly")
+        timings["assembly"] += maps
 
         overlap_max_dev = 0.0
         if check_overlap:
@@ -849,7 +990,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
                 raise errors.OverlapMismatch(
                     f"regional assemblies deviate by {overlap_max_dev:.3e} "
                     f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-        z_p = rows = seq = None     # not needed by the residual
+        z_p = rows = sums = None        # not needed by the residual
         lap("overlap")
 
         counters = {"overlap_rows": len(sample), "plan_bytes": 0,

@@ -53,8 +53,10 @@ class BRecursionState:
     coeffs[l] approximates b^{level}_{n,u,l} for l < len(coeffs); `tail`
     is a certified upper bound on sum_{l >= len(coeffs)} ||b_l|| plus the
     accumulated truncation error of the inner sums, so
-    sum_l ||true b_l|| <= l1() always holds. For an array of u, each
-    field is per u, and a u's entries past its level-1 horizon are zero.
+    sum_l ||true b_l|| <= l1() always holds. `norms` is sum_l
+    ||coeffs[l]||_2, taken once when the level is made. For an array of
+    u, each field is per u, and a u's entries past its level-1 horizon
+    are zero.
     """
 
     n: int
@@ -63,10 +65,15 @@ class BRecursionState:
     level: int
     coeffs: np.ndarray      # (L, d, d), or (U, L, d, d)
     tail: float             # or (U,)
+    norms: float            # or (U,)
 
     def l1(self):
-        norms = np.linalg.norm(self.coeffs, 2, axis=(-2, -1))
-        return norms.sum(axis=-1) + self.tail
+        return self.norms + self.tail
+
+
+def _norm_sums(coeffs):
+    """sum_l ||coeffs[..., l, :, :]||_2 over a (..., L, d, d) stack."""
+    return np.linalg.norm(coeffs, 2, axis=(-2, -1)).sum(axis=-1)
 
 
 def _horizon(F, base, target, cap=_LEVEL_CAP):
@@ -107,10 +114,11 @@ def b_level_1(tables, n, u, variant):
     if variant == "tilde":
         coeffs = herm(coeffs)
     tail = np.array([F(b) for b in (base + horizons).tolist()])
+    norms = _norm_sums(coeffs)
     if np.ndim(u) == 0:
-        coeffs, tail = coeffs[0], float(tail[0])
+        coeffs, tail, norms = coeffs[0], float(tail[0]), float(norms[0])
     return BRecursionState(n=n, u=u, variant=variant, level=1,
-                           coeffs=coeffs, tail=tail)
+                           coeffs=coeffs, tail=tail, norms=norms)
 
 
 def b_recursion_step(state, tables):
@@ -145,7 +153,8 @@ def b_recursion_step(state, tables):
     tail = state.l1() * F(n + 1 + L_out) + state.tail * contraction
     bound = contraction ** (new_level - 1) * np.array(
         [F(f) for f in _first(n, us, state.variant).tolist()])
-    l1 = np.linalg.norm(out, 2, axis=(-2, -1)).sum(axis=-1) + tail
+    norms = _norm_sums(out)
+    l1 = norms + tail
     bad = l1 > bound * (1.0 + 1e-6) + 1e-12
     if bad.any():
         i = bad.argmax()
@@ -153,9 +162,10 @@ def b_recursion_step(state, tables):
             f"level {new_level} l1 norm {l1[i]:.3e} of u = {us[i]} "
             f"exceeds its certified bound {bound[i]:.3e}")
     if np.ndim(state.u) == 0:
-        out, tail = out[0], float(tail)
+        out, tail, norms = out[0], float(tail), float(norms[0])
     return BRecursionState(n=n, u=state.u, variant=state.variant,
-                           level=new_level, coeffs=out, tail=tail)
+                           level=new_level, coeffs=out, tail=tail,
+                           norms=norms)
 
 
 def _as_tables(source):
@@ -212,7 +222,8 @@ class SeriesInverter:
                 live = depth[state.u - 1] >= k
                 state = b_recursion_step(replace(
                     state, u=state.u[live], coeffs=state.coeffs[live],
-                    tail=state.tail[live]), tables)
+                    tail=state.tail[live], norms=state.norms[live]),
+                    tables)
             pair = 0.0
             for odd in (True, False):
                 if not odd:

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import threading
 import tracemalloc
@@ -284,7 +285,8 @@ def test_gram_rows_vs_gram(name, n, width):
     chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
     want = np.zeros((d, y.shape[1], nc * T), dtype=complex)
     want[..., :n] = fast_solver._apply(op, y, True)
-    got = fast_solver._gram_rows(op, y, chunks)
+    got = fast_solver._gram_rows(op, y, chunks,
+                                 fast_solver._states(op, y, True))
     assert got.shape == (T, d, y.shape[1], len(chunks))
     rows = chunks * T + np.arange(T)[:, None]       # (T, len(chunks))
     got = got.transpose(1, 2, 0, 3)                  # (d, r, T, chunks)
@@ -300,10 +302,11 @@ def test_gram_rows_memory_bound():
     y = fast_solver._to_time_last(random_rhs(n, spec.d, seed=30))
     op = fast_solver._factor(spec, "plain")
     chunks = _solve_chunks(n, spec.m0)
-    fast_solver._gram_rows(op, y, chunks)
+    fast_solver._gram_rows(op, y, chunks, fast_solver._states(op, y, True))
     tracemalloc.start()
     try:
-        fast_solver._gram_rows(op, y, chunks)
+        fast_solver._gram_rows(op, y, chunks,
+                               fast_solver._states(op, y, True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -594,6 +597,13 @@ def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
     np.testing.assert_array_equal(warm.z, fresh.z)
 
 
+def generated_rows(table, anchors, ms):
+    """The rows of _sequences at the 1-based indices ms: the table at
+    each index's place in its chunk times that chunk's anchors."""
+    c, u = np.divmod(ms - 1, table.shape[-1])
+    return np.einsum("rqk,qk->rk", table[..., u], anchors[:, c])
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
     pytest.param(mult3_spec, id="mult3"),
@@ -608,8 +618,8 @@ def test_plan_coefficients_give_the_vector_blocks(make):
     n, m0, M = 40, spec.m0, kit.M
     plan = kit.plan(n)
     ms = np.arange(1, n + 1)
-    seq = kit.sequences(n)
-    units = np.eye(m0, n)
+    rows = generated_rows(*fast_solver._sequences(
+        spec.poles, spec.mults, m0, n, fast_solver._chunk_blocks(m0)), ms)
     v = kit.vectors("v", ms)
     v_hat = kit.vectors("v", ms, scaled=True)
     w_hat = kit.vectors("w", ms, scaled=True)
@@ -617,14 +627,75 @@ def test_plan_coefficients_give_the_vector_blocks(make):
                    axis=1)[:, :, None]
     for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
         conj = np.conj if side else np.asarray
-        for coef, rows, want in (
-                (kit.v_coef, np.concatenate([seq[M:], units]), v[side]),
-                (plan.d_coef, np.concatenate([seq, units]),
-                 conj(pw) * (w_hat[side] - v_hat[side]))):
-            scal = np.einsum("qej,jm->mqe", conj(coef), conj(rows))
+        for coef, basis, want in (
+                (kit.v_coef, rows[M:], v[side]),
+                (plan.d_coef, rows, conj(pw) * (w_hat[side] - v_hat[side]))):
+            scal = np.einsum("qej,jm->mqe", conj(coef), conj(basis))
             got = np.einsum("mqe,eab->mqab", scal, ext)
             np.testing.assert_allclose(got.reshape(want.shape), want,
                                        rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [(1 << 20) - 3, 1 << 20])
+def test_generated_sequences_at_large_indices(n):
+    # poles of multiplicity 3 at |p| = 0.2 and 0.9999: every anchor is
+    # finite, and the rows match an mpmath evaluation of C(m, i - 1)
+    # p^{n-m} and C(m, i - 1) conj(p)^m within 1e-13 (pole powers below
+    # the flush threshold, 1.5e-154, may read zero)
+    import mpmath
+    poles, mults, m0, T = (0.2, 0.9999), (3, 3), 2, 16
+    table, anchors = fast_solver._sequences(poles, mults, m0, n, T)
+    assert np.isfinite(anchors).all()
+    ms = np.unique(np.r_[1, 2, 3, T, T + 1, 5000, n // 2, n - 2 * T - 1,
+                         n - T, n - 3, n - 1, n,
+                         np.random.default_rng(44).integers(1, n, 40)])
+    got = generated_rows(table, anchors, ms)
+    assert np.isfinite(got).all()
+    M = sum(mults)
+    want = np.zeros(got.shape, dtype=object)
+    with mpmath.workdps(40):
+        q = 0
+        for p, m in zip(poles, mults):
+            for i in range(1, m + 1):
+                for k, mm in enumerate(ms.tolist()):
+                    c = mpmath.binomial(mm, i - 1)
+                    want[q, k] = c * mpmath.mpf(p) ** (n - mm)
+                    want[M + q, k] = c * mpmath.mpf(p) ** mm
+                q += 1
+        want[2 * M:] = (ms == np.arange(1, m0 + 1)[:, None]).astype(object)
+        err = np.array([[float(abs(mpmath.mpf(g.real) - w))
+                         for g, w in zip(*rw)] for rw in zip(got, want)])
+        scale = np.array([[float(abs(w)) for w in rw] for rw in want])
+    flushed = fast_solver._FLUSH * math.comb(n, 2)
+    assert (err <= 1e-13 * scale + flushed).all()
+    assert not got.imag.any()
+
+
+@pytest.mark.parametrize("mults, m0, radius", [
+    ((3,), 0, 0.99), ((3, 1), 1, 0.9), ((2, 2), 2, 0.99), ((1, 3), 3, 0.5),
+])
+@pytest.mark.parametrize("n", [9, 4 * T, 4 * T + 5])
+def test_correction_sums_from_states(mults, m0, radius, n):
+    # the v-basis sums read from the Gram's carry states, through v_coef
+    # and the ext stacks, are sum_t v_{n+1-t} y_t and sum_t v~_t y_t
+    # built from kit.vectors, on whole-chunk and ragged n
+    spec = random_spec(d=2, K=len(mults), mults=mults, m0=m0,
+                       rng=np.random.default_rng(45),
+                       pole_radii=(radius, radius))
+    kit = ClosedFormKit(spec)
+    y = random_rhs(n, spec.d, seed=46)
+    yt = fast_solver._to_time_last(y)
+    sums = []
+    for variant in ("plain", "tilde"):
+        op = fast_solver._factor(spec, variant)
+        st = fast_solver._states(op, yt, True)[0][1]
+        sums.append(fast_solver._edge_sums(op, st, yt))
+    size = 2 * kit.M * spec.d
+    got = fast_solver._resolvent_sums(kit, np.eye(size), *sums, yt)
+    v, v_tilde = kit.vectors("v", np.arange(1, n + 1))
+    for got_side, want in ((got[0], np.einsum("tqa,tar->qr", v[::-1], y)),
+                           (got[1], np.einsum("tqa,tar->qr", v_tilde, y))):
+        assert np.abs(got_side - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_plan_bytes_do_not_depend_on_n():
@@ -683,9 +754,9 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
     rows = fast_solver._gram_rows
 
-    def perturbed(op, y, chunks):
+    def perturbed(*args):
         # every plain row it returns, in chunk form (T, d, r, chunks)
-        return rows(op, y, chunks) + delta * np.eye(spec.d)[..., None]
+        return rows(*args) + delta * np.eye(spec.d)[..., None]
 
     monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
     for count in (1, 2):
@@ -712,9 +783,9 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     assert norms[spec.m0:n - spec.m0].min() > 2
     rows = fast_solver._gram_rows
 
-    def perturbed(op, y, chunks):
+    def perturbed(op, y, chunks, applies):
         # the plain rows of the chunks, in chunk form (T, d, r, chunks)
-        out = rows(op, y, chunks)
+        out = rows(op, y, chunks, applies)
         out[:, 0, 0] += frac * 1e-9 * norms[chunks * T + np.arange(T)[:, None]]
         return out
 
@@ -775,7 +846,7 @@ def test_two_lanes_leave_no_thread(monkeypatch):
     solve(spec, 200, y)
     assert threading.active_count() == before
 
-    def broken(op, y, chunks):
+    def broken(*args):
         raise errors.DomainViolation("in the second lane")
 
     monkeypatch.setattr(fast_solver, "_gram_rows", broken)
@@ -825,9 +896,9 @@ def test_two_lane_solve_memory_bound(monkeypatch):
 
 
 def test_batches_leave_the_solve_unchanged(monkeypatch):
-    # the tilde corrections and the residual segments in batches of a
-    # few hundred points instead of one: the same Z to the bit, the same
-    # residual up to the order of its sums
+    # the residual segments in batches of a few hundred points instead of
+    # one (the batches affect only the residual): the same Z to the bit,
+    # the same residual up to the order of its sums
     spec = warm_d3_spec()
     n = 4000
     tab = CoefficientTables(spec)
@@ -837,6 +908,27 @@ def test_batches_leave_the_solve_unchanged(monkeypatch):
     batched = solve(spec, n, y, tables=tab)
     assert np.array_equal(whole.z, batched.z)
     assert abs(batched.residual - whole.residual) <= 1e-13 * whole.residual
+
+
+@pytest.mark.parametrize("name", ["warm_d3", "m0_3"])
+def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name):
+    # the corrections are added range by range on whichever lane takes
+    # the range: one chunk per range and the default width give the same
+    # Z within 1e-15, and one lane or two the same Z to the bit
+    spec = APPLY_SPECS[name]()
+    n = 6000 + 5
+    tab = CoefficientTables(spec)
+    kit = ClosedFormKit(spec)
+    y = random_rhs(n, spec.d, seed=47)
+    z = {}
+    for width, size in (("one", 1), ("default", fast_solver._RANGE_BYTES)):
+        monkeypatch.setattr(fast_solver, "_RANGE_BYTES", size)
+        for count in (1, 2):
+            lanes(monkeypatch, count)
+            z[width, count] = solve(spec, n, y, tables=tab, kit=kit).z
+        assert np.array_equal(z[width, 1], z[width, 2])
+    ref = z["default", 1]
+    assert np.linalg.norm(z["one", 1] - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_gram_ranges_on_two_lanes(monkeypatch):

@@ -204,6 +204,29 @@ def test_levels_of_an_array_of_u_match_one_u_at_a_time(variant):
         singles = [b_recursion_step(one, tab) for one in singles]
 
 
+@pytest.mark.parametrize("u", [5, np.arange(1, 9)], ids=["one", "array"])
+def test_each_level_takes_its_spectral_norms_once(sweep_tables, monkeypatch,
+                                                  u):
+    # one batched 2-norm per level: l1() reads the sum that the level's
+    # bound check took, which is the sum taken afresh, to the bit
+    tab = sweep_tables["d2_k2m12"]
+    norm, calls = np.linalg.norm, []
+
+    def counted(x, ord=None, *args, **kwargs):
+        calls.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    state = b_level_1(tab, 8, u, "plain")
+    assert calls.count(2) == 1
+    for level in range(2, 6):
+        state.l1()
+        state = b_recursion_step(state, tab)
+        assert calls.count(2) == level
+    fresh = norm(state.coeffs, 2, axis=(-2, -1)).sum(axis=-1)
+    assert np.array_equal(state.l1(), fresh + state.tail)
+
+
 def test_one_u_past_its_bound_raises(sweep_tables):
     tab = sweep_tables["d2_k2m12"]
     n = 8
