@@ -38,29 +38,35 @@ class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
     the right-hand side Y, built afresh by ClosedFormKit.plan(n). Every
     slot scalar of the rank correction is a pole power times a polynomial
-    in the block index m, so the plan keeps a small coefficient array
-    that acts on the 2M sequences C(m, a) p^{n-m} and C(m, a) conj(p)^m
-    (which the linear-time solver generates chunk by chunk); the slot
-    scalars of v_m come from kit.v_coef. Nothing in it grows with n.
+    in the block index m, so per side one fixed map takes a few moments
+    of Y to coefficients on 2M + m0 sequence rows: C(m, a) p^{n-m} and
+    C(m, a) conj(p)^m per slot (mu, a + 1), and the unit rows [m == j],
+    j = 1..m0 (which the linear-time solver generates chunk by chunk).
+    Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
-      matrix whose inverse R enters k_n;
-    * k_n: the fixed 2Md x 2Md map that takes the sums
-      [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] (unscaled v) to the
-      resolvent-corrected [g_vec; g~_vec]. With P = Pi_n Theta,
-      R = (I - G~G)^{-1} and R~ = (I - GG~)^{-1},
+      matrix whose inverse R enters K_n below;
+    * plain_map, tilde_map: ((2M + m0) d, 2 (M + m0) d), rows ordered
+      (sequence row, block row). They take the moments
+      [sum_t C(n+1-t, i-1) conj(p)^{n+1-t} y_t per slot; y_n .. y_{n-m0+1};
+      sum_t C(t, i-1) p^t y_t per slot; y_1 .. y_{m0}] to the
+      coefficients of the plain and the tilde rows, as the product of:
+      V, the kit's v_coef on ext_stack (conjugated on ext_tilde_stack
+      for the tilde moments), which gives [sum_t v_{n+1-t} y_t;
+      sum_t v~_t y_t]; the fixed 2Md x 2Md map to [g_vec; g~_vec],
+      with P = Pi_n Theta, R = (I - G~G)^{-1} and R~ = (I - GG~)^{-1},
 
           top = I + Lambda^T G R P*,     bot = I + Lambda G~ R~ P,
           K_n = [[top Lambda^T P,  top              ],
                  [bot,             bot Lambda P*    ]];
 
-    * ut: U_n Theta, where Pi_n Theta = diag(p^n) U_n Theta; it is
-      block-diagonal by pole;
-    * d_coef: (M, M + m0 + 1, 2M + m0) coefficients of the scalars of
+      U_n Theta (Pi_n Theta = diag(p^n) U_n Theta, block-diagonal by
+      pole), adjoint on the plain side; and D, the scalars of
       diag(p^{n-m}) (hat-w - hat-v)_m = diag(p^{n-m}) hat-w_m
-      - diag(p^n) v_m on all 2M sequences and the m0 unit rows: the
-      kit's w_coef first, then -p_mu^n times its v_coef.
+      - diag(p^n) v_m on the sequence rows (the kit's w_coef, then
+      -p_mu^n times its v_coef) on ext_tilde_stack*, conjugated and on
+      ext_stack* on the plain side.
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -68,16 +74,15 @@ class SolvePlan(NamedTuple):
         B_s  = diag(p^{s-1})    U_n Theta     (hat-w - hat-v)_{n+1-s},
         B~_s = diag(pbar^{n-s}) (U_n Theta)*  (hat-w~ - hat-v~)_s,
 
-    so row s takes the d_coef scalars at m = s (tilde) or their
-    conjugates at m = n + 1 - s (plain), since ut keeps each pole's
-    power on its own slots.
+    so row s is tilde_map's coefficients on the sequence rows at m = s,
+    or plain_map's on their conjugates at m = n + 1 - s, since U_n Theta
+    keeps each pole's power on its own slots.
     """
 
     spectral_radius: float
     resolvent_cond: float
-    k_n: np.ndarray
-    ut: np.ndarray
-    d_coef: np.ndarray
+    plain_map: np.ndarray
+    tilde_map: np.ndarray
 
 
 def _kron_scalar(scal, d):
@@ -285,37 +290,37 @@ class ClosedFormKit:
 
     # -- G and the beta / b closed forms -------------------------------- #
 
+    def _g(self, n):
+        """(Pi_n Theta, G_n, G~_n, spectral radius of G~_n G_n), unchecked,
+        with G_n = Pi_n Theta Lambda and G~_n = (Pi_n Theta)* Lambda^T."""
+        pit = self.pi_mat(n) @ self.theta_mat
+        g, gt = pit @ self.lambda_mat, herm(pit) @ self.lambda_mat.T
+        return pit, g, gt, float(np.abs(np.linalg.eigvals(gt @ g)).max())
+
     def g_mats(self, n):
         """(G_n, G~_n) = (Pi_n Theta Lambda, (Pi_n Theta)* Lambda^T)."""
-        return self._g_from(self.pi_mat(n) @ self.theta_mat)
-
-    def _g_from(self, pit):
-        """(G_n, G~_n) from pit = Pi_n Theta."""
-        return pit @ self.lambda_mat, herm(pit) @ self.lambda_mat.T
+        return self._g(n)[1:3]
 
     def spectral_radius(self, n):
         """Spectral radius of G~_n G_n, unchecked."""
-        g, gt = self.g_mats(n)
-        return float(np.abs(np.linalg.eigvals(gt @ g)).max())
+        return self._g(n)[3]
 
     def checked_g_mats(self, n):
         """(Pi_n Theta, G_n, G~_n, spectral radius of G~_n G_n). Raises
         ResolventSingular unless the radius is below 1, which keeps
         I - G~G and I - GG~ invertible and the correction series
         convergent."""
-        pit = self.pi_mat(n) @ self.theta_mat
-        g, gt = self._g_from(pit)
-        radius = float(np.abs(np.linalg.eigvals(gt @ g)).max())
-        if radius >= 1.0:
+        out = self._g(n)
+        if out[3] >= 1.0:
             raise errors.ResolventSingular(
-                f"spectral radius of G~G at n={n} is {radius:.6f} >= 1")
-        return pit, g, gt, radius
+                f"spectral radius of G~G at n={n} is {out[3]:.6f} >= 1")
+        return out
 
     # -- the rank-correction vectors ------------------------------------- #
 
     def plan(self, n):
         """The SolvePlan of order n, built afresh on every call: a few
-        2Md x 2Md products and one scaling of v_coef."""
+        2Md x 2Md products composed with the n-free coefficient maps."""
         n = int(n)
         pit, g, gt, radius = self.checked_g_mats(n)
         lam, eye = self.lambda_mat, np.eye(self.M * self.d)
@@ -324,11 +329,23 @@ class ClosedFormKit:
         bot = eye + lam @ gt @ np.linalg.solve(eye - g @ gt, pit)
         k_n = np.block([[top @ lam.T @ pit, top],
                         [bot, bot @ lam @ herm(pit)]])
+        v, vt = (np.einsum("qej,eab->qajb", coef, ext).reshape(len(eye), -1)
+                 for coef, ext in ((self.v_coef, self.ext_stack),
+                                   (np.conj(self.v_coef),
+                                    self.ext_tilde_stack)))
+        zero = np.zeros_like(v)
+        g_vecs = np.split(k_n @ np.block([[v, zero], [zero, vt]]), 2)
+        ut = self.u_mat(n) @ self.theta_mat
         # -diag(p^n) v_m: the row of slot (mu, i) times -p_mu^n
         minus_v = -(self.pole_of_slot ** n)[:, None, None] * self.v_coef
-        return SolvePlan(radius, float(np.linalg.cond(i_gtg)), k_n,
-                         self.u_mat(n) @ self.theta_mat,
-                         np.concatenate([self.w_coef, minus_v], axis=-1))
+        d_coef = np.concatenate([self.w_coef, minus_v], axis=-1)
+        plain, tilde = (
+            np.einsum("qkj,kba->jaqb", coef, np.conj(ext)).reshape(
+                -1, len(eye)) @ u @ g_vec
+            for coef, ext, u, g_vec in (
+                (np.conj(d_coef), self.ext_stack, herm(ut), g_vecs[0]),
+                (d_coef, self.ext_tilde_stack, ut, g_vecs[1])))
+        return SolvePlan(radius, float(np.linalg.cond(i_gtg)), plain, tilde)
 
     def _coefficients(self):
         """(v_coef, w_coef): the n-free coefficients of the slot scalars
@@ -400,12 +417,8 @@ class ClosedFormKit:
                                     (np.conj(scal), self.ext_tilde_stack)))
 
     def beta_closed(self, k):
-        """beta_k for k >= m0 + 1, from beta_k* = p_0^T Pi_{k-1} Theta p_0."""
-        if k < self.spec.m0 + 1:
-            raise errors.DomainViolation("beta closed form needs k >= m0+1")
-        p0 = self.p_vec(0)
-        val = p0.T @ self.pi_mat(k - 1) @ self.theta_mat @ p0
-        return herm(val)
+        """beta_k for k >= m0 + 1: closed_beta(k - 1, 0, 0)."""
+        return self.closed_beta(k - 1, 0, 0)
 
     def closed_beta(self, n, k, l):
         """beta_{n+k+l+1} via beta*_{n+k+l+1} = p_l^T Pi_n Theta p_k,
@@ -422,8 +435,7 @@ class ClosedFormKit:
         if not (n >= u >= self.spec.m0 + 1):
             raise errors.DomainViolation(
                 "b closed form needs n >= u >= m0 + 1")
-        pit = self.pi_mat(n) @ self.theta_mat
-        g, gt = self._g_from(pit)
+        pit, g, gt, _ = self._g(n)
         left = herm(self.p_vec(u - n - 1))
         if level % 2 == 1:  # level = 2k - 1
             core = np.linalg.matrix_power(gt @ g, (level + 1) // 2 - 1)
@@ -436,8 +448,7 @@ class ClosedFormKit:
         if not (1 <= u <= n - self.spec.m0):
             raise errors.DomainViolation(
                 "b~ closed form needs 1 <= u <= n - m0")
-        pit = self.pi_mat(n) @ self.theta_mat
-        g, gt = self._g_from(pit)
+        pit, g, gt, _ = self._g(n)
         left = self.p_vec(-u).T
         if level % 2 == 1:
             core = np.linalg.matrix_power(g @ gt, (level + 1) // 2 - 1)

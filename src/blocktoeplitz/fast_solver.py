@@ -36,7 +36,7 @@ _states): one pass over Y gives the end sums of op and, through an
 n-free map, those of op* on every chunk without forming op Y. Then the
 chunk gemms run over ranges of chunks sized to a core's L2, in one
 workspace of two stacks: op's gemm writes straight into the chunk rows
-of op*'s stacks, and op*'s gemm into the time-last output (see _apply).
+of op*'s stacks, and op*'s gemm into the time-last output (see _sweep).
 So the Gram holds its output, the states (2 S / T of Y) and the
 workspace, never a whole stack or an intermediate op Y. Of A* A Y,
 solve reads only the last m0 rows and the sampled overlap chunks, so it
@@ -44,10 +44,10 @@ computes just those (see _gram_rows), from the same states.
 
 When the work n d r is at least _LANE_WORK (2^17, from a measured
 crossover) and the process may run on two CPUs, solve runs on two lanes:
-a second thread, which lives for one call, computes the plain states
-and rows while the caller runs the tilde states, then takes ranges of
-the tilde Gram's chunks as it comes free, and the residual's batches go
-to whichever lane is free. Each block is computed by the same
+a second thread, which lives for one call, computes the plain states,
+sums and rows while the caller runs the tilde states, then takes ranges
+of the tilde Gram's chunks as it comes free, and the residual's batches
+go to whichever lane is free. Each block is computed by the same
 arithmetic either way, so Z does not depend on the lane count.
 
 For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
@@ -56,30 +56,21 @@ pole powers p^{-m} and p^{n} that overflow / underflow float range long
 before n reaches the sizes this path is for, but the diagonal power
 scalings cancel analytically, leaving only polynomially growing pieces
 (see the hat-variants of the closed forms). The assembly never forms l
-or r themselves. What it needs beyond Y is the kit and one SolvePlan
-from ClosedFormKit.plan(n): the fixed 2Md x 2Md map
-
-    top = I + Lambda^T G R P*,   bot = I + Lambda G~ R~ P,
-    K_n = [[top Lambda^T P, top], [bot, bot Lambda P*]]
-
-(P = Pi_n Theta, R = (I - G~G)^{-1}, R~ = (I - GG~)^{-1}), U_n Theta and
-one small coefficient array. Every slot scalar of v and of
-hat-w - hat-v is a pole power times a polynomial in the block index, so
-the kit's v coefficients (ClosedFormKit.v_coef, also the source of
-ClosedFormKit.vectors) and the plan's act on 2M sequences
-C(m, a) p^{n-m} and C(m, a) conj(p)^m; neither the kit nor the plan
-holds anything whose size grows with n. The correction makes no pass of
-its own over Y or Z. The two sums that K_n takes are read from the
-Gram's carry states (see _edge_sums), and K_n turns them into
-[g_vec; g~_vec]. On the chunk grid each sequence value is a fixed table
-times a few anchors of its chunk (see _sequences), so a range's tilde
-corrections are one gemm of a per-solve (T d r, 2M + 1) map, formed from
-g~_vec, the residue and band blocks and the coefficients, with the
-anchors of its chunks, added in _apply while the range is in cache. The
-plain rows take theirs from the same table in one gemm (see _mirrored).
-The plain states must be done first: on one lane the plain states and
-rows run before the tilde Gram; on two the caller waits for the plain
-sums after its tilde states.
+or r themselves, and it makes no pass of its own over Y. Every slot
+scalar of v and of hat-w - hat-v is a pole power times a polynomial in
+the block index, so what the correction reads of Y is a few moments:
+per factor, the sums of Y on the v basis, which the Gram's carry states
+already hold (see _edge_sums), and the m0 blocks at its end of Y. The
+SolvePlan of ClosedFormKit.plan(n) holds, per side, one fixed map from
+those moments to coefficients on the 2M + m0 sequence rows C(m, a)
+p^{n-m}, C(m, a) conj(p)^m and [m == j] (see _coefficients); the kit's
+v and w coefficients, K_n and U_n Theta are its factors, and neither
+the kit nor the plan holds anything whose size grows with n. On the
+chunk grid each row is a fixed table times a few anchors of its chunk
+(see _sequences and _sequence_rows). After both Grams, the tilde rows s
+take the coefficients on the rows at m = s, only on the chunks whose
+anchors are not all zero, and the plain rows take them on the
+conjugate rows at m = n + 1 - s.
 
 The residual check convolves the gamma band, read as one array from the
 tables' bulk gamma store, with Z by overlap-save in O(n log L), at the
@@ -92,7 +83,6 @@ The literal reference formulas
 production path.
 """
 
-import bisect
 import itertools
 import math
 import os
@@ -415,34 +405,35 @@ def _write(out, x, c0):
         rest[...] = x[:m, ..., w].transpose(1, 2, 0)
 
 
-def _apply(op, y, gram=False, pool=None, term=None):
+def _apply(op, y, gram=False, pool=None):
     """op Y, or op* op Y if gram, for a time-last (d, r, n) Y, as a new
-    array laid out like Y (allocated before the states of _states, which
-    die first, and lent to _states as its scratch). After the state scans
-    the chunk gemms run over ranges of chunks in one workspace of two
-    stacks of at most about _RANGE_BYTES: op's stacks are filled from Y;
-    in a Gram op's gemm writes straight into the chunk rows of op*'s
-    stacks, whose halos are copied within the range, and the last gemm
-    writes into the output. op*'s halo lies in the chunk after (op*
-    upper) or before, so op's range reaches one chunk further that way,
-    and that chunk's output is dropped. With a pool, its lane takes
-    ranges too, in a workspace of its own, once it is free; each range
-    is computed the same way whichever lane takes it. term, if given, is called with the states once they are done; it
-    may return a (T d r, Q) map and (Q, nc) anchors, and then their
-    product on a range's chunks, read as chunk-form blocks (T, d, r, k),
-    is added to its output before it is written, from the first chunk to
-    the last whose anchors are not all zero."""
-    d, r, n = y.shape
-    S, m0, T, nc = _sizes(op, n)
-    P = m0 + T + S
+    array laid out like Y: the states of _states, then _sweep. The
+    output is allocated before the states, which die first, and lent to
+    _states as its scratch."""
     out = np.empty_like(y)
     # out's memory, flat in memory order, is the states pass's scratch
     applies = _states(op, y, gram, out.transpose(
         np.argsort(out.strides)[::-1]).reshape(-1))
-    extra = None if term is None else term(applies)
-    # the chunks whose anchors are not all zero
-    live = [] if extra is None else np.flatnonzero(
-        extra[1].any(axis=0)).tolist()
+    _sweep(op, y, applies, out, pool)
+    return out
+
+
+def _sweep(op, y, applies, out, pool=None):
+    """Write op Y, or op* op Y if applies holds the states of a Gram,
+    into out (d, r, n) from Y and applies = _states(op, y, gram). The
+    chunk gemms run over ranges of chunks in one workspace of two stacks
+    of at most about _RANGE_BYTES: op's stacks are filled from Y; in a
+    Gram op's gemm writes straight into the chunk rows of op*'s stacks,
+    whose halos are copied within the range, and the last gemm writes
+    into the output. op*'s halo lies in the chunk after (op* upper) or
+    before, so op's range reaches one chunk further that way, and that
+    chunk's output is dropped. With a pool, its lane takes ranges too,
+    in a workspace of its own, once it is free; each range is computed
+    the same way whichever lane takes it."""
+    d, r, n = y.shape
+    S, m0, T, nc = _sizes(op, n)
+    P = m0 + T + S
+    gram = len(applies) == 2
     width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
     starts = itertools.count(0, width)      # the ranges not yet taken
 
@@ -474,22 +465,12 @@ def _apply(op, y, gram=False, pool=None, term=None):
                 # at chunk 0 or nc - 1
                 dst[:m0, ..., 0 if op.upper else -1] = 0
                 src, dst = dst, src
-            x = dst[:T, ..., c0 - a:c1 - a]
-            i, j = bisect.bisect_left(live, c0), bisect.bisect_left(live, c1)
-            if i < j:
-                lo, hi = live[i], live[j - 1] + 1
-                part = x[..., lo - c0:hi - c0]
-                # src is free after the last gemm
-                add = src.reshape(-1)[:part.size].reshape(len(extra[0]), -1)
-                np.matmul(extra[0], extra[1][:, lo:hi], out=add)
-                part += add.reshape(part.shape)
-            _write(out, x, c0)
+            _write(out, dst[:T, ..., c0 - a:c1 - a], c0)
 
     helper = None if pool is None else pool.submit(sweep)
     sweep()
     if helper is not None:
         helper.result()
-    return out
 
 
 def _gram_rows(op, y, chunks, applies):
@@ -598,10 +579,10 @@ class SolveReport:
     resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage of solve: plan (the SolvePlan and the sequence
-    # tables), gram (both Grams, the tilde one with its in-range
-    # corrections), assembly (the correction maps and the corrected plain
-    # rows), overlap and residual
+    # seconds per stage of solve: gram (both Grams), plan (the kit, the
+    # SolvePlan and the sequence table), assembly (the plan's maps on the
+    # moments, the tilde corrections on the live rows and the corrected
+    # plain rows), overlap and residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), gram_chunk (blocks per chunk of the Gram
@@ -642,25 +623,19 @@ def _edge_sums(op, st, y):
             + np.tensordot(shift, state, 1))
 
 
-def _resolvent_sums(kit, k_n, plain, tilde, y):
-    """(g_vec, g~_vec) = K_n [sum_t v_{n+1-t} y_t; sum_t v~_t y_t] for the
-    plan's map k_n, a time-last (d, r, n) Y and its sums on the v basis by
-    the plain and the tilde factor (see _edge_sums): the m0 head blocks
-    of Y join them for the unit rows, and the kit's v coefficients and
-    the ext-stack blocks act once on those sums."""
-    d, r, n = y.shape
-    M, E, J = kit.v_coef.shape
-    sides = []
-    for ext, coef, sums, heads in (
-            (kit.ext_stack, kit.v_coef, plain, y[..., ::-1][..., :J - M]),
-            (kit.ext_tilde_stack, np.conj(kit.v_coef), tilde,
-             y[..., :J - M])):
-        basis = np.concatenate([sums.reshape(M, d * r),
-                                np.moveaxis(heads, -1, 0).reshape(-1, d * r)])
-        sums = coef.reshape(M * E, J) @ basis
-        sides.append(np.einsum("eab,qebc->qac", ext,
-                               sums.reshape(M, E, d, r)).reshape(M * d, r))
-    return np.split(k_n @ np.concatenate(sides), 2)
+def _coefficients(plan, plain, tilde, y, m0):
+    """The (d r, 2M + m0) coefficients of the plain and the tilde rows'
+    corrections on the sequence rows (see _sequences), for a time-last
+    (d, r, n) Y and its sums on the v basis by the plain and the tilde
+    factor (see _edge_sums): the plan's maps on the moments, which are
+    those sums with the m0 blocks of Y at each end."""
+    d, r = y.shape[:2]
+    moments = np.concatenate([
+        np.concatenate([sums, np.moveaxis(heads, -1, 0)]).reshape(-1, r)
+        for sums, heads in ((plain, y[..., ::-1][..., :m0]),
+                            (tilde, y[..., :m0]))])
+    return tuple((cmap @ moments).reshape(-1, d * r).T
+                 for cmap in (plan.plain_map, plan.tilde_map))
 
 
 def _sequences(poles, mults, m0, n, T):
@@ -704,36 +679,16 @@ def _sequences(poles, mults, m0, n, T):
     return table, anchors
 
 
-def _chunk_map(cmap, table):
-    """The (T x, Q) map that takes a chunk's anchors to cmap (x, R) times
-    the rows of table (R, Q, T), the chunk's blocks in order."""
-    return np.einsum("xr,rqu->uxq", cmap, table).reshape(
-        table.shape[-1] * len(cmap), -1)
-
-
-def _mirrored(table, anchors, n, cmap, cs):
-    """cmap (x, R) times the rows of _sequences at m = n - c T - u for
-    the chunks cs and u < T, as (T x, len(cs)), zero at m < 1. With
-    n - 1 = N T + rho, row u lies in chunk N - c at rho - u if u <= rho,
-    else in chunk N - c - 1 (the zero column at c = N) at rho - u + T."""
+def _sequence_rows(table, anchors, ms):
+    """The rows of _sequences (table, anchors) at the 1-based block
+    indices ms, as (R, len(ms)): at m = c T + u + 1 the table at u times
+    chunk c's anchors, one gemm over the chunks that ms meets. An index
+    m in 1 - T .. 0 reads column nc (c = -1), so its rows are zero."""
     R, Q, T = table.shape
-    N, rho = divmod(n - 1, T)
-    u = np.arange(T)
-    both = np.zeros((R, 2, Q, T), dtype=np.complex128)
-    both[:, 0][..., u <= rho] = table[..., rho - u[u <= rho]]
-    both[:, 1][..., u > rho] = table[..., rho - u[u > rho] + T]
-    return _chunk_map(cmap, both.reshape(R, 2 * Q, T)) @ np.concatenate(
-        [anchors[:, N - cs], anchors[:, N - cs - 1]])
-
-
-def _correction_map(coef, ext, h):
-    """The (d c, J) map whose column j is sum_{q,k} coef[q, k, j] ext[k]*
-    h_q, for (M, E, J) coefficients, (E, d, d) blocks ext and the (M d, c)
-    stack h of blocks h_q."""
-    M, E, J = coef.shape
-    d, c = ext.shape[-1], h.shape[-1]
-    blocks = np.einsum("kba,qbc->acqk", np.conj(ext), h.reshape(M, d, c))
-    return blocks.reshape(d * c, M * E) @ coef.reshape(M * E, J)
+    c, u = np.divmod(ms - 1, T)
+    cs, at = np.unique(c, return_inverse=True)
+    rows = table.transpose(0, 2, 1).reshape(R * T, Q) @ anchors[:, cs]
+    return rows.reshape(R, -1).take(u * len(cs) + at, axis=1)
 
 
 def _residual_size(n, L):
@@ -893,9 +848,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
 
     timings = {}
     tick = time.perf_counter()
-    # seconds of the correction maps, spent inside the Gram call but
-    # counted as assembly
-    maps = 0.0
 
     def lap(stage):
         nonlocal tick
@@ -906,14 +858,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     # tilde rows cover s <= n - m0, plain rows s >= m0 + 1; of the plain
     # rows only the last m0 and the sampled overlap rows are computed
     span, T = n - m0, _chunk_blocks(m0)
-    plan = None
-    if spec.K:
-        if kit is None:
-            kit = ClosedFormKit(spec)
-        plan = kit.plan(n)
-        table, anchors = _sequences(spec.poles, spec.mults, m0, n, T)
-    lap("plan")
-
     sample = (_overlap_sample(n, m0, T, seed) if check_overlap
               else np.arange(0))
     chunks = np.unique(np.r_[span:n, sample] // T)
@@ -921,53 +865,57 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     plain, tilde = _factor(spec, "plain"), _factor(spec, "tilde")
     lanes = 2 if _two_lanes(n * d * r) else 1
     with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-        # the plain states beside the tilde states: the correction reads
-        # their sums, and the plain rows follow them on the same lane
-        held, c_plain = [], None
 
-        def plain_sums():
-            """The plain states, kept for the plain rows, and with K >= 1
-            their sums on the v basis."""
+        def plain_side():
+            """From one pass of the plain states: with K >= 1 their sums
+            on the v basis, and the plain Gram rows on chunks."""
             applies = _states(plain, yt, len(chunks) > 0)
-            if len(chunks):
-                held.append(applies)
-            return None if plan is None else _edge_sums(plain, applies[0][1],
-                                                        yt)
+            return ((_edge_sums(plain, applies[0][1], yt) if spec.K
+                     else None),
+                    _gram_rows(plain, yt, chunks, applies) if len(chunks)
+                    else None)
 
-        sums = _beside(pool, plain_sums)
-        rows = (_beside(pool, lambda: _gram_rows(plain, yt, chunks,
-                                                 held.pop()))
-                if len(chunks) else lambda: None)
-
-        def correct(applies):
-            """Once the tilde states are done, wait for the plain ones;
-            with K >= 1, the correction sums of both factors, and the
-            tilde rows' corrections, one chunk map on the anchors."""
-            nonlocal c_plain, maps
-            found = sums()
-            if plan is None:
-                return None
-            t = time.perf_counter()
-            g_vec, gt_vec = _resolvent_sums(
-                kit, plan.k_n, found, _edge_sums(tilde, applies[0][1], yt), yt)
-            c_plain = _correction_map(np.conj(plan.d_coef), kit.ext_stack,
-                                      herm(plan.ut) @ g_vec)
-            lhs = _chunk_map(_correction_map(
-                plan.d_coef, kit.ext_tilde_stack, plan.ut @ gt_vec), table)
-            maps = time.perf_counter() - t
-            return lhs, anchors
-
-        # the corrected tilde Gram becomes the assembled Z
-        z = _apply(tilde, yt, True, pool, correct)
-        z_p = rows()
+        plain_done = _beside(pool, plain_side)
+        # the tilde Gram, which becomes Z once corrected
+        z = np.empty_like(yt)
+        applies = _states(tilde, yt, True, z.reshape(-1))
+        tilde_sums = (_edge_sums(tilde, applies[0][1], yt) if spec.K
+                      else None)
+        _sweep(tilde, yt, applies, z, pool)
+        applies = None
+        plain_sums, z_p = plain_done()
         lap("gram")
-        timings["gram"] -= maps
 
-        if plan is not None and len(chunks):
-            # row s = c T + u + 1 takes the conjugate sequences at
-            # m = n + 1 - s
-            z_p += np.conj(_mirrored(table, anchors, n, np.conj(c_plain),
-                                     chunks)).reshape(z_p.shape)
+        plan = None
+        if spec.K:
+            if kit is None:
+                kit = ClosedFormKit(spec)
+            plan = kit.plan(n)
+            table, anchors = _sequences(spec.poles, spec.mults, m0, n, T)
+        lap("plan")
+
+        if plan is not None:
+            c_plain, c_tilde = _coefficients(plan, plain_sums, tilde_sums,
+                                             yt, m0)
+            # tilde row s takes the rows at m = s, on the runs of chunks
+            # whose anchors are not all zero, in batches of bounded size
+            live = np.flatnonzero(anchors.any(axis=0))
+            width = max(1, _RANGE_BYTES // (16 * T * (2 * len(table)
+                                                      + d * r)))
+            for run in np.split(live, np.flatnonzero(np.diff(live) > 1) + 1):
+                for c0 in run[::width]:
+                    c1 = min(c0 + width, run[-1] + 1)
+                    lo, hi = c0 * T, min(c1 * T, n)
+                    z[..., lo:hi] += (c_tilde @ _sequence_rows(
+                        table, anchors, np.arange(lo, hi) + 1)).reshape(
+                            d, r, -1)
+            if len(chunks):
+                # plain row s = c T + u + 1 takes the conjugate rows at
+                # m = n + 1 - s
+                ms = n - chunks * T - np.arange(T)[:, None]
+                z_p += (c_plain @ np.conj(_sequence_rows(
+                    table, anchors, ms.ravel()))).reshape(
+                        d, r, T, -1).transpose(2, 0, 1, 3)
 
         def plain_rows(idx):
             """The corrected plain-row blocks at 0-based indices idx >= m0,
@@ -978,7 +926,6 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         if m0:
             z[..., span:] = plain_rows(np.arange(span, n))
         lap("assembly")
-        timings["assembly"] += maps
 
         overlap_max_dev = 0.0
         if check_overlap:
@@ -990,7 +937,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
                 raise errors.OverlapMismatch(
                     f"regional assemblies deviate by {overlap_max_dev:.3e} "
                     f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-        z_p = rows = sums = None        # not needed by the residual
+        z_p = plain_sums = tilde_sums = None    # not needed below
         lap("overlap")
 
         counters = {"overlap_rows": len(sample), "plan_bytes": 0,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blocktoeplitz import errors, fast_solver
-from blocktoeplitz.closed_form import ClosedFormKit
+from blocktoeplitz.closed_form import ClosedFormKit, SolveVectors
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_A_gram, apply_Q,
@@ -354,10 +354,13 @@ def test_solve_golden_column(ex52, ex52_tables):
       ("d1_k2m21", "d2_k2m12", "d3_k2m11", "d2_ar2", "d2_k1m2_p2")),
     # radius of G~G is 0.95^(2n+2): the resolvents of K_n at work
     *(pytest.param("pole095", n, id=f"pole095_n{n}") for n in (1, 2, 4, 8)),
+    # the chunks that take tilde corrections form two runs, one at each
+    # end (20 of 25 chunks)
+    pytest.param("pole01", 400, id="pole01_n400"),
 ])
 def test_solve_dense_oracle(sweep_specs, sweep_tables, name, n):
-    if name == "pole095":
-        spec = scalar_single_pole(0.95)
+    if name.startswith("pole"):
+        spec = scalar_single_pole({"pole095": 0.95, "pole01": 0.1}[name])
         tab = CoefficientTables(spec)
     else:
         spec, tab = sweep_specs[name], sweep_tables[name]
@@ -597,43 +600,27 @@ def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
     np.testing.assert_array_equal(warm.z, fresh.z)
 
 
-def generated_rows(table, anchors, ms):
-    """The rows of _sequences at the 1-based indices ms: the table at
-    each index's place in its chunk times that chunk's anchors."""
-    c, u = np.divmod(ms - 1, table.shape[-1])
-    return np.einsum("rqk,qk->rk", table[..., u], anchors[:, c])
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
     pytest.param(mult3_spec, id="mult3"),
 ])
-def test_plan_coefficients_give_the_vector_blocks(make):
-    # kit.v_coef and plan.d_coef on the generated sequences and the m0
-    # unit rows, contracted with the ext stacks, are the blocks of v_m,
-    # v~_m and of diag(p^{n-m}) (hat-w - hat-v)_m and its tilde partner,
-    # m = 1..n
+def test_kit_coefficients_give_the_v_blocks(make):
+    # kit.v_coef on the generated sequences C(m, a) conj(p)^m and the m0
+    # unit rows, contracted with the ext stacks, gives the blocks of v_m
+    # and v~_m, m = 1..n
     spec = make()
     kit = ClosedFormKit(spec)
     n, m0, M = 40, spec.m0, kit.M
-    plan = kit.plan(n)
     ms = np.arange(1, n + 1)
-    rows = generated_rows(*fast_solver._sequences(
+    rows = fast_solver._sequence_rows(*fast_solver._sequences(
         spec.poles, spec.mults, m0, n, fast_solver._chunk_blocks(m0)), ms)
     v = kit.vectors("v", ms)
-    v_hat = kit.vectors("v", ms, scaled=True)
-    w_hat = kit.vectors("w", ms, scaled=True)
-    pw = np.repeat(kit.pole_of_slot ** (n - ms[:, None]), spec.d,
-                   axis=1)[:, :, None]
     for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
         conj = np.conj if side else np.asarray
-        for coef, basis, want in (
-                (kit.v_coef, rows[M:], v[side]),
-                (plan.d_coef, rows, conj(pw) * (w_hat[side] - v_hat[side]))):
-            scal = np.einsum("qej,jm->mqe", conj(coef), conj(basis))
-            got = np.einsum("mqe,eab->mqab", scal, ext)
-            np.testing.assert_allclose(got.reshape(want.shape), want,
-                                       rtol=1e-12, atol=1e-14)
+        scal = np.einsum("qej,jm->mqe", conj(kit.v_coef), conj(rows[M:]))
+        got = np.einsum("mqe,eab->mqab", scal, ext)
+        np.testing.assert_allclose(got.reshape(v[side].shape), v[side],
+                                   rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [(1 << 20) - 3, 1 << 20])
@@ -649,7 +636,7 @@ def test_generated_sequences_at_large_indices(n):
     ms = np.unique(np.r_[1, 2, 3, T, T + 1, 5000, n // 2, n - 2 * T - 1,
                          n - T, n - 3, n - 1, n,
                          np.random.default_rng(44).integers(1, n, 40)])
-    got = generated_rows(table, anchors, ms)
+    got = fast_solver._sequence_rows(table, anchors, ms)
     assert np.isfinite(got).all()
     M = sum(mults)
     want = np.zeros(got.shape, dtype=object)
@@ -676,9 +663,16 @@ def test_generated_sequences_at_large_indices(n):
 ])
 @pytest.mark.parametrize("n", [9, 4 * T, 4 * T + 5])
 def test_correction_sums_from_states(mults, m0, radius, n):
-    # the v-basis sums read from the Gram's carry states, through v_coef
-    # and the ext stacks, are sum_t v_{n+1-t} y_t and sum_t v~_t y_t
-    # built from kit.vectors, on whole-chunk and ragged n
+    # the plan's maps on the v-basis sums read from the Gram's carry
+    # states and the m0 head blocks of Y, times the generated sequence
+    # rows, give SolveVectors' rank correction on whole-chunk and ragged
+    # n: ell~(s) sum_t r~(t) y_t on the tilde rows s = 1..n-m0 and
+    # ell(s) sum_t r(t) y_t on the plain rows s = m0+1..n. The error is
+    # taken entrywise against |ell(s)| |sum_t r(t) y_t|, the rounding
+    # scale of the reference's own product: where the correction cancels
+    # (|p| = 0.5 at n = 64, rows of 9e-4 from terms near 300) the
+    # reference is itself off by 2e-13 of its size. K_n, U_n Theta and
+    # the coefficients applied one after the other met 1.42e-15.
     spec = random_spec(d=2, K=len(mults), mults=mults, m0=m0,
                        rng=np.random.default_rng(45),
                        pole_radii=(radius, radius))
@@ -690,12 +684,25 @@ def test_correction_sums_from_states(mults, m0, radius, n):
         op = fast_solver._factor(spec, variant)
         st = fast_solver._states(op, yt, True)[0][1]
         sums.append(fast_solver._edge_sums(op, st, yt))
-    size = 2 * kit.M * spec.d
-    got = fast_solver._resolvent_sums(kit, np.eye(size), *sums, yt)
-    v, v_tilde = kit.vectors("v", np.arange(1, n + 1))
-    for got_side, want in ((got[0], np.einsum("tqa,tar->qr", v[::-1], y)),
-                           (got[1], np.einsum("tqa,tar->qr", v_tilde, y))):
-        assert np.abs(got_side - want).max() <= 1e-13 * np.abs(want).max()
+    c_plain, c_tilde = fast_solver._coefficients(kit.plan(n), *sums, yt,
+                                                    m0)
+    table, anchors = fast_solver._sequences(
+        spec.poles, spec.mults, m0, n, fast_solver._chunk_blocks(m0))
+    sv = SolveVectors(kit, n)
+    ts = np.arange(1, n + 1)
+    r_tilde = sum(sv.r_tilde(t) @ y[t - 1] for t in ts)
+    r_plain = sum(sv.r(t) @ y[t - 1] for t in ts)
+    tilde_s, plain_s = np.arange(1, n - m0 + 1), np.arange(m0 + 1, n + 1)
+    for got, ells, sums in (
+            (c_tilde @ fast_solver._sequence_rows(table, anchors, tilde_s),
+             [sv.ell_tilde(s) for s in tilde_s], r_tilde),
+            (c_plain @ np.conj(fast_solver._sequence_rows(
+                table, anchors, n + 1 - plain_s)),
+             [sv.ell(s) for s in plain_s], r_plain)):
+        want, scale = (np.stack([e @ x for e in es], axis=-1).reshape(
+            got.shape) for es, x in ((ells, sums),
+                                     (np.abs(ells), np.abs(sums))))
+        assert (np.abs(got - want) <= 1.5e-15 * scale).all()
 
 
 def test_plan_bytes_do_not_depend_on_n():
