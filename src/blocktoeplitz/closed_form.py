@@ -41,8 +41,8 @@ class SolvePlan(NamedTuple):
     in the block index m, so per side one fixed map takes a few moments
     of Y to coefficients on 2M + m0 sequence rows: C(m, a) p^{n-m} and
     C(m, a) conj(p)^m per slot (mu, a + 1), and the unit rows [m == j],
-    j = 1..m0 (which the linear-time solver generates chunk by chunk).
-    Nothing in it grows with n.
+    j = 1..m0, whose coefficients the linear-time solver adds straight
+    onto blocks j and n + 1 - j. Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
@@ -83,6 +83,12 @@ class SolvePlan(NamedTuple):
     resolvent_cond: float
     plain_map: np.ndarray
     tilde_map: np.ndarray
+
+
+def _check_blocks(n, *indices):
+    """DomainViolation unless every index is a block index 1..n."""
+    if not all(1 <= i <= n for i in indices):
+        raise errors.DomainViolation(f"block indices {indices} not in 1..{n}")
 
 
 def _kron_scalar(scal, d):
@@ -483,21 +489,25 @@ class SolveVectors:
 
     def ell(self, s):
         """l_{n,s} = (w_{n+1-s} - v_{n+1-s})* (I - G~G)^{-1}, (d, Md)."""
+        _check_blocks(self.n, s)
         m = self.n + 1 - s
         return herm(self.w[m - 1] - self.v[m - 1]) @ self.resolvent
 
     def ell_tilde(self, s):
         """l~_{n,s} = (w~_s - v~_s)* (I - GG~)^{-1}, (d, Md)."""
+        _check_blocks(self.n, s)
         return herm(self.w_tilde[s - 1] - self.v_tilde[s - 1]) \
             @ self.resolvent_tilde
 
     def r(self, s):
         """r_{n,s} = (Pi Theta)* v~_s + G~ Pi Theta v_{n+1-s}, (Md, d)."""
+        _check_blocks(self.n, s)
         vt, v = self.v_tilde[s - 1], self.v[self.n - s]
         return herm(self.pi_theta) @ vt + self.g_tilde @ (self.pi_theta @ v)
 
     def r_tilde(self, s):
         """r~_{n,s} = Pi Theta v_{n+1-s} + G (Pi Theta)* v~_s, (Md, d)."""
+        _check_blocks(self.n, s)
         vt, v = self.v_tilde[s - 1], self.v[self.n - s]
         return self.pi_theta @ v + self.g @ (herm(self.pi_theta) @ vt)
 
@@ -536,6 +546,7 @@ def inverse_block_closed(spec, n, s, t, sv=None, tables=None,
     _AR_OVERLAP_TOL for K = 0 and _ARMA_OVERLAP_TOL for K >= 1."""
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
+    _check_blocks(n, s, t)
     if tables is None:
         tables = CoefficientTables(spec)
     if spec.K and sv is None:

@@ -62,15 +62,15 @@ the block index, so what the correction reads of Y is a few moments:
 per factor, the sums of Y on the v basis, which the Gram's carry states
 already hold (see _edge_sums), and the m0 blocks at its end of Y. The
 SolvePlan of ClosedFormKit.plan(n) holds, per side, one fixed map from
-those moments to coefficients on the 2M + m0 sequence rows C(m, a)
-p^{n-m}, C(m, a) conj(p)^m and [m == j] (see _coefficients); the kit's
-v and w coefficients, K_n and U_n Theta are its factors, and neither
-the kit nor the plan holds anything whose size grows with n. On the
-chunk grid each row is a fixed table times a few anchors of its chunk
-(see _sequences and _sequence_rows). After both Grams, the tilde rows s
-take the coefficients on the rows at m = s, only on the chunks whose
-anchors are not all zero, and the plain rows take them on the
-conjugate rows at m = n + 1 - s.
+those moments to coefficients on the 2M sequence rows C(m, a) p^{n-m}
+and C(m, a) conj(p)^m and the m0 unit rows [m == j] (see _coefficients),
+and nothing whose size grows with n. On a grid of chunks each sequence
+row is a fixed table times a few anchors of the chunk (see _sequences),
+so after both Grams each side multiplies its coefficients into the
+table once and adds one product with the anchors per batch of chunks:
+the tilde rows s, at m = s, on the chunks at either end whose anchors
+are not all zero, and the plain rows, at m = n + 1 - s, on a grid that
+runs back from n. The unit rows meet only the m0 blocks at each end.
 
 The residual check convolves the gamma band, read as one array from the
 tables' bulk gamma store, with Z by overlap-save in O(n log L), at the
@@ -517,6 +517,8 @@ def _gram_rows(op, y, chunks, applies):
 def _q_ops(spec, mu):
     """Q_{mu,i} for i = 1..m_mu as upper triangles: a zero band, the pole
     p_mu and the identity residue in slot i."""
+    if not 0 <= mu < spec.K:
+        raise errors.DomainViolation(f"no pole {mu} of 0..{spec.K - 1}")
     m, d = spec.mults[mu], spec.d
     for i in range(1, m + 1):
         blocks = np.zeros((m + 1, d, d))
@@ -581,8 +583,8 @@ class SolveReport:
     overlap_max_dev: float = 0.0
     # seconds per stage of solve: gram (both Grams), plan (the kit, the
     # SolvePlan and the sequence table), assembly (the plan's maps on the
-    # moments, the tilde corrections on the live rows and the corrected
-    # plain rows), overlap and residual
+    # moments, the anchors and the products of each side's corrections,
+    # and the corrected plain rows), overlap and residual
     timings: dict = field(default_factory=dict)
     # sizes of the work done: overlap_rows, plan_bytes (of the plan's
     # arrays; 0 without a plan), gram_chunk (blocks per chunk of the Gram
@@ -638,19 +640,20 @@ def _coefficients(plan, plain, tilde, y, m0):
                  for cmap in (plan.plain_map, plan.tilde_map))
 
 
-def _sequences(poles, mults, m0, n, T):
-    """The R = 2M + m0 rows of the rank correction of order n over the
-    block index m = 1..n, C(m, i - 1) p^{n-m} and C(m, i - 1) conj(p)^m
-    for slot q = (mu, i) at rows q and M + q and [m == j + 1] at row
-    2M + j, as a (R, Q, T) table and (Q, nc + 1) anchors: the rows at
-    m = c T + u + 1 are table[..., u] @ anchors[:, c], by
-    C(c T + u + 1, i - 1) = sum_a C(c T, a) C(u + 1, i - 1 - a). Chunk c's
-    anchors are p^{n-(c+1)T} C(c T, a), conj(p)^{c T} C(c T, a) (at the
-    row of slot (mu, a + 1)) and [c == 0], so none leaves float range
-    (an end anchor past n by at most |p|^{1-T}); column nc is zero. The
-    powers p^{c T} = p^{a B T} p^{b T}, b < B, are each a power of p, and
-    those below _FLUSH are zero: they add under 1e-154 of the anchors of
-    chunk 0, and products of floats above _FLUSH stay normal floats."""
+def _sequences(poles, mults, n, T):
+    """The 2M sequences C(m, i - 1) p^{n-m} (row q) and C(m, i - 1)
+    conj(p)^m (row M + q) of slot q = (mu, i) of the rank correction of
+    order n, on chunks of T blocks: (table, live, anchors). The rows of a
+    chunk of base b at m = b + u + 1 are table[..., u] times its anchors
+    p^{n-b-T} C(b, a) and conj(p)^b C(b, a) at the rows of slot (mu, a + 1),
+    by C(b + u + 1, i - 1) = sum_a C(b, a) C(u + 1, i - 1 - a); anchors(cs,
+    plain) gives those of the chunks cs of the tilde grid, b = c T, or of
+    the plain grid, b = n - (c + 1) T, whose row u is at m = n + 1 - s for
+    plain row s = c T + u + 1. The powers p^{c T} = p^{a B T} p^{b T},
+    b < B, are each a power of p, and those below _FLUSH are zero: they add
+    under 1e-154 of the anchors of chunk 0. So only the first and the last
+    `live` chunks of the tilde grid have anchors not all zero, and none
+    leaves float range (a chunk past n by at most |p|^{1-T})."""
     degs = [e for m in mults for e in range(m)]
     p = np.repeat(np.asarray(poles, dtype=np.complex128), mults)[:, None]
     M, u, nc = len(degs), np.arange(T), -(-n // T)
@@ -658,37 +661,30 @@ def _sequences(poles, mults, m0, n, T):
     qs, ks = np.array([(q, k) for q, e in enumerate(degs)
                        for k in range(e + 1)]).T
     steps = np.stack([binom_vec(u + 1, k) for k in range(max(degs) + 1)])
-    table = np.zeros((2 * M + m0, 2 * M + 1, T), dtype=np.complex128)
+    table = np.zeros((2 * M, 2 * M, T), dtype=np.complex128)
     table[qs, qs - ks] = steps[ks] * p[qs] ** (T - 1 - u)
     table[M + qs, M + qs - ks] = steps[ks] * np.conj(p[qs]) ** (u + 1)
-    table[2 * M + np.arange(m0), 2 * M, np.arange(m0)] = 1
     # the chunks c whose largest power |p|^{c T} is above _FLUSH
     live = min(nc, int(np.log(_FLUSH) / (T * np.log(np.abs(p).max()))) + 1)
     B = math.isqrt(live) + 1
-    powers = ((p ** (B * T * np.arange(-(-live // B))))[..., None]
-              * (p ** (T * np.arange(B)))[:, None]).reshape(M, -1)[:, :live]
+    # p^{c T} for c < live, then a zero that every later chunk reads
+    powers = ((p ** (B * T * np.arange(live // B + 1)))[..., None] * (
+        p ** (T * np.arange(B)))[:, None]).reshape(M, -1)[:, :live + 1]
     powers[np.abs(powers) < _FLUSH] = 0
-    anchors = np.zeros((2 * M + 1, nc + 1), dtype=np.complex128)
-    for rows, cs, power in ((slice(M, 2 * M), np.arange(live),
-                             np.conj(powers)),
-                            (slice(M), np.arange(nc - live, nc),
-                             p ** (n - nc * T) * powers[:, ::-1])):
-        anchors[rows, cs] = power * np.stack(
-            [binom_vec(T * cs, e) for e in range(max(degs) + 1)])[degs]
-    anchors[2 * M, 0] = 1
-    return table, anchors
+    powers[:, live] = 0
+    end = p ** (n - nc * T)
 
+    def anchors(cs, plain):
+        """The anchors of the chunks cs of the plain or the tilde grid."""
+        near = powers[:, np.minimum(cs, live)]                # p^{c T}
+        far = end * powers[:, np.minimum(nc - 1 - cs, live)]  # p^{n-(c+1)T}
+        base = cs * T
+        if plain:
+            near, far, base = far, near, n - base - T
+        binoms = np.stack([binom_vec(base, e) for e in degs])
+        return np.concatenate([far * binoms, np.conj(near) * binoms])
 
-def _sequence_rows(table, anchors, ms):
-    """The rows of _sequences (table, anchors) at the 1-based block
-    indices ms, as (R, len(ms)): at m = c T + u + 1 the table at u times
-    chunk c's anchors, one gemm over the chunks that ms meets. An index
-    m in 1 - T .. 0 reads column nc (c = -1), so its rows are zero."""
-    R, Q, T = table.shape
-    c, u = np.divmod(ms - 1, T)
-    cs, at = np.unique(c, return_inverse=True)
-    rows = table.transpose(0, 2, 1).reshape(R * T, Q) @ anchors[:, cs]
-    return rows.reshape(R, -1).take(u * len(cs) + at, axis=1)
+    return table, live, anchors
 
 
 def _residual_size(n, L):
@@ -891,31 +887,30 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
             if kit is None:
                 kit = ClosedFormKit(spec)
             plan = kit.plan(n)
-            table, anchors = _sequences(spec.poles, spec.mults, m0, n, T)
+            table, live, anchors = _sequences(spec.poles, spec.mults, n, T)
         lap("plan")
 
         if plan is not None:
             c_plain, c_tilde = _coefficients(plan, plain_sums, tilde_sums,
                                              yt, m0)
-            # tilde row s takes the rows at m = s, on the runs of chunks
-            # whose anchors are not all zero, in batches of bounded size
-            live = np.flatnonzero(anchors.any(axis=0))
-            width = max(1, _RANGE_BYTES // (16 * T * (2 * len(table)
-                                                      + d * r)))
-            for run in np.split(live, np.flatnonzero(np.diff(live) > 1) + 1):
-                for c0 in run[::width]:
-                    c1 = min(c0 + width, run[-1] + 1)
-                    lo, hi = c0 * T, min(c1 * T, n)
-                    z[..., lo:hi] += (c_tilde @ _sequence_rows(
-                        table, anchors, np.arange(lo, hi) + 1)).reshape(
-                            d, r, -1)
+            R, nc, zf = len(table), -(-n // T), z.reshape(d * r, n)
+            # tilde row s takes the rows at m = s, on the live chunks at
+            # each end, in batches of bounded size
+            w = np.tensordot(c_tilde[:, :R], table, 1)
+            width = max(1, _RANGE_BYTES // (16 * T * d * r))
+            for c0, c1 in ((0, live), (max(live, nc - live), nc)):
+                for a in range(c0, c1, width):
+                    b = min(a + width, c1)
+                    zf[:, a * T:b * T] += np.matmul(
+                        anchors(np.arange(a, b), False).T, w).reshape(
+                            d * r, -1)[:, :n - a * T]
             if len(chunks):
                 # plain row s = c T + u + 1 takes the conjugate rows at
-                # m = n + 1 - s
-                ms = n - chunks * T - np.arange(T)[:, None]
-                z_p += (c_plain @ np.conj(_sequence_rows(
-                    table, anchors, ms.ravel()))).reshape(
-                        d, r, T, -1).transpose(2, 0, 1, 3)
+                # m = n + 1 - s, table column T - 1 - u on the plain grid
+                w = np.einsum("iq,qkt->tik", c_plain[:, :R],
+                              np.conj(table[..., ::-1]))
+                z_p += (w.reshape(-1, R) @ np.conj(anchors(chunks, True))
+                        ).reshape(T, d, r, -1)
 
         def plain_rows(idx):
             """The corrected plain-row blocks at 0-based indices idx >= m0,
@@ -925,6 +920,10 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
 
         if m0:
             z[..., span:] = plain_rows(np.arange(span, n))
+            if plan is not None:
+                # the unit rows [m == j]: tilde row j, plain row n + 1 - j
+                zf[:, :m0] += c_tilde[:, R:]
+                zf[:, span:] += c_plain[:, R:][:, ::-1]
         lap("assembly")
 
         overlap_max_dev = 0.0

@@ -357,6 +357,26 @@ def test_inverse_ar2_region_overlap(sweep_specs, sweep_tables):
     assert rel <= 1e-10
 
 
+@pytest.mark.parametrize("s", [0, 7])
+def test_inverse_block_rejects_indices_outside_1_to_n(s):
+    # an index past either end is no block of T_6^{-1}; each read as an
+    # empty Gram sum, 0
+    spec = scalar_ar([0.5, -0.2])
+    for st in ((s, 3), (3, s)):
+        with pytest.raises(errors.DomainViolation):
+            inverse_block_closed(spec, 6, *st, check_overlap=False)
+
+
+@pytest.mark.parametrize("name", ["ell", "ell_tilde", "r", "r_tilde"])
+def test_solve_vectors_reject_indices_outside_1_to_n(ex52, name):
+    # s = 0 and s = n + 1 used to wrap round to a block of the other end
+    # (or run off the stack)
+    sv = SolveVectors(ClosedFormKit(ex52), 6)
+    for s in (0, 7):
+        with pytest.raises(errors.DomainViolation):
+            getattr(sv, name)(s)
+
+
 def test_region_uncovered():
     # m0 = 2, n = 3: the middle block (2, 2) is in no region
     spec = scalar_ar([0.3, 0.2])

@@ -1,7 +1,9 @@
 """Every private helper of the package is used somewhere in the package:
 a module-level or class-level name with a leading underscore (dunders
 aside) must be referenced in src/blocktoeplitz beyond its own
-definition. Every public export resolves."""
+definition. Every name a module imports is read in that module
+(__init__.py, whose imports are its exports, aside). Every public export
+resolves."""
 
 import ast
 from pathlib import Path
@@ -51,6 +53,28 @@ def test_no_private_name_is_unused():
     unused = sorted({name for tree in trees for name in _defined(tree.body)
                      if _private(name) and name not in used})
     assert not unused, f"private names defined but never used: {unused}"
+
+
+def _imported(tree):
+    """The names the import statements of a module bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_no_imported_name_is_unread():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in _imported(tree)
+                   if name not in read]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def test_exports_resolve_once():

@@ -40,6 +40,15 @@ def test_apply_q_single_block(ex52):
     np.testing.assert_allclose(ws[0], y)
 
 
+@pytest.mark.parametrize("apply", [apply_Q, apply_Q_adjoint])
+def test_apply_q_rejects_pole_indices_outside_0_to_K_minus_1(ex52, apply):
+    # mu = -1 used to apply the last pole's Q
+    y = random_rhs(4, 1, seed=50)
+    for mu in (-1, 1):
+        with pytest.raises(errors.DomainViolation):
+            apply(ex52, mu, 4, y)
+
+
 def test_apply_q_unit_vector(ex52):
     # Q e_1 keeps e_1: the first row of Q acts on (1, 0, 0)
     y = np.zeros((3, 1, 1), dtype=complex)
@@ -600,24 +609,36 @@ def test_solves_leave_the_kit_unchanged(sweep_specs, sweep_tables):
     np.testing.assert_array_equal(warm.z, fresh.z)
 
 
+def sequence_rows(table, anchors, n, plain):
+    """The 2M rows of fast_solver._sequences on every chunk of one grid,
+    as (2M, n): at m = s for s = 1..n on the tilde grid, at m = n + 1 - s
+    on the plain grid, which reads the table backwards."""
+    R, _, T = table.shape
+    rows = np.einsum("qkt,kc->qct", table[..., ::-1] if plain else table,
+                     anchors(np.arange(-(-n // T)), plain))
+    return rows.reshape(R, -1)[:, :n]
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(warm_d3_spec, id="warm_d3"),     # mults (2, 2), m0 = 2
     pytest.param(mult3_spec, id="mult3"),
 ])
 def test_kit_coefficients_give_the_v_blocks(make):
     # kit.v_coef on the generated sequences C(m, a) conj(p)^m and the m0
-    # unit rows, contracted with the ext stacks, gives the blocks of v_m
-    # and v~_m, m = 1..n
+    # unit rows [m == j], contracted with the ext stacks, gives the blocks
+    # of v_m and v~_m, m = 1..n
     spec = make()
     kit = ClosedFormKit(spec)
     n, m0, M = 40, spec.m0, kit.M
     ms = np.arange(1, n + 1)
-    rows = fast_solver._sequence_rows(*fast_solver._sequences(
-        spec.poles, spec.mults, m0, n, fast_solver._chunk_blocks(m0)), ms)
+    table, _, anchors = fast_solver._sequences(
+        spec.poles, spec.mults, n, fast_solver._chunk_blocks(m0))
+    rows = np.concatenate([sequence_rows(table, anchors, n, False)[M:],
+                           ms == np.arange(1, m0 + 1)[:, None]])
     v = kit.vectors("v", ms)
     for side, ext in enumerate((kit.ext_stack, kit.ext_tilde_stack)):
         conj = np.conj if side else np.asarray
-        scal = np.einsum("qej,jm->mqe", conj(kit.v_coef), conj(rows[M:]))
+        scal = np.einsum("qej,jm->mqe", conj(kit.v_coef), conj(rows))
         got = np.einsum("mqe,eab->mqab", scal, ext)
         np.testing.assert_allclose(got.reshape(v[side].shape), v[side],
                                    rtol=1e-12, atol=1e-14)
@@ -625,37 +646,54 @@ def test_kit_coefficients_give_the_v_blocks(make):
 
 @pytest.mark.parametrize("n", [(1 << 20) - 3, 1 << 20])
 def test_generated_sequences_at_large_indices(n):
-    # poles of multiplicity 3 at |p| = 0.2 and 0.9999: every anchor is
-    # finite, and the rows match an mpmath evaluation of C(m, i - 1)
-    # p^{n-m} and C(m, i - 1) conj(p)^m within 1e-13 (pole powers below
-    # the flush threshold, 1.5e-154, may read zero)
+    # poles of multiplicity 3 at |p| = 0.2 and 0.9999: the anchors are
+    # finite on every chunk of both grids, and the rows match an mpmath
+    # evaluation of C(m, i - 1) p^{n-m} and C(m, i - 1) conj(p)^m within
+    # 1e-13 of the sum of their terms' sizes (pole powers below the flush
+    # threshold, 1.5e-154, may read zero), on the tilde grid at
+    # m = c T + u + 1 and on the plain grid at m = n - c T - u, its
+    # ragged last chunk included. There the base n - nc T is negative, so
+    # C(b, a) alternates in sign and a row can cancel to zero (C(1, 2) at
+    # m = 1); on the tilde grid every term is positive and that sum is
+    # the row's own size
     import mpmath
-    poles, mults, m0, T = (0.2, 0.9999), (3, 3), 2, 16
-    table, anchors = fast_solver._sequences(poles, mults, m0, n, T)
-    assert np.isfinite(anchors).all()
+    poles, mults, T = (0.2, 0.9999), (3, 3), 16
+    nc = -(-n // T)
+    table, _, anchors = fast_solver._sequences(poles, mults, n, T)
+    grids = {plain: anchors(np.arange(nc), plain) for plain in (False, True)}
+    assert all(np.isfinite(a).all() for a in grids.values())
     ms = np.unique(np.r_[1, 2, 3, T, T + 1, 5000, n // 2, n - 2 * T - 1,
                          n - T, n - 3, n - 1, n,
                          np.random.default_rng(44).integers(1, n, 40)])
-    got = fast_solver._sequence_rows(table, anchors, ms)
-    assert np.isfinite(got).all()
+    # plain chunks and rows: the first two, the last two (the last one at
+    # its first and last row inside 1..n) and a random draw
+    rest = n - (nc - 1) * T
+    cs = np.r_[0, 0, 1, nc - 2, nc - 1, nc - 1,
+               np.random.default_rng(48).integers(0, nc, 20)]
+    us = np.r_[0, T - 1, 7, T - 1, 0, rest - 1,
+               np.random.default_rng(49).integers(0, T, 20)]
+    us[cs == nc - 1] = np.minimum(us[cs == nc - 1], rest - 1)
     M = sum(mults)
-    want = np.zeros(got.shape, dtype=object)
-    with mpmath.workdps(40):
-        q = 0
-        for p, m in zip(poles, mults):
-            for i in range(1, m + 1):
-                for k, mm in enumerate(ms.tolist()):
-                    c = mpmath.binomial(mm, i - 1)
-                    want[q, k] = c * mpmath.mpf(p) ** (n - mm)
-                    want[M + q, k] = c * mpmath.mpf(p) ** mm
-                q += 1
-        want[2 * M:] = (ms == np.arange(1, m0 + 1)[:, None]).astype(object)
-        err = np.array([[float(abs(mpmath.mpf(g.real) - w))
-                         for g, w in zip(*rw)] for rw in zip(got, want)])
-        scale = np.array([[float(abs(w)) for w in rw] for rw in want])
-    flushed = fast_solver._FLUSH * math.comb(n, 2)
-    assert (err <= 1e-13 * scale + flushed).all()
-    assert not got.imag.any()
+    for plain, at, c, u in ((False, ms, *np.divmod(ms - 1, T)),
+                            (True, n - cs * T - us, cs, T - 1 - us)):
+        got, scale = (np.einsum("qkm,km->qm", *ab) for ab in (
+            (table[..., u], grids[plain][:, c]),
+            (np.abs(table[..., u]), np.abs(grids[plain][:, c]))))
+        assert np.isfinite(got).all() and not got.imag.any()
+        want = np.zeros(got.shape, dtype=object)
+        with mpmath.workdps(40):
+            q = 0
+            for p, m in zip(poles, mults):
+                for i in range(1, m + 1):
+                    for k, mm in enumerate(at.tolist()):
+                        b = mpmath.binomial(mm, i - 1)
+                        want[q, k] = b * mpmath.mpf(p) ** (n - mm)
+                        want[M + q, k] = b * mpmath.mpf(p) ** mm
+                    q += 1
+            err = np.array([[float(abs(mpmath.mpf(g.real) - w))
+                             for g, w in zip(*rw)] for rw in zip(got, want)])
+        flushed = fast_solver._FLUSH * math.comb(n, 2)
+        assert (err <= 1e-13 * scale + flushed).all(), plain
 
 
 @pytest.mark.parametrize("mults, m0, radius", [
@@ -665,14 +703,15 @@ def test_generated_sequences_at_large_indices(n):
 def test_correction_sums_from_states(mults, m0, radius, n):
     # the plan's maps on the v-basis sums read from the Gram's carry
     # states and the m0 head blocks of Y, times the generated sequence
-    # rows, give SolveVectors' rank correction on whole-chunk and ragged
-    # n: ell~(s) sum_t r~(t) y_t on the tilde rows s = 1..n-m0 and
-    # ell(s) sum_t r(t) y_t on the plain rows s = m0+1..n. The error is
-    # taken entrywise against |ell(s)| |sum_t r(t) y_t|, the rounding
-    # scale of the reference's own product: where the correction cancels
-    # (|p| = 0.5 at n = 64, rows of 9e-4 from terms near 300) the
-    # reference is itself off by 2e-13 of its size. K_n, U_n Theta and
-    # the coefficients applied one after the other met 1.42e-15.
+    # rows and the unit rows, give SolveVectors' rank correction on
+    # whole-chunk and ragged n: ell~(s) sum_t r~(t) y_t on the tilde rows
+    # s = 1..n-m0 (at m = s) and ell(s) sum_t r(t) y_t on the plain rows
+    # s = m0+1..n (conjugate rows at m = n + 1 - s). The error is taken
+    # entrywise against |ell(s)| |sum_t r(t) y_t|, the rounding scale of
+    # the reference's own product: where the correction cancels (|p| =
+    # 0.5 at n = 64, rows of 9e-4 from terms near 300) the reference is
+    # itself off by 2e-13 of its size. K_n, U_n Theta and the
+    # coefficients applied one after the other met 1.42e-15.
     spec = random_spec(d=2, K=len(mults), mults=mults, m0=m0,
                        rng=np.random.default_rng(45),
                        pole_radii=(radius, radius))
@@ -686,18 +725,21 @@ def test_correction_sums_from_states(mults, m0, radius, n):
         sums.append(fast_solver._edge_sums(op, st, yt))
     c_plain, c_tilde = fast_solver._coefficients(kit.plan(n), *sums, yt,
                                                     m0)
-    table, anchors = fast_solver._sequences(
-        spec.poles, spec.mults, m0, n, fast_solver._chunk_blocks(m0))
+    table, _, anchors = fast_solver._sequences(
+        spec.poles, spec.mults, n, fast_solver._chunk_blocks(m0))
+    R = len(table)
     sv = SolveVectors(kit, n)
     ts = np.arange(1, n + 1)
     r_tilde = sum(sv.r_tilde(t) @ y[t - 1] for t in ts)
     r_plain = sum(sv.r(t) @ y[t - 1] for t in ts)
     tilde_s, plain_s = np.arange(1, n - m0 + 1), np.arange(m0 + 1, n + 1)
+    units = np.arange(1, m0 + 1)[:, None]
     for got, ells, sums in (
-            (c_tilde @ fast_solver._sequence_rows(table, anchors, tilde_s),
+            (c_tilde[:, :R] @ sequence_rows(table, anchors, n, False)[
+                :, tilde_s - 1] + c_tilde[:, R:] @ (tilde_s == units),
              [sv.ell_tilde(s) for s in tilde_s], r_tilde),
-            (c_plain @ np.conj(fast_solver._sequence_rows(
-                table, anchors, n + 1 - plain_s)),
+            (c_plain[:, :R] @ np.conj(sequence_rows(table, anchors, n, True)[
+                :, plain_s - 1]) + c_plain[:, R:] @ (n + 1 - plain_s == units),
              [sv.ell(s) for s in plain_s], r_plain)):
         want, scale = (np.stack([e @ x for e in es], axis=-1).reshape(
             got.shape) for es, x in ((ells, sums),
@@ -885,21 +927,27 @@ def test_two_lane_solve_memory_bound(monkeypatch):
     # the plain rows beside the range-blocked tilde Gram and the residual
     # at half the batch per lane: a warm two-lane solve at 2^16 peaks no
     # higher than a one-lane solve did with the Gram that held a whole
-    # stack and output per apply, 4.38 Y
+    # stack and output per apply, 4.38 Y. So does a solve whose every
+    # chunk takes a rank correction: a pole of multiplicity 3 at |p| =
+    # 0.999, without the residual (its certificate refuses the pole)
     lanes(monkeypatch, 2)
-    spec = warm_d3_spec()
+    near = random_spec(d=2, K=1, mults=(3,), m0=1,
+                       rng=np.random.default_rng(2),
+                       pole_radii=(0.999, 0.999))
     n = 1 << 16
-    tab, kit = CoefficientTables(spec), ClosedFormKit(spec)
-    y = random_rhs(n, spec.d, seed=39)
-    solve(spec, n, y, tables=tab, kit=kit)
-    tracemalloc.start()
-    try:
-        rep = solve(spec, n, y, tables=tab, kit=kit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.counters["lanes"] == 2
-    assert peak <= 4.38 * y.nbytes
+    for spec, residual in ((warm_d3_spec(), True), (near, False)):
+        tab, kit = CoefficientTables(spec), ClosedFormKit(spec)
+        y = random_rhs(n, spec.d, seed=39)
+        solve(spec, n, y, tables=tab, kit=kit, compute_residual=residual)
+        tracemalloc.start()
+        try:
+            rep = solve(spec, n, y, tables=tab, kit=kit,
+                        compute_residual=residual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.counters["lanes"] == 2
+        assert peak <= 4.38 * y.nbytes, spec.mults
 
 
 def test_batches_leave_the_solve_unchanged(monkeypatch):
