@@ -14,7 +14,12 @@ slot) pairs, M = sum of multiplicities:
   formula into a single small resolvent;
 * the per-index vectors v, v~, w, w~ and the rank-correction factors
   l_{n,s}, r_{n,s} that express each block of T_n(w)^{-1} as a
-  triangular Gram sum plus a dM-rank correction.
+  triangular Gram sum plus a dM-rank correction;
+* T_n(w^{-1}) as one lower triangle of Gamma(k) = sum_i a_i* a_{i+k}
+  plus its adjoint, and the corners E~ and E of rank (M + m0) d by
+  which the two triangular Grams miss it (inverse_symbol), so that
+  T_n(w)^{-1} is T_n(w^{-1}) plus a correction of rank 2 (M + m0) d,
+  the shape of the Gohberg-Semencul formula.
 
 Block indices s, t are 1-based throughout, matching the linear-algebra
 conventions of the rest of the package.
@@ -36,13 +41,19 @@ _ARMA_OVERLAP_TOL = 1e-11
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y, built afresh by ClosedFormKit.plan(n). Every
-    slot scalar of the rank correction is a pole power times a polynomial
-    in the block index m, so per side one fixed map takes a few moments
-    of Y to coefficients on 2M + m0 sequence rows: C(m, a) p^{n-m} and
-    C(m, a) conj(p)^m per slot (mu, a + 1), and the unit rows [m == j],
-    j = 1..m0, whose coefficients the linear-time solver adds straight
-    onto blocks j and n + 1 - j. Nothing in it grows with n.
+    the right-hand side Y, built afresh by ClosedFormKit.plan(n) (by
+    ar_plan when K = 0). The solver computes Z = T_n(w^{-1}) Y plus one
+    correction per region: on the tilde rows s <= n - m0 the tilde rank
+    correction minus E~ Y, on the plain rows s >= m0 + 1 the plain one
+    minus E Y, where E~ and E are the corners by which A~*A~ and A*A
+    miss T_n(w^{-1}) (see inverse_symbol). Every slot scalar of the rank
+    correction, and every row of a corner, is a pole power times a
+    polynomial in the block index m, so per side one fixed map takes a
+    few moments of Y to coefficients on 2M + m0 sequence rows:
+    C(m, a) p^{n-m} and C(m, a) conj(p)^m per slot (mu, a + 1), and the
+    unit rows [m == j], j = 1..m0, whose coefficients the linear-time
+    solver adds straight onto blocks j and n + 1 - j. Nothing in it
+    grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
@@ -66,7 +77,10 @@ class SolvePlan(NamedTuple):
       diag(p^{n-m}) (hat-w - hat-v)_m = diag(p^{n-m}) hat-w_m
       - diag(p^n) v_m on the sequence rows (the kit's w_coef, then
       -p_mu^n times its v_coef) on ext_tilde_stack*, conjugated and on
-      ext_stack* on the plain side.
+      ext_stack* on the plain side. Last, each map subtracts its corner,
+      the kit's e_plain or e_tilde, from its own side's moments to its
+      last (M + m0) d rows, the C(m, a) conj(p)^m and the unit rows (see
+      _minus_corners).
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -106,6 +120,124 @@ def _basis(terms, out):
             out[a] += const * binom(c, r - a)
 
 
+def inverse_symbol(spec, lam=None):
+    """The n-free parts of T_n(w^{-1}) and of the two corners by which
+    the triangular Grams miss it: (blocks, e_plain, e_tilde).
+
+    With x_k = band_k + sum_{mu,c} C(k, c) q_mu^k hat_{mu,c} the
+    coefficients a_k of -h^{-1} (q = conj(p), band = [rho00, rho0],
+    hat_{mu,c} = sum_j C(j-1, c) rho_{mu,j}) or a~_k (q = p, adjoint
+    sharp blocks), C(s + j, c) = sum_a C(s, a) C(j, c - a) splits x_{s+j}
+    into rows C(s, a) q^s per slot (mu, a + 1), the unit rows [s == l],
+    l = 1..m0, and a d x (M + m0) d block F(j) = [G_(mu,a)(j) per slot;
+    band_{l+j} per unit row], G_(mu,a)(j) = sum_u C(j, u) q^j
+    hat_{mu,u+a}. So sum_{j>=0} x_{s+j}* x_{t+j} is rows_s* E rows_t
+    with E = sum_j F(j)* F(j), in closed form from the Gram N[x, y] =
+    sum_j C(j, u_x) C(j, u_y) p_x^j conj(p_y)^j of the slots x = (mu, u),
+    which is Lambda's scalar lam (M x M) scaled by p^u (conjugated for
+    a~) plus the finitely many band terms j <= m0.
+
+    * blocks: T_n(w^{-1}) has block (s, t) = Gamma(s - t), Gamma(k) =
+      sum_{i>=0} a_i* a_{i+k} for k >= 0 and Gamma(k)* for -k. The lower
+      triangle is held as [band_0 .. band_m0, R_{1,1} .. R_{K,m_K}] with
+      the poles conj(p) and the mults of the plain factor: band_k =
+      sum_{i<=m0-k} a_i* band_{i+k}, and the rest, Gamma's sum over
+      C(k, f) conj(p)^k hat-Gamma_{mu,f} with hat-Gamma_(mu,f) =
+      sum_i a_i* G_(mu,f)(i), turned back from the C(k, f) basis to the
+      C(k+j-1, j-1) one by the inverse Pascal matrix.
+    * e_plain, e_tilde: ((M + m0) d, (M + m0) d), E of a and of a~.
+      T_n(w^{-1}) - A*A has block (s, t) = sum_{j>=0} a_{m+j}* a_{m'+j}
+      at m = n + 1 - s, m' = n + 1 - t, and T_n(w^{-1}) - A~*A~ the
+      same in a~ at m = s, m' = t; so each corner is E between its rows
+      at m and the moments sum_t C(m', a) q^{m'} y_t per slot with the
+      m0 blocks y at m' = 1..m0.
+
+    lam is None for K = 0, where everything is the band's."""
+    d, m0 = spec.d, spec.m0
+    mults = np.array(spec.mults, dtype=int)
+    mu_of = np.repeat(np.arange(spec.K), mults)
+    first = np.cumsum([0, *mults])[mu_of]          # each slot's pole's first
+    M = len(mu_of)
+    degs = np.arange(M) - first
+    pole = np.array(spec.poles, dtype=np.complex128)[mu_of]
+    same = mu_of[:, None] == mu_of
+    # slot (mu, u + a) of x = (mu, u) and q = (mu, a), or M for a zero
+    hank = np.where(same & (degs[:, None] + degs < mults[mu_of][:, None]),
+                    first[:, None] + degs[:, None] + degs, M)
+    pascal = same * np.array([[binom(v, u) for v in degs] for u in degs])
+    gram = (np.zeros((0, 0), dtype=np.complex128) if lam is None else
+            (pole ** degs)[:, None] * lam * np.conj(pole ** degs))
+
+    # C(j, u_x) per j = 0..m0 and slot x: times q^j, the row weights
+    steps = np.array([[binom(j, u) for u in degs] for j in range(m0 + 1)])
+    js = np.arange(m0 + 1)[:, None]
+
+    def side(sharp):
+        """(band, hat, phi) of a (of a~ if sharp); phi[x, q] is
+        hat_{mu,u+a}, so that G_q(j) = sum_x C(j, u_x) q^j phi[x, q]."""
+        rho00, rho0, rho = spec.side(sharp)
+        band = np.stack([rho00, *rho0])
+        hat = np.einsum("xy,yab->xab", pascal, np.array(
+            [r for res in rho for r in res]).reshape(M, d, d))
+        if sharp:
+            band, hat = herm(band), herm(hat)
+        return band, hat, np.concatenate([hat, np.zeros((1, d, d))])[hank]
+
+    def corner(band, phi, q, n_gram):
+        """E = sum_j F(j)* F(j): the pole part through the slot Gram, plus
+        sum_{j<m0} (F(j)* F(j) - P(j)* P(j)), P(j) the pole part of F(j),
+        since the unit rows' blocks band_{l+j} stop at l + j = m0."""
+        f = np.zeros((m0, d, M + m0, d), dtype=np.complex128)
+        f[:, :, :M] = np.einsum("jx,xqab->jaqb", (steps * q ** js)[:m0], phi)
+        for j in range(m0):
+            f[j, :, M:M + m0 - j] = band[j + 1:].transpose(1, 0, 2)
+        e = np.einsum("jaqb,jarc->qbrc", np.conj(f), f)
+        e[:M, :, :M] += np.einsum("xy,xqba,yrbc->qarc", n_gram,
+                                  np.conj(phi), phi) - np.einsum(
+            "jaqb,jarc->qbrc", np.conj(f[:, :, :M]), f[:, :, :M])
+        return e.reshape((M + m0) * d, (M + m0) * d)
+
+    band, hat, phi = side(False)
+    q = np.conj(pole)
+    weights = steps * q ** js                       # C(i, u_x) conj(p)^i
+    heads = band + np.einsum("ix,xab->iab", weights, hat)   # a_0 .. a_m0
+    gamma_band = np.stack([
+        np.einsum("iba,ibc->ac", np.conj(heads[:m0 + 1 - k]), band[k:])
+        for k in range(m0 + 1)])
+    gamma_hat = (np.einsum("xy,xba,yqbc->qac", gram, np.conj(hat), phi)
+                 + np.einsum("iba,ix,xqbc->qac", np.conj(band), weights, phi))
+    # the inverse of the Pascal matrix: (-1)^(f-j) C(f, j) within a pole
+    sign = (-1.0) ** (degs[:, None] + degs)
+    residues = np.einsum("jf,fab->jab", sign * pascal, gamma_hat)
+    e_plain = corner(band, phi, q, gram)
+    band_t, _, phi_t = side(True)
+    e_tilde = corner(band_t, phi_t, pole, np.conj(gram))
+    return np.concatenate([gamma_band, residues]), e_plain, e_tilde
+
+
+def _minus_corners(plain, tilde, e_plain, e_tilde):
+    """Subtract the corners E and E~ (see inverse_symbol) from the plain
+    and the tilde map of a SolvePlan, in place: each acts from its own
+    side's moments to its slot sequence rows C(m, a) conj(p)^m (their
+    conjugates on the plain side) and its unit rows, the last (M + m0) d
+    rows of the map."""
+    k = len(e_plain)
+    plain[len(plain) - k:, :k] -= e_plain
+    tilde[len(tilde) - k:, k:] -= e_tilde
+
+
+def ar_plan(spec):
+    """(blocks, SolvePlan) of a symbol with K = 0 (see inverse_symbol):
+    without poles the rank correction is zero and each map holds only its
+    corner, on the m0 unit rows; spectral_radius and resolvent_cond are
+    None."""
+    blocks, e_plain, e_tilde = inverse_symbol(spec)
+    k = len(e_plain)
+    maps = np.zeros((2, k, 2 * k), dtype=np.complex128)
+    _minus_corners(*maps, e_plain, e_tilde)
+    return blocks, SolvePlan(None, None, *maps)
+
+
 class ClosedFormKit:
     """All n-independent closed-form data for one symbol with K >= 1, in
     closed form with no series and no iteration cap (_check_lambda_stein)."""
@@ -139,6 +271,9 @@ class ClosedFormKit:
             [self.rho_tilde_stack,
              herm(np.stack([spec.sharp_rho00, *spec.sharp_rho0]))])
         self.lambda_mat = self.build_lambda()
+        # T_n(w^{-1})'s lower triangle and the two corners E, E~
+        self.inverse_blocks, self.e_plain, self.e_tilde = inverse_symbol(
+            spec, self.lambda_mat[::self.d, ::self.d])
         self.theta_values, self.theta_mat = self.build_theta()
         self.v_coef, self.w_coef = self._coefficients()
         self._check_lambda_stein()
@@ -325,7 +460,16 @@ class ClosedFormKit:
     # -- the rank-correction vectors ------------------------------------- #
 
     def plan(self, n):
-        """The SolvePlan of order n, built afresh on every call: a few
+        """The SolvePlan of order n, built afresh on every call: the maps
+        of _correction_maps(n) minus the corners E and E~."""
+        plan = self._correction_maps(n)
+        _minus_corners(plan.plain_map, plan.tilde_map, self.e_plain,
+                       self.e_tilde)
+        return plan
+
+    def _correction_maps(self, n):
+        """The SolvePlan of order n before the corners are subtracted:
+        its maps give the rank corrections of the triangular Grams, a few
         2Md x 2Md products composed with the n-free coefficient maps."""
         n = int(n)
         pit, g, gt, radius = self.checked_g_mats(n)

@@ -2,85 +2,78 @@
 
 Blocks are held time-last inside this module: a block vector of public
 shape (n, d, r) becomes one (d, r, n) array on entry to solve and goes
-back once on exit, so the block index is the contiguous last axis that
-the residual transforms run along; the apply_* functions read the
-time-last view of their input.
+back once on exit, so the block index is the contiguous last axis; the
+apply_* functions read the time-last view of their input.
 
-Both triangular factors and their adjoints go through one apply of a
-lower-triangular block Toeplitz operator with coefficients
+Every structured apply is one apply of a lower-triangular block
+Toeplitz operator with coefficients
 
-    c_k = band[k] + sum_{mu,j} C(k+j-1, j-1) p_mu^k R_{mu,j},
+    c_k = band[k] + sum_{mu,j} C(k+j-1, j-1) p_mu^k R_{mu,j}
 
-that is a banded part plus per-pole scalar Toeplitz factors with
-entries C(k+j-1, j-1) p_mu^k. The apply cuts the block index into
-chunks of T = _CHUNK blocks (at least m0 + 1). Within a chunk the
+in chunks of T = _CHUNK blocks (at least m0 + 1). Within a chunk the
 operator is the fixed (T d) x (T d) lower block Toeplitz matrix of
 c_0 .. c_{T-1}; earlier blocks enter only through the last m0 blocks of
 the previous chunk (the band) and the S = sum m_mu pole-slot states at
-the chunk's entry. So one apply is one gemm of the Y-independent chunk
-operator, built per apply from the spec, with the stack [previous m0
-blocks; the chunk; its entry states] of every chunk. The entry states
-are each chunk's end-weighted sums carried across chunks by scans with
-p^T over the n / T chunk values (see _carry_states). An upper triangle
-is R L R with R the reversal over the chunk grid: its stack holds the
-next m0 blocks, the chunk and the states at its exit, each run read
-backwards, and its scans run backwards over the chunks (see _operator).
-An adjoint conjugate-transposes band and residues, conjugates the poles
-and flips the triangle. A_n is the lower triangle of the a_k, A~_n the
-adjoint of the one built from the h_sharp coefficients, and the pole
-factor Q_{mu,i} the upper triangle with a zero band, the pole p_mu and
-the identity residue in slot i.
+the chunk's entry, each chunk's end-weighted sums carried across chunks
+by scans with p^T over the n / T chunk values (see _carry_states). So
+one apply is one gemm of the Y-independent chunk operator with the stack
+[previous m0 blocks; the chunk; its entry states] of every chunk. An
+upper triangle is R L R with R the reversal over the chunk grid (see
+_operator); an adjoint conjugate-transposes band and residues,
+conjugates the poles and flips the triangle. A_n is the lower triangle
+of the a_k, A~_n the adjoint of the one built from the h_sharp
+coefficients, and Q_{mu,i} the upper triangle with a zero band, the pole
+p_mu and the identity residue in slot i. A Gram op* op Y (apply_A_gram)
+takes the states of both applies from one pass over Y, op*'s through an
+n-free map (see _states), then runs both gemms over ranges of chunks
+sized to a core's L2, op's output straight into op*'s stacks (see
+_sweep).
 
-A Gram op* op Y computes the slot states of both applies first (see
-_states): one pass over Y gives the end sums of op and, through an
-n-free map, those of op* on every chunk without forming op Y. Then the
-chunk gemms run over ranges of chunks sized to a core's L2, in one
-workspace of two stacks: op's gemm writes straight into the chunk rows
-of op*'s stacks, and op*'s gemm into the time-last output (see _sweep).
-So the Gram holds its output, the states (2 S / T of Y) and the
-workspace, never a whole stack or an intermediate op Y. Of A* A Y,
-solve reads only the last m0 rows and the sampled overlap chunks, so it
-computes just those (see _gram_rows), from the same states.
+solve makes no Gram: A~*A~ = T_n(w^{-1}) - E~ and A*A = T_n(w^{-1}) - E,
+with corners of rank at most (M + m0) d at the start and at the end
+(see closed_form.inverse_symbol). T_n(w^{-1}) is inv + inv* - diag(c_0)
+for one lower triangle inv with the plain factor's poles, so solve
+takes the slot states of inv at each chunk's entry (the plain factor's)
+and of inv* at each chunk's exit (the tilde factor's), one pass over Y
+each, then one gemm per range of chunks of the (T d) x ((2 m0 + T +
+2 S) d) operator on [previous m0 blocks; the chunk; next m0 blocks;
+entry states; exit states], whose chunk block is a full T x T block
+Toeplitz matrix (see _hermitian_operator). The corners join the rank
+corrections in the plan's maps. When n d r is at least _LANE_WORK (2^17,
+from a measured crossover) and the process may run on two CPUs, a
+second thread, which lives for one call, computes the entry states
+while the caller computes the exit states, then takes ranges of chunks,
+the plain rows' corrections and residual batches as it comes free, in
+states, workspaces and buffers the caller allocates. Each block is
+computed by the same arithmetic either way, so Z does not depend on the
+lane count.
 
-When the work n d r is at least _LANE_WORK (2^17, from a measured
-crossover) and the process may run on two CPUs, solve runs on two lanes:
-a second thread, which lives for one call, computes the plain states,
-sums and rows while the caller runs the tilde states, then takes ranges
-of the tilde Gram's chunks as it comes free, and the residual's batches
-go to whichever lane is free. Each block is computed by the same
-arithmetic either way, so Z does not depend on the lane count.
+For K >= 1 the rank correction is assembled in a rescaled form: the
+factors l_{n,s} and r_{n,t} contain pole powers p^{-m} and p^n that
+leave float range long before n reaches the sizes this path is for, but
+the diagonal power scalings cancel analytically (see the hat-variants of
+the closed forms). Every slot scalar of v and of hat-w - hat-v, and
+every row of a corner, is a pole power times a polynomial in the block
+index, so the correction reads a few moments of Y: per side, the sums
+of Y on the v basis, read from the carry states (see _edge_sums), and
+the m0 blocks at its end of Y. The SolvePlan holds, per side, one fixed
+map from those moments to coefficients on the 2M sequence rows
+C(m, a) p^{n-m} and C(m, a) conj(p)^m and the m0 unit rows [m == j]
+(see _coefficients); for K = 0 only the corners remain, on the unit
+rows (closed_form.ar_plan). On a grid of chunks each sequence row is a
+fixed table times a few anchors of the chunk (see _sequences), so each
+side multiplies its coefficients into the table once and adds one
+product with the anchors per batch of chunks: the tilde rows s <= n - m0
+on the chunks at either end whose anchors are not all zero, the last m0
+plain rows on a grid that runs back from n. The overlap check compares
+both sides' corrections on sampled rows, where both formulas hold and
+share T_n(w^{-1}) Y.
 
-For K >= 1 the remaining rank correction z_s += l_{n,s} R_n is assembled
-in a rescaled form: the factors l_{n,s} and r_{n,t} separately contain
-pole powers p^{-m} and p^{n} that overflow / underflow float range long
-before n reaches the sizes this path is for, but the diagonal power
-scalings cancel analytically, leaving only polynomially growing pieces
-(see the hat-variants of the closed forms). The assembly never forms l
-or r themselves, and it makes no pass of its own over Y. Every slot
-scalar of v and of hat-w - hat-v is a pole power times a polynomial in
-the block index, so what the correction reads of Y is a few moments:
-per factor, the sums of Y on the v basis, which the Gram's carry states
-already hold (see _edge_sums), and the m0 blocks at its end of Y. The
-SolvePlan of ClosedFormKit.plan(n) holds, per side, one fixed map from
-those moments to coefficients on the 2M sequence rows C(m, a) p^{n-m}
-and C(m, a) conj(p)^m and the m0 unit rows [m == j] (see _coefficients),
-and nothing whose size grows with n. On a grid of chunks each sequence
-row is a fixed table times a few anchors of the chunk (see _sequences),
-so after both Grams each side multiplies its coefficients into the
-table once and adds one product with the anchors per batch of chunks:
-the tilde rows s, at m = s, on the chunks at either end whose anchors
-are not all zero, and the plain rows, at m = n + 1 - s, on a grid that
-runs back from n. The unit rows meet only the m0 blocks at each end.
-
-The residual check convolves the gamma band, read as one array from the
-tables' bulk gamma store, with Z by overlap-save in O(n log L), at the
-transform size with the least segments nfft log2 nfft: one transform of
-next_fast_len(n + 2L) points when that is cheapest, as at moderate n,
-else segments of a power of two set by the band (see _residual_size and
-_residual_banded). Below n = 2 m0 + 1 solve returns the dense solve.
-The literal reference formulas
-(unscaled, block by block) live in closed_form; this module is the
-production path.
+The residual check convolves the gamma band with Z by overlap-save in
+O(n log L), at the transform size with the least segments nfft log2
+nfft (see _residual_size and _residual_banded). Below n = 2 m0 + 1 solve
+returns the dense solve. The literal reference formulas (unscaled, block
+by block) live in closed_form; this module is the production path.
 """
 
 import itertools
@@ -99,7 +92,7 @@ from scipy.signal import lfilter
 
 from . import errors
 from .blockarray import as_block_vector
-from .closed_form import ClosedFormKit
+from .closed_form import ClosedFormKit, ar_plan
 from .coefficients import CoefficientTables
 from .util import binom, binom_vec, herm
 
@@ -114,6 +107,9 @@ _RANGE_BYTES = 1 << 20
 _FLUSH = np.sqrt(np.finfo(np.float64).tiny)
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
+# blocks per piece of a whole-array copy between the public and the
+# time-last layout
+_PIECE = 2048
 # the neglected gamma band of the residual, relative to ||gamma(0)||_2
 _RESIDUAL_REL = 1e-12
 # n d r from which solve runs on two lanes: below it a second thread
@@ -159,12 +155,26 @@ def _factor(spec, variant):
 
 def _to_time_last(y):
     """(n, d, r) public blocks -> contiguous time-last (d, r, n)."""
-    return np.ascontiguousarray(y.transpose(1, 2, 0))
+    return _relaid(y, (1, 2, 0), -1)
 
 
 def _from_time_last(x):
     """Time-last (d, r, n) -> contiguous (n, d, r) public blocks."""
-    return np.ascontiguousarray(x.transpose(2, 0, 1))
+    return _relaid(x, (2, 0, 1), 0)
+
+
+def _relaid(x, axes, time):
+    """x.transpose(axes) as a contiguous array: the view itself if it is
+    one (d = r = 1), else a copy made _PIECE blocks of its time axis at a
+    time, so that each piece's source and destination stay in cache."""
+    view = x.transpose(axes)
+    if view.flags.c_contiguous:
+        return view
+    out = np.empty(view.shape, dtype=x.dtype)
+    src, dst = (np.moveaxis(a, time, 0) for a in (view, out))
+    for a in range(0, len(src), _PIECE):
+        dst[a:a + _PIECE] = src[a:a + _PIECE]
+    return out
 
 
 def _chunk_operator(op, T):
@@ -276,11 +286,20 @@ def _carry_states(states, mults, carry):
         q0 += m
 
 
-def _fill(stack, y, a, upper, m0, T):
+def _blocks_at(y, pos):
+    """The blocks of a time-last (d, r, n) Y at the indices pos, as
+    (len(pos), d, r), zero outside 0 .. n - 1."""
+    n = y.shape[-1]
+    return np.where(((pos >= 0) & (pos < n))[:, None, None],
+                    y[..., np.clip(pos, 0, n - 1)].transpose(2, 0, 1), 0)
+
+
+def _fill(stack, y, a, upper, m0, T, both=False):
     """Write [halo; chunk] of the stacks (see _operator) of the k chunks
     a .. a + k - 1 of a time-last (d, r, n) Y into stack, a (P, d, r, k)
-    array, read backwards if upper and zero past n; the states are the
-    caller's."""
+    array, read backwards if upper and zero past n; with both, a lower
+    op's [halo; chunk; first m0 blocks of the chunk after] (see
+    _hermitian_operator). The states are the caller's."""
     n, k = y.shape[-1], stack.shape[-1]
     rows = stack[m0:m0 + T][::-1] if upper else stack[m0:m0 + T]
     whole, rest = _split(y[..., a * T:(a + k) * T], T)
@@ -292,12 +311,13 @@ def _fill(stack, y, a, upper, m0, T):
     if not m0:
         return
     _halo(stack, m0, T, upper)
-    # the one halo from outside the range, zero outside 0 .. n - 1
-    edge = a * T + (k * T + np.arange(m0)[::-1] if upper
-                    else np.arange(-m0, 0))
-    stack[:m0, ..., -1 if upper else 0] = np.where(
-        ((edge >= 0) & (edge < n))[:, None, None],
-        y[..., np.clip(edge, 0, n - 1)].transpose(2, 0, 1), 0)
+    # the one halo from outside the range
+    stack[:m0, ..., -1 if upper else 0] = _blocks_at(y, a * T + (
+        k * T + np.arange(m0)[::-1] if upper else np.arange(-m0, 0)))
+    if both:
+        stack[m0 + T:2 * m0 + T, ..., :-1] = stack[m0:2 * m0, ..., 1:]
+        stack[m0 + T:2 * m0 + T, ..., -1] = _blocks_at(
+            y, (a + k) * T + np.arange(m0))
 
 
 def _halo(stack, m0, T, upper):
@@ -319,12 +339,13 @@ def _zero_past(x, n, back):
     x[slice(0, T - rest) if back else slice(rest, T), ..., -1] = 0
 
 
-def _states(op, y, gram, spare=None):
+def _states(op, y, gram, spare=None, out=None):
     """The slot states of op's stacks (see _operator) on every chunk of
     a time-last (d, r, n) Y, and with gram those of op*'s stacks in
     op* op Y: [(mat, states)] or [(mat, states), (mat*, states*)], each
-    states an (S, d, r, nc) array and each mat's output rows ordered as
-    the next stack reads them (forward for the last).
+    states an (S, d, r, nc) array (op's in out, if given) and each mat's
+    output rows ordered as the next stack reads them (forward for the
+    last).
 
     op*'s end sums are ends* X_c for X = op Y, and ends* X_c = red
     stack_c(Y) with red = (ends* x I_d) mat, an n-free (S d, P d) map on
@@ -343,7 +364,7 @@ def _states(op, y, gram, spare=None):
     mat, ends, carry = _operator(op, T, gram and adj.upper)
     # op's stack positions on forward blocks
     back = slice(None, None, -1) if op.upper else slice(None)
-    st = np.zeros((S, d, r, nc), dtype=np.complex128)
+    st = np.empty((S, d, r, nc), dtype=np.complex128) if out is None else out
     if gram:
         mat_a, ends_a, carry_a = _operator(adj, T, False)
         red = np.einsum("qt,tiaj->qiaj", ends_a,
@@ -419,40 +440,38 @@ def _apply(op, y, gram=False, pool=None):
 
 
 def _sweep(op, y, applies, out, pool=None):
-    """Write op Y, or op* op Y if applies holds the states of a Gram,
-    into out (d, r, n) from Y and applies = _states(op, y, gram). The
-    chunk gemms run over ranges of chunks in one workspace of two stacks
-    of at most about _RANGE_BYTES: op's stacks are filled from Y; in a
-    Gram op's gemm writes straight into the chunk rows of op*'s stacks,
-    whose halos are copied within the range, and the last gemm writes
-    into the output. op*'s halo lies in the chunk after (op* upper) or
-    before, so op's range reaches one chunk further that way, and that
-    chunk's output is dropped. With a pool, its lane takes ranges too,
-    in a workspace of its own, once it is free; each range is computed
-    the same way whichever lane takes it."""
+    """Write into out (d, r, n) op Y, or op* op Y, from Y and applies =
+    _states(op, y, gram); or (op + op* - diag(c_0)) Y for a lower op and
+    applies = [(_hermitian_operator(op, T), entry states of op over exit
+    states of op*)]. The gemms run over ranges of chunks in a workspace
+    of two stacks of about _RANGE_BYTES (or one two-sided stack and an
+    output): in a Gram op's gemm writes into the chunk rows of op*'s
+    stacks, whose halos are copied within the range, and op's range
+    reaches one chunk further on the side of op*'s halo, whose output is
+    dropped. With a pool, its lane takes ranges too, once it is free, in
+    a workspace allocated here; each range is computed the same way
+    whichever lane takes it."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
     gram = len(applies) == 2
+    first = applies[0][0].shape[1] // d       # rows of the first stack
     width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
     starts = itertools.count(0, width)      # the ranges not yet taken
 
-    def sweep():
-        """Run the ranges no lane has taken yet, in this lane's own
-        workspace."""
-        space = np.empty((2, P * d * r * min(width + gram, nc)),
-                         dtype=np.complex128)
+    def sweep(space):
+        """Run the ranges no lane has taken yet in this lane's space."""
         while (c0 := next(starts)) < nc:
             c1 = min(c0 + width, nc)
             a = max(c0 - 1, 0) if gram and op.upper else c0
             b = min(c1 + 1, nc) if gram and not op.upper else c1
-            src, dst = space[:, :P * d * r * (b - a)].reshape(
-                2, P, d, r, b - a)
-            _fill(src, y, a, op.upper, m0, T)
+            src, dst = (x.reshape(-1, d, r, b - a) for x in np.split(
+                space[:2 * P * d * r * (b - a)], [first * d * r * (b - a)]))
+            _fill(src, y, a, op.upper, m0, T, first > P)
             for i, (mat, st) in enumerate(applies):
-                src[m0 + T:] = st[..., a:b]
+                src[len(src) - len(st):] = st[..., a:b]
                 if i + 1 == len(applies):
-                    np.matmul(mat, src.reshape(P * d, -1),
+                    np.matmul(mat, src.reshape(mat.shape[1], -1),
                               out=dst[:T].reshape(T * d, -1))
                     break
                 x = dst[m0:m0 + T]
@@ -467,51 +486,32 @@ def _sweep(op, y, applies, out, pool=None):
                 src, dst = dst, src
             _write(out, dst[:T, ..., c0 - a:c1 - a], c0)
 
-    helper = None if pool is None else pool.submit(sweep)
-    sweep()
+    spaces = np.empty((1 if pool is None else 2,
+                       2 * P * d * r * min(width + gram, nc)),
+                      dtype=np.complex128)
+    helper = None if pool is None else pool.submit(sweep, spaces[1])
+    sweep(spaces[0])
     if helper is not None:
         helper.result()
 
 
-def _gram_rows(op, y, chunks, applies):
-    """The blocks of op* op Y on the given chunks only, for a lower
-    triangle op, a time-last (d, r, n) Y and the states of the Gram,
-    applies = _states(op, y, True): a (T, d, r, len(chunks)) array, block
-    c T + u of op* op Y at [u, ..., i] for c = chunks[i], zero past n
-    (T = _chunk_blocks(m0)).
-
-    Chunk c of the upper apply op* reads X = op Y on chunk c, the first
-    m0 blocks of chunk c + 1 and the slot states of op* at the chunk's
-    exit, which _states gives without forming X. X is formed only on
-    the given chunks and the halos of their successors, and X past n is
-    zero."""
-    d, r, n = y.shape
-    S, m0, T, nc = _sizes(op, n)
-    P = m0 + T + S
-    (mat, st), (mat_a, st_a) = applies
-
-    def lower(cs, rows):
-        """X on the first `rows` blocks of the chunks cs, last block
-        first (as op*'s stack reads them), zero past n."""
-        pos = cs * T - m0 + np.arange(m0 + T)[:, None]
-        stack = np.empty((P, d, r, len(cs)), dtype=np.complex128)
-        stack[:m0 + T] = np.where(
-            ((pos >= 0) & (pos < n))[:, None, None],
-            y[..., np.clip(pos, 0, n - 1)].transpose(2, 0, 1, 3), 0)
-        stack[m0 + T:] = st[..., cs]
-        x = mat[(T - rows) * d:] @ stack.reshape(P * d, -1)
-        return np.where((pos[m0:m0 + rows] < n)[::-1, None, None],
-                        x.reshape(rows, d, r, -1), 0)
-
-    # op*'s stack of chunk c: [the first m0 blocks of X_{c+1}; X_c; exit
-    # states], each run read backwards
-    up = np.zeros((P, d, r, len(chunks)), dtype=np.complex128)
-    up[m0:m0 + T] = lower(chunks, T)
-    nxt = chunks + 1 < nc
-    if m0:
-        up[:m0, ..., nxt] = lower(chunks[nxt] + 1, m0)
-    up[m0 + T:] = st_a[..., chunks]
-    return (mat_a @ up.reshape(P * d, -1)).reshape(T, d, r, -1)
+def _hermitian_operator(op, T):
+    """The (T d, (2 m0 + T + 2 S) d) chunk operator of op + op* - diag(c_0)
+    for a lower op, on the stack [last m0 blocks of the chunk before; the
+    chunk; first m0 blocks of the chunk after; op's slot states at the
+    chunk's entry; op*'s at its exit]: op's (see _chunk_operator) plus
+    op*'s (see _operator) turned forwards, without its diagonal. The
+    chunk block is a full T x T block Toeplitz matrix."""
+    S = sum(op.mults)
+    m0, d = len(op.blocks) - S - 1, op.blocks.shape[-1]
+    lo, up = (mat.reshape(T, d, m0 + T + S, d) for mat in (
+        _chunk_operator(op, T)[0], _operator(_adjoint(op), T, False)[0]))
+    upper = up[:, :, m0:m0 + T][:, :, ::-1].copy()
+    upper[np.arange(T), :, np.arange(T)] = 0
+    return np.concatenate([lo[:, :, :m0], lo[:, :, m0:m0 + T] + upper,
+                           up[:, :, :m0][:, :, ::-1],
+                           lo[:, :, m0 + T:], up[:, :, m0 + T:]],
+                          axis=2).reshape(T * d, -1)
 
 
 def _q_ops(spec, mu):
@@ -543,8 +543,7 @@ def _applied(op, n, y, d, gram=False):
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    return np.ascontiguousarray(_apply(op, y[:n].transpose(1, 2, 0), gram)
-                                .transpose(2, 0, 1))
+    return _from_time_last(_apply(op, y[:n].transpose(1, 2, 0), gram))
 
 
 def apply_A(spec, n, y, variant="tilde"):
@@ -581,15 +580,13 @@ class SolveReport:
     resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage of solve: gram (both Grams), plan (the kit, the
-    # SolvePlan and the sequence table), assembly (the plan's maps on the
-    # moments, the anchors and the products of each side's corrections,
-    # and the corrected plain rows), overlap and residual
+    # seconds per stage: plan (the kit, the SolvePlan, the sequence table,
+    # the overlap sample), gram (the time-last copy of Y, the slot states,
+    # the two-sided apply of T_n(w^{-1})), assembly (the maps on the
+    # moments and both sides' corrections), overlap and residual
     timings: dict = field(default_factory=dict)
-    # sizes of the work done: overlap_rows, plan_bytes (of the plan's
-    # arrays; 0 without a plan), gram_chunk (blocks per chunk of the Gram
-    # applies), plain_chunks (chunks whose plain rows were computed in
-    # full), lanes and, when the residual ran, residual_band (L, the
+    # overlap_rows, plan_bytes (of the plan's arrays), gram_chunk (blocks
+    # per chunk), lanes and, when the residual ran, residual_band (L, the
     # least the certificate allows), residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
@@ -597,14 +594,13 @@ class SolveReport:
 def _edge_sums(op, st, y):
     """Per slot (mu, i) of op, a sum of the time-last (d, r, n) Y on the
     v basis of the rank correction, read from op's slot states st (S, d,
-    r, nc): sum_t C(t, i - 1) p^t y_t for the tilde factor (upper, poles
-    p), from the state at chunk 0's exit, and sum_t C(n + 1 - t, i - 1)
-    conj(p)^{n+1-t} y_t for the plain one (lower, poles conj(p)), from
-    the state at the last chunk's entry; the chunk's own blocks are
-    summed directly. A state sigma_j = sum_l C(l + j - 1, j - 1) p^l y
-    weighs blocks at lags l whose weight is C(l + s, i - 1) p^{l+s}
-    = p^s sum_{j <= i} C(s - j, i - j) C(l + j - 1, j - 1) p^l, by
-    Vandermonde's identity."""
+    r, nc): sum_t C(t, i - 1) p^t y_t for an upper op with poles p (the
+    tilde factor's states) from chunk 0's exit, sum_t C(n + 1 - t, i - 1)
+    conj(p)^{n+1-t} y_t for a lower op with poles conj(p) (the plain
+    factor's) from the last chunk's entry, plus that chunk's own blocks.
+    A state sigma_j = sum_l C(l + j - 1, j - 1) p^l y weighs blocks at
+    lags l whose weight is C(l + s, i - 1) p^{l+s} = p^s sum_{j <= i}
+    C(s - j, i - j) C(l + j - 1, j - 1) p^l, by Vandermonde's identity."""
     n = y.shape[-1]
     S, m0, T, nc = _sizes(op, n)
     last = (nc - 1) * T
@@ -703,16 +699,14 @@ def _residual_banded(tables, z, y, pool=None):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
     band k = -L..L (tables.gamma_band), by overlap-save, with L =
     tables.gamma_band_width(_RESIDUAL_REL ||gamma(0)||_2) capped at n - 1.
-    The band is transformed once, from a contiguous (d, d, 2L + 1) layout,
-    at the nfft of _residual_size; Z, padded by L zero blocks in front, is cut
-    into segments of nfft points stepping by nfft - 2L, and points 2L..
-    of each segment's circular convolution are the next nfft - 2L blocks
-    of T_n Z (the last segment's trimmed at n). One segment that covers
-    n + 2L is the common case at moderate n. The segments are padded and
-    transformed _RESIDUAL_BATCH points at a time, so no padded copy of
-    the whole Z is made; each lane keeps its transform, product and
-    deviation in buffers it reuses from batch to batch. With a pool,
-    batches of half that size go to whichever lane is free, and their
+    The band is transformed once, at the nfft of _residual_size; Z,
+    padded by L zero blocks in front, is cut into segments of nfft points
+    stepping by nfft - 2L, and points 2L.. of each segment's circular
+    convolution are the next nfft - 2L blocks of T_n Z (the last
+    segment's trimmed at n). The segments are padded and transformed
+    _RESIDUAL_BATCH points at a time, in buffers allocated here and
+    reused from batch to batch; with a pool, batches of half that size
+    go to whichever lane is free, each in its own buffers, and their
     squares are summed in batch order. That is O(n log L) work. Returns
     the value, the certified bound on the neglected band times ||Z||_F,
     and the counters residual_band, residual_nfft and residual_segments.
@@ -730,19 +724,24 @@ def _residual_banded(tables, z, y, pool=None):
     sq = [0.0] * -(-segments // batch)      # per batch, summed in order
     starts = itertools.count()              # the batches not yet taken
 
-    def squares():
-        """Sum the squares of the batches no lane has taken yet."""
-        zf, prod, part = np.empty((3, d, r, min(batch, segments), nfft),
-                                  dtype=np.complex128)
+    m = min(batch, segments)
+    size = 3 * d * r * m * nfft      # the transform, product and deviation
+
+    def squares(space):
+        """Sum the squares of the batches no lane has taken yet, in this
+        lane's space."""
+        zf, prod, part = space[:size].reshape(3, d, r, m, nfft)
+        pad = space[size:].reshape(d, r, -1)
         while (k := next(starts)) < len(sq):
             i, j = k * batch, min(k * batch + batch, segments)
             lo, hi = i * step, min(j * step, n)
             # the batch's points of Z padded: Z from lo - L on, zero
             # outside 0 .. n - 1
-            padded = np.zeros((d, r, (j - i) * step + 2 * L),
-                              dtype=np.complex128)
+            padded = pad[..., :(j - i) * step + 2 * L]
             a, b = max(lo - L, 0), min(j * step + L, n)
+            padded[..., :a - lo + L] = 0
             padded[..., a - lo + L:b - lo + L] = z[..., a:b]
+            padded[..., b - lo + L:] = 0
             f, c = zf[..., :j - i, :], prod[..., :j - i, :]
             np.fft.fft(sliding_window_view(padded, nfft, axis=-1)
                        [..., ::step, :], axis=-1, out=f)
@@ -764,13 +763,15 @@ def _residual_banded(tables, z, y, pool=None):
                 total += _sum_squares(dev[..., whole, :rest])
             sq[k] = total
 
-    helper = None if pool is None else pool.submit(squares)
-    squares()
+    spaces = np.empty((1 if pool is None else 2,
+                       size + d * r * (m * step + 2 * L)), dtype=np.complex128)
+    helper = None if pool is None else pool.submit(squares, spaces[1])
+    squares(spaces[0])
     if helper is not None:
         helper.result()
     # at L = n - 1 the band holds every block of T_n
     tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
-    znorm = float(np.linalg.norm(z.reshape(-1)))
+    znorm = _sum_squares(np.ascontiguousarray(z)) ** 0.5
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
     return sum(sq) ** 0.5, tail * znorm, counters
@@ -813,22 +814,32 @@ def _beside(pool, fn, *args):
     return pool.submit(fn, *args).result
 
 
+def _plain_corrections(coef, table, anchors, rows):
+    """The plain rows' corrections on the sequence rows at the 0-based
+    block indices rows, as (d, r, len(rows)), for the (d, r, 2M)
+    coefficients coef: row s = c T + u + 1 takes the conjugate rows at
+    m = n + 1 - s, table column T - 1 - u on chunk c of the plain grid
+    (see _sequences)."""
+    cs, at = np.unique(rows // table.shape[-1], return_inverse=True)
+    w = np.tensordot(coef, np.conj(table[..., ::-1]), 1)
+    return (np.conj(anchors(cs, True)).T @ w)[..., at,
+                                              rows % table.shape[-1]]
+
+
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
           seed=0, compute_residual=True):
     """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
 
     Y is an (n, d, r) block vector with any r >= 1 columns, and Z has
-    the same shape. Below n = 2 m0 + 1 the two regional assembly rows do
-    not cover every index, and solve returns dense_solve's report (method
-    "dense") for those few orders. Whole chunks of overlap rows, drawn
-    from default_rng(seed) until they hold at least 5% of those rows (at
-    least 8; see _overlap_sample), are computed by both regional formulas
-    and cross-checked: OverlapMismatch if
-    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 on a
-    row. Since ||z_s||_F <= sqrt(min(d, r)) ||z_s||_2 for a d x r block,
-    that ratio is never below the spectral
-    ||dev||_2 / max(1, ||z_s||_2), so the reported overlap_max_dev is an
-    upper bound on the spectral one.
+    the same shape. Below n = 2 m0 + 1 the two regional corrections do
+    not cover every index, and solve returns dense_solve's report
+    (method "dense"). Whole chunks of overlap rows, drawn from
+    default_rng(seed) until they hold at least 5% of those rows (at
+    least 8; see _overlap_sample), take both regional corrections (where
+    the anchors are all zero both are zero and are not formed):
+    OverlapMismatch if ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r)))
+    exceeds 1e-9 on a row, a ratio never below the spectral
+    ||dev||_2 / max(1, ||z_s||_2), so overlap_max_dev bounds that one.
     """
     t0 = time.perf_counter()
     y = as_block_vector(y, spec.d)
@@ -851,100 +862,92 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
-    # tilde rows cover s <= n - m0, plain rows s >= m0 + 1; of the plain
-    # rows only the last m0 and the sampled overlap rows are computed
-    span, T = n - m0, _chunk_blocks(m0)
+    if spec.K:
+        kit = ClosedFormKit(spec) if kit is None else kit
+        blocks, plan = kit.inverse_blocks, kit.plan(n)
+    else:
+        blocks, plan = ar_plan(spec)
+    # T_n(w^{-1}) is inv + inv* - diag; inv has the plain factor's poles
+    inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
+    S, m0, T, nc = _sizes(inv, n)
+    R, span = 2 * S, n - m0      # sequence rows; tilde rows s <= span
     sample = (_overlap_sample(n, m0, T, seed) if check_overlap
               else np.arange(0))
-    chunks = np.unique(np.r_[span:n, sample] // T)
+    # the sampled rows whose corrections are computed: on a chunk whose
+    # anchors are all zero on both grids both corrections are zero
+    checked = sample[:0]
+    if R:
+        table, live, anchors = _sequences(spec.poles, spec.mults, n, T)
+        checked = sample[(sample // T < live) | (sample // T >= nc - live)]
+    lap("plan")
+
     yt = _to_time_last(y)
-    plain, tilde = _factor(spec, "plain"), _factor(spec, "tilde")
     lanes = 2 if _two_lanes(n * d * r) else 1
     with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-
-        def plain_side():
-            """From one pass of the plain states: with K >= 1 their sums
-            on the v basis, and the plain Gram rows on chunks."""
-            applies = _states(plain, yt, len(chunks) > 0)
-            return ((_edge_sums(plain, applies[0][1], yt) if spec.K
-                     else None),
-                    _gram_rows(plain, yt, chunks, applies) if len(chunks)
-                    else None)
-
-        plain_done = _beside(pool, plain_side)
-        # the tilde Gram, which becomes Z once corrected
+        # inv's slot states at each chunk's entry, which are the plain
+        # factor's, and inv*'s at its exit, the tilde factor's: one lane
+        # each, into one array, and the v-basis sums read from them
+        states = np.empty((R, d, r, nc), dtype=np.complex128)
+        sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
+        if S:
+            forward = _beside(pool, _states, inv, yt, False, None, states[:S])
+            _states(sides[1][0], yt, False, None, states[S:])
+            forward = forward()     # its result holds a view of states
+        sums = [_edge_sums(op, st, yt) if S else st[..., 0]
+                for op, st in sides]
         z = np.empty_like(yt)
-        applies = _states(tilde, yt, True, z.reshape(-1))
-        tilde_sums = (_edge_sums(tilde, applies[0][1], yt) if spec.K
-                      else None)
-        _sweep(tilde, yt, applies, z, pool)
-        applies = None
-        plain_sums, z_p = plain_done()
+        _sweep(inv, yt, [(_hermitian_operator(inv, T), states)], z, pool)
+        states = sides = forward = None
         lap("gram")
 
-        plan = None
-        if spec.K:
-            if kit is None:
-                kit = ClosedFormKit(spec)
-            plan = kit.plan(n)
-            table, live, anchors = _sequences(spec.poles, spec.mults, n, T)
-        lap("plan")
-
-        if plan is not None:
-            c_plain, c_tilde = _coefficients(plan, plain_sums, tilde_sums,
-                                             yt, m0)
-            R, nc, zf = len(table), -(-n // T), z.reshape(d * r, n)
-            # tilde row s takes the rows at m = s, on the live chunks at
-            # each end, in batches of bounded size
+        c_plain, c_tilde = _coefficients(plan, *sums, yt, m0)
+        zf = z.reshape(d * r, n)
+        if R:
+            # the plain rows take theirs on the last m0 rows and the
+            # checked ones
+            plain_done = _beside(pool, _plain_corrections,
+                                 c_plain[:, :R].reshape(d, r, R), table,
+                                 anchors, np.r_[span:n, checked])
+            # tilde row s <= span takes the rows at m = s, on the live
+            # chunks at each end, in batches of bounded size
             w = np.tensordot(c_tilde[:, :R], table, 1)
             width = max(1, _RANGE_BYTES // (16 * T * d * r))
             for c0, c1 in ((0, live), (max(live, nc - live), nc)):
                 for a in range(c0, c1, width):
                     b = min(a + width, c1)
-                    zf[:, a * T:b * T] += np.matmul(
-                        anchors(np.arange(a, b), False).T, w).reshape(
-                            d * r, -1)[:, :n - a * T]
-            if len(chunks):
-                # plain row s = c T + u + 1 takes the conjugate rows at
-                # m = n + 1 - s, table column T - 1 - u on the plain grid
-                w = np.einsum("iq,qkt->tik", c_plain[:, :R],
-                              np.conj(table[..., ::-1]))
-                z_p += (w.reshape(-1, R) @ np.conj(anchors(chunks, True))
-                        ).reshape(T, d, r, -1)
-
-        def plain_rows(idx):
-            """The corrected plain-row blocks at 0-based indices idx >= m0,
-            time-last as (d, r, len(idx))."""
-            return np.moveaxis(
-                z_p[idx % T, ..., np.searchsorted(chunks, idx // T)], 0, -1)
-
+                    hi = min(b * T, span)
+                    if hi > a * T:
+                        zf[:, a * T:hi] += np.matmul(
+                            anchors(np.arange(a, b), False).T, w).reshape(
+                                d * r, -1)[:, :hi - a * T]
+            c_p = plain_done()
+            z[..., span:] += c_p[..., :m0]
         if m0:
-            z[..., span:] = plain_rows(np.arange(span, n))
-            if plan is not None:
-                # the unit rows [m == j]: tilde row j, plain row n + 1 - j
-                zf[:, :m0] += c_tilde[:, R:]
-                zf[:, span:] += c_plain[:, R:][:, ::-1]
+            # the unit rows [m == j]: tilde row j, plain row n + 1 - j
+            zf[:, :m0] += c_tilde[:, R:]
+            zf[:, span:] += c_plain[:, R:][:, ::-1]
         lap("assembly")
 
         overlap_max_dev = 0.0
-        if check_overlap:
-            z_s = z[..., sample]
-            dev = np.linalg.norm(z_s - plain_rows(sample), axis=(0, 1))
-            scale = np.linalg.norm(z_s, axis=(0, 1)) / np.sqrt(min(d, r))
+        if len(checked):
+            # both regional formulas share T_n(w^{-1}) Y on the sampled
+            # rows, so they deviate by their corrections' difference
+            cs, at = np.unique(checked // T, return_inverse=True)
+            c_t = np.matmul(anchors(cs, False).T, w).reshape(d, r, -1)[
+                ..., at * T + checked % T]
+            dev = np.linalg.norm(c_t - c_p[..., m0:], axis=(0, 1))
+            scale = (np.linalg.norm(z[..., checked], axis=(0, 1))
+                     / np.sqrt(min(d, r)))
             overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
             if overlap_max_dev > _OVERLAP_TOL:
                 raise errors.OverlapMismatch(
                     f"regional assemblies deviate by {overlap_max_dev:.3e} "
                     f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-        z_p = plain_sums = tilde_sums = None    # not needed below
         lap("overlap")
 
-        counters = {"overlap_rows": len(sample), "plan_bytes": 0,
-                    "gram_chunk": T, "plain_chunks": len(chunks),
+        counters = {"overlap_rows": len(sample), "gram_chunk": T,
+                    "plan_bytes": sum(a.nbytes for a in plan[2:]),
                     "lanes": lanes}
-        if plan is not None:
-            counters["plan_bytes"] = sum(a.nbytes for a in plan
-                                         if isinstance(a, np.ndarray))
         residual = tail = None
         if compute_residual:
             residual, tail, more = _residual_banded(tables, z, yt, pool)
@@ -952,13 +955,8 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         lap("residual")
     return SolveReport(
         z=_from_time_last(z), method="fast", n=n, d=d,
-        seconds=time.perf_counter() - t0,
-        residual=residual, residual_tail_bound=tail,
-        residual_is_approximate=True,
-        spectral_radius=None if plan is None else plan.spectral_radius,
-        resolvent_cond=None if plan is None else plan.resolvent_cond,
-        overlap_checked=len(sample),
-        overlap_max_dev=overlap_max_dev,
-        timings=timings,
-        counters=counters,
-    )
+        seconds=time.perf_counter() - t0, residual=residual,
+        residual_tail_bound=tail, residual_is_approximate=True,
+        spectral_radius=plan.spectral_radius,
+        resolvent_cond=plan.resolvent_cond, overlap_checked=len(sample),
+        overlap_max_dev=overlap_max_dev, timings=timings, counters=counters)

@@ -15,12 +15,14 @@ from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_Q_adjoint, solve)
 from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
                                       upper_block_toeplitz)
+from blocktoeplitz.closed_form import inverse_symbol
 from blocktoeplitz.oracle import dense_solve
+from blocktoeplitz.symbol import w_on_circle
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
-from blocktoeplitz.util import binom
+from blocktoeplitz.util import binom, binom_vec
 
-from helpers import (dense_toeplitz_matrix, mult3_spec, random_rhs,
-                     warm_d3_spec)
+from helpers import (SWEEP_CONFIGS, dense_toeplitz_matrix, make_sweep_spec,
+                     mult3_spec, random_rhs, warm_d3_spec)
 
 
 def dense_q(spec, mu, j, n):
@@ -223,6 +225,103 @@ def test_gram_memory_bound(variant):
         assert peak <= 2 * y.nbytes + fast_solver._RANGE_BYTES, n
 
 
+def quadrature_inverse_symbol(spec, n):
+    """T_n(w^{-1}) as a dense (n d, n d) matrix, block (s, t) the Fourier
+    coefficient s - t of inv(w) by a 2^14-point trapezoid rule."""
+    coef = np.fft.fft(np.linalg.inv(w_on_circle(spec, 1 << 14)), axis=0)
+    idx = (np.arange(n)[:, None] - np.arange(n)) % (1 << 14)
+    return (coef[idx] / (1 << 14)).transpose(0, 2, 1, 3).reshape(
+        n * spec.d, n * spec.d)
+
+
+def two_sided_apply(spec, y):
+    """T_n(w^{-1}) Y for a public (n, d, r) Y as solve computes it: the
+    slot states of the inverse symbol's lower triangle and of its
+    adjoint, then the two-sided chunk sweep."""
+    lam = None
+    if spec.K:
+        lam = ClosedFormKit(spec).lambda_mat[::spec.d, ::spec.d]
+    inv = fast_solver._Triangular(inverse_symbol(spec, lam)[0],
+                                  np.conj(spec.poles), spec.mults, False)
+    yt = fast_solver._to_time_last(y)
+    S, _, _, nc = fast_solver._sizes(inv, len(y))
+    states = np.empty((2 * S, *yt.shape[:2], nc), dtype=complex)
+    fast_solver._states(inv, yt, False, None, states[:S])
+    fast_solver._states(fast_solver._adjoint(inv), yt, False, None,
+                        states[S:])
+    z = np.empty_like(yt)
+    fast_solver._sweep(inv, yt, [(fast_solver._hermitian_operator(
+        inv, fast_solver._sizes(inv, len(y))[2]), states)], z)
+    return fast_solver._from_time_last(z)
+
+
+def corner_apply(spec, e, y, plain):
+    """E~ Y, or E Y if plain, from the n-free corner e of inverse_symbol:
+    the rows C(m, a) conj(p)^m per slot (their conjugates if plain) and
+    [m == l], l = 1..m0, at m = s (m = n + 1 - s if plain), times e on
+    the moments of Y, which weigh y_t with the conjugate rows at t."""
+    n, d, r = y.shape
+    ms = np.arange(n, 0, -1) if plain else np.arange(1, n + 1)
+    seq = np.array([binom_vec(ms, a) * np.conj(p) ** ms
+                    for p, m in zip(spec.poles, spec.mults)
+                    for a in range(m)]
+                   + [ms == l for l in range(1, spec.m0 + 1)]).reshape(
+                       -1, n)
+    rows = np.conj(seq) if plain else seq
+    moments = np.einsum("qt,tab->qab", np.conj(rows), y)
+    coef = (e @ moments.reshape(-1, r)).reshape(-1, d, r)
+    return np.einsum("qs,qab->sab", rows, coef)
+
+
+INVERSE_SPECS = {
+    **{name: (lambda name=name: make_sweep_spec(name))
+       for name, *_ in SWEEP_CONFIGS},
+    "mult3": mult3_spec, "m0_3": APPLY_SPECS["m0_3"],
+    "pole099": APPLY_SPECS["pole099"],
+}
+
+
+@pytest.mark.parametrize("name", list(INVERSE_SPECS))
+def test_two_sided_apply_vs_quadrature(name):
+    # T_n(w^{-1}) Y from the inverse symbol's blocks and the two-sided
+    # sweep against the quadrature Toeplitz matrix: a ragged n < 2T and
+    # n = 4T + 3 (every halo, carried state and the ragged last chunk),
+    # r = d and r = 1
+    spec = INVERSE_SPECS[name]()
+    d = spec.d
+    for n in (T + 5, 4 * T + 3):
+        want_mat = quadrature_inverse_symbol(spec, n)
+        for r in (d, 1):
+            y = random_rhs(n, d, seed=60 + n)[:, :, :r]
+            want = (want_mat @ y.reshape(n * d, r)).reshape(n, d, r)
+            got = two_sided_apply(spec, y)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want)), (n, r)
+
+
+@pytest.mark.parametrize("name", list(INVERSE_SPECS))
+def test_grams_are_the_inverse_symbol_minus_a_corner(name):
+    # A~*A~ = T_n(w^{-1}) - E~ and A*A = T_n(w^{-1}) - E: each Gram
+    # against the two-sided apply minus its corner, whose rank is at most
+    # (M + m0) d, from the n-free maps of inverse_symbol
+    spec = INVERSE_SPECS[name]()
+    d = spec.d
+    lam = None
+    if spec.K:
+        lam = ClosedFormKit(spec).lambda_mat[::d, ::d]
+    _, e_plain, e_tilde = inverse_symbol(spec, lam)
+    size = (sum(spec.mults) + spec.m0) * d
+    assert e_plain.shape == e_tilde.shape == (size, size)
+    for n in (T + 5, 4 * T + 3):
+        y = random_rhs(n, d, seed=70 + n)
+        full = two_sided_apply(spec, y)
+        for variant, e in (("tilde", e_tilde), ("plain", e_plain)):
+            want = full - corner_apply(spec, e, y, variant == "plain")
+            got = apply_A_gram(spec, n, y, variant)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-12 * np.linalg.norm(want)), (n, variant)
+
+
 @pytest.mark.parametrize("backwards", [False, True])
 def test_carry_states_vs_recurrence(backwards):
     # mults (3, 1): a pole of multiplicity 3, whose slot i takes the
@@ -257,69 +356,6 @@ def test_apply_short_y_raises(ex52, fn):
     # fewer than n blocks is an error, as in solve, not a shorter result
     with pytest.raises(ValueError, match="Y has 50 blocks, need 100"):
         fn(ex52, 100, np.ones((50, 1, 1)))
-
-
-def _solve_chunks(n, m0, seed=0):
-    """The chunks whose plain rows solve computes: those of the last m0
-    rows and the sampled overlap chunks."""
-    T = fast_solver._chunk_blocks(m0)
-    sample = fast_solver._overlap_sample(n, m0, T, seed)
-    return np.unique(np.r_[n - m0:n, sample] // T)
-
-
-@pytest.mark.parametrize("name, n, width", [
-    # m0 = 3 with n % T in {1, 2}: the last m0 rows span two chunks
-    *(pytest.param("m0_3", 4 * T + k, w, id=f"m0_3_n{4 * T + k}_r{w}")
-      for k in (1, 2) for w in (1, 2)),
-    # n = 2 m0 + 1, and n < 2 T with a ragged second chunk
-    pytest.param("m0_3", 7, None, id="m0_3_n7"),
-    pytest.param("warm_d3", 5, None, id="warm_d3_n5"),
-    pytest.param("warm_d3", T + 5, 1, id="warm_d3_n21_r1"),
-    pytest.param("warm_d3", 6 * T, None, id="warm_d3_n96"),
-    pytest.param("mult3", 5 * T + 3, None, id="mult3"),
-    pytest.param("pole099", 5 * T + 3, None, id="pole099"),
-    pytest.param("ar2", 3 * T + 1, None, id="ar2"),
-])
-def test_gram_rows_vs_gram(name, n, width):
-    # the plain rows on chunk 0, a middle chunk, the last chunk and those
-    # of the last m0 rows against the full plain Gram; zero past n
-    spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
-            random_spec(d=2, K=0, mults=(), m0=2,
-                        rng=np.random.default_rng(33)))
-    d, m0 = spec.d, spec.m0
-    y = fast_solver._to_time_last(
-        random_rhs(n, d, seed=34)[:, :, :width or d])
-    op = fast_solver._factor(spec, "plain")
-    nc = -(-n // T)
-    chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
-    want = np.zeros((d, y.shape[1], nc * T), dtype=complex)
-    want[..., :n] = fast_solver._apply(op, y, True)
-    got = fast_solver._gram_rows(op, y, chunks,
-                                 fast_solver._states(op, y, True))
-    assert got.shape == (T, d, y.shape[1], len(chunks))
-    rows = chunks * T + np.arange(T)[:, None]       # (T, len(chunks))
-    got = got.transpose(1, 2, 0, 3)                  # (d, r, T, chunks)
-    assert np.abs(got - want[..., rows]).max() <= 1e-14 * np.abs(want).max()
-    assert np.all(got[..., rows >= n] == 0)
-
-
-def test_gram_rows_memory_bound():
-    # the plain rows solve reads, on warm_d3 at n = 4096: the end sums
-    # and states are S / T of Y each, the chunk stacks a few chunks
-    spec = warm_d3_spec()
-    n = 4096
-    y = fast_solver._to_time_last(random_rhs(n, spec.d, seed=30))
-    op = fast_solver._factor(spec, "plain")
-    chunks = _solve_chunks(n, spec.m0)
-    fast_solver._gram_rows(op, y, chunks, fast_solver._states(op, y, True))
-    tracemalloc.start()
-    try:
-        fast_solver._gram_rows(op, y, chunks,
-                               fast_solver._states(op, y, True))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * y.nbytes
 
 
 @pytest.mark.parametrize("n, m0", [(4096, 2), (48, 1), (7, 3), (300, 0)])
@@ -588,7 +624,7 @@ def test_report_fields(ex52):
     plan = rep.counters.pop("plan_bytes")
     assert plan > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
-        "plain_chunks": 1, "lanes": 1, "residual_band": 7,
+        "lanes": 1, "residual_band": 7,
         "residual_nfft": 22, "residual_segments": 1}
 
 
@@ -723,8 +759,8 @@ def test_correction_sums_from_states(mults, m0, radius, n):
         op = fast_solver._factor(spec, variant)
         st = fast_solver._states(op, yt, True)[0][1]
         sums.append(fast_solver._edge_sums(op, st, yt))
-    c_plain, c_tilde = fast_solver._coefficients(kit.plan(n), *sums, yt,
-                                                    m0)
+    c_plain, c_tilde = fast_solver._coefficients(kit._correction_maps(n),
+                                                    *sums, yt, m0)
     table, _, anchors = fast_solver._sequences(
         spec.poles, spec.mults, n, fast_solver._chunk_blocks(m0))
     R = len(table)
@@ -801,13 +837,13 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
     delta = 0.0
     if fails:
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
-    rows = fast_solver._gram_rows
+    rows = fast_solver._plain_corrections
 
     def perturbed(*args):
-        # every plain row it returns, in chunk form (T, d, r, chunks)
+        # every plain row it returns, time-last (d, r, rows)
         return rows(*args) + delta * np.eye(spec.d)[..., None]
 
-    monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
+    monkeypatch.setattr(fast_solver, "_plain_corrections", perturbed)
     for count in (1, 2):
         lanes(monkeypatch, count)
         if fails:
@@ -830,15 +866,15 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     y = 100 * random_rhs(n, spec.d, seed=23)[:, :, :1]
     norms = np.linalg.norm(solve(spec, n, y, tables=tab).z[:, :, 0], axis=1)
     assert norms[spec.m0:n - spec.m0].min() > 2
-    rows = fast_solver._gram_rows
+    rows = fast_solver._plain_corrections
 
-    def perturbed(op, y, chunks, applies):
-        # the plain rows of the chunks, in chunk form (T, d, r, chunks)
-        out = rows(op, y, chunks, applies)
-        out[:, 0, 0] += frac * 1e-9 * norms[chunks * T + np.arange(T)[:, None]]
+    def perturbed(coef, table, anchors, at):
+        # the plain rows at the 0-based indices at, time-last (d, r, rows)
+        out = rows(coef, table, anchors, at)
+        out[0, 0] += frac * 1e-9 * norms[at]
         return out
 
-    monkeypatch.setattr(fast_solver, "_gram_rows", perturbed)
+    monkeypatch.setattr(fast_solver, "_plain_corrections", perturbed)
     if frac > 1:
         with pytest.raises(errors.OverlapMismatch):
             solve(spec, n, y, tables=tab)
@@ -866,13 +902,13 @@ def test_two_lanes_bit_identical(monkeypatch, name, n, width):
     tab = CoefficientTables(spec)
     y = random_rhs(n, spec.d, seed=36)[:, :, :width or spec.d]
     where = []
-    rows = fast_solver._gram_rows
+    rows = fast_solver._plain_corrections
 
     def traced(*args):
         where.append(threading.current_thread() is threading.main_thread())
         return rows(*args)
 
-    monkeypatch.setattr(fast_solver, "_gram_rows", traced)
+    monkeypatch.setattr(fast_solver, "_plain_corrections", traced)
     reps = {}
     for count in (1, 2):
         lanes(monkeypatch, count)
@@ -898,7 +934,7 @@ def test_two_lanes_leave_no_thread(monkeypatch):
     def broken(*args):
         raise errors.DomainViolation("in the second lane")
 
-    monkeypatch.setattr(fast_solver, "_gram_rows", broken)
+    monkeypatch.setattr(fast_solver, "_plain_corrections", broken)
     with pytest.raises(errors.DomainViolation, match="second lane"):
         solve(spec, 200, y)
     assert threading.active_count() == before
