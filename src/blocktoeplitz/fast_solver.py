@@ -725,13 +725,12 @@ def _residual_banded(tables, z, y, pool=None):
     starts = itertools.count()              # the batches not yet taken
 
     m = min(batch, segments)
-    size = 3 * d * r * m * nfft      # the transform, product and deviation
 
-    def squares(space):
+    def squares(space, pad):
         """Sum the squares of the batches no lane has taken yet, in this
-        lane's space."""
-        zf, prod, part = space[:size].reshape(3, d, r, m, nfft)
-        pad = space[size:].reshape(d, r, -1)
+        lane's space for the transform, product and deviation and its pad
+        for the padded points."""
+        zf, prod, part = space
         while (k := next(starts)) < len(sq):
             i, j = k * batch, min(k * batch + batch, segments)
             lo, hi = i * step, min(j * step, n)
@@ -763,10 +762,11 @@ def _residual_banded(tables, z, y, pool=None):
                 total += _sum_squares(dev[..., whole, :rest])
             sq[k] = total
 
-    spaces = np.empty((1 if pool is None else 2,
-                       size + d * r * (m * step + 2 * L)), dtype=np.complex128)
-    helper = None if pool is None else pool.submit(squares, spaces[1])
-    squares(spaces[0])
+    lanes = [(np.empty((3, d, r, m, nfft), dtype=np.complex128),
+              np.empty((d, r, m * step + 2 * L), dtype=np.complex128))
+             for _ in range(1 if pool is None else 2)]
+    helper = None if pool is None else pool.submit(squares, *lanes[-1])
+    squares(*lanes[0])
     if helper is not None:
         helper.result()
     # at L = n - 1 the band holds every block of T_n

@@ -402,10 +402,17 @@ def test_solve_golden_column(ex52, ex52_tables):
     # the chunks that take tilde corrections form two runs, one at each
     # end (20 of 25 chunks)
     pytest.param("pole01", 400, id="pole01_n400"),
+    # m0 = 3 with n % T in {1, 2}: the last m0 rows, which take the plain
+    # corrections, span two chunks
+    *(pytest.param("m0_3", 4 * T + k, id=f"m0_3_n{4 * T + k}")
+      for k in (1, 2)),
 ])
 def test_solve_dense_oracle(sweep_specs, sweep_tables, name, n):
     if name.startswith("pole"):
         spec = scalar_single_pole({"pole095": 0.95, "pole01": 0.1}[name])
+        tab = CoefficientTables(spec)
+    elif name in APPLY_SPECS:
+        spec = APPLY_SPECS[name]()
         tab = CoefficientTables(spec)
     else:
         spec, tab = sweep_specs[name], sweep_tables[name]
