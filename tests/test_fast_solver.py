@@ -322,6 +322,49 @@ def test_grams_are_the_inverse_symbol_minus_a_corner(name):
                     <= 1e-12 * np.linalg.norm(want)), (n, variant)
 
 
+@pytest.mark.parametrize("name, n, width", [
+    # m0 = 3 with n % T in {1, 2}: the last m0 rows span two chunks
+    *(pytest.param("m0_3", 4 * T + k, w, id=f"m0_3_n{4 * T + k}_r{w}")
+      for k in (1, 2) for w in (1, 2)),
+    # n = 2 m0 + 1, and n < 2 T with a ragged second chunk
+    pytest.param("m0_3", 7, None, id="m0_3_n7"),
+    pytest.param("warm_d3", 5, None, id="warm_d3_n5"),
+    pytest.param("warm_d3", T + 5, 1, id="warm_d3_n21_r1"),
+    pytest.param("warm_d3", 6 * T, None, id="warm_d3_n96"),
+    pytest.param("mult3", 5 * T + 3, None, id="mult3"),
+    pytest.param("pole099", 5 * T + 3, None, id="pole099"),
+    pytest.param("ar2", 3 * T + 1, None, id="ar2"),
+])
+def test_gram_rows_vs_gram(name, n, width):
+    # the plain Gram rows solve's plain side stands for, on chunk 0, a
+    # middle chunk, the last chunk and the last m0 rows: T_n(w^{-1}) Y
+    # from the two-sided sweep minus E Y, against the full chunked plain
+    # Gram; Y zero-padded past n leaves the sweep's first n rows as they
+    # are, so the ragged last chunk reads nothing past n
+    spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
+            random_spec(d=2, K=0, mults=(), m0=2,
+                        rng=np.random.default_rng(33)))
+    d, m0 = spec.d, spec.m0
+    y = random_rhs(n, d, seed=34)[:, :, :width or d]
+    lam = None
+    if spec.K:
+        lam = ClosedFormKit(spec).lambda_mat[::d, ::d]
+    e_plain = inverse_symbol(spec, lam)[1]
+    full = two_sided_apply(spec, y)
+    nc = -(-n // T)
+    chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
+    rows = (chunks * T + np.arange(T)[:, None]).ravel()
+    rows = rows[rows < n]
+    assert np.all(np.isin(np.arange(n - m0, n), rows))
+    got = (full - corner_apply(spec, e_plain, y, True))[rows]
+    want = apply_A_gram(spec, n, y, "plain")
+    assert np.abs(got - want[rows]).max() <= 1e-14 * np.abs(want).max()
+    padded = np.zeros((nc * T, *y.shape[1:]), dtype=complex)
+    padded[:n] = y
+    assert (np.abs(two_sided_apply(spec, padded)[:n] - full).max()
+            <= 1e-14 * np.abs(full).max())
+
+
 @pytest.mark.parametrize("backwards", [False, True])
 def test_carry_states_vs_recurrence(backwards):
     # mults (3, 1): a pole of multiplicity 3, whose slot i takes the
