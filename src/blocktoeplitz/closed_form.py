@@ -42,7 +42,7 @@ _ARMA_OVERLAP_TOL = 1e-11
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
     the right-hand side Y, built afresh by ClosedFormKit.plan(n) (by
-    ar_plan when K = 0). The solver computes Z = T_n(w^{-1}) Y plus one
+    corner_plan when K = 0). The solver computes Z = T_n(w^{-1}) Y plus one
     correction per region: on the tilde rows s <= n - m0 the tilde rank
     correction minus E~ Y, on the plain rows s >= m0 + 1 the plain one
     minus E Y, where E~ and E are the corners by which A~*A~ and A*A
@@ -226,14 +226,22 @@ def _minus_corners(plain, tilde, e_plain, e_tilde):
     tilde[len(tilde) - k:, k:] -= e_tilde
 
 
-def ar_plan(spec):
-    """(blocks, SolvePlan) of a symbol with K = 0 (see inverse_symbol):
-    without poles the rank correction is zero and each map holds only its
-    corner, on the m0 unit rows; spectral_radius and resolvent_cond are
-    None."""
-    blocks, e_plain, e_tilde = inverse_symbol(spec)
+def corner_plan(spec):
+    """(blocks, SolvePlan) of the corners alone (see inverse_symbol): the
+    lower triangle of T_n(w^{-1}), and maps that hold only E and E~ and
+    so take T_n(w^{-1}) to the triangular Grams; spectral_radius and
+    resolvent_cond are None. For K = 0, where the rank correction is
+    zero, this is the whole plan of a solve; for K >= 1 the blocks and
+    corners are those of ClosedFormKit(spec), whose Stein check runs."""
+    if spec.K:
+        kit = ClosedFormKit(spec)
+        blocks, e_plain, e_tilde = (kit.inverse_blocks, kit.e_plain,
+                                    kit.e_tilde)
+    else:
+        blocks, e_plain, e_tilde = inverse_symbol(spec)
     k = len(e_plain)
-    maps = np.zeros((2, k, 2 * k), dtype=np.complex128)
+    maps = np.zeros((2, k + spec.total_multiplicity * spec.d, 2 * k),
+                    dtype=np.complex128)
     _minus_corners(*maps, e_plain, e_tilde)
     return blocks, SolvePlan(None, None, *maps)
 

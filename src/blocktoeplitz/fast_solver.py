@@ -19,27 +19,25 @@ by scans with p^T over the n / T chunk values (see _carry_states). So
 one apply is one gemm of the Y-independent chunk operator with the stack
 [previous m0 blocks; the chunk; its entry states] of every chunk. An
 upper triangle is R L R with R the reversal over the chunk grid (see
-_operator); an adjoint conjugate-transposes band and residues,
+_states); an adjoint conjugate-transposes band and residues,
 conjugates the poles and flips the triangle. A_n is the lower triangle
 of the a_k, A~_n the adjoint of the one built from the h_sharp
 coefficients, and Q_{mu,i} the upper triangle with a zero band, the pole
-p_mu and the identity residue in slot i. A Gram op* op Y (apply_A_gram)
-takes the states of both applies from one pass over Y, op*'s through an
-n-free map (see _states), then runs both gemms over ranges of chunks
-sized to a core's L2, op's output straight into op*'s stacks (see
-_sweep).
+p_mu and the identity residue in slot i. The gemms run over ranges of
+chunks sized to a core's L2 (see _sweep).
 
-solve makes no Gram: A~*A~ = T_n(w^{-1}) - E~ and A*A = T_n(w^{-1}) - E,
-with corners of rank at most (M + m0) d at the start and at the end
-(see closed_form.inverse_symbol). T_n(w^{-1}) is inv + inv* - diag(c_0)
-for one lower triangle inv with the plain factor's poles, so solve
+A~*A~ = T_n(w^{-1}) - E~ and A*A = T_n(w^{-1}) - E, with corners of
+rank at most (M + m0) d at the start and at the end (see
+closed_form.inverse_symbol). T_n(w^{-1}) is inv + inv* - diag(c_0) for
+one lower triangle inv with the plain factor's poles, so its apply
 takes the slot states of inv at each chunk's entry (the plain factor's)
 and of inv* at each chunk's exit (the tilde factor's), one pass over Y
 each, then one gemm per range of chunks of the (T d) x ((2 m0 + T +
 2 S) d) operator on [previous m0 blocks; the chunk; next m0 blocks;
 entry states; exit states], whose chunk block is a full T x T block
-Toeplitz matrix (see _hermitian_operator). The corners join the rank
-corrections in the plan's maps. When n d r is at least _LANE_WORK (2^17,
+Toeplitz matrix (see _inverse_apply). solve makes no Gram: the corners
+join the rank corrections in the plan's maps, and apply_A_gram is
+T_n(w^{-1}) Y minus one corner. When n d r is at least _LANE_WORK (2^17,
 from a measured crossover) and the process may run on two CPUs, a
 second thread, which lives for one call, computes the entry states
 while the caller computes the exit states, then takes ranges of chunks,
@@ -60,12 +58,12 @@ the m0 blocks at its end of Y. The SolvePlan holds, per side, one fixed
 map from those moments to coefficients on the 2M sequence rows
 C(m, a) p^{n-m} and C(m, a) conj(p)^m and the m0 unit rows [m == j]
 (see _coefficients); for K = 0 only the corners remain, on the unit
-rows (closed_form.ar_plan). On a grid of chunks each sequence row is a
-fixed table times a few anchors of the chunk (see _sequences), so each
-side multiplies its coefficients into the table once and adds one
-product with the anchors per batch of chunks: the tilde rows s <= n - m0
-on the chunks at either end whose anchors are not all zero, the last m0
-plain rows on a grid that runs back from n. The overlap check compares
+rows (closed_form.corner_plan). On a grid of chunks each sequence row
+is a fixed table times a few anchors of the chunk (see _sequences), so
+each side multiplies its coefficients into the table once and adds one
+product with the anchors per batch of chunks whose anchors are not all
+zero (see _correct): solve's tilde rows s <= n - m0, its last m0 plain
+rows on a grid that runs back from n. The overlap check compares
 both sides' corrections on sampled rows, where both formulas hold and
 share T_n(w^{-1}) Y.
 
@@ -92,14 +90,14 @@ from scipy.signal import lfilter
 
 from . import errors
 from .blockarray import as_block_vector
-from .closed_form import ClosedFormKit, ar_plan
+from .closed_form import ClosedFormKit, corner_plan
 from .coefficients import CoefficientTables
 from .util import binom, binom_vec, herm
 
 _OVERLAP_TOL = 1e-9
 # blocks per chunk of a triangular apply (raised to the band length m0 + 1)
 _CHUNK = 16
-# bytes of the two chunk stacks of a range in a Gram or apply: well
+# bytes of the stack and the output of a range of chunks in an apply: well
 # inside the 2 MB L2 of a core
 _RANGE_BYTES = 1 << 20
 # pole powers of the correction anchors below this are flushed to zero:
@@ -228,23 +226,6 @@ def _chunk_operator(op, T):
             .reshape(T * d, -1), ends, carry)
 
 
-def _operator(op, T, rows_back):
-    """op's chunk apply, run over the chunks in forward order: (mat, ends,
-    carry) of _chunk_operator. For a lower op its stack is [last m0
-    blocks of the chunk before; the chunk; the states at its entry]. An
-    upper op is R L R, L the lower triangle of its coefficients and R
-    the reversal over the chunk grid, so its stack is [first m0 blocks
-    of the chunk after; the chunk; the states at its exit], each run of
-    blocks read backwards, and ends weighs the chunk into the states of
-    the chunk before. Either way mat's output blocks run backwards over
-    the chunk if rows_back and forwards otherwise. (Read in this order,
-    each output sums its terms from the farthest, smallest lag on.)"""
-    mat, ends, carry = _chunk_operator(op, T)
-    if op.upper != rows_back:
-        mat = mat.reshape(T, -1)[::-1].reshape(mat.shape)
-    return mat, ends, carry
-
-
 def _split(x, T):
     """(d, r, n) -> the (d, r, n // T, T) view of its whole chunks and
     the (d, r, n % T) view of the rest (splitting the last axis never
@@ -295,7 +276,7 @@ def _blocks_at(y, pos):
 
 
 def _fill(stack, y, a, upper, m0, T, both=False):
-    """Write [halo; chunk] of the stacks (see _operator) of the k chunks
+    """Write [halo; chunk] of the stacks (see _states) of the k chunks
     a .. a + k - 1 of a time-last (d, r, n) Y into stack, a (P, d, r, k)
     array, read backwards if upper and zero past n; with both, a lower
     op's [halo; chunk; first m0 blocks of the chunk after] (see
@@ -310,7 +291,13 @@ def _fill(stack, y, a, upper, m0, T, both=False):
         rows[m:, ..., w] = 0
     if not m0:
         return
-    _halo(stack, m0, T, upper)
+    # each halo within the range: read as the stack reads them, the last
+    # m0 chunk rows of the chunk before (lower) or of the chunk after
+    # (upper)
+    if upper:
+        stack[:m0, ..., :-1] = stack[T:T + m0, ..., 1:]
+    else:
+        stack[:m0, ..., 1:] = stack[T:T + m0, ..., :-1]
     # the one halo from outside the range
     stack[:m0, ..., -1 if upper else 0] = _blocks_at(y, a * T + (
         k * T + np.arange(m0)[::-1] if upper else np.arange(-m0, 0)))
@@ -320,99 +307,37 @@ def _fill(stack, y, a, upper, m0, T, both=False):
             y, (a + k) * T + np.arange(m0))
 
 
-def _halo(stack, m0, T, upper):
-    """Copy into the stacks (P, d, r, k) of k consecutive chunks each
-    halo that lies in the same array: read as the stack reads them, a
-    halo is the last m0 chunk rows of the chunk before (lower) or of the
-    chunk after (upper)."""
-    if upper:
-        stack[:m0, ..., :-1] = stack[T:T + m0, ..., 1:]
-    else:
-        stack[:m0, ..., 1:] = stack[T:T + m0, ..., :-1]
-
-
-def _zero_past(x, n, back):
-    """Zero the blocks past n in the last column, chunk nc - 1, of the
-    chunk-form x (T, d, r, k) whose blocks run backwards if back."""
-    T = len(x)
-    rest = n - (-(-n // T) - 1) * T
-    x[slice(0, T - rest) if back else slice(rest, T), ..., -1] = 0
-
-
-def _states(op, y, gram, spare=None, out=None):
-    """The slot states of op's stacks (see _operator) on every chunk of
-    a time-last (d, r, n) Y, and with gram those of op*'s stacks in
-    op* op Y: [(mat, states)] or [(mat, states), (mat*, states*)], each
-    states an (S, d, r, nc) array (op's in out, if given) and each mat's
-    output rows ordered as the next stack reads them (forward for the
-    last).
-
-    op*'s end sums are ends* X_c for X = op Y, and ends* X_c = red
-    stack_c(Y) with red = (ends* x I_d) mat, an n-free (S d, P d) map on
-    op's stack. So one pass over Y, two gemms per block column j, with
-    ends and with red's chunk columns of j, gives op's end sums and the
-    chunk part of op*'s without forming X, in one scratch array the size
-    of op*'s states (in spare, a flat complex array the pass may
-    overwrite, if it is large enough); red then takes the halo
-    blocks and, after op's scans, op's states, and op*'s scans follow.
-    X past n is zero: from the last whole chunk on, where the ragged
-    chunk enters, op*'s sums are taken from X itself."""
+def _states(op, y, out=None):
+    """op's chunk apply, run over the chunks in forward order, on a
+    time-last (d, r, n) Y: (mat, states), mat the chunk operator of
+    _chunk_operator and states the slot states of every chunk's stack,
+    an (S, d, r, nc) array (in out, if given). For a lower op the stack
+    is [last m0 blocks of the chunk before; the chunk; the states at its
+    entry]. An upper op is R L R, L the lower triangle of its
+    coefficients and R the reversal over the chunk grid, so its stack is
+    [first m0 blocks of the chunk after; the chunk; the states at its
+    exit], each run of blocks read backwards, its chunks are weighed
+    into the states of the chunk before, and mat's output blocks are
+    turned forwards. (Read in this order, each output sums its terms
+    from the farthest, smallest lag on.)"""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
-    P = m0 + T + S
-    adj = _adjoint(op)
-    mat, ends, carry = _operator(op, T, gram and adj.upper)
+    mat, ends, carry = _chunk_operator(op, T)
+    if op.upper:
+        mat = mat.reshape(T, -1)[::-1].reshape(mat.shape)
     # op's stack positions on forward blocks
     back = slice(None, None, -1) if op.upper else slice(None)
     st = np.empty((S, d, r, nc), dtype=np.complex128) if out is None else out
-    if gram:
-        mat_a, ends_a, carry_a = _operator(adj, T, False)
-        red = np.einsum("qt,tiaj->qiaj", ends_a,
-                        mat.reshape(T, d, P, d)).reshape(S * d, P, d)
-        chunk, halo = red[:, m0:m0 + T][:, back], red[:, :m0][:, back]
-        st_a = np.zeros((S * d, r, nc), dtype=np.complex128)
-        size = r * S * d * nc
-        part = (spare[:size] if spare is not None and spare.size >= size
-                else np.empty(size, np.complex128)).reshape(r, S * d, nc)
     whole, rest = _split(y, T)
     nw = whole.shape[-2]
     for j in range(d):
-        blocks = whole[j].swapaxes(-1, -2)              # (r, T, nw)
-        np.matmul(ends[:, back], blocks,
+        np.matmul(ends[:, back], whole[j].swapaxes(-1, -2),
                   out=st[:, j, :, :nw].transpose(1, 0, 2))
-        if gram:
-            np.matmul(chunk[..., j], blocks, out=part[..., :nw])
-            st_a[..., :nw] += part[..., :nw].transpose(1, 0, 2)
-            if m0 and nw > 1:
-                nb, cs = ((whole[j][:, 1:, :m0], slice(0, nw - 1))
-                          if op.upper else
-                          (whole[j][:, :-1, T - m0:], slice(1, nw)))
-                np.matmul(halo[..., j], nb.swapaxes(-1, -2),
-                          out=part[..., :nw - 1])
-                st_a[..., cs] += part[..., :nw - 1].transpose(1, 0, 2)
     if nw < nc:
         st[..., -1] = np.einsum("qt,drt->qdr",
                                 ends[:, back][:, :rest.shape[-1]], rest)
     _carry_states(st[..., ::-1] if op.upper else st, op.mults, carry)
-    if not gram:
-        return [(mat, st)]
-    part = part.reshape(S * d, r * nc)
-    np.matmul(red[:, m0 + T:].reshape(S * d, S * d),
-              st.reshape(S * d, r * nc), out=part)
-    st_a += part.reshape(S * d, r, nc)
-    del part
-    if nw < nc:
-        a = max(nw - 1, 0)
-        stack = np.empty((P, d, r, nc - a), dtype=np.complex128)
-        _fill(stack, y, a, op.upper, m0, T)
-        stack[m0 + T:] = st[..., a:]
-        x = (mat @ stack.reshape(P * d, -1)).reshape(T, d, r, -1)
-        _zero_past(x, n, adj.upper)
-        st_a[..., a:] = np.einsum("qt,tdrc->qdrc", ends_a, x).reshape(
-            S * d, r, nc - a)
-    st_a = st_a.reshape(S, d, r, nc)
-    _carry_states(st_a[..., ::-1] if adj.upper else st_a, op.mults, carry_a)
-    return [(mat, st), (mat_a, st_a)]
+    return mat, st
 
 
 def _write(out, x, c0):
@@ -426,68 +351,37 @@ def _write(out, x, c0):
         rest[...] = x[:m, ..., w].transpose(1, 2, 0)
 
 
-def _apply(op, y, gram=False, pool=None):
-    """op Y, or op* op Y if gram, for a time-last (d, r, n) Y, as a new
-    array laid out like Y: the states of _states, then _sweep. The
-    output is allocated before the states, which die first, and lent to
-    _states as its scratch."""
-    out = np.empty_like(y)
-    # out's memory, flat in memory order, is the states pass's scratch
-    applies = _states(op, y, gram, out.transpose(
-        np.argsort(out.strides)[::-1]).reshape(-1))
-    _sweep(op, y, applies, out, pool)
-    return out
-
-
-def _sweep(op, y, applies, out, pool=None):
-    """Write into out (d, r, n) op Y, or op* op Y, from Y and applies =
-    _states(op, y, gram); or (op + op* - diag(c_0)) Y for a lower op and
-    applies = [(_hermitian_operator(op, T), entry states of op over exit
-    states of op*)]. The gemms run over ranges of chunks in a workspace
-    of two stacks of about _RANGE_BYTES (or one two-sided stack and an
-    output): in a Gram op's gemm writes into the chunk rows of op*'s
-    stacks, whose halos are copied within the range, and op's range
-    reaches one chunk further on the side of op*'s halo, whose output is
-    dropped. With a pool, its lane takes ranges too, once it is free, in
-    a workspace allocated here; each range is computed the same way
-    whichever lane takes it."""
+def _sweep(op, y, mat, states, out, pool=None):
+    """Write into out (d, r, n) the chunk operator mat applied to Y:
+    op Y for mat and states (S, d, r, nc) of _states(op, y), or
+    (op + op* - diag(c_0)) Y for a lower op, the mat of
+    _hermitian_operator and the entry states of op over the exit states
+    of op* (2 S, d, r, nc). The gemms run over ranges of chunks, each in
+    a workspace of its stack and its output of about _RANGE_BYTES. With
+    a pool, its lane takes ranges too, once it is free, in a workspace
+    allocated here; each range is computed the same way whichever lane
+    takes it."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
-    gram = len(applies) == 2
-    first = applies[0][0].shape[1] // d       # rows of the first stack
+    rows = mat.shape[1] // d                # of a chunk's stack
     width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
     starts = itertools.count(0, width)      # the ranges not yet taken
 
     def sweep(space):
         """Run the ranges no lane has taken yet in this lane's space."""
         while (c0 := next(starts)) < nc:
-            c1 = min(c0 + width, nc)
-            a = max(c0 - 1, 0) if gram and op.upper else c0
-            b = min(c1 + 1, nc) if gram and not op.upper else c1
-            src, dst = (x.reshape(-1, d, r, b - a) for x in np.split(
-                space[:2 * P * d * r * (b - a)], [first * d * r * (b - a)]))
-            _fill(src, y, a, op.upper, m0, T, first > P)
-            for i, (mat, st) in enumerate(applies):
-                src[len(src) - len(st):] = st[..., a:b]
-                if i + 1 == len(applies):
-                    np.matmul(mat, src.reshape(mat.shape[1], -1),
-                              out=dst[:T].reshape(T * d, -1))
-                    break
-                x = dst[m0:m0 + T]
-                np.matmul(mat, src.reshape(P * d, -1),
-                          out=x.reshape(T * d, -1))
-                if b == nc:
-                    _zero_past(x, n, not op.upper)
-                _halo(dst, m0, T, not op.upper)
-                # the halo beyond the range: a dropped chunk's, or zero
-                # at chunk 0 or nc - 1
-                dst[:m0, ..., 0 if op.upper else -1] = 0
-                src, dst = dst, src
-            _write(out, dst[:T, ..., c0 - a:c1 - a], c0)
+            k = min(width, nc - c0)
+            stack, x = (a.reshape(-1, d, r, k) for a in np.split(
+                space[:(rows + T) * d * r * k], [rows * d * r * k]))
+            _fill(stack, y, c0, op.upper, m0, T, rows > P)
+            stack[rows - len(states):] = states[..., c0:c0 + k]
+            np.matmul(mat, stack.reshape(rows * d, -1),
+                      out=x.reshape(T * d, -1))
+            _write(out, x, c0)
 
     spaces = np.empty((1 if pool is None else 2,
-                       2 * P * d * r * min(width + gram, nc)),
+                       (rows + T) * d * r * min(width, nc)),
                       dtype=np.complex128)
     helper = None if pool is None else pool.submit(sweep, spaces[1])
     sweep(spaces[0])
@@ -495,23 +389,45 @@ def _sweep(op, y, applies, out, pool=None):
         helper.result()
 
 
-def _hermitian_operator(op, T):
+def _hermitian_operator(op, lo, up):
     """The (T d, (2 m0 + T + 2 S) d) chunk operator of op + op* - diag(c_0)
     for a lower op, on the stack [last m0 blocks of the chunk before; the
     chunk; first m0 blocks of the chunk after; op's slot states at the
-    chunk's entry; op*'s at its exit]: op's (see _chunk_operator) plus
-    op*'s (see _operator) turned forwards, without its diagonal. The
-    chunk block is a full T x T block Toeplitz matrix."""
+    chunk's entry; op*'s at its exit]: op's chunk operator lo plus op*'s
+    up, as _states returns them (see _states), op*'s turned forwards,
+    without its diagonal. The chunk block is a full T x T block Toeplitz
+    matrix."""
     S = sum(op.mults)
     m0, d = len(op.blocks) - S - 1, op.blocks.shape[-1]
-    lo, up = (mat.reshape(T, d, m0 + T + S, d) for mat in (
-        _chunk_operator(op, T)[0], _operator(_adjoint(op), T, False)[0]))
+    T = len(lo) // d
+    lo, up = (mat.reshape(T, d, m0 + T + S, d) for mat in (lo, up))
     upper = up[:, :, m0:m0 + T][:, :, ::-1].copy()
     upper[np.arange(T), :, np.arange(T)] = 0
     return np.concatenate([lo[:, :, :m0], lo[:, :, m0:m0 + T] + upper,
                            up[:, :, :m0][:, :, ::-1],
                            lo[:, :, m0 + T:], up[:, :, m0 + T:]],
                           axis=2).reshape(T * d, -1)
+
+
+def _inverse_apply(inv, y, pool=None):
+    """(T_n(w^{-1}) Y, sums) for the lower triangle inv of T_n(w^{-1})
+    (see closed_form.inverse_symbol) and a time-last (d, r, n) Y: the
+    slot states of inv at each chunk's entry, which are the plain
+    factor's, and of inv* at its exit, the tilde factor's, one pass over
+    Y each (with a pool, inv's on its lane), the two sides' sums on the
+    v basis read from them (see _edge_sums), then _sweep of
+    (inv + inv* - diag(c_0)) Y. The states die before it returns."""
+    d, r, n = y.shape
+    S, m0, T, nc = _sizes(inv, n)
+    states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
+    sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
+    forward = _beside(pool, _states, inv, y, states[:S])
+    mat_a = _states(sides[1][0], y, states[S:])[0]
+    mat = forward()[0]
+    sums = [_edge_sums(op, st, y) if S else st[..., 0] for op, st in sides]
+    z = np.empty_like(y)
+    _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states, z, pool)
+    return z, sums
 
 
 def _q_ops(spec, mu):
@@ -536,14 +452,22 @@ def apply_Q_adjoint(spec, mu, n, y):
     return [_applied(_adjoint(op), n, y, spec.d) for op in _q_ops(spec, mu)]
 
 
-def _applied(op, n, y, d, gram=False):
-    """op Y, or op* op Y if gram (see _apply), for a public (n, d, r) Y,
-    returned as (n, d, r): _apply reads the time-last view of Y and lays
-    its output out like it."""
+def _head(y, n, d):
+    """The first n blocks of a public (n', d, r) Y, n' >= n."""
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    return _from_time_last(_apply(op, y[:n].transpose(1, 2, 0), gram))
+    return y[:n]
+
+
+def _applied(op, n, y, d):
+    """op Y for a public (n, d, r) Y, returned as (n, d, r): the states of
+    _states, then _sweep, on the time-last view of Y into an output laid
+    out like it."""
+    y = _head(y, n, d).transpose(1, 2, 0)
+    out = np.empty_like(y)
+    _sweep(op, y, *_states(op, y), out)
+    return _from_time_last(out)
 
 
 def apply_A(spec, n, y, variant="tilde"):
@@ -557,10 +481,26 @@ def apply_A_adjoint(spec, n, x, variant="tilde"):
 
 
 def apply_A_gram(spec, n, y, variant="tilde"):
-    """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1)."""
+    """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1): T_n(w^{-1}) Y by solve's
+    apply (see _inverse_apply) on the time-last view of Y, on the lanes
+    solve would take and into an output laid out like Y, minus the
+    corner E~ Y or E Y (see closed_form.corner_plan) on every row it
+    reaches."""
+    plain = {"tilde": False, "plain": True}[variant]
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
-    return _applied(_factor(spec, variant), n, y, spec.d, gram=True)
+    y = _head(y, n, spec.d).transpose(1, 2, 0)
+    blocks, plan = corner_plan(spec)
+    inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
+    S, m0, T, nc = _sizes(inv, n)
+    with (ThreadPoolExecutor(1) if _two_lanes(y.size // spec.d)
+          else nullcontext()) as pool:
+        z, sums = _inverse_apply(inv, y, pool)
+    seq = _sequences(spec.poles, spec.mults, n, T) if S else None
+    c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
+    _correct(z, c_plain if plain else c_tilde, seq, m0, plain,
+             0 if plain else n, np.arange(0))
+    return _from_time_last(z)
 
 
 @dataclass
@@ -581,12 +521,12 @@ class SolveReport:
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
     # seconds per stage: plan (the kit, the SolvePlan, the sequence table,
-    # the overlap sample), gram (the time-last copy of Y, the slot states,
+    # the overlap sample), apply (the time-last copy of Y, the slot states,
     # the two-sided apply of T_n(w^{-1})), assembly (the maps on the
     # moments and both sides' corrections), overlap and residual
     timings: dict = field(default_factory=dict)
-    # overlap_rows, plan_bytes (of the plan's arrays), gram_chunk (blocks
-    # per chunk), lanes and, when the residual ran, residual_band (L, the
+    # overlap_rows, plan_bytes (of the plan's arrays), chunk (blocks per
+    # chunk), lanes and, when the residual ran, residual_band (L, the
     # least the certificate allows), residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
@@ -826,6 +766,59 @@ def _plain_corrections(coef, table, anchors, rows):
                                               rows % table.shape[-1]]
 
 
+def _correct(z, coef, seq, m0, plain, cut, check):
+    """Add one side's correction to the time-last (d, r, n) z, and return
+    its values on the 0-based rows check as (d, r, len(check)). coef (d r, R + m0) holds the side's coefficients on the
+    R sequence rows of seq = _sequences(...) (None when R = 0) and on the
+    m0 unit rows (see _coefficients). The tilde side adds its rows
+    s <= cut, at m = s, and the plain side its rows s > cut, at
+    m = n + 1 - s through _plain_corrections, each on the chunks at
+    either end of the grid whose anchors are not all zero, in batches of
+    at most _RANGE_BYTES of output; then the unit rows [m == j], tilde
+    row j and plain row n + 1 - j."""
+    d, r, n = z.shape
+    R = coef.shape[1] - m0
+    got = None
+    if R:
+        table, live, anchors = seq
+        T = table.shape[-1]
+        nc = -(-n // T)
+        width = max(1, _RANGE_BYTES // (16 * T * d * r))
+        ranges = ((0, live), (max(live, nc - live), nc))
+        if plain:
+            rows = np.concatenate([np.arange(max(a * T, cut), min(b * T, n))
+                                   for a, b in ranges])
+            rest = coef[:, :R].reshape(d, r, R)
+            for a in range(0, max(len(rows), 1), width * T):
+                part = rows[a:a + width * T]
+                # the first batch also gives the rows check
+                c = _plain_corrections(rest, table, anchors, part if a else
+                                       np.r_[part, check])
+                z[..., part] += c[..., :len(part)]
+                if not a:
+                    got = c[..., len(part):]
+        else:
+            w = np.tensordot(coef[:, :R], table, 1)
+            for c0, c1 in ranges:
+                for a in range(c0, c1, width):
+                    b = min(a + width, c1)
+                    hi = min(b * T, cut)
+                    if hi > a * T:
+                        z[..., a * T:hi] += np.matmul(
+                            anchors(np.arange(a, b), False).T, w).reshape(
+                                d, r, -1)[..., :hi - a * T]
+            if len(check):
+                cs, at = np.unique(check // T, return_inverse=True)
+                got = np.matmul(anchors(cs, False).T, w).reshape(d, r, -1)[
+                    ..., at * T + check % T]
+    units = coef[:, R:].reshape(d, r, m0)
+    if plain:
+        z[..., n - m0:] += units[..., ::-1]
+    else:
+        z[..., :m0] += units
+    return got
+
+
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
           seed=0, compute_residual=True):
     """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
@@ -842,10 +835,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     ||dev||_2 / max(1, ||z_s||_2), so overlap_max_dev bounds that one.
     """
     t0 = time.perf_counter()
-    y = as_block_vector(y, spec.d)
-    if len(y) < n:
-        raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    y = y[:n]
+    y = _head(y, n, spec.d)
     d, r, m0 = spec.d, y.shape[2], spec.m0
     if n < 2 * m0 + 1:
         from .oracle import dense_solve     # oracle imports this module
@@ -866,76 +856,42 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         kit = ClosedFormKit(spec) if kit is None else kit
         blocks, plan = kit.inverse_blocks, kit.plan(n)
     else:
-        blocks, plan = ar_plan(spec)
+        blocks, plan = corner_plan(spec)
     # T_n(w^{-1}) is inv + inv* - diag; inv has the plain factor's poles
     inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
     S, m0, T, nc = _sizes(inv, n)
-    R, span = 2 * S, n - m0      # sequence rows; tilde rows s <= span
+    span = n - m0               # tilde rows s <= span
     sample = (_overlap_sample(n, m0, T, seed) if check_overlap
               else np.arange(0))
     # the sampled rows whose corrections are computed: on a chunk whose
     # anchors are all zero on both grids both corrections are zero
-    checked = sample[:0]
-    if R:
-        table, live, anchors = _sequences(spec.poles, spec.mults, n, T)
+    checked, seq = sample[:0], None
+    if S:
+        seq = _sequences(spec.poles, spec.mults, n, T)
+        live = seq[1]
         checked = sample[(sample // T < live) | (sample // T >= nc - live)]
     lap("plan")
 
     yt = _to_time_last(y)
     lanes = 2 if _two_lanes(n * d * r) else 1
     with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-        # inv's slot states at each chunk's entry, which are the plain
-        # factor's, and inv*'s at its exit, the tilde factor's: one lane
-        # each, into one array, and the v-basis sums read from them
-        states = np.empty((R, d, r, nc), dtype=np.complex128)
-        sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
-        if S:
-            forward = _beside(pool, _states, inv, yt, False, None, states[:S])
-            _states(sides[1][0], yt, False, None, states[S:])
-            forward = forward()     # its result holds a view of states
-        sums = [_edge_sums(op, st, yt) if S else st[..., 0]
-                for op, st in sides]
-        z = np.empty_like(yt)
-        _sweep(inv, yt, [(_hermitian_operator(inv, T), states)], z, pool)
-        states = sides = forward = None
-        lap("gram")
+        z, sums = _inverse_apply(inv, yt, pool)
+        lap("apply")
 
         c_plain, c_tilde = _coefficients(plan, *sums, yt, m0)
-        zf = z.reshape(d * r, n)
-        if R:
-            # the plain rows take theirs on the last m0 rows and the
-            # checked ones
-            plain_done = _beside(pool, _plain_corrections,
-                                 c_plain[:, :R].reshape(d, r, R), table,
-                                 anchors, np.r_[span:n, checked])
-            # tilde row s <= span takes the rows at m = s, on the live
-            # chunks at each end, in batches of bounded size
-            w = np.tensordot(c_tilde[:, :R], table, 1)
-            width = max(1, _RANGE_BYTES // (16 * T * d * r))
-            for c0, c1 in ((0, live), (max(live, nc - live), nc)):
-                for a in range(c0, c1, width):
-                    b = min(a + width, c1)
-                    hi = min(b * T, span)
-                    if hi > a * T:
-                        zf[:, a * T:hi] += np.matmul(
-                            anchors(np.arange(a, b), False).T, w).reshape(
-                                d * r, -1)[:, :hi - a * T]
-            c_p = plain_done()
-            z[..., span:] += c_p[..., :m0]
-        if m0:
-            # the unit rows [m == j]: tilde row j, plain row n + 1 - j
-            zf[:, :m0] += c_tilde[:, R:]
-            zf[:, span:] += c_plain[:, R:][:, ::-1]
+        # the plain rows take theirs on the last m0 rows and the checked
+        # ones on the other lane, the tilde rows on rows s <= span here
+        plain_done = _beside(pool, _correct, z, c_plain, seq, m0, True,
+                             span, checked)
+        c_t = _correct(z, c_tilde, seq, m0, False, span, checked)
+        c_p = plain_done()
         lap("assembly")
 
         overlap_max_dev = 0.0
         if len(checked):
             # both regional formulas share T_n(w^{-1}) Y on the sampled
             # rows, so they deviate by their corrections' difference
-            cs, at = np.unique(checked // T, return_inverse=True)
-            c_t = np.matmul(anchors(cs, False).T, w).reshape(d, r, -1)[
-                ..., at * T + checked % T]
-            dev = np.linalg.norm(c_t - c_p[..., m0:], axis=(0, 1))
+            dev = np.linalg.norm(c_t - c_p, axis=(0, 1))
             scale = (np.linalg.norm(z[..., checked], axis=(0, 1))
                      / np.sqrt(min(d, r)))
             overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
@@ -945,7 +901,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
                     f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
         lap("overlap")
 
-        counters = {"overlap_rows": len(sample), "gram_chunk": T,
+        counters = {"overlap_rows": len(sample), "chunk": T,
                     "plan_bytes": sum(a.nbytes for a in plan[2:]),
                     "lanes": lanes}
         residual = tail = None

@@ -2,7 +2,6 @@ import math
 import multiprocessing
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,8 +178,9 @@ def test_gram_dense_oracle(sweep_specs, sweep_tables, name, n, width):
     ("warm_d3", None), ("warm_d3", 1), ("m0_3", None), ("mult3", None),
     ("ar2", None)])
 def test_ranges_dense_oracle(monkeypatch, name, width, chunks):
-    # ranges of 1 and 3 chunks: the halos and states across ranges, the
-    # extra chunk of the first apply of a Gram, the ragged last chunk
+    # ranges of 1 and 3 chunks: the halos and states across ranges, and
+    # the ragged last chunk, in the one-sided applies and in the
+    # two-sided apply under each Gram
     spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
             random_spec(d=2, K=0, mults=(), m0=2,
                         rng=np.random.default_rng(33)))
@@ -243,15 +243,7 @@ def two_sided_apply(spec, y):
         lam = ClosedFormKit(spec).lambda_mat[::spec.d, ::spec.d]
     inv = fast_solver._Triangular(inverse_symbol(spec, lam)[0],
                                   np.conj(spec.poles), spec.mults, False)
-    yt = fast_solver._to_time_last(y)
-    S, _, _, nc = fast_solver._sizes(inv, len(y))
-    states = np.empty((2 * S, *yt.shape[:2], nc), dtype=complex)
-    fast_solver._states(inv, yt, False, None, states[:S])
-    fast_solver._states(fast_solver._adjoint(inv), yt, False, None,
-                        states[S:])
-    z = np.empty_like(yt)
-    fast_solver._sweep(inv, yt, [(fast_solver._hermitian_operator(
-        inv, fast_solver._sizes(inv, len(y))[2]), states)], z)
+    z = fast_solver._inverse_apply(inv, fast_solver._to_time_last(y))[0]
     return fast_solver._from_time_last(z)
 
 
@@ -338,9 +330,10 @@ def test_grams_are_the_inverse_symbol_minus_a_corner(name):
 def test_gram_rows_vs_gram(name, n, width):
     # the plain Gram rows solve's plain side stands for, on chunk 0, a
     # middle chunk, the last chunk and the last m0 rows: T_n(w^{-1}) Y
-    # from the two-sided sweep minus E Y, against the full chunked plain
-    # Gram; Y zero-padded past n leaves the sweep's first n rows as they
-    # are, so the ragged last chunk reads nothing past n
+    # from the two-sided sweep minus E Y, against A* (A Y) from the two
+    # one-sided applies, which share no code with the sweep; Y
+    # zero-padded past n leaves the sweep's first n rows as they are, so
+    # the ragged last chunk reads nothing past n
     spec = (APPLY_SPECS[name]() if name in APPLY_SPECS else
             random_spec(d=2, K=0, mults=(), m0=2,
                         rng=np.random.default_rng(33)))
@@ -357,7 +350,7 @@ def test_gram_rows_vs_gram(name, n, width):
     rows = rows[rows < n]
     assert np.all(np.isin(np.arange(n - m0, n), rows))
     got = (full - corner_apply(spec, e_plain, y, True))[rows]
-    want = apply_A_gram(spec, n, y, "plain")
+    want = apply_A_adjoint(spec, n, apply_A(spec, n, y, "plain"), "plain")
     assert np.abs(got - want[rows]).max() <= 1e-14 * np.abs(want).max()
     padded = np.zeros((nc * T, *y.shape[1:]), dtype=complex)
     padded[:n] = y
@@ -667,13 +660,13 @@ def test_report_fields(ex52):
     assert rep.residual_tail_bound == 0
     assert 0 <= rep.spectral_radius < 1
     assert rep.resolvent_cond >= 1
-    assert set(rep.timings) == {"plan", "gram", "assembly", "overlap",
+    assert set(rep.timings) == {"plan", "apply", "assembly", "overlap",
                                 "residual"}
     assert min(rep.timings.values()) >= 0
     assert sum(rep.timings.values()) <= rep.seconds
     plan = rep.counters.pop("plan_bytes")
     assert plan > 0 and rep.counters == {
-        "overlap_rows": rep.overlap_checked, "gram_chunk": fast_solver._CHUNK,
+        "overlap_rows": rep.overlap_checked, "chunk": fast_solver._CHUNK,
         "lanes": 1, "residual_band": 7,
         "residual_nfft": 22, "residual_segments": 1}
 
@@ -787,7 +780,7 @@ def test_generated_sequences_at_large_indices(n):
 ])
 @pytest.mark.parametrize("n", [9, 4 * T, 4 * T + 5])
 def test_correction_sums_from_states(mults, m0, radius, n):
-    # the plan's maps on the v-basis sums read from the Gram's carry
+    # the plan's maps on the v-basis sums read from the factors' carry
     # states and the m0 head blocks of Y, times the generated sequence
     # rows and the unit rows, give SolveVectors' rank correction on
     # whole-chunk and ragged n: ell~(s) sum_t r~(t) y_t on the tilde rows
@@ -807,7 +800,7 @@ def test_correction_sums_from_states(mults, m0, radius, n):
     sums = []
     for variant in ("plain", "tilde"):
         op = fast_solver._factor(spec, variant)
-        st = fast_solver._states(op, yt, True)[0][1]
+        st = fast_solver._states(op, yt)[1]
         sums.append(fast_solver._edge_sums(op, st, yt))
     c_plain, c_tilde = fast_solver._coefficients(kit._correction_maps(n),
                                                     *sums, yt, m0)
@@ -1073,14 +1066,15 @@ def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name):
 
 
 def test_gram_ranges_on_two_lanes(monkeypatch):
-    # with a pool both lanes take ranges of chunks as they come free, one
+    # on two lanes both take ranges of chunks as they come free, one
     # chunk per range here: the same Gram to the bit as on one lane
     monkeypatch.setattr(fast_solver, "_RANGE_BYTES", 1)
     spec = warm_d3_spec()
     n = 64 * T + 5
-    y = fast_solver._to_time_last(random_rhs(n, spec.d, seed=41))
+    y = random_rhs(n, spec.d, seed=41)
     for variant in ("tilde", "plain"):
-        op = fast_solver._factor(spec, variant)
-        with ThreadPoolExecutor(1) as pool:
-            two = fast_solver._apply(op, y, True, pool)
-        assert np.array_equal(two, fast_solver._apply(op, y, True))
+        grams = []
+        for count in (1, 2):
+            lanes(monkeypatch, count)
+            grams.append(apply_A_gram(spec, n, y, variant))
+        assert np.array_equal(*grams)

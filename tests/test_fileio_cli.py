@@ -128,7 +128,7 @@ def test_cli_solve_report_json(tmp_path, spec_file, capsys):
     assert report["method"] == "fast" and report["n"] == 8
     assert report["counters"]["residual_nfft"] == 22
     assert report["resolvent_cond"] >= 1
-    assert report["counters"]["gram_chunk"] >= 1
+    assert report["counters"]["chunk"] >= 1
 
 
 @pytest.mark.parametrize("m0", [1, 2, 3])
