@@ -1,9 +1,9 @@
 """Linear-time solver for T_n(w) Z = Y with a rational symbol.
 
-Blocks are held time-last inside this module: a block vector of public
-shape (n, d, r) becomes one (d, r, n) array on entry to solve and goes
-back once on exit, so the block index is the contiguous last axis; the
-apply_* functions read the time-last view of their input.
+Blocks are read time-last inside this module, in place: every public
+function works on the (d, r, n) transposed view of the caller's complex
+(n, d, r) Y, whatever its strides, and writes into the transposed view
+of one C-ordered (n, d, r) output, which it returns.
 
 Every structured apply is one apply of a lower-triangular block
 Toeplitz operator with coefficients
@@ -105,9 +105,6 @@ _RANGE_BYTES = 1 << 20
 _FLUSH = np.sqrt(np.finfo(np.float64).tiny)
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
-# blocks per piece of a whole-array copy between the public and the
-# time-last layout
-_PIECE = 2048
 # the neglected gamma band of the residual, relative to ||gamma(0)||_2
 _RESIDUAL_REL = 1e-12
 # n d r from which solve runs on two lanes: below it a second thread
@@ -149,30 +146,6 @@ def _factor(spec, variant):
     op = _Triangular(blocks, np.conj(spec.poles),
                      tuple(len(res) for res in rho), False)
     return _adjoint(op) if sharp else op
-
-
-def _to_time_last(y):
-    """(n, d, r) public blocks -> contiguous time-last (d, r, n)."""
-    return _relaid(y, (1, 2, 0), -1)
-
-
-def _from_time_last(x):
-    """Time-last (d, r, n) -> contiguous (n, d, r) public blocks."""
-    return _relaid(x, (2, 0, 1), 0)
-
-
-def _relaid(x, axes, time):
-    """x.transpose(axes) as a contiguous array: the view itself if it is
-    one (d = r = 1), else a copy made _PIECE blocks of its time axis at a
-    time, so that each piece's source and destination stay in cache."""
-    view = x.transpose(axes)
-    if view.flags.c_contiguous:
-        return view
-    out = np.empty(view.shape, dtype=x.dtype)
-    src, dst = (np.moveaxis(a, time, 0) for a in (view, out))
-    for a in range(0, len(src), _PIECE):
-        dst[a:a + _PIECE] = src[a:a + _PIECE]
-    return out
 
 
 def _chunk_operator(op, T):
@@ -411,12 +384,13 @@ def _hermitian_operator(op, lo, up):
 
 def _inverse_apply(inv, y, pool=None):
     """(T_n(w^{-1}) Y, sums) for the lower triangle inv of T_n(w^{-1})
-    (see closed_form.inverse_symbol) and a time-last (d, r, n) Y: the
-    slot states of inv at each chunk's entry, which are the plain
-    factor's, and of inv* at its exit, the tilde factor's, one pass over
-    Y each (with a pool, inv's on its lane), the two sides' sums on the
-    v basis read from them (see _edge_sums), then _sweep of
-    (inv + inv* - diag(c_0)) Y. The states die before it returns."""
+    (see closed_form.inverse_symbol) and a time-last (d, r, n) Y, the
+    product as a C-ordered (n, d, r) array: the slot states of inv at
+    each chunk's entry, which are the plain factor's, and of inv* at its
+    exit, the tilde factor's, one pass over Y each (with a pool, inv's on
+    its lane), the two sides' sums on the v basis read from them (see
+    _edge_sums), then _sweep of (inv + inv* - diag(c_0)) Y. The states
+    die before it returns."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(inv, n)
     states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
@@ -425,8 +399,9 @@ def _inverse_apply(inv, y, pool=None):
     mat_a = _states(sides[1][0], y, states[S:])[0]
     mat = forward()[0]
     sums = [_edge_sums(op, st, y) if S else st[..., 0] for op, st in sides]
-    z = np.empty_like(y)
-    _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states, z, pool)
+    z = np.empty((n, d, r), dtype=np.complex128)
+    _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states,
+           z.transpose(1, 2, 0), pool)
     return z, sums
 
 
@@ -453,21 +428,22 @@ def apply_Q_adjoint(spec, mu, n, y):
 
 
 def _head(y, n, d):
-    """The first n blocks of a public (n', d, r) Y, n' >= n."""
+    """The time-last (d, r, n) view of the first n blocks of a public
+    (n', d, r) Y, n' >= n."""
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    return y[:n]
+    return y[:n].transpose(1, 2, 0)
 
 
 def _applied(op, n, y, d):
-    """op Y for a public (n, d, r) Y, returned as (n, d, r): the states of
-    _states, then _sweep, on the time-last view of Y into an output laid
-    out like it."""
-    y = _head(y, n, d).transpose(1, 2, 0)
-    out = np.empty_like(y)
-    _sweep(op, y, *_states(op, y), out)
-    return _from_time_last(out)
+    """op Y for a public (n, d, r) Y, returned as a C-ordered (n, d, r)
+    array: the states of _states, then _sweep, on the time-last views of
+    Y and of the output."""
+    y = _head(y, n, d)
+    out = np.empty((n, d, y.shape[1]), dtype=np.complex128)
+    _sweep(op, y, *_states(op, y), out.transpose(1, 2, 0))
+    return out
 
 
 def apply_A(spec, n, y, variant="tilde"):
@@ -482,14 +458,13 @@ def apply_A_adjoint(spec, n, x, variant="tilde"):
 
 def apply_A_gram(spec, n, y, variant="tilde"):
     """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1): T_n(w^{-1}) Y by solve's
-    apply (see _inverse_apply) on the time-last view of Y, on the lanes
-    solve would take and into an output laid out like Y, minus the
+    apply (see _inverse_apply) on the lanes solve would take, minus the
     corner E~ Y or E Y (see closed_form.corner_plan) on every row it
     reaches."""
     plain = {"tilde": False, "plain": True}[variant]
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
-    y = _head(y, n, spec.d).transpose(1, 2, 0)
+    y = _head(y, n, spec.d)
     blocks, plan = corner_plan(spec)
     inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
     S, m0, T, nc = _sizes(inv, n)
@@ -498,9 +473,9 @@ def apply_A_gram(spec, n, y, variant="tilde"):
         z, sums = _inverse_apply(inv, y, pool)
     seq = _sequences(spec.poles, spec.mults, n, T) if S else None
     c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
-    _correct(z, c_plain if plain else c_tilde, seq, m0, plain,
-             0 if plain else n, np.arange(0))
-    return _from_time_last(z)
+    _correct(z.transpose(1, 2, 0), c_plain if plain else c_tilde, seq, m0,
+             plain, 0 if plain else n, np.arange(0))
+    return z
 
 
 @dataclass
@@ -521,9 +496,9 @@ class SolveReport:
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
     # seconds per stage: plan (the kit, the SolvePlan, the sequence table,
-    # the overlap sample), apply (the time-last copy of Y, the slot states,
-    # the two-sided apply of T_n(w^{-1})), assembly (the maps on the
-    # moments and both sides' corrections), overlap and residual
+    # the overlap sample), apply (the slot states and the two-sided apply
+    # of T_n(w^{-1})), assembly (the maps on the moments and both sides'
+    # corrections), overlap and residual
     timings: dict = field(default_factory=dict)
     # overlap_rows, plan_bytes (of the plan's arrays), chunk (blocks per
     # chunk), lanes and, when the residual ran, residual_band (L, the
@@ -711,7 +686,8 @@ def _residual_banded(tables, z, y, pool=None):
         helper.result()
     # at L = n - 1 the band holds every block of T_n
     tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
-    znorm = _sum_squares(np.ascontiguousarray(z)) ** 0.5
+    # in Z's memory order: one line, without a copy if Z is dense
+    znorm = _sum_squares(z.ravel("K")) ** 0.5
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
     return sum(sq) ** 0.5, tail * znorm, counters
@@ -754,28 +730,18 @@ def _beside(pool, fn, *args):
     return pool.submit(fn, *args).result
 
 
-def _plain_corrections(coef, table, anchors, rows):
-    """The plain rows' corrections on the sequence rows at the 0-based
-    block indices rows, as (d, r, len(rows)), for the (d, r, 2M)
-    coefficients coef: row s = c T + u + 1 takes the conjugate rows at
-    m = n + 1 - s, table column T - 1 - u on chunk c of the plain grid
-    (see _sequences)."""
-    cs, at = np.unique(rows // table.shape[-1], return_inverse=True)
-    w = np.tensordot(coef, np.conj(table[..., ::-1]), 1)
-    return (np.conj(anchors(cs, True)).T @ w)[..., at,
-                                              rows % table.shape[-1]]
-
-
 def _correct(z, coef, seq, m0, plain, cut, check):
     """Add one side's correction to the time-last (d, r, n) z, and return
-    its values on the 0-based rows check as (d, r, len(check)). coef (d r, R + m0) holds the side's coefficients on the
-    R sequence rows of seq = _sequences(...) (None when R = 0) and on the
-    m0 unit rows (see _coefficients). The tilde side adds its rows
-    s <= cut, at m = s, and the plain side its rows s > cut, at
-    m = n + 1 - s through _plain_corrections, each on the chunks at
-    either end of the grid whose anchors are not all zero, in batches of
-    at most _RANGE_BYTES of output; then the unit rows [m == j], tilde
-    row j and plain row n + 1 - j."""
+    its values on the 0-based rows check as (d, r, len(check)). coef
+    (d r, R + m0) holds the side's coefficients on the R sequence rows of
+    seq = _sequences(...) (None when R = 0) and on the m0 unit rows (see
+    _coefficients). The tilde side adds its rows s <= cut, at m = s, and
+    the plain side its rows s > cut, at m = n + 1 - s: row s = c T + u + 1
+    takes table column T - 1 - u and the conjugate anchors of chunk c of
+    the plain grid (see _sequences). Each adds one product per batch of
+    at most _RANGE_BYTES of output, on its chunks at either end of the
+    grid whose anchors are not all zero; then the unit rows [m == j],
+    tilde row j and plain row n + 1 - j."""
     d, r, n = z.shape
     R = coef.shape[1] - m0
     got = None
@@ -783,34 +749,28 @@ def _correct(z, coef, seq, m0, plain, cut, check):
         table, live, anchors = seq
         T = table.shape[-1]
         nc = -(-n // T)
+        w = np.tensordot(coef[:, :R], np.conj(table[..., ::-1]) if plain
+                         else table, 1)
+
+        def rows(cs):
+            """The side's correction on the rows of the chunks cs, as
+            (d, r, len(cs) T)."""
+            a = anchors(cs, plain)
+            return np.matmul((np.conj(a) if plain else a).T, w).reshape(
+                d, r, -1)
+
+        lo, hi = (cut, n) if plain else (0, cut)
         width = max(1, _RANGE_BYTES // (16 * T * d * r))
-        ranges = ((0, live), (max(live, nc - live), nc))
-        if plain:
-            rows = np.concatenate([np.arange(max(a * T, cut), min(b * T, n))
-                                   for a, b in ranges])
-            rest = coef[:, :R].reshape(d, r, R)
-            for a in range(0, max(len(rows), 1), width * T):
-                part = rows[a:a + width * T]
-                # the first batch also gives the rows check
-                c = _plain_corrections(rest, table, anchors, part if a else
-                                       np.r_[part, check])
-                z[..., part] += c[..., :len(part)]
-                if not a:
-                    got = c[..., len(part):]
-        else:
-            w = np.tensordot(coef[:, :R], table, 1)
-            for c0, c1 in ranges:
-                for a in range(c0, c1, width):
-                    b = min(a + width, c1)
-                    hi = min(b * T, cut)
-                    if hi > a * T:
-                        z[..., a * T:hi] += np.matmul(
-                            anchors(np.arange(a, b), False).T, w).reshape(
-                                d, r, -1)[..., :hi - a * T]
-            if len(check):
-                cs, at = np.unique(check // T, return_inverse=True)
-                got = np.matmul(anchors(cs, False).T, w).reshape(d, r, -1)[
-                    ..., at * T + check % T]
+        for c0, c1 in ((0, live), (max(live, nc - live), nc)):
+            c0, c1 = max(c0, lo // T), min(c1, -(-hi // T))
+            for a in range(c0, c1, width):
+                b = min(a + width, c1)
+                x = rows(np.arange(a, b))
+                s0, s1 = max(a * T, lo), min(b * T, hi)
+                z[..., s0:s1] += x[..., s0 - a * T:s1 - a * T]
+        if len(check):
+            cs, at = np.unique(check // T, return_inverse=True)
+            got = rows(cs)[..., at * T + check % T]
     units = coef[:, R:].reshape(d, r, m0)
     if plain:
         z[..., n - m0:] += units[..., ::-1]
@@ -833,13 +793,16 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     OverlapMismatch if ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r)))
     exceeds 1e-9 on a row, a ratio never below the spectral
     ||dev||_2 / max(1, ||z_s||_2), so overlap_max_dev bounds that one.
+    The check compares only the two regions' corrections: both formulas
+    share T_n(w^{-1}) Y, so a fault in that apply passes it, and with
+    compute_residual=False no check covers the apply.
     """
     t0 = time.perf_counter()
     y = _head(y, n, spec.d)
-    d, r, m0 = spec.d, y.shape[2], spec.m0
+    d, r, m0 = spec.d, y.shape[1], spec.m0
     if n < 2 * m0 + 1:
         from .oracle import dense_solve     # oracle imports this module
-        return dense_solve(spec, n, y, tables=tables)
+        return dense_solve(spec, n, y.transpose(2, 0, 1), tables=tables)
     if tables is None:
         tables = CoefficientTables(spec)
 
@@ -872,18 +835,18 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         checked = sample[(sample // T < live) | (sample // T >= nc - live)]
     lap("plan")
 
-    yt = _to_time_last(y)
     lanes = 2 if _two_lanes(n * d * r) else 1
     with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-        z, sums = _inverse_apply(inv, yt, pool)
+        z, sums = _inverse_apply(inv, y, pool)
+        zt = z.transpose(1, 2, 0)
         lap("apply")
 
-        c_plain, c_tilde = _coefficients(plan, *sums, yt, m0)
+        c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
         # the plain rows take theirs on the last m0 rows and the checked
         # ones on the other lane, the tilde rows on rows s <= span here
-        plain_done = _beside(pool, _correct, z, c_plain, seq, m0, True,
+        plain_done = _beside(pool, _correct, zt, c_plain, seq, m0, True,
                              span, checked)
-        c_t = _correct(z, c_tilde, seq, m0, False, span, checked)
+        c_t = _correct(zt, c_tilde, seq, m0, False, span, checked)
         c_p = plain_done()
         lap("assembly")
 
@@ -892,7 +855,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
             # both regional formulas share T_n(w^{-1}) Y on the sampled
             # rows, so they deviate by their corrections' difference
             dev = np.linalg.norm(c_t - c_p, axis=(0, 1))
-            scale = (np.linalg.norm(z[..., checked], axis=(0, 1))
+            scale = (np.linalg.norm(zt[..., checked], axis=(0, 1))
                      / np.sqrt(min(d, r)))
             overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
             if overlap_max_dev > _OVERLAP_TOL:
@@ -906,11 +869,11 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
                     "lanes": lanes}
         residual = tail = None
         if compute_residual:
-            residual, tail, more = _residual_banded(tables, z, yt, pool)
+            residual, tail, more = _residual_banded(tables, zt, y, pool)
             counters.update(more)
         lap("residual")
     return SolveReport(
-        z=_from_time_last(z), method="fast", n=n, d=d,
+        z=z, method="fast", n=n, d=d,
         seconds=time.perf_counter() - t0, residual=residual,
         residual_tail_bound=tail, residual_is_approximate=True,
         spectral_radius=plan.spectral_radius,
