@@ -107,7 +107,7 @@ def _cmd_solve(args):
     y = fileio.read_block_vector(args.y)
     n = args.n or len(y)
     if args.method == "fast":
-        rep = fast_solve(spec, n, y, tables=tab, seed=args.seed)
+        rep = fast_solve(spec, n, y, tables=tab)
     elif args.method == "dense":
         rep = dense_solve(spec, n, y, tables=tab)
     elif args.method == "levinson":
@@ -220,7 +220,6 @@ def build_parser():
     p.add_argument("--y", required=True, help="Y file (.csv or .bin)")
     p.add_argument("--method", default="fast",
                    choices=["fast", "dense", "levinson"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-against", choices=["dense"])
     p.add_argument("--out")
     p.add_argument("--report-json", action="store_true",

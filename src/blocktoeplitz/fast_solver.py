@@ -40,11 +40,10 @@ join the rank corrections in the plan's maps, and apply_A_gram is
 T_n(w^{-1}) Y minus one corner. When n d r is at least _LANE_WORK (2^17,
 from a measured crossover) and the process may run on two CPUs, a
 second thread, which lives for one call, computes the entry states
-while the caller computes the exit states, then takes ranges of chunks,
-the plain rows' corrections and residual batches as it comes free, in
-states, workspaces and buffers the caller allocates. Each block is
-computed by the same arithmetic either way, so Z does not depend on the
-lane count.
+while the caller computes the exit states, then takes ranges of chunks
+and residual batches as it comes free, in states, workspaces and
+buffers the caller allocates. Each block is computed by the same
+arithmetic either way, so Z does not depend on the lane count.
 
 For K >= 1 the rank correction is assembled in a rescaled form: the
 factors l_{n,s} and r_{n,t} contain pole powers p^{-m} and p^n that
@@ -60,12 +59,12 @@ C(m, a) p^{n-m} and C(m, a) conj(p)^m and the m0 unit rows [m == j]
 (see _coefficients); for K = 0 only the corners remain, on the unit
 rows (closed_form.corner_plan). On a grid of chunks each sequence row
 is a fixed table times a few anchors of the chunk (see _sequences), so
-each side multiplies its coefficients into the table once and adds one
-product with the anchors per batch of chunks whose anchors are not all
-zero (see _correct): solve's tilde rows s <= n - m0, its last m0 plain
-rows on a grid that runs back from n. The overlap check compares
-both sides' corrections on sampled rows, where both formulas hold and
-share T_n(w^{-1}) Y.
+each side multiplies its coefficients into the table once, and one loop
+over batches of the chunks whose anchors are not all zero forms one
+product with the anchors per side (see _correct): solve's tilde rows
+s <= n - m0, its last m0 plain rows on a grid that runs back from n.
+The overlap check compares both sides' corrections on every overlap row
+of those batches, where both formulas hold and share T_n(w^{-1}) Y.
 
 The residual check convolves the gamma band with Z by overlap-save in
 O(n log L), at the transform size with the least segments nfft log2
@@ -395,9 +394,11 @@ def _inverse_apply(inv, y, pool=None):
     S, m0, T, nc = _sizes(inv, n)
     states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
     sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
-    forward = _beside(pool, _states, inv, y, states[:S])
+    forward = (None if pool is None
+               else pool.submit(_states, inv, y, states[:S]))
     mat_a = _states(sides[1][0], y, states[S:])[0]
-    mat = forward()[0]
+    mat = (_states(inv, y, states[:S]) if forward is None
+           else forward.result())[0]
     sums = [_edge_sums(op, st, y) if S else st[..., 0] for op, st in sides]
     z = np.empty((n, d, r), dtype=np.complex128)
     _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states,
@@ -468,13 +469,13 @@ def apply_A_gram(spec, n, y, variant="tilde"):
     blocks, plan = corner_plan(spec)
     inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
     S, m0, T, nc = _sizes(inv, n)
-    with (ThreadPoolExecutor(1) if _two_lanes(y.size // spec.d)
+    with (ThreadPoolExecutor(1) if _two_lanes(y.size)
           else nullcontext()) as pool:
         z, sums = _inverse_apply(inv, y, pool)
     seq = _sequences(spec.poles, spec.mults, n, T) if S else None
     c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
-    _correct(z.transpose(1, 2, 0), c_plain if plain else c_tilde, seq, m0,
-             plain, 0 if plain else n, np.arange(0))
+    _correct(z.transpose(1, 2, 0), c_plain if plain else None,
+             None if plain else c_tilde, seq, m0)
     return z
 
 
@@ -495,14 +496,15 @@ class SolveReport:
     resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage: plan (the kit, the SolvePlan, the sequence table,
-    # the overlap sample), apply (the slot states and the two-sided apply
-    # of T_n(w^{-1})), assembly (the maps on the moments and both sides'
-    # corrections), overlap and residual
+    # seconds per stage: plan (the kit, the SolvePlan, the sequence table),
+    # apply (the slot states and the two-sided apply of T_n(w^{-1})),
+    # assembly (the maps on the moments, both sides' corrections and the
+    # overlap check) and residual
     timings: dict = field(default_factory=dict)
-    # overlap_rows, plan_bytes (of the plan's arrays), chunk (blocks per
-    # chunk), lanes and, when the residual ran, residual_band (L, the
-    # least the certificate allows), residual_nfft and residual_segments
+    # overlap_rows (the rows the overlap check compared), plan_bytes (of
+    # the plan's arrays), chunk (blocks per chunk), lanes and, when the
+    # residual ran, residual_band (L, the least the certificate allows),
+    # residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
 
@@ -700,99 +702,97 @@ def _sum_squares(x):
     return float(np.einsum("...i,...i->...", re, re).sum())
 
 
-def _overlap_sample(n, m0, T, seed):
-    """The sorted 0-based rows of the overlap check: whole chunks of T
-    blocks, taken in an order drawn from default_rng(seed) until they
-    hold at least max(8, ceil(0.05 size)) (or all) of the size = n - 2 m0
-    rows s = m0 + 1 .. n - m0 that both regional formulas cover."""
-    lo, hi = m0, n - m0
-    count = min(hi - lo, max(8, int(np.ceil(0.05 * (hi - lo)))))
-    cs = np.random.default_rng(seed).permutation(
-        np.arange(lo // T, (hi - 1) // T + 1))
-    held = np.cumsum(np.minimum(cs * T + T, hi) - np.maximum(cs * T, lo))
-    cs = np.sort(cs[:np.searchsorted(held, count) + 1])
-    rows = (cs[:, None] * T + np.arange(T)).ravel()
-    return rows[(rows >= lo) & (rows < hi)]
-
-
 def _two_lanes(work):
     """Whether solve runs on two lanes: the work n d r is at least
     _LANE_WORK and the process may run on two CPUs or more."""
     return work >= _LANE_WORK and len(os.sched_getaffinity(0)) >= 2
 
 
-def _beside(pool, fn, *args):
-    """Start fn(*args) on the pool's lane, or without a pool run it here;
-    returns a callable that gives its result or raises its error."""
-    if pool is None:
-        out = fn(*args)
-        return lambda: out
-    return pool.submit(fn, *args).result
+def _side_rows(w, anchors, cs, plain):
+    """One side's correction on the rows of the chunks cs, as (d, r,
+    len(cs) T): its coefficients times the table, w (d, r, R, T), times
+    the anchors of those chunks of its grid (see _sequences), conjugated
+    on the plain side."""
+    a = anchors(cs, plain)
+    return np.matmul((np.conj(a) if plain else a).T, w).reshape(
+        *w.shape[:2], -1)
 
 
-def _correct(z, coef, seq, m0, plain, cut, check):
-    """Add one side's correction to the time-last (d, r, n) z, and return
-    its values on the 0-based rows check as (d, r, len(check)). coef
-    (d r, R + m0) holds the side's coefficients on the R sequence rows of
-    seq = _sequences(...) (None when R = 0) and on the m0 unit rows (see
-    _coefficients). The tilde side adds its rows s <= cut, at m = s, and
-    the plain side its rows s > cut, at m = n + 1 - s: row s = c T + u + 1
-    takes table column T - 1 - u and the conjugate anchors of chunk c of
-    the plain grid (see _sequences). Each adds one product per batch of
-    at most _RANGE_BYTES of output, on its chunks at either end of the
-    grid whose anchors are not all zero; then the unit rows [m == j],
-    tilde row j and plain row n + 1 - j."""
+def _correct(z, c_plain, c_tilde, seq, m0, check=False):
+    """Add the rank corrections to the time-last (d, r, n) z: the tilde
+    side's on its rows s <= n - m0, at m = s, and the plain side's on its
+    rows s > n - m0, at m = n + 1 - s; with one side's coefficients None,
+    the other's on every row. A side's coefficients (d r, R + m0) are on
+    the R sequence rows of seq = _sequences(...) (None when R = 0) and on
+    the m0 unit rows (see _coefficients). Row s = c T + u + 1 of either
+    side lies in chunk c of its grid: the tilde side's takes table column
+    u, the plain side's column T - 1 - u and the conjugate anchors (see
+    _sequences). One loop runs over batches of at most _RANGE_BYTES of
+    output per side on the chunks at either end whose anchors are not all
+    zero (elsewhere both corrections are zero): it forms a side's rows
+    where that side adds some and, with check, both sides' everywhere,
+    and compares them on the overlap rows m0 + 1 .. n - m0, where both
+    formulas hold (see solve). Then the unit rows [m == j] go on tilde
+    row j and plain row n + 1 - j. Returns the largest deviation ratio
+    and the number of rows compared."""
     d, r, n = z.shape
-    R = coef.shape[1] - m0
-    got = None
+    # 0-based rows below cut take the tilde side's correction
+    cut = n if c_plain is None else 0 if c_tilde is None else n - m0
+    R = (c_tilde if c_plain is None else c_plain).shape[1] - m0
+    worst, compared = 0.0, 0
     if R:
         table, live, anchors = seq
         T = table.shape[-1]
         nc = -(-n // T)
-        w = np.tensordot(coef[:, :R], np.conj(table[..., ::-1]) if plain
-                         else table, 1)
-
-        def rows(cs):
-            """The side's correction on the rows of the chunks cs, as
-            (d, r, len(cs) T)."""
-            a = anchors(cs, plain)
-            return np.matmul((np.conj(a) if plain else a).T, w).reshape(
-                d, r, -1)
-
-        lo, hi = (cut, n) if plain else (0, cut)
+        w_plain, w_tilde = (None if c is None else np.tensordot(
+            c[:, :R], tab, 1).reshape(d, r, R, T) for c, tab in (
+                (c_plain, np.conj(table[..., ::-1])), (c_tilde, table)))
         width = max(1, _RANGE_BYTES // (16 * T * d * r))
         for c0, c1 in ((0, live), (max(live, nc - live), nc)):
-            c0, c1 = max(c0, lo // T), min(c1, -(-hi // T))
             for a in range(c0, c1, width):
                 b = min(a + width, c1)
-                x = rows(np.arange(a, b))
-                s0, s1 = max(a * T, lo), min(b * T, hi)
-                z[..., s0:s1] += x[..., s0 - a * T:s1 - a * T]
-        if len(check):
-            cs, at = np.unique(check // T, return_inverse=True)
-            got = rows(cs)[..., at * T + check % T]
-    units = coef[:, R:].reshape(d, r, m0)
-    if plain:
-        z[..., n - m0:] += units[..., ::-1]
-    else:
-        z[..., :m0] += units
-    return got
+                # tilde rows s0 .. t - 1, plain rows t .. s1 - 1 (0-based)
+                s0, s1 = a * T, min(b * T, n)
+                t = min(max(cut, s0), s1)
+                lo, hi = (max(s0, m0), min(s1, n - m0)) if check else (0, 0)
+                cs = np.arange(a, b)
+                if t > s0 or hi > lo:
+                    x_t = _side_rows(w_tilde, anchors, cs, False)
+                    z[..., s0:t] += x_t[..., :t - s0]
+                if t < s1 or hi > lo:
+                    x_p = _side_rows(w_plain, anchors, cs, True)
+                    z[..., t:s1] += x_p[..., t - s0:s1 - s0]
+                if hi > lo:
+                    dev = np.linalg.norm(x_t[..., lo - s0:hi - s0]
+                                         - x_p[..., lo - s0:hi - s0],
+                                         axis=(0, 1))
+                    scale = (np.linalg.norm(z[..., lo:hi], axis=(0, 1))
+                             / np.sqrt(min(d, r)))
+                    # np.maximum keeps a NaN, which max() would drop
+                    worst = np.maximum(worst,
+                                       (dev / np.maximum(1.0, scale)).max())
+                    compared += hi - lo
+    if c_tilde is not None:
+        z[..., :m0] += c_tilde[:, R:].reshape(d, r, m0)
+    if c_plain is not None:
+        z[..., n - m0:] += c_plain[:, R:].reshape(d, r, m0)[..., ::-1]
+    return float(worst), compared
 
 
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
-          seed=0, compute_residual=True):
+          compute_residual=True):
     """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
 
     Y is an (n, d, r) block vector with any r >= 1 columns, and Z has
     the same shape. Below n = 2 m0 + 1 the two regional corrections do
     not cover every index, and solve returns dense_solve's report
-    (method "dense"). Whole chunks of overlap rows, drawn from
-    default_rng(seed) until they hold at least 5% of those rows (at
-    least 8; see _overlap_sample), take both regional corrections (where
-    the anchors are all zero both are zero and are not formed):
-    OverlapMismatch if ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r)))
-    exceeds 1e-9 on a row, a ratio never below the spectral
-    ||dev||_2 / max(1, ||z_s||_2), so overlap_max_dev bounds that one.
+    (method "dense"). With check_overlap, both regional corrections are
+    formed on every overlap row s = m0 + 1 .. n - m0 of the chunks whose
+    anchors are not all zero (elsewhere both are zero; see _correct), and
+    overlap_checked counts those rows: OverlapMismatch if
+    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 on a
+    row, a ratio never below the spectral ||dev||_2 / max(1, ||z_s||_2),
+    so overlap_max_dev bounds that one.
     The check compares only the two regions' corrections: both formulas
     share T_n(w^{-1}) Y, so a fault in that apply passes it, and with
     compute_residual=False no check covers the apply.
@@ -823,16 +823,7 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     # T_n(w^{-1}) is inv + inv* - diag; inv has the plain factor's poles
     inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
     S, m0, T, nc = _sizes(inv, n)
-    span = n - m0               # tilde rows s <= span
-    sample = (_overlap_sample(n, m0, T, seed) if check_overlap
-              else np.arange(0))
-    # the sampled rows whose corrections are computed: on a chunk whose
-    # anchors are all zero on both grids both corrections are zero
-    checked, seq = sample[:0], None
-    if S:
-        seq = _sequences(spec.poles, spec.mults, n, T)
-        live = seq[1]
-        checked = sample[(sample // T < live) | (sample // T >= nc - live)]
+    seq = _sequences(spec.poles, spec.mults, n, T) if S else None
     lap("plan")
 
     lanes = 2 if _two_lanes(n * d * r) else 1
@@ -841,30 +832,15 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         zt = z.transpose(1, 2, 0)
         lap("apply")
 
-        c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
-        # the plain rows take theirs on the last m0 rows and the checked
-        # ones on the other lane, the tilde rows on rows s <= span here
-        plain_done = _beside(pool, _correct, zt, c_plain, seq, m0, True,
-                             span, checked)
-        c_t = _correct(zt, c_tilde, seq, m0, False, span, checked)
-        c_p = plain_done()
+        overlap_max_dev, compared = _correct(
+            zt, *_coefficients(plan, *sums, y, m0), seq, m0, check_overlap)
+        if overlap_max_dev > _OVERLAP_TOL:
+            raise errors.OverlapMismatch(
+                f"regional assemblies deviate by {overlap_max_dev:.3e} "
+                f"(tolerance {_OVERLAP_TOL:.1e}) on overlap rows")
         lap("assembly")
 
-        overlap_max_dev = 0.0
-        if len(checked):
-            # both regional formulas share T_n(w^{-1}) Y on the sampled
-            # rows, so they deviate by their corrections' difference
-            dev = np.linalg.norm(c_t - c_p, axis=(0, 1))
-            scale = (np.linalg.norm(zt[..., checked], axis=(0, 1))
-                     / np.sqrt(min(d, r)))
-            overlap_max_dev = float((dev / np.maximum(1.0, scale)).max())
-            if overlap_max_dev > _OVERLAP_TOL:
-                raise errors.OverlapMismatch(
-                    f"regional assemblies deviate by {overlap_max_dev:.3e} "
-                    f"(tolerance {_OVERLAP_TOL:.1e}) on sampled rows")
-        lap("overlap")
-
-        counters = {"overlap_rows": len(sample), "chunk": T,
+        counters = {"overlap_rows": compared, "chunk": T,
                     "plan_bytes": sum(a.nbytes for a in plan[2:]),
                     "lanes": lanes}
         residual = tail = None
@@ -877,5 +853,5 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         seconds=time.perf_counter() - t0, residual=residual,
         residual_tail_bound=tail, residual_is_approximate=True,
         spectral_radius=plan.spectral_radius,
-        resolvent_cond=plan.resolvent_cond, overlap_checked=len(sample),
+        resolvent_cond=plan.resolvent_cond, overlap_checked=compared,
         overlap_max_dev=overlap_max_dev, timings=timings, counters=counters)

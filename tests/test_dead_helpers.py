@@ -3,7 +3,8 @@ a module-level or class-level name with a leading underscore (dunders
 aside) must be referenced in src/blocktoeplitz beyond its own
 definition. Every name a module imports is read in that module
 (__init__.py, whose imports are its exports, aside). Every public export
-resolves."""
+resolves. Every parameter of every function is read in its body (self
+and cls aside)."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,25 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(blocktoeplitz, name)]
     assert not missing, f"exported but undefined: {missing}"
+
+
+def test_no_parameter_is_unread():
+    # a parameter its function never reads is a knob that does nothing
+    unread, scanned = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            scanned += 1
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            where = f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}"
+            unread += [f"{where}({name})" for name in params
+                       if name not in ("self", "cls") and name not in read]
+    assert scanned and not unread, f"parameters never read: {unread}"

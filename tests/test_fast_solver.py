@@ -393,27 +393,6 @@ def test_apply_short_y_raises(ex52, fn):
         fn(ex52, 100, np.ones((50, 1, 1)))
 
 
-@pytest.mark.parametrize("n, m0", [(4096, 2), (48, 1), (7, 3), (300, 0)])
-def test_overlap_sample_is_whole_chunks(n, m0):
-    # at least max(8, ceil(5%)) of the rows m0 + 1 .. n - m0 (1-based),
-    # in whole chunks clipped to that range, fewer than T rows beyond
-    # the count, and drawn from the seed
-    T = fast_solver._chunk_blocks(m0)
-    size = n - 2 * m0
-    count = min(size, max(8, int(np.ceil(0.05 * size))))
-    rows = fast_solver._overlap_sample(n, m0, T, seed=5)
-    assert np.all(np.diff(rows) > 0)
-    assert rows.min() >= m0 and rows.max() <= n - m0 - 1
-    assert count <= len(rows) < count + T
-    whole = (np.unique(rows // T)[:, None] * T + np.arange(T)).ravel()
-    assert np.array_equal(rows, whole[(whole >= m0) & (whole < n - m0)])
-    again = fast_solver._overlap_sample(n, m0, T, seed=5)
-    assert np.array_equal(rows, again)
-    if size > 4 * T:
-        other = fast_solver._overlap_sample(n, m0, T, seed=6)
-        assert not np.array_equal(rows, other)
-
-
 def test_solve_identity(ident2):
     y = random_rhs(6, 2, seed=5)
     rep = solve(ident2, 6, y)
@@ -688,8 +667,7 @@ def test_report_fields(ex52):
     assert rep.residual_tail_bound == 0
     assert 0 <= rep.spectral_radius < 1
     assert rep.resolvent_cond >= 1
-    assert set(rep.timings) == {"plan", "apply", "assembly", "overlap",
-                                "residual"}
+    assert set(rep.timings) == {"plan", "apply", "assembly", "residual"}
     assert min(rep.timings.values()) >= 0
     assert sum(rep.timings.values()) <= rep.seconds
     plan = rep.counters.pop("plan_bytes")
@@ -900,7 +878,7 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
                                  fails):
     # delta I on every plain row: its spectral norm is delta, so delta
     # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2);
-    # on two lanes the perturbed rows come from the second lane
+    # on one lane and on two
     spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
     n = 48
     y = random_rhs(n, spec.d, seed=21)
@@ -908,14 +886,14 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
     delta = 0.0
     if fails:
         delta = 2e-9 * max(1.0, np.linalg.norm(z, 2, axis=(-2, -1)).max())
-    correct = fast_solver._correct
+    side_rows = fast_solver._side_rows
 
-    def perturbed(z, coef, seq, m0, plain, cut, check):
-        # every plain row it returns, time-last (d, r, rows)
-        got = correct(z, coef, seq, m0, plain, cut, check)
+    def perturbed(w, anchors, cs, plain):
+        # every plain row it forms, time-last (d, r, rows)
+        got = side_rows(w, anchors, cs, plain)
         return got + delta * np.eye(spec.d)[..., None] if plain else got
 
-    monkeypatch.setattr(fast_solver, "_correct", perturbed)
+    monkeypatch.setattr(fast_solver, "_side_rows", perturbed)
     for count in (1, 2):
         lanes(monkeypatch, count)
         if fails:
@@ -938,22 +916,68 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     y = 100 * random_rhs(n, spec.d, seed=23)[:, :, :1]
     norms = np.linalg.norm(solve(spec, n, y, tables=tab).z[:, :, 0], axis=1)
     assert norms[spec.m0:n - spec.m0].min() > 2
-    correct = fast_solver._correct
+    side_rows = fast_solver._side_rows
 
-    def perturbed(z, coef, seq, m0, plain, cut, at):
-        # the plain rows at the 0-based indices at, time-last (d, r, rows)
-        out = correct(z, coef, seq, m0, plain, cut, at)
+    def perturbed(w, anchors, cs, plain):
+        # the plain rows of the chunks cs, time-last (d, r, rows)
+        out = side_rows(w, anchors, cs, plain)
         if plain:
-            out[0, 0] += frac * 1e-9 * norms[at]
+            out[0, 0] += frac * 1e-9 * norms[
+                (cs[:, None] * T + np.arange(T)).ravel()]
         return out
 
-    monkeypatch.setattr(fast_solver, "_correct", perturbed)
+    monkeypatch.setattr(fast_solver, "_side_rows", perturbed)
     if frac > 1:
         with pytest.raises(errors.OverlapMismatch):
             solve(spec, n, y, tables=tab)
     else:
         dev = solve(spec, n, y, tables=tab).overlap_max_dev
         assert 0.89e-9 <= dev <= 0.91e-9
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "tilde"])
+@pytest.mark.parametrize("chunk", [1, 19, 37, 218, 237, 254])
+def test_overlap_check_sees_every_live_chunk(monkeypatch, chunk, plain):
+    # 1e-3 on the anchors of one chunk of one side's grid, near either
+    # end or in the middle of the 38 live chunks at each end of the 256
+    # at n = 4096: the check compares every overlap row of the live
+    # chunks, so each fault raises
+    spec = warm_d3_spec()
+    n = 4096
+    y = random_rhs(n, spec.d, seed=50)
+    sequences = fast_solver._sequences
+
+    def faulty(*args):
+        table, live, anchors = sequences(*args)
+        assert live == 38
+
+        def shifted(cs, grid):
+            a = anchors(cs, grid)
+            if grid == plain:
+                a[:, cs == chunk] += 1e-3
+            return a
+
+        return table, live, shifted
+
+    monkeypatch.setattr(fast_solver, "_sequences", faulty)
+    with pytest.raises(errors.OverlapMismatch):
+        solve(spec, n, y)
+
+
+def test_overlap_rows_count_the_rows_compared(sweep_specs):
+    # the overlap rows m0 + 1 .. n - m0 of the 38 live chunks at each end
+    # (m0 = 2, n = 256 T): 38 T - 2 rows per end; none without the check
+    # or without poles
+    spec = warm_d3_spec()
+    n = 256 * T
+    y = random_rhs(n, spec.d, seed=51)
+    rep = solve(spec, n, y)
+    assert rep.overlap_checked == rep.counters["overlap_rows"] == \
+        2 * (38 * T - 2)
+    assert solve(spec, n, y, check_overlap=False).overlap_checked == 0
+    ar = sweep_specs["d2_ar1"]
+    assert ar.K == 0 and solve(ar, 64, random_rhs(64, 2, seed=51)) \
+        .counters["overlap_rows"] == 0
 
 
 @pytest.mark.parametrize("name, n, width", [
@@ -965,8 +989,8 @@ def test_overlap_scale_of_one_column(sweep_specs, sweep_tables, monkeypatch,
     pytest.param("pole099", 8001, None, id="pole099"),
 ])
 def test_two_lanes_bit_identical(monkeypatch, name, n, width):
-    # the second lane runs the same arithmetic on the plain rows and on
-    # its half of the residual segments: Z is the same to the bit, the
+    # the second lane runs the same arithmetic on the entry states and
+    # on its half of the residual segments: Z is the same to the bit, the
     # residual the same up to the order of the two lanes' sums. Each n
     # is the size at which the residual has more segments than one
     # lane's batch (5 of 2048 points for warm_d3 and m0_3, 3 of 4096 for
@@ -975,15 +999,15 @@ def test_two_lanes_bit_identical(monkeypatch, name, n, width):
     tab = CoefficientTables(spec)
     y = random_rhs(n, spec.d, seed=36)[:, :, :width or spec.d]
     where = []
-    correct = fast_solver._correct
+    states = fast_solver._states
 
-    def traced(z, coef, seq, m0, plain, *args):
-        if plain:
+    def traced(op, *args):
+        if not op.upper:
             where.append(
                 threading.current_thread() is threading.main_thread())
-        return correct(z, coef, seq, m0, plain, *args)
+        return states(op, *args)
 
-    monkeypatch.setattr(fast_solver, "_correct", traced)
+    monkeypatch.setattr(fast_solver, "_states", traced)
     reps = {}
     for count in (1, 2):
         lanes(monkeypatch, count)
@@ -1006,14 +1030,14 @@ def test_two_lanes_leave_no_thread(monkeypatch):
     solve(spec, 200, y)
     assert threading.active_count() == before
 
-    correct = fast_solver._correct
+    states = fast_solver._states
 
-    def broken(z, coef, seq, m0, plain, *args):
-        if plain:
+    def broken(op, *args):
+        if not op.upper:
             raise errors.DomainViolation("in the second lane")
-        return correct(z, coef, seq, m0, plain, *args)
+        return states(op, *args)
 
-    monkeypatch.setattr(fast_solver, "_correct", broken)
+    monkeypatch.setattr(fast_solver, "_states", broken)
     with pytest.raises(errors.DomainViolation, match="second lane"):
         solve(spec, 200, y)
     assert threading.active_count() == before
@@ -1039,7 +1063,7 @@ def test_fork_after_two_lane_solve(monkeypatch):
 
 
 def test_two_lane_solve_memory_bound(monkeypatch):
-    # the plain rows beside the range-blocked two-sided apply and the
+    # both corrections beside the range-blocked two-sided apply and the
     # residual at half the batch per lane, on Y in the caller's memory
     # and Z as the one output array: a warm two-lane solve at 2^16 peaks
     # at 2.2 Y, under 2.5 Y, which no whole-Y copy besides Z would fit.
@@ -1100,6 +1124,20 @@ def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name):
         assert np.array_equal(z[width, 1], z[width, 2])
     ref = z["default", 1]
     assert np.linalg.norm(z["one", 1] - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_gram_gates_lanes_as_solve(monkeypatch):
+    # apply_A_gram takes the lanes solve would take: both gate on the
+    # work n d r of the same (spec, n, Y)
+    spec = warm_d3_spec()
+    n = 300
+    y = random_rhs(n, spec.d, seed=42)
+    work = []
+    monkeypatch.setattr(fast_solver, "_two_lanes",
+                        lambda w: work.append(w) or False)
+    solve(spec, n, y)
+    apply_A_gram(spec, n, y)
+    assert work == [n * spec.d * spec.d] * 2
 
 
 def test_gram_ranges_on_two_lanes(monkeypatch):
