@@ -725,7 +725,7 @@ def inverse_block_closed(spec, n, s, t, sv=None, tables=None,
     if check_overlap and other:
         dev = float(np.abs(out - value(*other[0])).max())
         tol = _ARMA_OVERLAP_TOL if spec.K else _AR_OVERLAP_TOL
-        if dev > tol * max(1.0, float(np.abs(out).max())):
+        if not dev <= tol * max(1.0, float(np.abs(out).max())):
             raise errors.OverlapMismatch(
                 f"tilde and plain forms deviate by {dev:.3e} at "
                 f"(s, t) = ({s}, {t})")

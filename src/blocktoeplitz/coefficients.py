@@ -339,10 +339,16 @@ class CoefficientTables:
     def gamma_band_width(self, tol):
         """The least L >= 0 with gamma_band_tail(L) <= tol (tol > 0). The
         tail is 2 const rate^L / (1 - rate), so L is solved for, then
-        stepped up only where the rounding of that solve requires it."""
+        stepped up only where the rounding of that solve requires it.
+        ToleranceUnreachable if the tail or tol is not finite or tol is
+        not positive: no L is certified then."""
         series = self._series("gamma")
+        tail = self.gamma_band_tail(0)
+        if not (np.isfinite(tail) and 0.0 < tol < np.inf):
+            raise errors.ToleranceUnreachable(
+                f"gamma band tail {tail:.3e} against tol {tol:.3e}")
         L = 0
-        if self.gamma_band_tail(0) > tol:
+        if tail > tol:
             L = int(np.log(tol * (1.0 - series.rate) / (2.0 * series.const))
                     / np.log(series.rate))
         while self.gamma_band_tail(L) > tol:

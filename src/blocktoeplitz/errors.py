@@ -82,7 +82,7 @@ class ResolventSingular(NumericalError):
 
 
 class OverlapMismatch(NumericalError):
-    """The two regional assembly formulas disagreed on a sampled index."""
+    """The two regional assembly formulas disagreed on an overlap row."""
 
 
 class NumericallySingular(NumericalError):

@@ -3,7 +3,8 @@
 Blocks are read time-last inside this module, in place: every public
 function works on the (d, r, n) transposed view of the caller's complex
 (n, d, r) Y, whatever its strides, and writes into the transposed view
-of one C-ordered (n, d, r) output, which it returns.
+of one C-ordered (n, d, r) output, which it returns. A NaN or an inf in
+Y raises NonSummableRHS before any pass over it (see _head).
 
 Every structured apply is one apply of a lower-triangular block
 Toeplitz operator with coefficients
@@ -37,13 +38,7 @@ each, then one gemm per range of chunks of the (T d) x ((2 m0 + T +
 entry states; exit states], whose chunk block is a full T x T block
 Toeplitz matrix (see _inverse_apply). solve makes no Gram: the corners
 join the rank corrections in the plan's maps, and apply_A_gram is
-T_n(w^{-1}) Y minus one corner. When n d r is at least _LANE_WORK (2^17,
-from a measured crossover) and the process may run on two CPUs, a
-second thread, which lives for one call, computes the entry states
-while the caller computes the exit states, then takes ranges of chunks
-and residual batches as it comes free, in states, workspaces and
-buffers the caller allocates. Each block is computed by the same
-arithmetic either way, so Z does not depend on the lane count.
+T_n(w^{-1}) Y minus one corner.
 
 For K >= 1 the rank correction is assembled in a rescaled form: the
 factors l_{n,s} and r_{n,t} contain pole powers p^{-m} and p^n that
@@ -75,10 +70,7 @@ by block) live in closed_form; this module is the production path.
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -106,9 +98,6 @@ _FLUSH = np.sqrt(np.finfo(np.float64).tiny)
 _RESIDUAL_BATCH = 1 << 14
 # the neglected gamma band of the residual, relative to ||gamma(0)||_2
 _RESIDUAL_REL = 1e-12
-# n d r from which solve runs on two lanes: below it a second thread
-# costs more than it saves (the crossover is measured in CHANGES.md)
-_LANE_WORK = 1 << 17
 
 # -- O(n) structured applies ------------------------------------------------ #
 
@@ -323,42 +312,27 @@ def _write(out, x, c0):
         rest[...] = x[:m, ..., w].transpose(1, 2, 0)
 
 
-def _sweep(op, y, mat, states, out, pool=None):
+def _sweep(op, y, mat, states, out):
     """Write into out (d, r, n) the chunk operator mat applied to Y:
     op Y for mat and states (S, d, r, nc) of _states(op, y), or
     (op + op* - diag(c_0)) Y for a lower op, the mat of
     _hermitian_operator and the entry states of op over the exit states
     of op* (2 S, d, r, nc). The gemms run over ranges of chunks, each in
-    a workspace of its stack and its output of about _RANGE_BYTES. With
-    a pool, its lane takes ranges too, once it is free, in a workspace
-    allocated here; each range is computed the same way whichever lane
-    takes it."""
+    one workspace of its stack and its output of about _RANGE_BYTES."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(op, n)
     P = m0 + T + S
     rows = mat.shape[1] // d                # of a chunk's stack
     width = max(1, _RANGE_BYTES // (2 * P * d * r * 16))
-    starts = itertools.count(0, width)      # the ranges not yet taken
-
-    def sweep(space):
-        """Run the ranges no lane has taken yet in this lane's space."""
-        while (c0 := next(starts)) < nc:
-            k = min(width, nc - c0)
-            stack, x = (a.reshape(-1, d, r, k) for a in np.split(
-                space[:(rows + T) * d * r * k], [rows * d * r * k]))
-            _fill(stack, y, c0, op.upper, m0, T, rows > P)
-            stack[rows - len(states):] = states[..., c0:c0 + k]
-            np.matmul(mat, stack.reshape(rows * d, -1),
-                      out=x.reshape(T * d, -1))
-            _write(out, x, c0)
-
-    spaces = np.empty((1 if pool is None else 2,
-                       (rows + T) * d * r * min(width, nc)),
-                      dtype=np.complex128)
-    helper = None if pool is None else pool.submit(sweep, spaces[1])
-    sweep(spaces[0])
-    if helper is not None:
-        helper.result()
+    space = np.empty((rows + T) * d * r * min(width, nc), dtype=np.complex128)
+    for c0 in range(0, nc, width):
+        k = min(width, nc - c0)
+        stack, x = (a.reshape(-1, d, r, k) for a in np.split(
+            space[:(rows + T) * d * r * k], [rows * d * r * k]))
+        _fill(stack, y, c0, op.upper, m0, T, rows > P)
+        stack[rows - len(states):] = states[..., c0:c0 + k]
+        np.matmul(mat, stack.reshape(rows * d, -1), out=x.reshape(T * d, -1))
+        _write(out, x, c0)
 
 
 def _hermitian_operator(op, lo, up):
@@ -381,28 +355,23 @@ def _hermitian_operator(op, lo, up):
                           axis=2).reshape(T * d, -1)
 
 
-def _inverse_apply(inv, y, pool=None):
+def _inverse_apply(inv, y):
     """(T_n(w^{-1}) Y, sums) for the lower triangle inv of T_n(w^{-1})
     (see closed_form.inverse_symbol) and a time-last (d, r, n) Y, the
     product as a C-ordered (n, d, r) array: the slot states of inv at
     each chunk's entry, which are the plain factor's, and of inv* at its
-    exit, the tilde factor's, one pass over Y each (with a pool, inv's on
-    its lane), the two sides' sums on the v basis read from them (see
-    _edge_sums), then _sweep of (inv + inv* - diag(c_0)) Y. The states
-    die before it returns."""
+    exit, the tilde factor's, one pass over Y each, the two sides' sums
+    on the v basis read from them (see _edge_sums), then _sweep of
+    (inv + inv* - diag(c_0)) Y. The states die before it returns."""
     d, r, n = y.shape
     S, m0, T, nc = _sizes(inv, n)
     states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
     sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
-    forward = (None if pool is None
-               else pool.submit(_states, inv, y, states[:S]))
-    mat_a = _states(sides[1][0], y, states[S:])[0]
-    mat = (_states(inv, y, states[:S]) if forward is None
-           else forward.result())[0]
+    mat, mat_a = (_states(op, y, st)[0] for op, st in sides)
     sums = [_edge_sums(op, st, y) if S else st[..., 0] for op, st in sides]
     z = np.empty((n, d, r), dtype=np.complex128)
     _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states,
-           z.transpose(1, 2, 0), pool)
+           z.transpose(1, 2, 0))
     return z, sums
 
 
@@ -430,10 +399,12 @@ def apply_Q_adjoint(spec, mu, n, y):
 
 def _head(y, n, d):
     """The time-last (d, r, n) view of the first n blocks of a public
-    (n', d, r) Y, n' >= n."""
+    (n', d, r) Y, n' >= n; NonSummableRHS if one of them is not finite."""
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
+    if not np.isfinite(y[:n]).all():
+        raise errors.NonSummableRHS("Y has non-finite blocks")
     return y[:n].transpose(1, 2, 0)
 
 
@@ -459,9 +430,8 @@ def apply_A_adjoint(spec, n, x, variant="tilde"):
 
 def apply_A_gram(spec, n, y, variant="tilde"):
     """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1): T_n(w^{-1}) Y by solve's
-    apply (see _inverse_apply) on the lanes solve would take, minus the
-    corner E~ Y or E Y (see closed_form.corner_plan) on every row it
-    reaches."""
+    apply (see _inverse_apply), minus the corner E~ Y or E Y (see
+    closed_form.corner_plan) on every row it reaches."""
     plain = {"tilde": False, "plain": True}[variant]
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
@@ -469,9 +439,7 @@ def apply_A_gram(spec, n, y, variant="tilde"):
     blocks, plan = corner_plan(spec)
     inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
     S, m0, T, nc = _sizes(inv, n)
-    with (ThreadPoolExecutor(1) if _two_lanes(y.size)
-          else nullcontext()) as pool:
-        z, sums = _inverse_apply(inv, y, pool)
+    z, sums = _inverse_apply(inv, y)
     seq = _sequences(spec.poles, spec.mults, n, T) if S else None
     c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
     _correct(z.transpose(1, 2, 0), c_plain if plain else None,
@@ -502,8 +470,8 @@ class SolveReport:
     # overlap check) and residual
     timings: dict = field(default_factory=dict)
     # overlap_rows (the rows the overlap check compared), plan_bytes (of
-    # the plan's arrays), chunk (blocks per chunk), lanes and, when the
-    # residual ran, residual_band (L, the least the certificate allows),
+    # the plan's arrays), chunk (blocks per chunk) and, when the residual
+    # ran, residual_band (L, the least the certificate allows),
     # residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
@@ -612,7 +580,7 @@ def _residual_size(n, L):
     return nfft, -(-n // (nfft - 2 * L))
 
 
-def _residual_banded(tables, z, y, pool=None):
+def _residual_banded(tables, z, y):
     """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
     band k = -L..L (tables.gamma_band), by overlap-save, with L =
     tables.gamma_band_width(_RESIDUAL_REL ||gamma(0)||_2) capped at n - 1.
@@ -622,12 +590,9 @@ def _residual_banded(tables, z, y, pool=None):
     convolution are the next nfft - 2L blocks of T_n Z (the last
     segment's trimmed at n). The segments are padded and transformed
     _RESIDUAL_BATCH points at a time, in buffers allocated here and
-    reused from batch to batch; with a pool, batches of half that size
-    go to whichever lane is free, each in its own buffers, and their
-    squares are summed in batch order. That is O(n log L) work. Returns
-    the value, the certified bound on the neglected band times ||Z||_F,
-    and the counters residual_band, residual_nfft and residual_segments.
-    """
+    reused from batch to batch. That is O(n log L) work. Returns the
+    value, the certified bound on the neglected band times ||Z||_F, and
+    the counters residual_band, residual_nfft and residual_segments."""
     d, r, n = z.shape
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
     L = min(tables.gamma_band_width(_RESIDUAL_REL * g0), n - 1)
@@ -636,63 +601,48 @@ def _residual_banded(tables, z, y, pool=None):
     band = np.ascontiguousarray(tables.gamma_band(L).transpose(1, 2, 0))
     # (d, d, nfft): the per-frequency products run along its last axis
     gf = np.fft.fft(band, n=nfft, axis=-1)
-    # with a pool, each lane at half the batch
-    batch = max(1, _RESIDUAL_BATCH // nfft // (1 if pool is None else 2))
-    sq = [0.0] * -(-segments // batch)      # per batch, summed in order
-    starts = itertools.count()              # the batches not yet taken
-
+    batch = max(1, _RESIDUAL_BATCH // nfft)
     m = min(batch, segments)
-
-    def squares(space, pad):
-        """Sum the squares of the batches no lane has taken yet, in this
-        lane's space for the transform, product and deviation and its pad
-        for the padded points."""
-        zf, prod, part = space
-        while (k := next(starts)) < len(sq):
-            i, j = k * batch, min(k * batch + batch, segments)
-            lo, hi = i * step, min(j * step, n)
-            # the batch's points of Z padded: Z from lo - L on, zero
-            # outside 0 .. n - 1
-            padded = pad[..., :(j - i) * step + 2 * L]
-            a, b = max(lo - L, 0), min(j * step + L, n)
-            padded[..., :a - lo + L] = 0
-            padded[..., a - lo + L:b - lo + L] = z[..., a:b]
-            padded[..., b - lo + L:] = 0
-            f, c = zf[..., :j - i, :], prod[..., :j - i, :]
-            np.fft.fft(sliding_window_view(padded, nfft, axis=-1)
-                       [..., ::step, :], axis=-1, out=f)
-            # sum_b gf[:, b] zf[b], one broadcast product per term
-            np.multiply(gf[:, 0, None, None], f[0], out=c)
-            for e in range(1, d):
-                np.multiply(gf[:, e, None, None], f[e], out=part[:, :, :j - i])
-                c += part[:, :, :j - i]
-            np.fft.ifft(c, axis=-1, out=c)
-            # the trimmed deviation, in place: whole segments, then the
-            # ragged rest of the last
-            dev = c[..., 2 * L:]
-            whole, rest = divmod(hi - lo, step)
-            dev[..., :whole, :] -= y[..., lo:lo + whole * step].reshape(
-                d, r, whole, step)
-            total = _sum_squares(dev[..., :whole, :])
-            if rest:
-                dev[..., whole, :rest] -= y[..., hi - rest:hi]
-                total += _sum_squares(dev[..., whole, :rest])
-            sq[k] = total
-
-    lanes = [(np.empty((3, d, r, m, nfft), dtype=np.complex128),
-              np.empty((d, r, m * step + 2 * L), dtype=np.complex128))
-             for _ in range(1 if pool is None else 2)]
-    helper = None if pool is None else pool.submit(squares, *lanes[-1])
-    squares(*lanes[0])
-    if helper is not None:
-        helper.result()
+    # the transform, product and deviation, and the padded points
+    zf, prod, part = np.empty((3, d, r, m, nfft), dtype=np.complex128)
+    pad = np.empty((d, r, m * step + 2 * L), dtype=np.complex128)
+    sq = 0.0
+    for i in range(0, segments, batch):
+        j = min(i + batch, segments)
+        lo, hi = i * step, min(j * step, n)
+        # the batch's points of Z padded: Z from lo - L on, zero outside
+        # 0 .. n - 1
+        padded = pad[..., :(j - i) * step + 2 * L]
+        a, b = max(lo - L, 0), min(j * step + L, n)
+        padded[..., :a - lo + L] = 0
+        padded[..., a - lo + L:b - lo + L] = z[..., a:b]
+        padded[..., b - lo + L:] = 0
+        f, c = zf[..., :j - i, :], prod[..., :j - i, :]
+        np.fft.fft(sliding_window_view(padded, nfft, axis=-1)[..., ::step, :],
+                   axis=-1, out=f)
+        # sum_b gf[:, b] zf[b], one broadcast product per term
+        np.multiply(gf[:, 0, None, None], f[0], out=c)
+        for e in range(1, d):
+            np.multiply(gf[:, e, None, None], f[e], out=part[:, :, :j - i])
+            c += part[:, :, :j - i]
+        np.fft.ifft(c, axis=-1, out=c)
+        # the trimmed deviation, in place: whole segments, then the
+        # ragged rest of the last
+        dev = c[..., 2 * L:]
+        whole, rest = divmod(hi - lo, step)
+        dev[..., :whole, :] -= y[..., lo:lo + whole * step].reshape(
+            d, r, whole, step)
+        sq += _sum_squares(dev[..., :whole, :])
+        if rest:
+            dev[..., whole, :rest] -= y[..., hi - rest:hi]
+            sq += _sum_squares(dev[..., whole, :rest])
     # at L = n - 1 the band holds every block of T_n
     tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
     # in Z's memory order: one line, without a copy if Z is dense
     znorm = _sum_squares(z.ravel("K")) ** 0.5
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
-    return sum(sq) ** 0.5, tail * znorm, counters
+    return sq ** 0.5, tail * znorm, counters
 
 
 def _sum_squares(x):
@@ -700,12 +650,6 @@ def _sum_squares(x):
     without a copy."""
     re = x.view(np.float64)
     return float(np.einsum("...i,...i->...", re, re).sum())
-
-
-def _two_lanes(work):
-    """Whether solve runs on two lanes: the work n d r is at least
-    _LANE_WORK and the process may run on two CPUs or more."""
-    return work >= _LANE_WORK and len(os.sched_getaffinity(0)) >= 2
 
 
 def _side_rows(w, anchors, cs, plain):
@@ -790,12 +734,13 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     formed on every overlap row s = m0 + 1 .. n - m0 of the chunks whose
     anchors are not all zero (elsewhere both are zero; see _correct), and
     overlap_checked counts those rows: OverlapMismatch if
-    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 on a
-    row, a ratio never below the spectral ||dev||_2 / max(1, ||z_s||_2),
-    so overlap_max_dev bounds that one.
-    The check compares only the two regions' corrections: both formulas
-    share T_n(w^{-1}) Y, so a fault in that apply passes it, and with
-    compute_residual=False no check covers the apply.
+    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 or is
+    NaN on a row, a ratio never below the spectral ||dev||_2 / max(1,
+    ||z_s||_2), so overlap_max_dev bounds that one. NonSummableRHS if Y
+    has a NaN or an inf. The check compares only the two regions'
+    corrections: both formulas share T_n(w^{-1}) Y, so a fault in that
+    apply passes it, and with compute_residual=False no check covers the
+    apply.
     """
     t0 = time.perf_counter()
     y = _head(y, n, spec.d)
@@ -826,28 +771,26 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     seq = _sequences(spec.poles, spec.mults, n, T) if S else None
     lap("plan")
 
-    lanes = 2 if _two_lanes(n * d * r) else 1
-    with (ThreadPoolExecutor(1) if lanes == 2 else nullcontext()) as pool:
-        z, sums = _inverse_apply(inv, y, pool)
-        zt = z.transpose(1, 2, 0)
-        lap("apply")
+    z, sums = _inverse_apply(inv, y)
+    zt = z.transpose(1, 2, 0)
+    lap("apply")
 
-        overlap_max_dev, compared = _correct(
-            zt, *_coefficients(plan, *sums, y, m0), seq, m0, check_overlap)
-        if overlap_max_dev > _OVERLAP_TOL:
-            raise errors.OverlapMismatch(
-                f"regional assemblies deviate by {overlap_max_dev:.3e} "
-                f"(tolerance {_OVERLAP_TOL:.1e}) on overlap rows")
-        lap("assembly")
+    overlap_max_dev, compared = _correct(
+        zt, *_coefficients(plan, *sums, y, m0), seq, m0, check_overlap)
+    # written so that a NaN deviation fails it
+    if not overlap_max_dev <= _OVERLAP_TOL:
+        raise errors.OverlapMismatch(
+            f"regional assemblies deviate by {overlap_max_dev:.3e} "
+            f"(tolerance {_OVERLAP_TOL:.1e}) on overlap rows")
+    lap("assembly")
 
-        counters = {"overlap_rows": compared, "chunk": T,
-                    "plan_bytes": sum(a.nbytes for a in plan[2:]),
-                    "lanes": lanes}
-        residual = tail = None
-        if compute_residual:
-            residual, tail, more = _residual_banded(tables, zt, y, pool)
-            counters.update(more)
-        lap("residual")
+    counters = {"overlap_rows": compared, "chunk": T,
+                "plan_bytes": sum(a.nbytes for a in plan[2:])}
+    residual = tail = None
+    if compute_residual:
+        residual, tail, more = _residual_banded(tables, zt, y)
+        counters.update(more)
+    lap("residual")
     return SolveReport(
         z=z, method="fast", n=n, d=d,
         seconds=time.perf_counter() - t0, residual=residual,

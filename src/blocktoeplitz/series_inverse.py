@@ -255,7 +255,7 @@ class SeriesInverter:
         # a~_{t-u} for u = 1..t, or a_{u-t} for u = t..n
         coefs = self.tables.a_stack(n, tilde)[:hi - lo][::-1 if tilde else 1]
         bound = float(err[lo:hi] @ np.linalg.norm(coefs, 2, axis=(-2, -1)))
-        if bound > self.tol:
+        if not bound <= self.tol:
             raise errors.ToleranceUnreachable(
                 f"accumulated error bound {bound:.3e} > tol {self.tol:.3e}")
         gram = np.stack([first_term_gram(self.tables, n, s, t, variant)

@@ -441,6 +441,16 @@ def test_overlap_tolerance_per_K(sweep_specs, sweep_tables, monkeypatch,
                 inverse_block_closed(spec, 8, 3, 4, sv=sv, tables=tab)
 
 
+def test_overlap_nan_raises(sweep_specs, sweep_tables, monkeypatch):
+    # a NaN in the plain Gram that cross-checks block (3, 4) at n = 8
+    # fails the check
+    spec, tab = sweep_specs["d2_ar2"], sweep_tables["d2_ar2"]
+    monkeypatch.setattr(closed_form, "gram_plain",
+                        lambda *args: gram_plain(*args) * np.nan)
+    with pytest.raises(errors.OverlapMismatch):
+        inverse_block_closed(spec, 8, 3, 4, tables=tab)
+
+
 def test_inverse_arma_vs_dense(sweep_specs, sweep_tables):
     name = "d2_k2m12"
     spec = sweep_specs[name]

@@ -86,6 +86,19 @@ def test_gamma_band_width_is_minimal(shape_tables):
             assert L == 0 or tab.gamma_band_tail(L - 1) > tol, name
 
 
+def test_gamma_band_width_refuses_what_no_width_certifies(monkeypatch):
+    # a tol that is NaN, infinite or not positive, or a tail that is NaN
+    # or infinite, raises instead of returning L = 0 or stepping forever
+    tab = CoefficientTables(warm_d3_spec())
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(errors.ToleranceUnreachable):
+            tab.gamma_band_width(tol)
+    for tail in (np.nan, np.inf):
+        monkeypatch.setattr(tab, "gamma_band_tail", lambda L: tail)
+        with pytest.raises(errors.ToleranceUnreachable):
+            tab.gamma_band_width(1e-12)
+
+
 def test_c_sequence_ex52(ex52_tables):
     # c_0 = -1/rho, c_1 = pbar/rho, c_k = 0 beyond
     assert ex52_tables.c(0)[0, 0] == pytest.approx(-1.0)

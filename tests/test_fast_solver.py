@@ -1,6 +1,4 @@
 import math
-import multiprocessing
-import threading
 import tracemalloc
 
 import numpy as np
@@ -465,7 +463,7 @@ def test_solve_any_rhs_width():
 
 
 @pytest.mark.parametrize("layout", ["fortran", "every_other", "one_column"])
-def test_any_input_layout(monkeypatch, layout):
+def test_any_input_layout(layout):
     # solve and the applies read Y in the caller's memory, whatever its
     # strides, and return a C-ordered (n, d, r) array: the result on a
     # C-contiguous copy of Y within 1e-15
@@ -475,13 +473,7 @@ def test_any_input_layout(monkeypatch, layout):
          "every_other": random_rhs(2 * n, spec.d, seed=48)[::2],
          "one_column": random_rhs(n, spec.d, seed=48)[..., :1]}[layout]
 
-    def solved(count):
-        def call(v):
-            lanes(monkeypatch, count)
-            return [solve(spec, n, v).z]
-        return call
-
-    for call in (solved(1), solved(2),
+    for call in (lambda v: [solve(spec, n, v).z],
                  lambda v: [apply_A(spec, n, v)],
                  lambda v: [apply_A_adjoint(spec, n, v)],
                  lambda v: apply_Q(spec, 0, n, v),
@@ -673,7 +665,7 @@ def test_report_fields(ex52):
     plan = rep.counters.pop("plan_bytes")
     assert plan > 0 and rep.counters == {
         "overlap_rows": rep.overlap_checked, "chunk": fast_solver._CHUNK,
-        "lanes": 1, "residual_band": 7,
+        "residual_band": 7,
         "residual_nfft": 22, "residual_segments": 1}
 
 
@@ -868,17 +860,11 @@ def test_singular_resolvent_raises_on_every_call(sweep_specs):
             solve(spec, n, y, kit=kit)
 
 
-def lanes(monkeypatch, count):
-    """Force solve onto one or two lanes."""
-    monkeypatch.setattr(fast_solver, "_two_lanes", lambda work: count == 2)
-
-
 @pytest.mark.parametrize("fails", [False, True])
 def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
                                  fails):
     # delta I on every plain row: its spectral norm is delta, so delta
-    # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2);
-    # on one lane and on two
+    # is twice the 1e-9 tolerance times the largest max(1, ||z_s||_2)
     spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
     n = 48
     y = random_rhs(n, spec.d, seed=21)
@@ -894,15 +880,60 @@ def test_overlap_mismatch_raises(sweep_specs, sweep_tables, monkeypatch,
         return got + delta * np.eye(spec.d)[..., None] if plain else got
 
     monkeypatch.setattr(fast_solver, "_side_rows", perturbed)
-    for count in (1, 2):
-        lanes(monkeypatch, count)
-        if fails:
-            with pytest.raises(errors.OverlapMismatch):
-                solve(spec, n, y, tables=tab)
-        else:
-            rep = solve(spec, n, y, tables=tab)
-            assert rep.counters["lanes"] == count
-            assert rep.overlap_max_dev <= 1e-12
+    if fails:
+        with pytest.raises(errors.OverlapMismatch):
+            solve(spec, n, y, tables=tab)
+    else:
+        assert solve(spec, n, y, tables=tab).overlap_max_dev <= 1e-12
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "tilde"])
+def test_overlap_nan_raises(sweep_specs, sweep_tables, monkeypatch, plain):
+    # a NaN on overlap row m0 + 2 of one side's rows: the deviation there
+    # is NaN, which fails the check (on the plain side Z stays finite,
+    # since the tilde side writes that row)
+    spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
+    n = 48
+    y = random_rhs(n, spec.d, seed=21)
+    side_rows = fast_solver._side_rows
+
+    def poisoned(w, anchors, cs, grid):
+        got = side_rows(w, anchors, cs, grid)
+        if grid == plain and cs[0] == 0:
+            got[..., spec.m0 + 1] = np.nan
+        return got
+
+    monkeypatch.setattr(fast_solver, "_side_rows", poisoned)
+    with pytest.raises(errors.OverlapMismatch, match="nan"):
+        solve(spec, n, y, tables=tab)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_finite_rhs_raises(value, where):
+    # one NaN or inf entry in block 0, in the middle or in the last m0
+    # blocks: every fast entry, and solve's dense branch below
+    # n = 2 m0 + 1, raises NonSummableRHS before any pass over Y
+    spec = warm_d3_spec()
+    n, small = 300, 2 * spec.m0
+    y, y_small = random_rhs(n, spec.d, seed=52), random_rhs(small, spec.d)
+    for v in (y, y_small):
+        v[{"first": 0, "middle": len(v) // 2, "last": -spec.m0}[where],
+          1, 0] = value
+    calls = [lambda: solve(spec, n, y),
+             lambda: solve(spec, n, y, compute_residual=False),
+             lambda: solve(spec, small, y_small),
+             lambda: apply_A_gram(spec, n, y, "tilde"),
+             lambda: apply_A_gram(spec, n, y, "plain")]
+    for variant in ("tilde", "plain"):
+        calls += [lambda v=variant: apply_A(spec, n, y, v),
+                  lambda v=variant: apply_A_adjoint(spec, n, y, v)]
+    for mu in range(spec.K):
+        calls += [lambda mu=mu: apply_Q(spec, mu, n, y),
+                  lambda mu=mu: apply_Q_adjoint(spec, mu, n, y)]
+    for call in calls:
+        with pytest.raises(errors.NonSummableRHS):
+            call()
 
 
 @pytest.mark.parametrize("frac", [0.9, 1.1])
@@ -980,97 +1011,14 @@ def test_overlap_rows_count_the_rows_compared(sweep_specs):
         .counters["overlap_rows"] == 0
 
 
-@pytest.mark.parametrize("name, n, width", [
-    pytest.param("warm_d3", 9000, None, id="warm_d3"),
-    pytest.param("warm_d3", 9000, 1, id="warm_d3_r1"),
-    pytest.param("mult3", 11000, None, id="mult3"),
-    pytest.param("m0_3", 9000 + 2, None, id="m0_3_ragged"),
-    pytest.param("m0_3", 9000 + 2, 1, id="m0_3_ragged_r1"),
-    pytest.param("pole099", 8001, None, id="pole099"),
-])
-def test_two_lanes_bit_identical(monkeypatch, name, n, width):
-    # the second lane runs the same arithmetic on the entry states and
-    # on its half of the residual segments: Z is the same to the bit, the
-    # residual the same up to the order of the two lanes' sums. Each n
-    # is the size at which the residual has more segments than one
-    # lane's batch (5 of 2048 points for warm_d3 and m0_3, 3 of 4096 for
-    # mult3, 17 of 512 for pole099), so both lanes take batches
-    spec = APPLY_SPECS[name]()
-    tab = CoefficientTables(spec)
-    y = random_rhs(n, spec.d, seed=36)[:, :, :width or spec.d]
-    where = []
-    states = fast_solver._states
-
-    def traced(op, *args):
-        if not op.upper:
-            where.append(
-                threading.current_thread() is threading.main_thread())
-        return states(op, *args)
-
-    monkeypatch.setattr(fast_solver, "_states", traced)
-    reps = {}
-    for count in (1, 2):
-        lanes(monkeypatch, count)
-        reps[count] = solve(spec, n, y, tables=tab)
-        assert reps[count].counters.pop("lanes") == count
-    assert where == [True, False]
-    assert np.array_equal(reps[1].z, reps[2].z)
-    assert reps[1].counters == reps[2].counters
-    assert reps[1].counters["residual_segments"] >= 2
-    assert abs(reps[2].residual - reps[1].residual) <= 1e-13 * reps[1].residual
-
-
-def test_two_lanes_leave_no_thread(monkeypatch):
-    # the second lane lives for one solve, whether it returns or raises,
-    # and an error in it leaves solve as itself
-    lanes(monkeypatch, 2)
-    spec = warm_d3_spec()
-    y = random_rhs(200, spec.d, seed=37)
-    before = threading.active_count()
-    solve(spec, 200, y)
-    assert threading.active_count() == before
-
-    states = fast_solver._states
-
-    def broken(op, *args):
-        if not op.upper:
-            raise errors.DomainViolation("in the second lane")
-        return states(op, *args)
-
-    monkeypatch.setattr(fast_solver, "_states", broken)
-    with pytest.raises(errors.DomainViolation, match="second lane"):
-        solve(spec, 200, y)
-    assert threading.active_count() == before
-
-
-def test_fork_after_two_lane_solve(monkeypatch):
-    # no lane outlives a solve, so a forked child solves on two lanes too
-    lanes(monkeypatch, 2)
-    spec = warm_d3_spec()
-    y = random_rhs(300, spec.d, seed=38)
-    want = solve(spec, 300, y).z
-
-    def child():
-        assert np.array_equal(solve(spec, 300, y).z, want)
-
-    proc = multiprocessing.get_context("fork").Process(target=child)
-    proc.start()
-    proc.join(timeout=60)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
-    assert proc.exitcode == 0
-
-
-def test_two_lane_solve_memory_bound(monkeypatch):
+def test_solve_memory_bound():
     # both corrections beside the range-blocked two-sided apply and the
-    # residual at half the batch per lane, on Y in the caller's memory
-    # and Z as the one output array: a warm two-lane solve at 2^16 peaks
-    # at 2.2 Y, under 2.5 Y, which no whole-Y copy besides Z would fit.
-    # So does a solve whose every chunk takes a rank correction: a pole
-    # of multiplicity 3 at |p| = 0.999, without the residual (its
-    # certificate refuses the pole)
-    lanes(monkeypatch, 2)
+    # residual in batches, on Y in the caller's memory and Z as the one
+    # output array: a warm solve at 2^16 peaks at 2.2 Y, under 2.5 Y,
+    # which no whole-Y copy besides Z would fit. So does a solve whose
+    # every chunk takes a rank correction: a pole of multiplicity 3 at
+    # |p| = 0.999, without the residual (its certificate refuses the
+    # pole)
     near = random_spec(d=2, K=1, mults=(3,), m0=1,
                        rng=np.random.default_rng(2),
                        pole_radii=(0.999, 0.999))
@@ -1086,7 +1034,6 @@ def test_two_lane_solve_memory_bound(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.counters["lanes"] == 2
         assert peak <= 2.5 * y.nbytes, spec.mults
 
 
@@ -1105,51 +1052,26 @@ def test_batches_leave_the_solve_unchanged(monkeypatch):
     assert abs(batched.residual - whole.residual) <= 1e-13 * whole.residual
 
 
-@pytest.mark.parametrize("name", ["warm_d3", "m0_3"])
-def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name):
-    # the corrections are added range by range on whichever lane takes
-    # the range: one chunk per range and the default width give the same
-    # Z within 1e-15, and one lane or two the same Z to the bit
+@pytest.mark.parametrize("name, call", [
+    pytest.param("warm_d3", "solve", id="warm_d3"),
+    pytest.param("m0_3", "solve", id="m0_3"),
+    pytest.param("warm_d3", "gram", id="warm_d3_gram"),
+])
+def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name, call):
+    # the two-sided apply and the corrections run range by range: one
+    # chunk per range and the default width give the same Z, and the
+    # same Gram of either variant, within 1e-15
     spec = APPLY_SPECS[name]()
     n = 6000 + 5
     tab = CoefficientTables(spec)
     kit = ClosedFormKit(spec)
     y = random_rhs(n, spec.d, seed=47)
-    z = {}
+    run = {"solve": lambda: [solve(spec, n, y, tables=tab, kit=kit).z],
+           "gram": lambda: [apply_A_gram(spec, n, y, variant)
+                            for variant in ("tilde", "plain")]}[call]
+    got = {}
     for width, size in (("one", 1), ("default", fast_solver._RANGE_BYTES)):
         monkeypatch.setattr(fast_solver, "_RANGE_BYTES", size)
-        for count in (1, 2):
-            lanes(monkeypatch, count)
-            z[width, count] = solve(spec, n, y, tables=tab, kit=kit).z
-        assert np.array_equal(z[width, 1], z[width, 2])
-    ref = z["default", 1]
-    assert np.linalg.norm(z["one", 1] - ref) <= 1e-15 * np.linalg.norm(ref)
-
-
-def test_gram_gates_lanes_as_solve(monkeypatch):
-    # apply_A_gram takes the lanes solve would take: both gate on the
-    # work n d r of the same (spec, n, Y)
-    spec = warm_d3_spec()
-    n = 300
-    y = random_rhs(n, spec.d, seed=42)
-    work = []
-    monkeypatch.setattr(fast_solver, "_two_lanes",
-                        lambda w: work.append(w) or False)
-    solve(spec, n, y)
-    apply_A_gram(spec, n, y)
-    assert work == [n * spec.d * spec.d] * 2
-
-
-def test_gram_ranges_on_two_lanes(monkeypatch):
-    # on two lanes both take ranges of chunks as they come free, one
-    # chunk per range here: the same Gram to the bit as on one lane
-    monkeypatch.setattr(fast_solver, "_RANGE_BYTES", 1)
-    spec = warm_d3_spec()
-    n = 64 * T + 5
-    y = random_rhs(n, spec.d, seed=41)
-    for variant in ("tilde", "plain"):
-        grams = []
-        for count in (1, 2):
-            lanes(monkeypatch, count)
-            grams.append(apply_A_gram(spec, n, y, variant))
-        assert np.array_equal(*grams)
+        got[width] = run()
+    for one, ref in zip(got["one"], got["default"], strict=True):
+        assert np.linalg.norm(one - ref) <= 1e-15 * np.linalg.norm(ref)

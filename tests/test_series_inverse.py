@@ -247,3 +247,14 @@ def test_unreachable_tolerance_raises(sweep_tables, monkeypatch):
     monkeypatch.setattr(series_inverse, "_DEPTH_CAP", 1)
     with pytest.raises(errors.ToleranceUnreachable, match="depth cap"):
         SeriesInverter(tab, 8, tol=1e-10).matrix("plain")
+
+
+def test_nan_error_bound_raises(sweep_tables):
+    # a NaN in the accumulated error bound fails the tolerance test
+    inv = SeriesInverter(sweep_tables["d2_k2m12"], 8, tol=1e-10)
+    inv.block(1, 8)
+    store, err = inv._stores["tilde"]
+    inv._stores["tilde"] = (store, np.full_like(err, np.nan))
+    with pytest.raises(errors.ToleranceUnreachable,
+                       match="accumulated error bound"):
+        inv.block(1, 8)
