@@ -17,8 +17,8 @@ from .blockarray import BlockMatrix, as_block_vector
 from .closed_form import (ClosedFormKit, SolveVectors, inverse_block_closed,
                           inverse_matrix_closed)
 from .coefficients import CoefficientTables, RawTables, a_coeff, a_tilde_coeff
-from .fast_solver import (SolveReport, apply_A, apply_A_gram, apply_Q,
-                          apply_Q_adjoint, solve)
+from .fast_solver import (SolveReport, apply_A, apply_A_adjoint,
+                          apply_A_gram, apply_Q, apply_Q_adjoint, solve)
 from .oracle import (ConvergenceReport, convergence_experiment,
                      dense_inverse, dense_solve, dense_toeplitz,
                      infinite_solution, levinson_solve)
@@ -36,8 +36,8 @@ __all__ = [
     "ClosedFormKit", "SolveVectors", "inverse_block_closed",
     "inverse_matrix_closed",
     "CoefficientTables", "RawTables", "a_coeff", "a_tilde_coeff",
-    "SolveReport", "apply_A", "apply_A_gram", "apply_Q", "apply_Q_adjoint",
-    "solve",
+    "SolveReport", "apply_A", "apply_A_adjoint", "apply_A_gram", "apply_Q",
+    "apply_Q_adjoint", "solve",
     "ConvergenceReport", "convergence_experiment", "dense_inverse",
     "dense_solve", "dense_toeplitz", "infinite_solution", "levinson_solve",
     "BRecursionState", "SeriesInverter", "b_level_1", "b_recursion_step",

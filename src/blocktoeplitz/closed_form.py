@@ -41,9 +41,9 @@ _ARMA_OVERLAP_TOL = 1e-11
 
 class SolvePlan(NamedTuple):
     """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y, built afresh by ClosedFormKit.plan(n) (by
-    corner_plan when K = 0). The solver computes Z = T_n(w^{-1}) Y plus one
-    correction per region: on the tilde rows s <= n - m0 the tilde rank
+    the right-hand side Y, built afresh by ClosedFormKit.plan(n) (its
+    corner_plan() when K = 0). The solver computes Z = T_n(w^{-1}) Y plus
+    one correction per region: on the tilde rows s <= n - m0 the tilde rank
     correction minus E~ Y, on the plain rows s >= m0 + 1 the plain one
     minus E Y, where E~ and E are the corners by which A~*A~ and A*A
     miss T_n(w^{-1}) (see inverse_symbol). Every slot scalar of the rank
@@ -80,7 +80,7 @@ class SolvePlan(NamedTuple):
       ext_stack* on the plain side. Last, each map subtracts its corner,
       the kit's e_plain or e_tilde, from its own side's moments to its
       last (M + m0) d rows, the C(m, a) conj(p)^m and the unit rows (see
-      _minus_corners).
+      ClosedFormKit._minus_corners).
 
     The plain-row correction at s = m0+1..n is B_s* g_vec and the
     tilde-row one at s = 1..n-m0 is B~_s* g~_vec, with
@@ -107,7 +107,9 @@ def _check_blocks(n, *indices):
 
 def _kron_scalar(scal, d):
     """(M, M) scalar matrix -> (M d, M d) by scal (x) I_d."""
-    return np.kron(np.asarray(scal, dtype=np.complex128), np.eye(d))
+    M = len(scal)
+    return (np.asarray(scal, dtype=np.complex128)[:, None, :, None]
+            * np.eye(d)[:, None]).reshape(M * d, M * d)
 
 
 def _basis(terms, out):
@@ -120,7 +122,7 @@ def _basis(terms, out):
             out[a] += const * binom(c, r - a)
 
 
-def inverse_symbol(spec, lam=None):
+def inverse_symbol(spec, lam):
     """The n-free parts of T_n(w^{-1}) and of the two corners by which
     the triangular Grams miss it: (blocks, e_plain, e_tilde).
 
@@ -152,7 +154,7 @@ def inverse_symbol(spec, lam=None):
       at m and the moments sum_t C(m', a) q^{m'} y_t per slot with the
       m0 blocks y at m' = 1..m0.
 
-    lam is None for K = 0, where everything is the band's."""
+    For K = 0, lam is 0 x 0 and everything is the band's."""
     d, m0 = spec.d, spec.m0
     mults = np.array(spec.mults, dtype=int)
     mu_of = np.repeat(np.arange(spec.K), mults)
@@ -165,8 +167,7 @@ def inverse_symbol(spec, lam=None):
     hank = np.where(same & (degs[:, None] + degs < mults[mu_of][:, None]),
                     first[:, None] + degs[:, None] + degs, M)
     pascal = same * np.array([[binom(v, u) for v in degs] for u in degs])
-    gram = (np.zeros((0, 0), dtype=np.complex128) if lam is None else
-            (pole ** degs)[:, None] * lam * np.conj(pole ** degs))
+    gram = (pole ** degs)[:, None] * lam * np.conj(pole ** degs)
 
     # C(j, u_x) per j = 0..m0 and slot x: times q^j, the row weights
     steps = np.array([[binom(j, u) for u in degs] for j in range(m0 + 1)])
@@ -215,46 +216,15 @@ def inverse_symbol(spec, lam=None):
     return np.concatenate([gamma_band, residues]), e_plain, e_tilde
 
 
-def _minus_corners(plain, tilde, e_plain, e_tilde):
-    """Subtract the corners E and E~ (see inverse_symbol) from the plain
-    and the tilde map of a SolvePlan, in place: each acts from its own
-    side's moments to its slot sequence rows C(m, a) conj(p)^m (their
-    conjugates on the plain side) and its unit rows, the last (M + m0) d
-    rows of the map."""
-    k = len(e_plain)
-    plain[len(plain) - k:, :k] -= e_plain
-    tilde[len(tilde) - k:, k:] -= e_tilde
-
-
-def corner_plan(spec):
-    """(blocks, SolvePlan) of the corners alone (see inverse_symbol): the
-    lower triangle of T_n(w^{-1}), and maps that hold only E and E~ and
-    so take T_n(w^{-1}) to the triangular Grams; spectral_radius and
-    resolvent_cond are None. For K = 0, where the rank correction is
-    zero, this is the whole plan of a solve; for K >= 1 the blocks and
-    corners are those of ClosedFormKit(spec), whose Stein check runs."""
-    if spec.K:
-        kit = ClosedFormKit(spec)
-        blocks, e_plain, e_tilde = (kit.inverse_blocks, kit.e_plain,
-                                    kit.e_tilde)
-    else:
-        blocks, e_plain, e_tilde = inverse_symbol(spec)
-    k = len(e_plain)
-    maps = np.zeros((2, k + spec.total_multiplicity * spec.d, 2 * k),
-                    dtype=np.complex128)
-    _minus_corners(*maps, e_plain, e_tilde)
-    return blocks, SolvePlan(None, None, *maps)
-
-
 class ClosedFormKit:
-    """All n-independent closed-form data for one symbol with K >= 1, in
-    closed form with no series and no iteration cap (_check_lambda_stein)."""
+    """All n-independent closed-form data for one symbol, in closed form
+    with no series and no iteration cap (_check_lambda_stein). For an AR
+    symbol (K = 0) the pole machinery is empty (M = 0): the kit holds
+    T_n(w^{-1})'s lower triangle and its corners, Lambda and Theta are
+    0 x 0, and the v / w coefficients and the Stein check are skipped,
+    since T_n(w)^{-1} has no rank correction."""
 
     def __init__(self, spec):
-        if spec.K < 1:
-            raise errors.DomainViolation(
-                "closed-form pole machinery needs K >= 1 "
-                "(AR symbols use the Gram formulas directly)")
         self.spec = spec
         self.d = spec.d
         self.M = spec.total_multiplicity
@@ -266,6 +236,13 @@ class ClosedFormKit:
             for i in range(1, spec.mults[mu] + 1):
                 self.slots.append((mu, i))
         self.pole_of_slot = np.array([spec.poles[mu] for mu, _ in self.slots])
+        self.lambda_mat = self.build_lambda()
+        # T_n(w^{-1})'s lower triangle and the two corners E, E~
+        self.inverse_blocks, self.e_plain, self.e_tilde = inverse_symbol(
+            spec, self.lambda_mat[::self.d, ::self.d])
+        self.theta_values, self.theta_mat = self.build_theta()
+        if not self.M:          # an AR symbol: no rank correction
+            return
         # rho stacks: (M, d, d); tilde uses conjugated sharp residues
         self.rho_stack = np.stack(
             [spec.rho[mu][i - 1] for mu, i in self.slots])
@@ -278,11 +255,6 @@ class ClosedFormKit:
         self.ext_tilde_stack = np.concatenate(
             [self.rho_tilde_stack,
              herm(np.stack([spec.sharp_rho00, *spec.sharp_rho0]))])
-        self.lambda_mat = self.build_lambda()
-        # T_n(w^{-1})'s lower triangle and the two corners E, E~
-        self.inverse_blocks, self.e_plain, self.e_tilde = inverse_symbol(
-            spec, self.lambda_mat[::self.d, ::self.d])
-        self.theta_values, self.theta_mat = self.build_theta()
         self.v_coef, self.w_coef = self._coefficients()
         self._check_lambda_stein()
 
@@ -441,10 +413,12 @@ class ClosedFormKit:
 
     def _g(self, n):
         """(Pi_n Theta, G_n, G~_n, spectral radius of G~_n G_n), unchecked,
-        with G_n = Pi_n Theta Lambda and G~_n = (Pi_n Theta)* Lambda^T."""
+        with G_n = Pi_n Theta Lambda and G~_n = (Pi_n Theta)* Lambda^T; the
+        radius of the empty G~G of an AR symbol is 0."""
         pit = self.pi_mat(n) @ self.theta_mat
         g, gt = pit @ self.lambda_mat, herm(pit) @ self.lambda_mat.T
-        return pit, g, gt, float(np.abs(np.linalg.eigvals(gt @ g)).max())
+        return pit, g, gt, float(np.abs(np.linalg.eigvals(gt @ g)).max(
+            initial=0.0))
 
     def g_mats(self, n):
         """(G_n, G~_n) = (Pi_n Theta Lambda, (Pi_n Theta)* Lambda^T)."""
@@ -460,7 +434,7 @@ class ClosedFormKit:
         I - G~G and I - GG~ invertible and the correction series
         convergent."""
         out = self._g(n)
-        if out[3] >= 1.0:
+        if not out[3] < 1.0:            # written so that a NaN fails it
             raise errors.ResolventSingular(
                 f"spectral radius of G~G at n={n} is {out[3]:.6f} >= 1")
         return out
@@ -469,10 +443,29 @@ class ClosedFormKit:
 
     def plan(self, n):
         """The SolvePlan of order n, built afresh on every call: the maps
-        of _correction_maps(n) minus the corners E and E~."""
-        plan = self._correction_maps(n)
-        _minus_corners(plan.plain_map, plan.tilde_map, self.e_plain,
-                       self.e_tilde)
+        of _correction_maps(n) minus the corners E and E~, or for M = 0,
+        where the rank correction is zero, corner_plan()."""
+        if not self.M:
+            return self.corner_plan()
+        return self._minus_corners(self._correction_maps(n))
+
+    def corner_plan(self):
+        """The SolvePlan of the corners alone: maps that hold only E and
+        E~, and so take T_n(w^{-1}) Y to the triangular Grams' A*A Y and
+        A~*A~ Y; spectral_radius and resolvent_cond are None."""
+        k = len(self.e_plain)
+        return self._minus_corners(SolvePlan(None, None, *np.zeros(
+            (2, k + self.M * self.d, 2 * k), dtype=np.complex128)))
+
+    def _minus_corners(self, plan):
+        """plan, with the corners E and E~ (see inverse_symbol) subtracted
+        from its plain and its tilde map in place: each acts from its own
+        side's moments to its slot sequence rows C(m, a) conj(p)^m (their
+        conjugates on the plain side) and its unit rows, the last
+        (M + m0) d rows of the map."""
+        k = len(self.e_plain)
+        plan.plain_map[len(plan.plain_map) - k:, :k] -= self.e_plain
+        plan.tilde_map[len(plan.tilde_map) - k:, k:] -= self.e_tilde
         return plan
 
     def _correction_maps(self, n):

@@ -52,7 +52,7 @@ the m0 blocks at its end of Y. The SolvePlan holds, per side, one fixed
 map from those moments to coefficients on the 2M sequence rows
 C(m, a) p^{n-m} and C(m, a) conj(p)^m and the m0 unit rows [m == j]
 (see _coefficients); for K = 0 only the corners remain, on the unit
-rows (closed_form.corner_plan). On a grid of chunks each sequence row
+rows (ClosedFormKit.corner_plan). On a grid of chunks each sequence row
 is a fixed table times a few anchors of the chunk (see _sequences), so
 each side multiplies its coefficients into the table once, and one loop
 over batches of the chunks whose anchors are not all zero forms one
@@ -81,7 +81,7 @@ from scipy.signal import lfilter
 
 from . import errors
 from .blockarray import as_block_vector
-from .closed_form import ClosedFormKit, corner_plan
+from .closed_form import ClosedFormKit
 from .coefficients import CoefficientTables
 from .util import binom, binom_vec, herm
 
@@ -124,11 +124,18 @@ def _adjoint(op):
                        not op.upper)
 
 
+def _plain(variant):
+    """True for 'plain', False for 'tilde'; ValueError otherwise."""
+    if variant not in ("plain", "tilde"):
+        raise ValueError("variant must be 'plain' or 'tilde'")
+    return variant == "plain"
+
+
 def _factor(spec, variant):
     """A_n ('plain') is the lower triangle of the a_k of -h^{-1}; A~_n
     ('tilde') is the adjoint of the same triangle built from the
     h_sharp^{-1} coefficients, since a~_k = (a_k of h_sharp)*."""
-    sharp = {"tilde": True, "plain": False}[variant]
+    sharp = not _plain(variant)
     rho00, rho0, rho = spec.side(sharp)
     blocks = np.stack([rho00, *rho0, *(r for res in rho for r in res)])
     op = _Triangular(blocks, np.conj(spec.poles),
@@ -355,20 +362,24 @@ def _hermitian_operator(op, lo, up):
                           axis=2).reshape(T * d, -1)
 
 
-def _inverse_apply(inv, y):
-    """(T_n(w^{-1}) Y, sums) for the lower triangle inv of T_n(w^{-1})
-    (see closed_form.inverse_symbol) and a time-last (d, r, n) Y, the
-    product as a C-ordered (n, d, r) array: the slot states of inv at
-    each chunk's entry, which are the plain factor's, and of inv* at its
-    exit, the tilde factor's, one pass over Y each, the two sides' sums
-    on the v basis read from them (see _edge_sums), then _sweep of
+def _inverse_apply(kit, y):
+    """(T_n(w^{-1}) Y, sums) for a kit's symbol and a time-last (d, r, n)
+    Y, the product as a C-ordered (n, d, r) array. T_n(w^{-1}) is
+    inv + inv* - diag(c_0), inv the lower triangle of the kit's
+    inverse_blocks with the plain factor's poles conj(p) (see
+    closed_form.inverse_symbol): the slot states of inv at each chunk's
+    entry, which are the plain factor's, and of inv* at its exit, the
+    tilde factor's, one pass over Y each, the two sides' sums on the v
+    basis read from them (see _edge_sums), then _sweep of
     (inv + inv* - diag(c_0)) Y. The states die before it returns."""
+    inv = _Triangular(kit.inverse_blocks, np.conj(kit.spec.poles),
+                      kit.spec.mults, False)
     d, r, n = y.shape
     S, m0, T, nc = _sizes(inv, n)
     states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
     sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
     mat, mat_a = (_states(op, y, st)[0] for op, st in sides)
-    sums = [_edge_sums(op, st, y) if S else st[..., 0] for op, st in sides]
+    sums = [_edge_sums(op, st, y) for op, st in sides]
     z = np.empty((n, d, r), dtype=np.complex128)
     _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states,
            z.transpose(1, 2, 0))
@@ -431,19 +442,17 @@ def apply_A_adjoint(spec, n, x, variant="tilde"):
 def apply_A_gram(spec, n, y, variant="tilde"):
     """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1): T_n(w^{-1}) Y by solve's
     apply (see _inverse_apply), minus the corner E~ Y or E Y (see
-    closed_form.corner_plan) on every row it reaches."""
-    plain = {"tilde": False, "plain": True}[variant]
+    ClosedFormKit.corner_plan) on every row it reaches."""
+    plain = _plain(variant)
     if n < spec.m0 + 1:
         raise errors.DomainViolation("need n >= m0 + 1")
     y = _head(y, n, spec.d)
-    blocks, plan = corner_plan(spec)
-    inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
-    S, m0, T, nc = _sizes(inv, n)
-    z, sums = _inverse_apply(inv, y)
-    seq = _sequences(spec.poles, spec.mults, n, T) if S else None
-    c_plain, c_tilde = _coefficients(plan, *sums, y, m0)
+    kit = ClosedFormKit(spec)
+    z, sums = _inverse_apply(kit, y)
+    seq = _sequences(spec.poles, spec.mults, n, _chunk_blocks(spec.m0))
+    c_plain, c_tilde = _coefficients(kit.corner_plan(), *sums, y, spec.m0)
     _correct(z.transpose(1, 2, 0), c_plain if plain else None,
-             None if plain else c_tilde, seq, m0)
+             None if plain else c_tilde, seq, spec.m0)
     return z
 
 
@@ -488,6 +497,8 @@ def _edge_sums(op, st, y):
     C(s - j, i - j) C(l + j - 1, j - 1) p^l, by Vandermonde's identity."""
     n = y.shape[-1]
     S, m0, T, nc = _sizes(op, n)
+    if not S:       # no slot: no sum
+        return st[..., 0]
     last = (nc - 1) * T
     state, s, ks, blocks = ((st[..., 0], T + 1, np.arange(1, min(T, n) + 1),
                              y[..., :T]) if op.upper else
@@ -538,11 +549,13 @@ def _sequences(poles, mults, n, T):
     degs = [e for m in mults for e in range(m)]
     p = np.repeat(np.asarray(poles, dtype=np.complex128), mults)[:, None]
     M, u, nc = len(degs), np.arange(T), -(-n // T)
+    table = np.zeros((2 * M, 2 * M, T), dtype=np.complex128)
+    if not M:       # no slot: no sequence row, and no chunk is live
+        return table, 0, None
     # slot q takes C(u + 1, k) at the anchor of slot q - k, k <= its degree
     qs, ks = np.array([(q, k) for q, e in enumerate(degs)
                        for k in range(e + 1)]).T
     steps = np.stack([binom_vec(u + 1, k) for k in range(max(degs) + 1)])
-    table = np.zeros((2 * M, 2 * M, T), dtype=np.complex128)
     table[qs, qs - ks] = steps[ks] * p[qs] ** (T - 1 - u)
     table[M + qs, M + qs - ks] = steps[ks] * np.conj(p[qs]) ** (u + 1)
     # the chunks c whose largest power |p|^{c T} is above _FLUSH
@@ -592,7 +605,8 @@ def _residual_banded(tables, z, y):
     _RESIDUAL_BATCH points at a time, in buffers allocated here and
     reused from batch to batch. That is O(n log L) work. Returns the
     value, the certified bound on the neglected band times ||Z||_F, and
-    the counters residual_band, residual_nfft and residual_segments."""
+    the counters residual_band, residual_nfft and residual_segments.
+    NumericalError if the value, the tail or ||Z||_F is not finite."""
     d, r, n = z.shape
     g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
     L = min(tables.gamma_band_width(_RESIDUAL_REL * g0), n - 1)
@@ -640,6 +654,10 @@ def _residual_banded(tables, z, y):
     tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
     # in Z's memory order: one line, without a copy if Z is dense
     znorm = _sum_squares(z.ravel("K")) ** 0.5
+    if not all(map(math.isfinite, (sq, tail, znorm))):
+        raise errors.NumericalError(
+            f"residual {sq ** 0.5:.3e}, its band's tail {tail:.3e} or "
+            f"||Z||_F {znorm:.3e} is not finite")
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
     return sq ** 0.5, tail * znorm, counters
@@ -667,8 +685,8 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
     side's on its rows s <= n - m0, at m = s, and the plain side's on its
     rows s > n - m0, at m = n + 1 - s; with one side's coefficients None,
     the other's on every row. A side's coefficients (d r, R + m0) are on
-    the R sequence rows of seq = _sequences(...) (None when R = 0) and on
-    the m0 unit rows (see _coefficients). Row s = c T + u + 1 of either
+    the R sequence rows of seq = _sequences(...) and on the m0 unit
+    rows (see _coefficients). Row s = c T + u + 1 of either
     side lies in chunk c of its grid: the tilde side's takes table column
     u, the plain side's column T - 1 - u and the conjugate anchors (see
     _sequences). One loop runs over batches of at most _RANGE_BYTES of
@@ -684,43 +702,43 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
     cut = n if c_plain is None else 0 if c_tilde is None else n - m0
     R = (c_tilde if c_plain is None else c_plain).shape[1] - m0
     worst, compared = 0.0, 0
-    if R:
-        table, live, anchors = seq
-        T = table.shape[-1]
-        nc = -(-n // T)
-        w_plain, w_tilde = (None if c is None else np.tensordot(
-            c[:, :R], tab, 1).reshape(d, r, R, T) for c, tab in (
-                (c_plain, np.conj(table[..., ::-1])), (c_tilde, table)))
-        width = max(1, _RANGE_BYTES // (16 * T * d * r))
-        for c0, c1 in ((0, live), (max(live, nc - live), nc)):
-            for a in range(c0, c1, width):
-                b = min(a + width, c1)
-                # tilde rows s0 .. t - 1, plain rows t .. s1 - 1 (0-based)
-                s0, s1 = a * T, min(b * T, n)
-                t = min(max(cut, s0), s1)
-                lo, hi = (max(s0, m0), min(s1, n - m0)) if check else (0, 0)
-                cs = np.arange(a, b)
-                if t > s0 or hi > lo:
-                    x_t = _side_rows(w_tilde, anchors, cs, False)
-                    z[..., s0:t] += x_t[..., :t - s0]
-                if t < s1 or hi > lo:
-                    x_p = _side_rows(w_plain, anchors, cs, True)
-                    z[..., t:s1] += x_p[..., t - s0:s1 - s0]
-                if hi > lo:
-                    dev = np.linalg.norm(x_t[..., lo - s0:hi - s0]
-                                         - x_p[..., lo - s0:hi - s0],
-                                         axis=(0, 1))
-                    scale = (np.linalg.norm(z[..., lo:hi], axis=(0, 1))
-                             / np.sqrt(min(d, r)))
-                    # np.maximum keeps a NaN, which max() would drop
-                    worst = np.maximum(worst,
-                                       (dev / np.maximum(1.0, scale)).max())
-                    compared += hi - lo
+    table, live, anchors = seq
+    T = table.shape[-1]
+    nc = -(-n // T)
+    w_plain, w_tilde = (None if c is None else (
+        c[:, :R] @ tab.reshape(R, R * T)).reshape(d, r, R, T) for c, tab in (
+            (c_plain, np.conj(table[..., ::-1])), (c_tilde, table)))
+    width = max(1, _RANGE_BYTES // (16 * T * d * r))
+    for c0, c1 in ((0, live), (max(live, nc - live), nc)):
+        for a in range(c0, c1, width):
+            b = min(a + width, c1)
+            # tilde rows s0 .. t - 1, plain rows t .. s1 - 1 (0-based)
+            s0, s1 = a * T, min(b * T, n)
+            t = min(max(cut, s0), s1)
+            lo, hi = (max(s0, m0), min(s1, n - m0)) if check else (0, 0)
+            cs = np.arange(a, b)
+            if t > s0 or hi > lo:
+                x_t = _side_rows(w_tilde, anchors, cs, False)
+                z[..., s0:t] += x_t[..., :t - s0]
+            if t < s1 or hi > lo:
+                x_p = _side_rows(w_plain, anchors, cs, True)
+                z[..., t:s1] += x_p[..., t - s0:s1 - s0]
+            if hi > lo:
+                # the squared ratio per row, from sums of squares over the
+                # real views of the deviation and of z's rows
+                dev = (x_t[..., lo - s0:hi - s0] - x_p[..., lo - s0:hi - s0]
+                       ).view(np.float64).reshape(d, r, -1, 2)
+                zs = z[..., lo:hi].transpose(2, 0, 1).view(np.float64)
+                ratio = np.einsum("abst,abst->s", dev, dev) / np.maximum(
+                    1.0, np.einsum("sab,sab->s", zs, zs) / min(d, r))
+                # np.maximum keeps a NaN, which max() would drop
+                worst = np.maximum(worst, ratio.max())
+                compared += hi - lo
     if c_tilde is not None:
         z[..., :m0] += c_tilde[:, R:].reshape(d, r, m0)
     if c_plain is not None:
         z[..., n - m0:] += c_plain[:, R:].reshape(d, r, m0)[..., ::-1]
-    return float(worst), compared
+    return float(worst) ** 0.5, compared
 
 
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
@@ -737,10 +755,11 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 or is
     NaN on a row, a ratio never below the spectral ||dev||_2 / max(1,
     ||z_s||_2), so overlap_max_dev bounds that one. NonSummableRHS if Y
-    has a NaN or an inf. The check compares only the two regions'
-    corrections: both formulas share T_n(w^{-1}) Y, so a fault in that
-    apply passes it, and with compute_residual=False no check covers the
-    apply.
+    has a NaN or an inf; NumericalError if the residual, its tail bound
+    or ||Z||_F is not finite (see _residual_banded). The check compares
+    only the two regions' corrections: both formulas share T_n(w^{-1}) Y,
+    so a fault in that apply passes it, and with compute_residual=False
+    no check covers the apply.
     """
     t0 = time.perf_counter()
     y = _head(y, n, spec.d)
@@ -760,18 +779,12 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
         timings[stage] = now - tick
         tick = now
 
-    if spec.K:
-        kit = ClosedFormKit(spec) if kit is None else kit
-        blocks, plan = kit.inverse_blocks, kit.plan(n)
-    else:
-        blocks, plan = corner_plan(spec)
-    # T_n(w^{-1}) is inv + inv* - diag; inv has the plain factor's poles
-    inv = _Triangular(blocks, np.conj(spec.poles), spec.mults, False)
-    S, m0, T, nc = _sizes(inv, n)
-    seq = _sequences(spec.poles, spec.mults, n, T) if S else None
+    kit = ClosedFormKit(spec) if kit is None else kit
+    plan, T = kit.plan(n), _chunk_blocks(m0)
+    seq = _sequences(spec.poles, spec.mults, n, T)
     lap("plan")
 
-    z, sums = _inverse_apply(inv, y)
+    z, sums = _inverse_apply(kit, y)
     zt = z.transpose(1, 2, 0)
     lap("apply")
 

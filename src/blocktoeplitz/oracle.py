@@ -167,7 +167,8 @@ def infinite_solution(spec, y_seq, horizon, tables=None, rel_tol=1e-14):
     ymax = float(np.abs(y).max()) if ny else 0.0
     # a~ horizon: certified tail small against the y scale
     J = 0
-    while tables.a_tail(J) > rel_tol * max(ymax, 1.0):
+    # written so that a NaN tail runs to the cap and raises
+    while not tables.a_tail(J) <= rel_tol * max(ymax, 1.0):
         if J >= _A_HORIZON_CAP:
             raise errors.ToleranceUnreachable(
                 f"a~ tail {tables.a_tail(J):.3e} above tolerance after "

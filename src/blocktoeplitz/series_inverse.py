@@ -77,9 +77,13 @@ def _norm_sums(coeffs):
 
 
 def _horizon(F, base, target, cap=_LEVEL_CAP):
-    """Smallest L (up to cap) with F(base + L) <= target."""
+    """Smallest L (up to cap) with F(base + L) <= target;
+    ToleranceUnreachable if a bound or the target is NaN."""
     L = 1
-    while F(base + L) > target and L < cap:
+    while not (f := F(base + L)) <= target and L < cap:
+        if np.isnan(f + target):
+            raise errors.ToleranceUnreachable(
+                f"decay bound F({base + L}) = {f} against target {target}")
         L = int(L * 1.6) + 1
     return min(L, cap)
 
@@ -132,7 +136,7 @@ def b_recursion_step(state, tables):
     n = state.n
     F = tables.decay_bound_F
     contraction = F(n + 1)
-    if contraction >= 1.0:
+    if not contraction < 1.0:       # written so that a NaN fails it
         raise errors.DivergentRecursion(
             f"F(n+1) = {contraction:.4f} >= 1 at n = {n}")
     new_level = state.level + 1
@@ -155,7 +159,7 @@ def b_recursion_step(state, tables):
         [F(f) for f in _first(n, us, state.variant).tolist()])
     norms = _norm_sums(out)
     l1 = norms + tail
-    bad = l1 > bound * (1.0 + 1e-6) + 1e-12
+    bad = ~(l1 <= bound * (1.0 + 1e-6) + 1e-12)     # a NaN level is bad
     if bad.any():
         i = bad.argmax()
         raise errors.NumericalError(
@@ -192,7 +196,7 @@ class SeriesInverter:
         tail0 = getattr(tables, "a_tail", None)
         self._supcoef = max(tail0(0) if tail0 is not None
                             else tables.decay_bound_F(0), 1e-300)
-        if self._contraction >= 1.0:
+        if not self._contraction < 1.0:     # a NaN fails it
             raise errors.DivergentRecursion(
                 f"F(n+1) = {self._contraction:.4f} >= 1: certified "
                 "truncation unavailable")

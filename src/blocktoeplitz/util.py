@@ -43,7 +43,7 @@ def geometric_poly_tail(r, j, start):
     the ratio clears max(0.9, (1+r)/2), which is always reachable, then
     closes. Returns (tail_bound, terms_summed).
     """
-    if r < 0 or r >= 1:
+    if not 0 <= r < 1:                  # a NaN fails it
         raise ValueError("need 0 <= r < 1")
     if r == 0.0:
         return (1.0 if start == 0 else 0.0), 0

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from blocktoeplitz import errors
 from blocktoeplitz import closed_form
+from blocktoeplitz.cli import main
 from blocktoeplitz.closed_form import (ClosedFormKit, SolveVectors,
                                        gram_plain, gram_tilde,
                                        inverse_block_closed,
@@ -10,7 +13,7 @@ from blocktoeplitz.closed_form import (ClosedFormKit, SolveVectors,
 from blocktoeplitz.coefficients import CoefficientTables
 from blocktoeplitz.fast_solver import solve
 from blocktoeplitz.oracle import dense_solve
-from blocktoeplitz.symbol import RationalSymbolSpec
+from blocktoeplitz.symbol import RationalSymbolSpec, save_spec
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
 from blocktoeplitz.util import binom, herm
 
@@ -18,9 +21,40 @@ from helpers import (dense_toeplitz_matrix, make_sweep_spec, mult3_spec,
                      random_rhs, warm_d3_spec)
 
 
-def test_kit_requires_poles(ar1):
-    with pytest.raises(errors.DomainViolation):
-        ClosedFormKit(ar1)
+@pytest.mark.parametrize("name", ["d1_ar2", "d2_ar1", "d3_ar1"])
+def test_ar_kit_is_the_corners(name, monkeypatch, tmp_path, capsys):
+    # an AR symbol (K = 0) builds a kit whose pole machinery is empty:
+    # plan(n) holds only the corners, solve reads a caller's kit and
+    # builds no inverse symbol of its own, and tpz kit reports radius 0
+    spec = make_sweep_spec(name)
+    kit = ClosedFormKit(spec)
+    k = spec.m0 * spec.d
+    assert kit.M == 0 and kit.lambda_mat.shape == kit.theta_mat.shape \
+        == (0, 0)
+    e_plain, e_tilde = closed_form.inverse_symbol(spec, np.zeros((0, 0)))[1:]
+    plan = kit.plan(48)
+    assert plan.spectral_radius is None and plan.resolvent_cond is None
+    zero = np.zeros((k, k))
+    assert np.array_equal(plan.plain_map, np.hstack([-e_plain, zero]))
+    assert np.array_equal(plan.tilde_map, np.hstack([zero, -e_tilde]))
+    n = 300
+    y = random_rhs(n, spec.d, seed=5)
+    want = solve(spec, n, y)
+
+    def refused(*args):
+        raise AssertionError("solve built an inverse symbol")
+
+    monkeypatch.setattr(closed_form, "inverse_symbol", refused)
+    rep = solve(spec, n, y, kit=kit)
+    assert np.array_equal(rep.z, want.z)
+    assert rep.spectral_radius is None and rep.resolvent_cond is None
+    assert rep.overlap_checked == 0
+    monkeypatch.undo()
+    path = tmp_path / "ar.json"
+    save_spec(spec, path)
+    assert main(["kit", "--spec", str(path), "--n", "8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["M"] == 0 and payload["spectral_radius_GtG"] == 0.0
 
 
 def test_lambda_single_pole(ex52):
@@ -226,6 +260,17 @@ def test_g_norm_decays(ex52):
 def test_spectral_radius_below_one(ex52):
     kit = ClosedFormKit(ex52)
     assert kit.spectral_radius(2) < 1.0
+
+
+def test_nan_spectral_radius_raises(ex52, monkeypatch):
+    # a NaN radius of G~G fails the check that it is below 1
+    kit = ClosedFormKit(ex52)
+    g = kit._g
+    monkeypatch.setattr(kit, "_g", lambda n: (*g(n)[:3], np.nan))
+    with pytest.raises(errors.ResolventSingular):
+        kit.checked_g_mats(2)
+    with pytest.raises(errors.ResolventSingular):
+        kit.plan(8)
 
 
 def test_closed_beta_matches_tables(sweep_specs, sweep_tables):

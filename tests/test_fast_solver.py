@@ -12,7 +12,6 @@ from blocktoeplitz.fast_solver import (apply_A, apply_A_adjoint,
                                        apply_Q_adjoint, solve)
 from blocktoeplitz.blockarray import (gram, lower_block_toeplitz,
                                       upper_block_toeplitz)
-from blocktoeplitz.closed_form import inverse_symbol
 from blocktoeplitz.oracle import dense_solve
 from blocktoeplitz.symbol import w_on_circle
 from blocktoeplitz.synth import random_spec, scalar_ar, scalar_single_pole
@@ -236,16 +235,12 @@ def two_sided_apply(spec, y):
     """T_n(w^{-1}) Y for a public (n, d, r) Y as solve computes it: the
     slot states of the inverse symbol's lower triangle and of its
     adjoint, then the two-sided chunk sweep."""
-    lam = None
-    if spec.K:
-        lam = ClosedFormKit(spec).lambda_mat[::spec.d, ::spec.d]
-    inv = fast_solver._Triangular(inverse_symbol(spec, lam)[0],
-                                  np.conj(spec.poles), spec.mults, False)
-    return fast_solver._inverse_apply(inv, y.transpose(1, 2, 0))[0]
+    return fast_solver._inverse_apply(ClosedFormKit(spec),
+                                      y.transpose(1, 2, 0))[0]
 
 
 def corner_apply(spec, e, y, plain):
-    """E~ Y, or E Y if plain, from the n-free corner e of inverse_symbol:
+    """E~ Y, or E Y if plain, from the n-free corner e of the kit:
     the rows C(m, a) conj(p)^m per slot (their conjugates if plain) and
     [m == l], l = 1..m0, at m = s (m = n + 1 - s if plain), times e on
     the moments of Y, which weigh y_t with the conjugate rows at t."""
@@ -292,13 +287,11 @@ def test_two_sided_apply_vs_quadrature(name):
 def test_grams_are_the_inverse_symbol_minus_a_corner(name):
     # A~*A~ = T_n(w^{-1}) - E~ and A*A = T_n(w^{-1}) - E: each Gram
     # against the two-sided apply minus its corner, whose rank is at most
-    # (M + m0) d, from the n-free maps of inverse_symbol
+    # (M + m0) d, from the n-free maps of the kit
     spec = INVERSE_SPECS[name]()
     d = spec.d
-    lam = None
-    if spec.K:
-        lam = ClosedFormKit(spec).lambda_mat[::d, ::d]
-    _, e_plain, e_tilde = inverse_symbol(spec, lam)
+    kit = ClosedFormKit(spec)
+    e_plain, e_tilde = kit.e_plain, kit.e_tilde
     size = (sum(spec.mults) + spec.m0) * d
     assert e_plain.shape == e_tilde.shape == (size, size)
     for n in (T + 5, 4 * T + 3):
@@ -336,10 +329,7 @@ def test_gram_rows_vs_gram(name, n, width):
                         rng=np.random.default_rng(33)))
     d, m0 = spec.d, spec.m0
     y = random_rhs(n, d, seed=34)[:, :, :width or d]
-    lam = None
-    if spec.K:
-        lam = ClosedFormKit(spec).lambda_mat[::d, ::d]
-    e_plain = inverse_symbol(spec, lam)[1]
+    e_plain = ClosedFormKit(spec).e_plain
     full = two_sided_apply(spec, y)
     nc = -(-n // T)
     chunks = np.unique(np.r_[0, nc // 2, nc - 1, np.arange(n - m0, n) // T])
@@ -934,6 +924,33 @@ def test_non_finite_rhs_raises(value, where):
     for call in calls:
         with pytest.raises(errors.NonSummableRHS):
             call()
+
+
+# the overflow is the case under test, so numpy's warnings of it are not
+# errors here: the typed error must come from solve's own checks
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_overflowing_rhs_residual_raises(where):
+    # one finite Y entry of 1e308 in block 0, in the middle or in the
+    # last m0 blocks overflows Z or its residual: with the residual on,
+    # solve raises a typed error instead of reporting a NaN residual,
+    # and with the overlap check off the residual stage raises it
+    spec = warm_d3_spec()
+    n = 4096
+    y = random_rhs(n, spec.d, seed=53)
+    y[{"first": 0, "middle": n // 2, "last": n - spec.m0}[where], 0, 0] = 1e308
+    with pytest.raises(errors.NumericalError):
+        solve(spec, n, y)
+    with pytest.raises(errors.NumericalError, match="not finite"):
+        solve(spec, n, y, check_overlap=False)
+
+
+@pytest.mark.parametrize("apply", [apply_A, apply_A_adjoint, apply_A_gram])
+def test_unknown_variant_raises_value_error(apply):
+    spec = warm_d3_spec()
+    with pytest.raises(ValueError, match="variant"):
+        apply(spec, 48, random_rhs(48, spec.d), "foo")
 
 
 @pytest.mark.parametrize("frac", [0.9, 1.1])

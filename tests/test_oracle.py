@@ -128,6 +128,15 @@ def test_infinite_solution_refuses_unreached_tail(ex52, monkeypatch):
         infinite_solution(ex52, np.ones((4, 1, 1)), 4, tab)
 
 
+def test_infinite_solution_refuses_nan_tail(ex52, monkeypatch):
+    # a NaN a~ tail never clears the tolerance: it runs to the cap and
+    # raises instead of stopping at once with a truncated sum
+    tab = CoefficientTables(ex52)
+    monkeypatch.setattr(tab, "a_tail", lambda J: np.nan)
+    with pytest.raises(errors.ToleranceUnreachable):
+        infinite_solution(ex52, np.ones((4, 1, 1)), 4, tab)
+
+
 def test_convergence_identity(ident2):
     y = random_rhs(32, 2, seed=7)
     rep = convergence_experiment(ident2, y, [4, 8, 16])

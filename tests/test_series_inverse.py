@@ -258,3 +258,27 @@ def test_nan_error_bound_raises(sweep_tables):
     with pytest.raises(errors.ToleranceUnreachable,
                        match="accumulated error bound"):
         inv.block(1, 8)
+
+
+def test_nan_decay_bound_raises(ex52, monkeypatch):
+    # a NaN bound F fails every certificate test it meets, each with the
+    # error of its branch, instead of passing it or cutting a horizon
+    tab = CoefficientTables(ex52)
+    state = b_level_1(tab, 4, 1, "plain")
+    monkeypatch.setattr(tab, "decay_bound_F", lambda k: np.nan)
+    with pytest.raises(errors.DivergentRecursion):
+        SeriesInverter(tab, 4, tol=1e-8)
+    with pytest.raises(errors.DivergentRecursion):
+        b_recursion_step(state, tab)
+    with pytest.raises(errors.ToleranceUnreachable, match="NaN|nan"):
+        b_level_1(tab, 4, 1, "plain")
+
+
+def test_nan_level_fails_its_bound(sweep_tables, monkeypatch):
+    # a NaN level l1 norm does not pass its certified bound
+    tab = sweep_tables["d2_k2m12"]
+    state = b_level_1(tab, 8, np.arange(1, 9), "plain")
+    monkeypatch.setattr(series_inverse, "_norm_sums",
+                        lambda coeffs: np.full(coeffs.shape[:-3], np.nan))
+    with pytest.raises(errors.NumericalError, match="certified bound"):
+        b_recursion_step(state, tab)

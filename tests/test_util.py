@@ -37,3 +37,10 @@ def test_geometric_tail_dominates_partial_sum(r, j):
     # for j = 1 the bound IS the exact sum, so allow accumulation rounding
     assert partial <= bound * (1 + 1e-12) + 1e-12
     assert bound <= 20 * partial + 1e-12
+
+
+@pytest.mark.parametrize("r", [-0.1, 1.0, np.nan])
+def test_geometric_poly_tail_refuses_radius_outside(r):
+    # r outside [0, 1), NaN included, raises instead of walking forever
+    with pytest.raises(ValueError):
+        geometric_poly_tail(r, 2, 0)
