@@ -40,20 +40,20 @@ _ARMA_OVERLAP_TOL = 1e-11
 
 
 class SolvePlan(NamedTuple):
-    """The part of a linear-time solve at order n that does not depend on
-    the right-hand side Y, built afresh by ClosedFormKit.plan(n) (its
-    corner_plan() when K = 0). The solver computes Z = T_n(w^{-1}) Y plus
-    one correction per region: on the tilde rows s <= n - m0 the tilde rank
-    correction minus E~ Y, on the plain rows s >= m0 + 1 the plain one
-    minus E Y, where E~ and E are the corners by which A~*A~ and A*A
-    miss T_n(w^{-1}) (see inverse_symbol). Every slot scalar of the rank
-    correction, and every row of a corner, is a pole power times a
-    polynomial in the block index m, so per side one fixed map takes a
-    few moments of Y to coefficients on 2M + m0 sequence rows:
-    C(m, a) p^{n-m} and C(m, a) conj(p)^m per slot (mu, a + 1), and the
-    unit rows [m == j], j = 1..m0, whose coefficients the linear-time
-    solver adds straight onto blocks j and n + 1 - j. Nothing in it
-    grows with n.
+    """The maps of a linear-time solve at order n that do not depend on
+    the right-hand side Y, by ClosedFormKit.plan(n) (its corner_plan()
+    when K = 0), held by fast_solver.PreparedSolve. The solver computes
+    Z = T_n(w^{-1}) Y plus one correction per region: on the tilde rows
+    s <= n - m0 the tilde rank correction minus E~ Y, on the plain rows
+    s >= m0 + 1 the plain one minus E Y, where E~ and E are the corners
+    by which A~*A~ and A*A miss T_n(w^{-1}) (see inverse_symbol). Every
+    slot scalar of the rank correction, and every row of a corner, is a
+    pole power times a polynomial in the block index m, so per side one
+    fixed map takes a few moments of Y to coefficients on 2M + m0
+    sequence rows: C(m, a) p^{n-m} and C(m, a) conj(p)^m per slot
+    (mu, a + 1), and the unit rows [m == j], j = 1..m0, whose
+    coefficients the linear-time solver adds straight onto blocks j and
+    n + 1 - j. Nothing in it grows with n.
 
     * spectral_radius: the radius of G~_n G_n;
     * resolvent_cond: the 2-norm condition number of I - G~_n G_n, the
@@ -442,9 +442,9 @@ class ClosedFormKit:
     # -- the rank-correction vectors ------------------------------------- #
 
     def plan(self, n):
-        """The SolvePlan of order n, built afresh on every call: the maps
-        of _correction_maps(n) minus the corners E and E~, or for M = 0,
-        where the rank correction is zero, corner_plan()."""
+        """The SolvePlan of order n, built on every call and kept by its
+        caller: the maps of _correction_maps(n) minus the corners E and
+        E~, or corner_plan() for M = 0, where the rank correction is 0."""
         if not self.M:
             return self.corner_plan()
         return self._minus_corners(self._correction_maps(n))

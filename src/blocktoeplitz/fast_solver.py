@@ -36,9 +36,9 @@ and of inv* at each chunk's exit (the tilde factor's), one pass over Y
 each, then one gemm per range of chunks of the (T d) x ((2 m0 + T +
 2 S) d) operator on [previous m0 blocks; the chunk; next m0 blocks;
 entry states; exit states], whose chunk block is a full T x T block
-Toeplitz matrix (see _inverse_apply). solve makes no Gram: the corners
-join the rank corrections in the plan's maps, and apply_A_gram is
-T_n(w^{-1}) Y minus one corner.
+Toeplitz matrix (see PreparedSolve._apply). solve makes no Gram: the
+corners join the rank corrections in the plan's maps, and apply_A_gram
+is T_n(w^{-1}) Y minus one corner.
 
 For K >= 1 the rank correction is assembled in a rescaled form: the
 factors l_{n,s} and r_{n,t} contain pole powers p^{-m} and p^n that
@@ -51,21 +51,22 @@ of Y on the v basis, read from the carry states (see _edge_sums), and
 the m0 blocks at its end of Y. The SolvePlan holds, per side, one fixed
 map from those moments to coefficients on the 2M sequence rows
 C(m, a) p^{n-m} and C(m, a) conj(p)^m and the m0 unit rows [m == j]
-(see _coefficients); for K = 0 only the corners remain, on the unit
-rows (ClosedFormKit.corner_plan). On a grid of chunks each sequence row
-is a fixed table times a few anchors of the chunk (see _sequences), so
-each side multiplies its coefficients into the table once, and one loop
-over batches of the chunks whose anchors are not all zero forms one
-product with the anchors per side (see _correct): solve's tilde rows
-s <= n - m0, its last m0 plain rows on a grid that runs back from n.
-The overlap check compares both sides' corrections on every overlap row
-of those batches, where both formulas hold and share T_n(w^{-1}) Y.
+(see _coefficients); the Grams' corner_plan() holds only the corners.
+On a grid of chunks each sequence row is a fixed table times a few
+anchors of the chunk (see _sequences), so each side multiplies its
+coefficients into the table once, and one loop over batches of the
+chunks whose anchors are not all zero forms one product with the
+anchors per side (see _correct): solve's tilde rows s <= n - m0, its
+last m0 plain rows on a grid that runs back from n. The overlap check
+compares both sides' corrections on every overlap row of those
+batches, where both formulas hold and share T_n(w^{-1}) Y.
 
 The residual check convolves the gamma band with Z by overlap-save in
 O(n log L), at the transform size with the least segments nfft log2
-nfft (see _residual_size and _residual_banded). Below n = 2 m0 + 1 solve
-returns the dense solve. The literal reference formulas (unscaled, block
-by block) live in closed_form; this module is the production path.
+nfft (see _residual_banded). A PreparedSolve holds every array of all
+this that does not depend on Y. Below n = 2 m0 + 1 solve returns the
+dense solve. The literal reference formulas (unscaled, block by block)
+live in closed_form; this module is the production path.
 """
 
 import itertools
@@ -189,9 +190,11 @@ def _chunk_operator(op, T):
         carry[q0:q0 + m, q0:q0 + m] = state[..., -1]
         q0 += m
     d = op.blocks.shape[-1]
-    mat = (w.reshape(-1, nb + S) @ op.blocks.reshape(nb + S, d * d))
-    return (mat.reshape(T, m0 + T + S, d, d).transpose(0, 2, 1, 3)
-            .reshape(T * d, -1), ends, carry)
+    mat = (w.reshape(-1, nb + S) @ op.blocks.reshape(nb + S, d * d)).reshape(
+        T, m0 + T + S, d, d).transpose(0, 2, 1, 3).reshape(T * d, -1)
+    if op.upper:    # output blocks forwards, chunks read backwards (_states)
+        mat, ends = mat.reshape(T, -1)[::-1].reshape(mat.shape), ends[:, ::-1]
+    return mat, ends, carry
 
 
 def _split(x, T):
@@ -275,37 +278,31 @@ def _fill(stack, y, a, upper, m0, T, both=False):
             y, (a + k) * T + np.arange(m0))
 
 
-def _states(op, y, out=None):
-    """op's chunk apply, run over the chunks in forward order, on a
-    time-last (d, r, n) Y: (mat, states), mat the chunk operator of
-    _chunk_operator and states the slot states of every chunk's stack,
-    an (S, d, r, nc) array (in out, if given). For a lower op the stack
-    is [last m0 blocks of the chunk before; the chunk; the states at its
-    entry]. An upper op is R L R, L the lower triangle of its
-    coefficients and R the reversal over the chunk grid, so its stack is
-    [first m0 blocks of the chunk after; the chunk; the states at its
-    exit], each run of blocks read backwards, its chunks are weighed
-    into the states of the chunk before, and mat's output blocks are
-    turned forwards. (Read in this order, each output sums its terms
-    from the farthest, smallest lag on.)"""
+def _states(op, y, ends, carry, out=None):
+    """The slot states of every chunk's stack of op's chunk apply, run
+    over the chunks in forward order, on a time-last (d, r, n) Y, as an
+    (S, d, r, nc) array (in out, if given), from the ends and carry of
+    _chunk_operator(op, T). For a lower op the stack is [last m0 blocks
+    of the chunk before; the chunk; the states at its entry]. An upper
+    op is R L R, L the lower triangle of its coefficients and R the
+    reversal over the chunk grid, so its stack is [first m0 blocks of
+    the chunk after; the chunk; the states at its exit], each run of
+    blocks read backwards, its chunks are weighed into the states of the
+    chunk before, and its chunk operator's output blocks are turned
+    forwards. (Read in this order, each output sums its terms from the
+    farthest, smallest lag on.)"""
     d, r, n = y.shape
-    S, m0, T, nc = _sizes(op, n)
-    mat, ends, carry = _chunk_operator(op, T)
-    if op.upper:
-        mat = mat.reshape(T, -1)[::-1].reshape(mat.shape)
-    # op's stack positions on forward blocks
-    back = slice(None, None, -1) if op.upper else slice(None)
+    S, _, T, nc = _sizes(op, n)
     st = np.empty((S, d, r, nc), dtype=np.complex128) if out is None else out
     whole, rest = _split(y, T)
     nw = whole.shape[-2]
     for j in range(d):
-        np.matmul(ends[:, back], whole[j].swapaxes(-1, -2),
+        np.matmul(ends, whole[j].swapaxes(-1, -2),
                   out=st[:, j, :, :nw].transpose(1, 0, 2))
     if nw < nc:
-        st[..., -1] = np.einsum("qt,drt->qdr",
-                                ends[:, back][:, :rest.shape[-1]], rest)
+        st[..., -1] = np.einsum("qt,drt->qdr", ends[:, :rest.shape[-1]], rest)
     _carry_states(st[..., ::-1] if op.upper else st, op.mults, carry)
-    return mat, st
+    return st
 
 
 def _write(out, x, c0):
@@ -321,7 +318,7 @@ def _write(out, x, c0):
 
 def _sweep(op, y, mat, states, out):
     """Write into out (d, r, n) the chunk operator mat applied to Y:
-    op Y for mat and states (S, d, r, nc) of _states(op, y), or
+    op Y for op's mat and states (S, d, r, nc) (see _states), or
     (op + op* - diag(c_0)) Y for a lower op, the mat of
     _hermitian_operator and the entry states of op over the exit states
     of op* (2 S, d, r, nc). The gemms run over ranges of chunks, each in
@@ -347,8 +344,8 @@ def _hermitian_operator(op, lo, up):
     for a lower op, on the stack [last m0 blocks of the chunk before; the
     chunk; first m0 blocks of the chunk after; op's slot states at the
     chunk's entry; op*'s at its exit]: op's chunk operator lo plus op*'s
-    up, as _states returns them (see _states), op*'s turned forwards,
-    without its diagonal. The chunk block is a full T x T block Toeplitz
+    up, as _chunk_operator returns them, op*'s turned forwards, without
+    its diagonal. The chunk block is a full T x T block Toeplitz
     matrix."""
     S = sum(op.mults)
     m0, d = len(op.blocks) - S - 1, op.blocks.shape[-1]
@@ -360,30 +357,6 @@ def _hermitian_operator(op, lo, up):
                            up[:, :, :m0][:, :, ::-1],
                            lo[:, :, m0 + T:], up[:, :, m0 + T:]],
                           axis=2).reshape(T * d, -1)
-
-
-def _inverse_apply(kit, y):
-    """(T_n(w^{-1}) Y, sums) for a kit's symbol and a time-last (d, r, n)
-    Y, the product as a C-ordered (n, d, r) array. T_n(w^{-1}) is
-    inv + inv* - diag(c_0), inv the lower triangle of the kit's
-    inverse_blocks with the plain factor's poles conj(p) (see
-    closed_form.inverse_symbol): the slot states of inv at each chunk's
-    entry, which are the plain factor's, and of inv* at its exit, the
-    tilde factor's, one pass over Y each, the two sides' sums on the v
-    basis read from them (see _edge_sums), then _sweep of
-    (inv + inv* - diag(c_0)) Y. The states die before it returns."""
-    inv = _Triangular(kit.inverse_blocks, np.conj(kit.spec.poles),
-                      kit.spec.mults, False)
-    d, r, n = y.shape
-    S, m0, T, nc = _sizes(inv, n)
-    states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
-    sides = ((inv, states[:S]), (_adjoint(inv), states[S:]))
-    mat, mat_a = (_states(op, y, st)[0] for op, st in sides)
-    sums = [_edge_sums(op, st, y) for op, st in sides]
-    z = np.empty((n, d, r), dtype=np.complex128)
-    _sweep(inv, y, _hermitian_operator(inv, mat, mat_a), states,
-           z.transpose(1, 2, 0))
-    return z, sums
 
 
 def _q_ops(spec, mu):
@@ -421,11 +394,12 @@ def _head(y, n, d):
 
 def _applied(op, n, y, d):
     """op Y for a public (n, d, r) Y, returned as a C-ordered (n, d, r)
-    array: the states of _states, then _sweep, on the time-last views of
-    Y and of the output."""
+    array: op's chunk operator, _states and _sweep on the time-last views
+    of Y and of the output."""
     y = _head(y, n, d)
     out = np.empty((n, d, y.shape[1]), dtype=np.complex128)
-    _sweep(op, y, *_states(op, y), out.transpose(1, 2, 0))
+    mat, ends, carry = _chunk_operator(op, _sizes(op, n)[2])
+    _sweep(op, y, mat, _states(op, y, ends, carry), out.transpose(1, 2, 0))
     return out
 
 
@@ -441,19 +415,8 @@ def apply_A_adjoint(spec, n, x, variant="tilde"):
 
 def apply_A_gram(spec, n, y, variant="tilde"):
     """A~*A~ Y or A*A Y in O(n) (n >= m0 + 1): T_n(w^{-1}) Y by solve's
-    apply (see _inverse_apply), minus the corner E~ Y or E Y (see
-    ClosedFormKit.corner_plan) on every row it reaches."""
-    plain = _plain(variant)
-    if n < spec.m0 + 1:
-        raise errors.DomainViolation("need n >= m0 + 1")
-    y = _head(y, n, spec.d)
-    kit = ClosedFormKit(spec)
-    z, sums = _inverse_apply(kit, y)
-    seq = _sequences(spec.poles, spec.mults, n, _chunk_blocks(spec.m0))
-    c_plain, c_tilde = _coefficients(kit.corner_plan(), *sums, y, spec.m0)
-    _correct(z.transpose(1, 2, 0), c_plain if plain else None,
-             None if plain else c_tilde, seq, spec.m0)
-    return z
+    apply minus the corner E~ Y or E Y (see PreparedSolve.gram)."""
+    return PreparedSolve(ClosedFormKit(spec), n).gram(y, variant)
 
 
 @dataclass
@@ -473,15 +436,16 @@ class SolveReport:
     resolvent_cond: float = None
     overlap_checked: int = 0
     overlap_max_dev: float = 0.0
-    # seconds per stage: plan (the kit, the SolvePlan, the sequence table),
-    # apply (the slot states and the two-sided apply of T_n(w^{-1})),
-    # assembly (the maps on the moments, both sides' corrections and the
-    # overlap check) and residual
+    # seconds per stage: plan (all that solve builds, the residual's band
+    # too; 0 from a held PreparedSolve), apply (the slot states and the
+    # two-sided apply of T_n(w^{-1})), assembly (the maps on the moments,
+    # both sides' corrections and the overlap check) and residual (or,
+    # without it, the check that Z is finite)
     timings: dict = field(default_factory=dict)
     # overlap_rows (the rows the overlap check compared), plan_bytes (of
-    # the plan's arrays), chunk (blocks per chunk) and, when the residual
-    # ran, residual_band (L, the least the certificate allows),
-    # residual_nfft and residual_segments
+    # every array of the PreparedSolve), chunk (blocks per chunk) and, when
+    # the residual ran, residual_band (L, the least the certificate
+    # allows), residual_nfft and residual_segments
     counters: dict = field(default_factory=dict)
 
 
@@ -581,92 +545,113 @@ def _sequences(poles, mults, n, T):
     return table, live, anchors
 
 
-def _residual_size(n, L):
-    """(nfft, segments) of the overlap-save residual of n blocks with the
-    band -L..L: the size with the least segments nfft log2 nfft, among the
-    powers of two from 8 (2L + 1) up to n + 2L and the fast size that
-    covers n + 2L in one segment (scipy.fft.next_fast_len)."""
+def _residual_band(tables, n):
+    """(L, nfft, segments, tail, transform) of the residual at order n:
+    L = tables.gamma_band_width(_RESIDUAL_REL ||gamma(0)||_2), at most
+    n - 1; the least segments nfft log2 nfft, of nfft - 2L blocks each,
+    among the powers of two from 8 (2L + 1) up to n + 2L and
+    scipy.fft.next_fast_len(n + 2L); the certified bound on the band's
+    tail (0 at L = n - 1); the gamma band's (d, d, nfft) transform."""
+    g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
+    L = min(tables.gamma_band_width(_RESIDUAL_REL * g0), n - 1)
+    band = np.ascontiguousarray(tables.gamma_band(L).transpose(1, 2, 0))
     sizes = [1 << k for k in range((16 * L + 7).bit_length(),
                                    (n + 2 * L).bit_length())]
     sizes.append(scipy.fft.next_fast_len(n + 2 * L))
     nfft = min(sizes, key=lambda f: -(-n // (f - 2 * L)) * f * np.log2(f))
-    return nfft, -(-n // (nfft - 2 * L))
+    return (L, nfft, -(-n // (nfft - 2 * L)),
+            0.0 if L == n - 1 else tables.gamma_band_tail(L),
+            np.fft.fft(band, n=nfft, axis=-1))
 
 
-def _residual_banded(tables, z, y):
-    """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, through the gamma
-    band k = -L..L (tables.gamma_band), by overlap-save, with L =
-    tables.gamma_band_width(_RESIDUAL_REL ||gamma(0)||_2) capped at n - 1.
-    The band is transformed once, at the nfft of _residual_size; Z,
-    padded by L zero blocks in front, is cut into segments of nfft points
-    stepping by nfft - 2L, and points 2L.. of each segment's circular
-    convolution are the next nfft - 2L blocks of T_n Z (the last
-    segment's trimmed at n). The segments are padded and transformed
-    _RESIDUAL_BATCH points at a time, in buffers allocated here and
-    reused from batch to batch. That is O(n log L) work. Returns the
-    value, the certified bound on the neglected band times ||Z||_F, and
-    the counters residual_band, residual_nfft and residual_segments.
-    NumericalError if the value, the tail or ||Z||_F is not finite."""
+def _residual_banded(band, z, y):
+    """||T_n Z - Y||_F for time-last (d, r, n) Z and Y, by overlap-save
+    with the gamma band of _residual_band: Z, padded by L zero blocks in
+    front, is cut into segments of nfft points stepping by nfft - 2L, and
+    points 2L.. of each segment's circular convolution with the band are
+    the next nfft - 2L blocks of T_n Z (the last segment's trimmed at n).
+    The segments are padded and transformed _RESIDUAL_BATCH points at a
+    time, in buffers allocated here and reused from batch to batch. That
+    is O(n log L) work. Returns the value, the certified bound on the
+    neglected band times ||Z||_F, and the counters residual_band,
+    residual_nfft and residual_segments. NumericalError if the value,
+    the tail or ||Z||_F is not finite."""
+    L, nfft, segments, tail, gf = band
     d, r, n = z.shape
-    g0 = max(float(np.linalg.norm(tables.gamma(0), 2)), 1e-300)
-    L = min(tables.gamma_band_width(_RESIDUAL_REL * g0), n - 1)
-    nfft, segments = _residual_size(n, L)
     step = nfft - 2 * L
-    band = np.ascontiguousarray(tables.gamma_band(L).transpose(1, 2, 0))
-    # (d, d, nfft): the per-frequency products run along its last axis
-    gf = np.fft.fft(band, n=nfft, axis=-1)
     batch = max(1, _RESIDUAL_BATCH // nfft)
     m = min(batch, segments)
     # the transform, product and deviation, and the padded points
     zf, prod, part = np.empty((3, d, r, m, nfft), dtype=np.complex128)
     pad = np.empty((d, r, m * step + 2 * L), dtype=np.complex128)
-    sq = 0.0
-    for i in range(0, segments, batch):
-        j = min(i + batch, segments)
-        lo, hi = i * step, min(j * step, n)
-        # the batch's points of Z padded: Z from lo - L on, zero outside
-        # 0 .. n - 1
-        padded = pad[..., :(j - i) * step + 2 * L]
-        a, b = max(lo - L, 0), min(j * step + L, n)
-        padded[..., :a - lo + L] = 0
-        padded[..., a - lo + L:b - lo + L] = z[..., a:b]
-        padded[..., b - lo + L:] = 0
-        f, c = zf[..., :j - i, :], prod[..., :j - i, :]
-        np.fft.fft(sliding_window_view(padded, nfft, axis=-1)[..., ::step, :],
-                   axis=-1, out=f)
-        # sum_b gf[:, b] zf[b], one broadcast product per term
-        np.multiply(gf[:, 0, None, None], f[0], out=c)
-        for e in range(1, d):
-            np.multiply(gf[:, e, None, None], f[e], out=part[:, :, :j - i])
-            c += part[:, :, :j - i]
-        np.fft.ifft(c, axis=-1, out=c)
-        # the trimmed deviation, in place: whole segments, then the
-        # ragged rest of the last
-        dev = c[..., 2 * L:]
-        whole, rest = divmod(hi - lo, step)
-        dev[..., :whole, :] -= y[..., lo:lo + whole * step].reshape(
-            d, r, whole, step)
-        sq += _sum_squares(dev[..., :whole, :])
-        if rest:
-            dev[..., whole, :rest] -= y[..., hi - rest:hi]
-            sq += _sum_squares(dev[..., whole, :rest])
-    # at L = n - 1 the band holds every block of T_n
-    tail = 0.0 if L == n - 1 else tables.gamma_band_tail(L)
-    # in Z's memory order: one line, without a copy if Z is dense
-    znorm = _sum_squares(z.ravel("K")) ** 0.5
-    if not all(map(math.isfinite, (sq, tail, znorm))):
+
+    def deviations():
+        """T_n Z - Y in parts, each in the buffers reused batch by batch,
+        so valid until the next."""
+        for i in range(0, segments, batch):
+            j = min(i + batch, segments)
+            lo, hi = i * step, min(j * step, n)
+            # the batch's points of Z padded: Z from lo - L on, zero
+            # outside 0 .. n - 1
+            padded = pad[..., :(j - i) * step + 2 * L]
+            a, b = max(lo - L, 0), min(j * step + L, n)
+            padded[..., :a - lo + L] = 0
+            padded[..., a - lo + L:b - lo + L] = z[..., a:b]
+            padded[..., b - lo + L:] = 0
+            f, c = zf[..., :j - i, :], prod[..., :j - i, :]
+            np.fft.fft(sliding_window_view(padded, nfft, axis=-1)[
+                ..., ::step, :], axis=-1, out=f)
+            # sum_b gf[:, b] zf[b], one broadcast product per term
+            np.multiply(gf[:, 0, None, None], f[0], out=c)
+            for e in range(1, d):
+                np.multiply(gf[:, e, None, None], f[e],
+                            out=part[:, :, :j - i])
+                c += part[:, :, :j - i]
+            np.fft.ifft(c, axis=-1, out=c)
+            # the trimmed deviation, in place: whole segments, then the
+            # ragged rest of the last
+            dev = c[..., 2 * L:]
+            whole, rest = divmod(hi - lo, step)
+            dev[..., :whole, :] -= y[..., lo:lo + whole * step].reshape(
+                d, r, whole, step)
+            yield dev[..., :whole, :]
+            if rest:
+                dev[..., whole, :rest] -= y[..., hi - rest:hi]
+                yield dev[..., whole, :rest]
+
+    # Z in its memory order: one line, without a copy if Z is dense
+    residual, znorm = _norm(deviations()), _norm([z.ravel("K")])
+    if not all(map(math.isfinite, (residual, tail, znorm))):
         raise errors.NumericalError(
-            f"residual {sq ** 0.5:.3e}, its band's tail {tail:.3e} or "
+            f"residual {residual:.3e}, its band's tail {tail:.3e} or "
             f"||Z||_F {znorm:.3e} is not finite")
     counters = {"residual_band": L, "residual_nfft": nfft,
                 "residual_segments": segments}
-    return sq ** 0.5, tail * znorm, counters
+    return residual, tail * znorm, counters
 
 
-def _sum_squares(x):
-    """sum |x|^2 over a complex array whose last axis is contiguous,
-    without a copy."""
-    re = x.view(np.float64)
+def _norm(parts):
+    """||x||_F over the complex arrays x of parts, each with a contiguous
+    last axis, from the sum of their squares in order: plain, without a
+    copy, while it stays finite, and past float range over 2^-e x, e the
+    exponent of the largest entry so far, so a Z above 1e154 keeps a
+    finite norm."""
+    sq, e = 0.0, 0
+    for x in parts:
+        re = x.view(np.float64)
+        s = _squares(re, e)
+        if math.isinf(sq + s):
+            f = max(e, math.frexp(float(np.abs(re).max()))[1])
+            sq, e = math.ldexp(sq, 2 * (e - f)), f
+            s = _squares(re, e)
+        sq += s
+    with np.errstate(over="ignore"):    # a norm past float range reads inf
+        return float(np.ldexp(sq ** 0.5, e))
+
+
+def _squares(re, e):
+    """sum (2^-e re)^2 over a real array, without a copy if e = 0."""
+    re = np.ldexp(re, -e) if e else re
     return float(np.einsum("...i,...i->...", re, re).sum())
 
 
@@ -678,6 +663,24 @@ def _side_rows(w, anchors, cs, plain):
     a = anchors(cs, plain)
     return np.matmul((np.conj(a) if plain else a).T, w).reshape(
         *w.shape[:2], -1)
+
+
+def _ratios(dev, zs, k):
+    """The squared ratio ||dev_s||_F^2 / max(1, ||z_s||_F^2 / k) per row s,
+    from sums of squares over the real views dev (d, r, rows, 2) of the
+    deviation and zs (rows, d, r') of z's rows. Where a sum overflows,
+    both are taken again of 2^-e dev and 2^-e zs, e the exponent of their
+    largest entry, and the floor 1 scaled by 4^-e, so rows above 1e154
+    keep a finite ratio; a NaN stays a NaN."""
+    num, den = (np.einsum("abst,abst->s", dev, dev),
+                np.einsum("sab,sab->s", zs, zs))
+    e = 0
+    if np.isinf(num).any() or np.isinf(den).any():
+        e = math.frexp(float(max(np.abs(dev).max(), np.abs(zs).max())))[1]
+        dev, zs = np.ldexp(dev, -e), np.ldexp(zs, -e)
+        num, den = (np.einsum("abst,abst->s", dev, dev),
+                    np.einsum("sab,sab->s", zs, zs))
+    return num / np.maximum(math.ldexp(1.0, -2 * e), den / k)
 
 
 def _correct(z, c_plain, c_tilde, seq, m0, check=False):
@@ -724,15 +727,11 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
                 x_p = _side_rows(w_plain, anchors, cs, True)
                 z[..., t:s1] += x_p[..., t - s0:s1 - s0]
             if hi > lo:
-                # the squared ratio per row, from sums of squares over the
-                # real views of the deviation and of z's rows
                 dev = (x_t[..., lo - s0:hi - s0] - x_p[..., lo - s0:hi - s0]
                        ).view(np.float64).reshape(d, r, -1, 2)
                 zs = z[..., lo:hi].transpose(2, 0, 1).view(np.float64)
-                ratio = np.einsum("abst,abst->s", dev, dev) / np.maximum(
-                    1.0, np.einsum("sab,sab->s", zs, zs) / min(d, r))
                 # np.maximum keeps a NaN, which max() would drop
-                worst = np.maximum(worst, ratio.max())
+                worst = np.maximum(worst, _ratios(dev, zs, min(d, r)).max())
                 compared += hi - lo
     if c_tilde is not None:
         z[..., :m0] += c_tilde[:, R:].reshape(d, r, m0)
@@ -741,9 +740,118 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
     return float(worst) ** 0.5, compared
 
 
+def _held(x):
+    """Every array in x, through tuples and the cells of closures."""
+    if callable(x):
+        x = tuple(c.cell_contents for c in getattr(x, "__closure__", None)
+                  or ())
+    if isinstance(x, tuple):
+        return [a for e in x for a in _held(e)]
+    return [x] if isinstance(x, np.ndarray) else []
+
+
+class PreparedSolve:
+    """The arrays of solve and apply_A_gram at order n that do not depend
+    on Y, built once and read-only: plan and corners (kit.plan(n) and
+    kit.corner_plan()), sides (inv, the lower triangle of T_n(w^{-1}),
+    and inv*) with scans (their ends and carry) and mat (see
+    _hermitian_operator), seq (see _sequences) and, from the tables,
+    band (see _residual_band; None without, and then solve computes no
+    residual). nbytes counts them. DomainViolation below n = m0 + 1."""
+
+    def __init__(self, kit, n, tables=None):
+        spec = kit.spec
+        if n < spec.m0 + 1:
+            raise errors.DomainViolation("need n >= m0 + 1")
+        self.n, self.d, self.m0 = n, spec.d, spec.m0
+        self.plan, self.corners = kit.plan(n), kit.corner_plan()
+        inv = _Triangular(kit.inverse_blocks.view(), np.conj(spec.poles),
+                          spec.mults, False)
+        self.sides, T = (inv, _adjoint(inv)), _chunk_blocks(spec.m0)
+        ops = [_chunk_operator(op, T) for op in self.sides]
+        self.scans = tuple(op[1:] for op in ops)
+        self.mat = _hermitian_operator(inv, ops[0][0], ops[1][0])
+        self.seq = _sequences(spec.poles, spec.mults, n, T)
+        self.band = None if tables is None else _residual_band(tables, n)
+        arrays = _held(tuple(vars(self).values()))
+        for a in arrays:
+            a.flags.writeable = False
+        self.nbytes = sum(a.nbytes for a in arrays)
+
+    def _apply(self, y):
+        """(T_n(w^{-1}) Y, sums) for a time-last (d, r, n) Y, the product
+        C-ordered (n, d, r): the slot states of inv at each chunk's entry
+        (the plain factor's) and of inv* at its exit (the tilde factor's),
+        one pass over Y each, their sums on the v basis (see _edge_sums),
+        then _sweep of (inv + inv* - diag(c_0)) Y."""
+        d, r, n = y.shape
+        S, _, _, nc = _sizes(self.sides[0], n)
+        states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
+        sums = [_edge_sums(op, _states(op, y, *scan, out=st), y)
+                for op, scan, st in zip(self.sides, self.scans,
+                                        np.split(states, 2))]
+        z = np.empty((n, d, r), dtype=np.complex128)
+        _sweep(self.sides[0], y, self.mat, states, z.transpose(1, 2, 0))
+        return z, sums
+
+    def gram(self, y, variant="tilde"):
+        """apply_A_gram(spec, n, y, variant) from this object's arrays:
+        T_n(w^{-1}) Y minus the corner E~ Y or E Y on every row it reaches."""
+        plain = _plain(variant)
+        y = _head(y, self.n, self.d)
+        z, sums = self._apply(y)
+        c_plain, c_tilde = _coefficients(self.corners, *sums, y, self.m0)
+        _correct(z.transpose(1, 2, 0), c_plain if plain else None,
+                 None if plain else c_tilde, self.seq, self.m0)
+        return z
+
+    def solve(self, y, check_overlap=True):
+        """solve(spec, n, y, ...) from this object's arrays, with the
+        residual if it was built with tables, and NumericalError without
+        it if Z is not finite; timings["plan"] is 0, since nothing is
+        built. DomainViolation below n = 2 m0 + 1."""
+        ticks = [time.perf_counter()]
+        y = _head(y, self.n, self.d)
+        if self.n < 2 * self.m0 + 1:
+            raise errors.DomainViolation("need n >= 2 m0 + 1")
+        ticks.append(time.perf_counter())
+        z, sums = self._apply(y)
+        zt = z.transpose(1, 2, 0)
+        ticks.append(time.perf_counter())
+        overlap_max_dev, compared = _correct(
+            zt, *_coefficients(self.plan, *sums, y, self.m0), self.seq,
+            self.m0, check_overlap)
+        # written so that a NaN deviation fails it
+        if not overlap_max_dev <= _OVERLAP_TOL:
+            raise errors.OverlapMismatch(
+                f"regional assemblies deviate by {overlap_max_dev:.3e} "
+                f"(tolerance {_OVERLAP_TOL:.1e}) on overlap rows")
+        ticks.append(time.perf_counter())
+        counters = {"overlap_rows": compared, "chunk": _chunk_blocks(self.m0),
+                    "plan_bytes": self.nbytes}
+        residual = tail = None
+        if self.band is not None:
+            residual, tail, more = _residual_banded(self.band, zt, y)
+            counters.update(more)
+        elif not np.isfinite(z).all():      # what the residual would catch
+            raise errors.NumericalError("Z has non-finite entries")
+        ticks.append(time.perf_counter())
+        timings = dict(zip(("plan", "apply", "assembly", "residual"), [0.0, *(
+            b - a for a, b in itertools.pairwise(ticks[1:]))]))
+        return SolveReport(
+            z=z, method="fast", n=self.n, d=self.d,
+            seconds=ticks[-1] - ticks[0], residual=residual,
+            residual_tail_bound=tail,
+            spectral_radius=self.plan.spectral_radius,
+            resolvent_cond=self.plan.resolvent_cond, overlap_checked=compared,
+            overlap_max_dev=overlap_max_dev, timings=timings,
+            counters=counters)
+
+
 def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
           compute_residual=True):
-    """Solve T_n(w) Z = Y in O(n) and return a SolveReport.
+    """Solve T_n(w) Z = Y in O(n): the solve of a PreparedSolve built
+    here, with the tables (made if None) only when compute_residual.
 
     Y is an (n, d, r) block vector with any r >= 1 columns, and Z has
     the same shape. Below n = 2 m0 + 1 the two regional corrections do
@@ -756,58 +864,22 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     NaN on a row, a ratio never below the spectral ||dev||_2 / max(1,
     ||z_s||_2), so overlap_max_dev bounds that one. NonSummableRHS if Y
     has a NaN or an inf; NumericalError if the residual, its tail bound
-    or ||Z||_F is not finite (see _residual_banded). The check compares
-    only the two regions' corrections: both formulas share T_n(w^{-1}) Y,
-    so a fault in that apply passes it, and with compute_residual=False
-    no check covers the apply.
+    or ||Z||_F is not finite (see _residual_banded), or without the
+    residual if Z is not. The check compares only the two regions'
+    corrections: both formulas share T_n(w^{-1}) Y, so a fault in that
+    apply passes it, and with compute_residual=False no check covers the
+    apply.
     """
     t0 = time.perf_counter()
-    y = _head(y, n, spec.d)
-    d, r, m0 = spec.d, y.shape[1], spec.m0
-    if n < 2 * m0 + 1:
+    if n < 2 * spec.m0 + 1:
         from .oracle import dense_solve     # oracle imports this module
-        return dense_solve(spec, n, y.transpose(2, 0, 1), tables=tables)
-    if tables is None:
+        return dense_solve(spec, n, _head(y, n, spec.d).transpose(2, 0, 1),
+                           tables=tables)
+    if compute_residual and tables is None:
         tables = CoefficientTables(spec)
-
-    timings = {}
-    tick = time.perf_counter()
-
-    def lap(stage):
-        nonlocal tick
-        now = time.perf_counter()
-        timings[stage] = now - tick
-        tick = now
-
-    kit = ClosedFormKit(spec) if kit is None else kit
-    plan, T = kit.plan(n), _chunk_blocks(m0)
-    seq = _sequences(spec.poles, spec.mults, n, T)
-    lap("plan")
-
-    z, sums = _inverse_apply(kit, y)
-    zt = z.transpose(1, 2, 0)
-    lap("apply")
-
-    overlap_max_dev, compared = _correct(
-        zt, *_coefficients(plan, *sums, y, m0), seq, m0, check_overlap)
-    # written so that a NaN deviation fails it
-    if not overlap_max_dev <= _OVERLAP_TOL:
-        raise errors.OverlapMismatch(
-            f"regional assemblies deviate by {overlap_max_dev:.3e} "
-            f"(tolerance {_OVERLAP_TOL:.1e}) on overlap rows")
-    lap("assembly")
-
-    counters = {"overlap_rows": compared, "chunk": T,
-                "plan_bytes": sum(a.nbytes for a in plan[2:])}
-    residual = tail = None
-    if compute_residual:
-        residual, tail, more = _residual_banded(tables, zt, y)
-        counters.update(more)
-    lap("residual")
-    return SolveReport(
-        z=z, method="fast", n=n, d=d,
-        seconds=time.perf_counter() - t0, residual=residual,
-        residual_tail_bound=tail, residual_is_approximate=True,
-        spectral_radius=plan.spectral_radius,
-        resolvent_cond=plan.resolvent_cond, overlap_checked=compared,
-        overlap_max_dev=overlap_max_dev, timings=timings, counters=counters)
+    prepared = PreparedSolve(ClosedFormKit(spec) if kit is None else kit, n,
+                             tables if compute_residual else None)
+    report = prepared.solve(y, check_overlap)
+    report.timings["plan"] = time.perf_counter() - t0 - report.seconds
+    report.seconds = time.perf_counter() - t0
+    return report

@@ -235,8 +235,8 @@ def two_sided_apply(spec, y):
     """T_n(w^{-1}) Y for a public (n, d, r) Y as solve computes it: the
     slot states of the inverse symbol's lower triangle and of its
     adjoint, then the two-sided chunk sweep."""
-    return fast_solver._inverse_apply(ClosedFormKit(spec),
-                                      y.transpose(1, 2, 0))[0]
+    return fast_solver.PreparedSolve(ClosedFormKit(spec), len(y))._apply(
+        y.transpose(1, 2, 0))[0]
 
 
 def corner_apply(spec, e, y, plain):
@@ -488,7 +488,8 @@ def test_overlap_save_residual_vs_dense(n, nfft, segments):
     z, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for _ in range(2))
     resid, tail, counters = fast_solver._residual_banded(
-        tab, z.reshape(1, 1, n), y.reshape(1, 1, n))
+        fast_solver._residual_band(tab, n), z.reshape(1, 1, n),
+        y.reshape(1, 1, n))
     assert counters == {"residual_band": 54, "residual_nfft": nfft,
                         "residual_segments": segments}
     dense = np.linalg.norm(dense_toeplitz_matrix(tab, n, 1) @ z - y)
@@ -510,7 +511,8 @@ def test_overlap_save_residual_vs_dense_blocks():
     z, y = (rng.standard_normal((3, n, 2))
             + 1j * rng.standard_normal((3, n, 2)) for _ in range(2))
     resid, tail, counters = fast_solver._residual_banded(
-        tab, z.transpose(0, 2, 1), y.transpose(0, 2, 1))
+        fast_solver._residual_band(tab, n), z.transpose(0, 2, 1),
+        y.transpose(0, 2, 1))
     assert counters == {"residual_band": 81, "residual_nfft": 2048,
                         "residual_segments": 2}
     tz = -y
@@ -555,10 +557,8 @@ def test_residual_size_never_costs_more():
 
     sizes = []
     for spec, n in bench_specs():
-        tab = CoefficientTables(spec)
-        g0 = float(np.linalg.norm(tab.gamma(0), 2))
-        L = min(tab.gamma_band_width(1e-12 * g0), n - 1)
-        nfft, segments = fast_solver._residual_size(n, L)
+        L, nfft, segments = fast_solver._residual_band(
+            CoefficientTables(spec), n)[:3]
         old = 1 << int(np.ceil(np.log2(min(8 * (2 * L + 1), n + 2 * L + 1))))
         assert cost(nfft, segments) <= cost(old, -(-n // (old - 2 * L)))
         sizes.append((nfft, segments))
@@ -788,7 +788,8 @@ def test_correction_sums_from_states(mults, m0, radius, n):
     sums = []
     for variant in ("plain", "tilde"):
         op = fast_solver._factor(spec, variant)
-        st = fast_solver._states(op, yt)[1]
+        st = fast_solver._states(op, yt, *fast_solver._chunk_operator(
+            op, fast_solver._chunk_blocks(m0))[1:])
         sums.append(fast_solver._edge_sums(op, st, yt))
     c_plain, c_tilde = fast_solver._coefficients(kit._correction_maps(n),
                                                     *sums, yt, m0)
@@ -815,27 +816,31 @@ def test_correction_sums_from_states(mults, m0, radius, n):
 
 
 def test_plan_bytes_do_not_depend_on_n():
-    # the plan keeps coefficient arrays of fixed size, no O(n) scalars
+    # the prepared solve without tables keeps arrays of fixed size, no
+    # O(n) scalars: only the anchors' pole powers of the live chunks
+    # (at most nc of them, 69 and 20 here) grow with n below the chunks
+    # where those powers flush to zero
     for d in (1, 3):
         spec = random_spec(d=d, K=2, mults=(2, 2), m0=2,
                            rng=np.random.default_rng(d))
         tab = CoefficientTables(spec)
         size = {n: solve(spec, n, random_rhs(n, d, seed=d), tables=tab,
                          compute_residual=False).counters["plan_bytes"]
-                for n in (64, 4096)}
-        assert size[64] == size[4096] > 0, d
+                for n in (64, 4096, 65536)}
+        assert 0 < size[64] <= size[4096] == size[65536], d
 
 
 def test_plan_build_memory_does_not_depend_on_n():
+    # the traced peak of building the prepared solve without tables
     spec = warm_d3_spec()
     peak = {}
     for n in (4096, 65536):
         kit = ClosedFormKit(spec)
         tracemalloc.start()
-        kit.plan(n)
+        fast_solver.PreparedSolve(kit, n)
         peak[n] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert abs(peak[65536] - peak[4096]) <= 0.1 * peak[4096]
+    assert abs(peak[65536] - peak[4096]) <= 0.02 * peak[4096]
 
 
 def test_singular_resolvent_raises_on_every_call(sweep_specs):
@@ -1092,3 +1097,108 @@ def test_corrected_ranges_leave_the_solve_unchanged(monkeypatch, name, call):
         got[width] = run()
     for one, ref in zip(got["one"], got["default"], strict=True):
         assert np.linalg.norm(one - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_scaled_rhs_keeps_its_checks(monkeypatch, residual):
+    # Y times 2^530 gives Z times 2^530 to the bit, and rows of Z whose
+    # sums of squares leave float range: the residual and ||Z||_F stay
+    # finite, the overlap check still sees the deviation, and a fault
+    # planted on the plain rows still raises
+    spec = warm_d3_spec()
+    n, scale = 4096, 2.0 ** 530
+    tab = CoefficientTables(spec)
+    y = random_rhs(n, spec.d, seed=53)
+    base = solve(spec, n, y, tables=tab, compute_residual=residual)
+    big = solve(spec, n, scale * y, tables=tab, compute_residual=residual)
+    assert np.array_equal(big.z, scale * base.z)
+    assert big.overlap_max_dev > 0
+    if residual:
+        assert abs(big.residual - scale * base.residual) <= \
+            1e-12 * scale * base.residual
+        assert np.isfinite(big.residual_tail_bound)
+    side_rows = fast_solver._side_rows
+
+    def perturbed(w, anchors, cs, plain):
+        got = side_rows(w, anchors, cs, plain)
+        return got + 1e-6 * scale if plain else got
+
+    monkeypatch.setattr(fast_solver, "_side_rows", perturbed)
+    with pytest.raises(errors.OverlapMismatch):
+        solve(spec, n, scale * y, tables=tab, compute_residual=residual)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_overflowing_rhs_never_returns_non_finite(where):
+    # one Y entry of 1e308 in block 0, in the middle or in the last m0
+    # blocks, under each setting of both checks: a typed error or an
+    # all-finite Z, never a Z with a NaN or an inf
+    spec = warm_d3_spec()
+    n = 4096
+    y = random_rhs(n, spec.d, seed=53)
+    y[{"first": 0, "middle": n // 2, "last": n - spec.m0}[where], 0, 0] = 1e308
+    for check_overlap in (True, False):
+        for compute_residual in (True, False):
+            try:
+                z = solve(spec, n, y, check_overlap=check_overlap,
+                          compute_residual=compute_residual).z
+            except errors.BlockToeplitzError:
+                continue
+            assert np.isfinite(z).all(), (check_overlap, compute_residual)
+
+
+def test_prepared_solve_is_read_only_and_repeatable(sweep_specs,
+                                                    sweep_tables):
+    # every array a PreparedSolve holds is read-only; two of them for one
+    # (spec, n) give the same Z to the bit, and one held across three
+    # solves gives the module solve's Z, residual and overlap deviation
+    # to the bit, and its Grams those of apply_A_gram
+    spec, tab = sweep_specs["d2_k2m12"], sweep_tables["d2_k2m12"]
+    n = 300
+    kit = ClosedFormKit(spec)
+    held = fast_solver.PreparedSolve(kit, n, tab)
+    arrays = fast_solver._held(tuple(vars(held).values()))
+    assert len(arrays) >= 12 and held.nbytes == sum(a.nbytes for a in arrays)
+    assert not any(a.flags.writeable for a in arrays)
+    other = fast_solver.PreparedSolve(ClosedFormKit(spec), n, tab)
+    for seed in (61, 62, 63):
+        y = random_rhs(n, spec.d, seed=seed)
+        want = solve(spec, n, y, tables=tab, kit=kit)
+        got = held.solve(y)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(other.solve(y).z, want.z)
+        assert (got.residual, got.overlap_max_dev, got.counters) == (
+            want.residual, want.overlap_max_dev, want.counters)
+        assert got.timings["plan"] == 0.0
+        for variant in ("tilde", "plain"):
+            assert np.array_equal(held.gram(y, variant),
+                                  apply_A_gram(spec, n, y, variant))
+    assert fast_solver.PreparedSolve(kit, n).solve(y).residual is None
+
+
+def test_held_prepared_solve_builds_nothing(monkeypatch):
+    # a held PreparedSolve's solve and Grams build none of the Y-free
+    # arrays again: each function that builds one raises if called
+    spec = warm_d3_spec()
+    n = 1000
+    tab = CoefficientTables(spec)
+    held = fast_solver.PreparedSolve(ClosedFormKit(spec), n, tab)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Y-free array was built again")
+
+    for owner, name in ((fast_solver, "_chunk_operator"),
+                        (fast_solver, "_hermitian_operator"),
+                        (fast_solver, "_sequences"),
+                        (ClosedFormKit, "plan"),
+                        (ClosedFormKit, "corner_plan"),
+                        (CoefficientTables, "gamma_band")):
+        monkeypatch.setattr(owner, name, refused)
+    y = random_rhs(n, spec.d, seed=64)
+    assert held.solve(y).residual is not None
+    for variant in ("tilde", "plain"):
+        held.gram(y, variant)
+    with pytest.raises(AssertionError, match="built again"):
+        solve(spec, n, y, tables=tab)
