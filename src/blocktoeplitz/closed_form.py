@@ -614,8 +614,10 @@ class SolveVectors:
     resolvents of I - G~G and I - GG~, and the correction factors
     l_{n,s}, r_{n,s} (plus tilde variants).
 
-    The unscaled w overflow once |p_mu|^{-n} exceeds float range; the
-    linear-time solver assembles from the scaled vectors for large n.
+    The unscaled w overflow once |p_mu|^{-n} exceeds float range, so
+    these serve the block-by-block reference formulas at small n; the
+    linear-time solver reads none of them, but the plan's maps on the
+    moments of Y (see ClosedFormKit.plan and fast_solver._coefficients).
     """
 
     def __init__(self, kit, n):

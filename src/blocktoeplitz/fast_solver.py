@@ -3,8 +3,8 @@
 Blocks are read time-last inside this module, in place: every public
 function works on the (d, r, n) transposed view of the caller's complex
 (n, d, r) Y, whatever its strides, and writes into the transposed view
-of one C-ordered (n, d, r) output, which it returns. A NaN or an inf in
-Y raises NonSummableRHS before any pass over it (see _head).
+of one C-ordered (n, d, r) output, which it returns. It brings Y into
+float range on entry and raises NonSummableRHS on a NaN or an inf (_head).
 
 Every structured apply is one apply of a lower-triangular block
 Toeplitz operator with coefficients
@@ -97,6 +97,10 @@ _RANGE_BYTES = 1 << 20
 _FLUSH = np.sqrt(np.finfo(np.float64).tiny)
 # transform points per batch of residual segments: bounds its transient
 _RESIDUAL_BATCH = 1 << 14
+# the scale window of _head: for s in 2^+-_WINDOW, n d r < 2^64 entries have
+# ||Y||_F^2 < 2^(2 _WINDOW + 66), which bounds each square, ||Z||_F^2 is
+# finite for ||T_n(w)^{-1}||_2 < 2^222, and 1e-9 s squares to a normal float
+_WINDOW = 256
 # the neglected gamma band of the residual, relative to ||gamma(0)||_2
 _RESIDUAL_REL = 1e-12
 
@@ -382,25 +386,50 @@ def apply_Q_adjoint(spec, mu, n, y):
 
 
 def _head(y, n, d):
-    """The time-last (d, r, n) view of the first n blocks of a public
-    (n', d, r) Y, n' >= n; NonSummableRHS if one of them is not finite."""
+    """(y, s, k): the time-last (d, r, n) view of the first n blocks of a
+    public (n', d, r) Y, or of their copy over 2^k, s the power of two at
+    or below the RMS entry of that y: k = 0 for an s within 2^+-_WINDOW,
+    else s = 1 (see _scaled). NonSummableRHS if an entry is not finite."""
     y = as_block_vector(y, d)
     if len(y) < n:
         raise ValueError(f"Y has {len(y)} blocks, need {n}")
-    if not np.isfinite(y[:n]).all():
-        raise errors.NonSummableRHS("Y has non-finite blocks")
-    return y[:n].transpose(1, 2, 0)
+    y, k, size = y[:n], 0, max(y[:n].size, 1)
+    # sum |y|^2 in one pass without a copy, as one line if y is one in memory
+    sq = (float(np.vdot(*2 * [y.ravel("K").view(np.float64)])) if y.flags.forc
+          else sum(float(np.einsum("ijk,ijk->", a, a))
+                   for a in (y.real, y.imag)))
+    e = (math.frexp(sq / size)[1] - 1) >> 1             # floor(log2 RMS)
+    if not (0 < sq < math.inf and abs(e) <= _WINDOW):
+        # the sum may have left float range: again of 2^j Y, inside it
+        if not np.isfinite(y).all():
+            raise errors.NonSummableRHS("Y has non-finite blocks")
+        j = 600 if sq < 1 else -600
+        t = (y * 2.0 ** j).ravel("K").view(np.float64)
+        e = k = ((math.frexp(float(np.vdot(t, t)) / size)[1] - 1) >> 1) - j
+        y = _scaled(y, -k)
+    return y.transpose(1, 2, 0), math.ldexp(1.0, e - k), k
+
+
+def _scaled(x, k):
+    """x (an array, a float or None) times 2^k in two exact steps;
+    NumericalError past float range, the one overflow a call may meet."""
+    if k and x is not None:
+        with np.errstate(over="ignore", invalid="ignore"):   # inf * 0j
+            x = x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+        if not np.isfinite(x).all():
+            raise errors.NumericalError(f"output times 2^{k} past float range")
+    return x
 
 
 def _applied(op, n, y, d):
     """op Y for a public (n, d, r) Y, returned as a C-ordered (n, d, r)
     array: op's chunk operator, _states and _sweep on the time-last views
     of Y and of the output."""
-    y = _head(y, n, d)
+    y, _, k = _head(y, n, d)
     out = np.empty((n, d, y.shape[1]), dtype=np.complex128)
     mat, ends, carry = _chunk_operator(op, _sizes(op, n)[2])
     _sweep(op, y, mat, _states(op, y, ends, carry), out.transpose(1, 2, 0))
-    return out
+    return _scaled(out, k)
 
 
 def apply_A(spec, n, y, variant="tilde"):
@@ -435,12 +464,13 @@ class SolveReport:
     # 2-norm condition number of I - G~G (None when K = 0)
     resolvent_cond: float = None
     overlap_checked: int = 0
+    # the overlap check's largest ratio, the same for Y and 2^k Y (see solve)
     overlap_max_dev: float = 0.0
     # seconds per stage: plan (all that solve builds, the residual's band
     # too; 0 from a held PreparedSolve), apply (the slot states and the
     # two-sided apply of T_n(w^{-1})), assembly (the maps on the moments,
     # both sides' corrections and the overlap check) and residual (or,
-    # without it, the check that Z is finite)
+    # without it, the check that Z is finite) with the outputs' scale-back
     timings: dict = field(default_factory=dict)
     # overlap_rows (the rows the overlap check compared), plan_bytes (of
     # every array of the PreparedSolve), chunk (blocks per chunk) and, when
@@ -449,35 +479,44 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
 
-def _edge_sums(op, st, y):
-    """Per slot (mu, i) of op, a sum of the time-last (d, r, n) Y on the
-    v basis of the rank correction, read from op's slot states st (S, d,
-    r, nc): sum_t C(t, i - 1) p^t y_t for an upper op with poles p (the
-    tilde factor's states) from chunk 0's exit, sum_t C(n + 1 - t, i - 1)
-    conj(p)^{n+1-t} y_t for a lower op with poles conj(p) (the plain
-    factor's) from the last chunk's entry, plus that chunk's own blocks.
-    A state sigma_j = sum_l C(l + j - 1, j - 1) p^l y weighs blocks at
-    lags l whose weight is C(l + s, i - 1) p^{l+s} = p^s sum_{j <= i}
-    C(s - j, i - j) C(l + j - 1, j - 1) p^l, by Vandermonde's identity."""
-    n = y.shape[-1]
-    S, m0, T, nc = _sizes(op, n)
-    if not S:       # no slot: no sum
-        return st[..., 0]
+def _edge_weights(op, n):
+    """(weights, shift), the Y-free part of op's sums at order n (see
+    _edge_sums): the (S, k) weights C(l, i - 1) p^l of the k blocks of
+    the chunk at the sums' end per slot (mu, i), and the (S, S) shift
+    of the slot states there."""
+    S, _, T, nc = _sizes(op, n)
     last = (nc - 1) * T
-    state, s, ks, blocks = ((st[..., 0], T + 1, np.arange(1, min(T, n) + 1),
-                             y[..., :T]) if op.upper else
-                            (st[..., -1], n - last + 1,
-                             np.arange(n - last, 0, -1), y[..., last:]))
+    s, ks = ((T + 1, np.arange(1, min(T, n) + 1)) if op.upper else
+             (n - last + 1, np.arange(n - last, 0, -1)))
     degs = [e for m in op.mults for e in range(m)]
     p = np.repeat(op.poles, op.mults)[:, None]
-    binoms = np.stack([binom_vec(ks, e) for e in range(max(degs) + 1)])
+    binoms = np.stack([binom_vec(ks, e) for e in range(max(degs, default=0)
+                                                       + 1)])
     shift = np.zeros((S, S), dtype=np.complex128)
     q0 = 0
     for pole, m in zip(op.poles, op.mults):
         for j, i in itertools.combinations_with_replacement(range(m), 2):
             shift[q0 + i, q0 + j] = pole ** s * binom(s - j - 1, i - j)
         q0 += m
-    return (np.einsum("qk,drk->qdr", binoms[degs] * p ** ks, blocks)
+    return binoms[degs] * p ** ks, shift
+
+
+def _edge_sums(op, edge, st, y):
+    """Per slot (mu, i) of op, a sum of the time-last (d, r, n) Y on the
+    v basis of the rank correction, read from op's slot states st (S, d,
+    r, nc) with edge = _edge_weights(op, n): sum_t C(t, i - 1) p^t y_t
+    for an upper op with poles p (the tilde factor's states) from chunk
+    0's exit, sum_t C(n + 1 - t, i - 1) conj(p)^{n+1-t} y_t for a lower
+    op with poles conj(p) (the plain factor's) from the last chunk's
+    entry, plus that chunk's own blocks. A state sigma_j = sum_l C(l + j
+    - 1, j - 1) p^l y weighs blocks at lags l whose weight is C(l + s,
+    i - 1) p^{l+s} = p^s sum_{j <= i} C(s - j, i - j) C(l + j - 1, j - 1)
+    p^l, by Vandermonde's identity."""
+    weights, shift = edge
+    n, k = y.shape[-1], weights.shape[-1]
+    state, blocks = ((st[..., 0], y[..., :k]) if op.upper else
+                     (st[..., -1], y[..., n - k:]))
+    return (np.einsum("qk,drk->qdr", weights, blocks)
             + np.tensordot(shift, state, 1))
 
 
@@ -632,74 +671,46 @@ def _residual_banded(band, z, y):
 
 def _norm(parts):
     """||x||_F over the complex arrays x of parts, each with a contiguous
-    last axis, from the sum of their squares in order: plain, without a
-    copy, while it stays finite, and past float range over 2^-e x, e the
-    exponent of the largest entry so far, so a Z above 1e154 keeps a
-    finite norm."""
-    sq, e = 0.0, 0
-    for x in parts:
-        re = x.view(np.float64)
-        s = _squares(re, e)
-        if math.isinf(sq + s):
-            f = max(e, math.frexp(float(np.abs(re).max()))[1])
-            sq, e = math.ldexp(sq, 2 * (e - f)), f
-            s = _squares(re, e)
-        sq += s
-    with np.errstate(over="ignore"):    # a norm past float range reads inf
-        return float(np.ldexp(sq ** 0.5, e))
+    last axis, from the sum of their squares in order, without a copy."""
+    return sum(float(np.einsum("...i,...i->...", re, re).sum())
+               for re in (x.view(np.float64) for x in parts)) ** 0.5
 
 
-def _squares(re, e):
-    """sum (2^-e re)^2 over a real array, without a copy if e = 0."""
-    re = np.ldexp(re, -e) if e else re
-    return float(np.einsum("...i,...i->...", re, re).sum())
+def _anchor_columns(cs, live):
+    """The columns of the chunks cs among the held anchors of the first
+    and the last live chunks (see PreparedSolve): chunk c < live at c, a
+    later one at live + c % live."""
+    return np.where(cs < live, cs, live + cs % live)
 
 
 def _side_rows(w, anchors, cs, plain):
     """One side's correction on the rows of the chunks cs, as (d, r,
     len(cs) T): its coefficients times the table, w (d, r, R, T), times
-    the anchors of those chunks of its grid (see _sequences), conjugated
-    on the plain side."""
-    a = anchors(cs, plain)
+    the anchors of those chunks of its grid, held in anchors (2, R, 2
+    live) for the tilde and the plain grid (see PreparedSolve),
+    conjugated on the plain side."""
+    a = anchors[int(plain)][:, _anchor_columns(cs, anchors.shape[-1] // 2)]
     return np.matmul((np.conj(a) if plain else a).T, w).reshape(
         *w.shape[:2], -1)
 
 
-def _ratios(dev, zs, k):
-    """The squared ratio ||dev_s||_F^2 / max(1, ||z_s||_F^2 / k) per row s,
-    from sums of squares over the real views dev (d, r, rows, 2) of the
-    deviation and zs (rows, d, r') of z's rows. Where a sum overflows,
-    both are taken again of 2^-e dev and 2^-e zs, e the exponent of their
-    largest entry, and the floor 1 scaled by 4^-e, so rows above 1e154
-    keep a finite ratio; a NaN stays a NaN."""
-    num, den = (np.einsum("abst,abst->s", dev, dev),
-                np.einsum("sab,sab->s", zs, zs))
-    e = 0
-    if np.isinf(num).any() or np.isinf(den).any():
-        e = math.frexp(float(max(np.abs(dev).max(), np.abs(zs).max())))[1]
-        dev, zs = np.ldexp(dev, -e), np.ldexp(zs, -e)
-        num, den = (np.einsum("abst,abst->s", dev, dev),
-                    np.einsum("sab,sab->s", zs, zs))
-    return num / np.maximum(math.ldexp(1.0, -2 * e), den / k)
-
-
-def _correct(z, c_plain, c_tilde, seq, m0, check=False):
+def _correct(z, c_plain, c_tilde, seq, m0, floor=None):
     """Add the rank corrections to the time-last (d, r, n) z: the tilde
     side's on its rows s <= n - m0, at m = s, and the plain side's on its
     rows s > n - m0, at m = n + 1 - s; with one side's coefficients None,
     the other's on every row. A side's coefficients (d r, R + m0) are on
-    the R sequence rows of seq = _sequences(...) and on the m0 unit
+    the R sequence rows of seq (see PreparedSolve) and on the m0 unit
     rows (see _coefficients). Row s = c T + u + 1 of either
     side lies in chunk c of its grid: the tilde side's takes table column
     u, the plain side's column T - 1 - u and the conjugate anchors (see
     _sequences). One loop runs over batches of at most _RANGE_BYTES of
     output per side on the chunks at either end whose anchors are not all
     zero (elsewhere both corrections are zero): it forms a side's rows
-    where that side adds some and, with check, both sides' everywhere,
+    where that side adds some and, given a floor, both sides' everywhere,
     and compares them on the overlap rows m0 + 1 .. n - m0, where both
-    formulas hold (see solve). Then the unit rows [m == j] go on tilde
-    row j and plain row n + 1 - j. Returns the largest deviation ratio
-    and the number of rows compared."""
+    formulas hold, by the ratio of solve's check with that floor. Then
+    the unit rows [m == j] go on tilde row j and plain row n + 1 - j.
+    Returns the largest deviation ratio and the number of rows compared."""
     d, r, n = z.shape
     # 0-based rows below cut take the tilde side's correction
     cut = n if c_plain is None else 0 if c_tilde is None else n - m0
@@ -718,7 +729,7 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
             # tilde rows s0 .. t - 1, plain rows t .. s1 - 1 (0-based)
             s0, s1 = a * T, min(b * T, n)
             t = min(max(cut, s0), s1)
-            lo, hi = (max(s0, m0), min(s1, n - m0)) if check else (0, 0)
+            lo, hi = (max(s0, m0), min(s1, n - m0)) if floor else (0, 0)
             cs = np.arange(a, b)
             if t > s0 or hi > lo:
                 x_t = _side_rows(w_tilde, anchors, cs, False)
@@ -727,11 +738,13 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
                 x_p = _side_rows(w_plain, anchors, cs, True)
                 z[..., t:s1] += x_p[..., t - s0:s1 - s0]
             if hi > lo:
+                # squared ratio per row; np.maximum keeps a NaN that max() drops
                 dev = (x_t[..., lo - s0:hi - s0] - x_p[..., lo - s0:hi - s0]
                        ).view(np.float64).reshape(d, r, -1, 2)
                 zs = z[..., lo:hi].transpose(2, 0, 1).view(np.float64)
-                # np.maximum keeps a NaN, which max() would drop
-                worst = np.maximum(worst, _ratios(dev, zs, min(d, r)).max())
+                ratio = np.einsum("abst,abst->s", dev, dev) / np.maximum(
+                    floor * floor, np.einsum("sab,sab->s", zs, zs) / min(d, r))
+                worst = np.maximum(worst, ratio.max())
                 compared += hi - lo
     if c_tilde is not None:
         z[..., :m0] += c_tilde[:, R:].reshape(d, r, m0)
@@ -741,10 +754,7 @@ def _correct(z, c_plain, c_tilde, seq, m0, check=False):
 
 
 def _held(x):
-    """Every array in x, through tuples and the cells of closures."""
-    if callable(x):
-        x = tuple(c.cell_contents for c in getattr(x, "__closure__", None)
-                  or ())
+    """Every array in x, through tuples."""
     if isinstance(x, tuple):
         return [a for e in x for a in _held(e)]
     return [x] if isinstance(x, np.ndarray) else []
@@ -754,10 +764,13 @@ class PreparedSolve:
     """The arrays of solve and apply_A_gram at order n that do not depend
     on Y, built once and read-only: plan and corners (kit.plan(n) and
     kit.corner_plan()), sides (inv, the lower triangle of T_n(w^{-1}),
-    and inv*) with scans (their ends and carry) and mat (see
-    _hermitian_operator), seq (see _sequences) and, from the tables,
-    band (see _residual_band; None without, and then solve computes no
-    residual). nbytes counts them. DomainViolation below n = m0 + 1."""
+    and inv*) with scans (their ends and carry), edges (see _edge_weights)
+    and mat (see _hermitian_operator), seq (the table and live of
+    _sequences, and the anchors of the first and the last live chunks of
+    the tilde and the plain grid, as (2, 2M, 2 live), chunk c at column
+    _anchor_columns(c, live)) and, from the tables, band (see
+    _residual_band; None without, and then solve computes no residual).
+    nbytes counts them. DomainViolation below n = m0 + 1."""
 
     def __init__(self, kit, n, tables=None):
         spec = kit.spec
@@ -770,8 +783,16 @@ class PreparedSolve:
         self.sides, T = (inv, _adjoint(inv)), _chunk_blocks(spec.m0)
         ops = [_chunk_operator(op, T) for op in self.sides]
         self.scans = tuple(op[1:] for op in ops)
+        self.edges = tuple(_edge_weights(op, n) for op in self.sides)
         self.mat = _hermitian_operator(inv, ops[0][0], ops[1][0])
-        self.seq = _sequences(spec.poles, spec.mults, n, T)
+        table, live, anchors = _sequences(spec.poles, spec.mults, n, T)
+        nc = -(-n // T)
+        cs = np.r_[:live, max(live, nc - live):nc]
+        held = np.zeros((2, len(table), 2 * live), dtype=np.complex128)
+        if live:        # else no slot, and no anchors
+            held[..., _anchor_columns(cs, live)] = [
+                anchors(cs, plain) for plain in (False, True)]
+        self.seq = (table, live, held)
         self.band = None if tables is None else _residual_band(tables, n)
         arrays = _held(tuple(vars(self).values()))
         for a in arrays:
@@ -787,9 +808,9 @@ class PreparedSolve:
         d, r, n = y.shape
         S, _, _, nc = _sizes(self.sides[0], n)
         states = np.empty((2 * S, d, r, nc), dtype=np.complex128)
-        sums = [_edge_sums(op, _states(op, y, *scan, out=st), y)
-                for op, scan, st in zip(self.sides, self.scans,
-                                        np.split(states, 2))]
+        sums = [_edge_sums(op, edge, _states(op, y, *scan, out=st), y)
+                for op, scan, edge, st in zip(self.sides, self.scans,
+                                              self.edges, np.split(states, 2))]
         z = np.empty((n, d, r), dtype=np.complex128)
         _sweep(self.sides[0], y, self.mat, states, z.transpose(1, 2, 0))
         return z, sums
@@ -798,12 +819,12 @@ class PreparedSolve:
         """apply_A_gram(spec, n, y, variant) from this object's arrays:
         T_n(w^{-1}) Y minus the corner E~ Y or E Y on every row it reaches."""
         plain = _plain(variant)
-        y = _head(y, self.n, self.d)
+        y, _, k = _head(y, self.n, self.d)
         z, sums = self._apply(y)
         c_plain, c_tilde = _coefficients(self.corners, *sums, y, self.m0)
         _correct(z.transpose(1, 2, 0), c_plain if plain else None,
                  None if plain else c_tilde, self.seq, self.m0)
-        return z
+        return _scaled(z, k)
 
     def solve(self, y, check_overlap=True):
         """solve(spec, n, y, ...) from this object's arrays, with the
@@ -811,7 +832,7 @@ class PreparedSolve:
         it if Z is not finite; timings["plan"] is 0, since nothing is
         built. DomainViolation below n = 2 m0 + 1."""
         ticks = [time.perf_counter()]
-        y = _head(y, self.n, self.d)
+        y, s, k = _head(y, self.n, self.d)
         if self.n < 2 * self.m0 + 1:
             raise errors.DomainViolation("need n >= 2 m0 + 1")
         ticks.append(time.perf_counter())
@@ -820,7 +841,7 @@ class PreparedSolve:
         ticks.append(time.perf_counter())
         overlap_max_dev, compared = _correct(
             zt, *_coefficients(self.plan, *sums, y, self.m0), self.seq,
-            self.m0, check_overlap)
+            self.m0, s if check_overlap else None)
         # written so that a NaN deviation fails it
         if not overlap_max_dev <= _OVERLAP_TOL:
             raise errors.OverlapMismatch(
@@ -835,6 +856,7 @@ class PreparedSolve:
             counters.update(more)
         elif not np.isfinite(z).all():      # what the residual would catch
             raise errors.NumericalError("Z has non-finite entries")
+        z, residual, tail = (_scaled(x, k) for x in (z, residual, tail))
         ticks.append(time.perf_counter())
         timings = dict(zip(("plan", "apply", "assembly", "residual"), [0.0, *(
             b - a for a, b in itertools.pairwise(ticks[1:]))]))
@@ -860,21 +882,24 @@ def solve(spec, n, y, tables=None, kit=None, check_overlap=True,
     formed on every overlap row s = m0 + 1 .. n - m0 of the chunks whose
     anchors are not all zero (elsewhere both are zero; see _correct), and
     overlap_checked counts those rows: OverlapMismatch if
-    ||dev||_F / max(1, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 or is
-    NaN on a row, a ratio never below the spectral ||dev||_2 / max(1,
-    ||z_s||_2), so overlap_max_dev bounds that one. NonSummableRHS if Y
-    has a NaN or an inf; NumericalError if the residual, its tail bound
-    or ||Z||_F is not finite (see _residual_banded), or without the
-    residual if Z is not. The check compares only the two regions'
-    corrections: both formulas share T_n(w^{-1}) Y, so a fault in that
-    apply passes it, and with compute_residual=False no check covers the
-    apply.
+    ||dev||_F / max(s, ||z_s||_F / sqrt(min(d, r))) exceeds 1e-9 or is
+    NaN on a row, s the power of two at or below Y's RMS entry (so the
+    same for Y and 2^k Y), a ratio never below the spectral ||dev||_2 /
+    max(s, ||z_s||_2), which overlap_max_dev thus bounds. NonSummableRHS
+    if Y has a NaN or an inf; NumericalError if an output cannot be
+    represented, if the residual, its tail bound or ||Z||_F is not finite
+    (see _residual_banded), or without the residual if Z is not. The
+    check compares only the two regions' corrections: both formulas share
+    T_n(w^{-1}) Y, so a fault in that apply passes it, and with
+    compute_residual=False no check covers the apply.
     """
     t0 = time.perf_counter()
     if n < 2 * spec.m0 + 1:
         from .oracle import dense_solve     # oracle imports this module
-        return dense_solve(spec, n, _head(y, n, spec.d).transpose(2, 0, 1),
-                           tables=tables)
+        y, _, k = _head(y, n, spec.d)
+        rep = dense_solve(spec, n, y.transpose(2, 0, 1), tables=tables)
+        rep.z, rep.residual = _scaled(rep.z, k), _scaled(rep.residual, k)
+        return rep
     if compute_residual and tables is None:
         tables = CoefficientTables(spec)
     prepared = PreparedSolve(ClosedFormKit(spec) if kit is None else kit, n,

@@ -790,7 +790,8 @@ def test_correction_sums_from_states(mults, m0, radius, n):
         op = fast_solver._factor(spec, variant)
         st = fast_solver._states(op, yt, *fast_solver._chunk_operator(
             op, fast_solver._chunk_blocks(m0))[1:])
-        sums.append(fast_solver._edge_sums(op, st, yt))
+        sums.append(fast_solver._edge_sums(
+            op, fast_solver._edge_weights(op, n), st, yt))
     c_plain, c_tilde = fast_solver._coefficients(kit._correction_maps(n),
                                                     *sums, yt, m0)
     table, _, anchors = fast_solver._sequences(
@@ -931,24 +932,117 @@ def test_non_finite_rhs_raises(value, where):
             call()
 
 
-# the overflow is the case under test, so numpy's warnings of it are not
-# errors here: the typed error must come from solve's own checks
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-def test_overflowing_rhs_residual_raises(where):
+def test_overflowing_rhs_matches_dense(where):
     # one finite Y entry of 1e308 in block 0, in the middle or in the
-    # last m0 blocks overflows Z or its residual: with the residual on,
-    # solve raises a typed error instead of reporting a NaN residual,
-    # and with the overlap check off the residual stage raises it
+    # last m0 blocks, under each setting of both checks: solve runs on Y
+    # over a power of two and scales Z back, so it returns a finite Z,
+    # which matches the dense solve of 2^-1000 Y times 2^1000 (compared
+    # in units of 2^1000, where the norms stay finite), and a finite
+    # residual. The refusal of such a Y was a fault: Z is representable
     spec = warm_d3_spec()
-    n = 4096
+    n = 300
     y = random_rhs(n, spec.d, seed=53)
     y[{"first": 0, "middle": n // 2, "last": n - spec.m0}[where], 0, 0] = 1e308
-    with pytest.raises(errors.NumericalError):
-        solve(spec, n, y)
-    with pytest.raises(errors.NumericalError, match="not finite"):
-        solve(spec, n, y, check_overlap=False)
+    want = dense_solve(spec, n, y * 2.0 ** -1000).z
+    for check_overlap in (True, False):
+        for compute_residual in (True, False):
+            rep = solve(spec, n, y, check_overlap=check_overlap,
+                        compute_residual=compute_residual)
+            assert np.isfinite(rep.z).all()
+            got = rep.z * 2.0 ** -1000
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            if compute_residual:
+                assert np.isfinite(rep.residual)
+
+
+SCALES = [-1000, -700, -300, -40, -20, 0, 40, 300, 530]
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    """The d = 3 warm spec at n = 4096 with its tables, a Y and its solve."""
+    spec = warm_d3_spec()
+    tab = CoefficientTables(spec)
+    y = random_rhs(4096, spec.d, seed=53)
+    return spec, tab, y, solve(spec, 4096, y, tables=tab)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_scaled_rhs_scales_every_output(unscaled, monkeypatch, k):
+    # solve is linear in Y, and in binary floating point T_n(w)^{-1}
+    # (2^k Y) = 2^k T_n(w)^{-1} Y holds to the bit: from Y near the
+    # underflow threshold to Y near overflow, Z is 2^k times Y's Z to the
+    # bit, the residual 2^k times Y's, the overlap deviation Y's, and a
+    # relative fault of 1e-3 on the plain rows raises with the residual on
+    # and off
+    spec, tab, y, base = unscaled
+    n, scale = len(y), 2.0 ** k
+    got = solve(spec, n, scale * y, tables=tab)
+    assert np.array_equal(got.z, scale * base.z)
+    assert abs(got.residual - scale * base.residual) <= \
+        1e-12 * scale * base.residual
+    assert np.isfinite(got.residual_tail_bound)
+    assert got.overlap_max_dev == base.overlap_max_dev
+    side_rows = fast_solver._side_rows
+
+    def perturbed(w, anchors, cs, plain):
+        got = side_rows(w, anchors, cs, plain)
+        return got * (1 + 1e-3) if plain else got
+
+    monkeypatch.setattr(fast_solver, "_side_rows", perturbed)
+    for residual in (True, False):
+        with pytest.raises(errors.OverlapMismatch):
+            solve(spec, n, scale * y, tables=tab, compute_residual=residual)
+
+
+@pytest.mark.parametrize("k", [-1000, 530])
+def test_scaled_rhs_scales_the_applies(unscaled, k):
+    # each apply and both Grams of 2^k Y, which lies outside the scale
+    # window, are 2^k times those of Y to the bit; so is the Z of the
+    # dense branch below n = 2 m0 + 1
+    spec, _, y, _ = unscaled
+    n, scale = len(y), 2.0 ** k
+    calls = [lambda v: [apply_A_gram(spec, n, v, "tilde")],
+             lambda v: [apply_A_gram(spec, n, v, "plain")],
+             lambda v: [solve(spec, 2 * spec.m0, v[:2 * spec.m0]).z]]
+    for variant in ("tilde", "plain"):
+        calls += [lambda v, w=variant: [apply_A(spec, n, v, w)],
+                  lambda v, w=variant: [apply_A_adjoint(spec, n, v, w)]]
+    for mu in range(spec.K):
+        calls += [lambda v, mu=mu: apply_Q(spec, mu, n, v),
+                  lambda v, mu=mu: apply_Q_adjoint(spec, mu, n, v)]
+    for call in calls:
+        for got, want in zip(call(scale * y), call(y), strict=True):
+            assert np.array_equal(got, scale * want)
+
+
+def test_unrepresentable_output_raises():
+    # Y scaled to a largest entry of 1.7e308: Z, which the dense solve of
+    # 2^-1000 Y shows to be past float range, and a Gram raise
+    # NumericalError, while A~ Y, which fits, comes back finite
+    spec = warm_d3_spec()
+    n = 300
+    y = random_rhs(n, spec.d, seed=1)
+    y *= 1.7e308 / np.abs(y.view(np.float64)).max()
+    big = np.abs(dense_solve(spec, n, y * 2.0 ** -1000).z).max()
+    assert big > np.finfo(np.float64).max * 2.0 ** -1000
+    for call in (lambda: solve(spec, n, y),
+                 lambda: solve(spec, n, y, compute_residual=False),
+                 lambda: apply_A_gram(spec, n, y)):
+        with pytest.raises(errors.NumericalError, match="past float range"):
+            call()
+    assert np.isfinite(apply_A(spec, n, y)).all()
+
+
+def test_zero_rhs_gives_zero():
+    # Y = 0 takes the scale 1: Z = 0 and a zero residual, no error
+    spec = warm_d3_spec()
+    n = 300
+    y = np.zeros((n, spec.d, spec.d), dtype=np.complex128)
+    rep = solve(spec, n, y)
+    assert not rep.z.any() and rep.residual == 0 == rep.overlap_max_dev
+    assert not apply_A_gram(spec, n, y).any()
 
 
 @pytest.mark.parametrize("apply", [apply_A, apply_A_adjoint, apply_A_gram])
@@ -1128,8 +1222,6 @@ def test_scaled_rhs_keeps_its_checks(monkeypatch, residual):
         solve(spec, n, scale * y, tables=tab, compute_residual=residual)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_overflowing_rhs_never_returns_non_finite(where):
     # one Y entry of 1e308 in block 0, in the middle or in the last m0
@@ -1192,6 +1284,8 @@ def test_held_prepared_solve_builds_nothing(monkeypatch):
     for owner, name in ((fast_solver, "_chunk_operator"),
                         (fast_solver, "_hermitian_operator"),
                         (fast_solver, "_sequences"),
+                        (fast_solver, "binom_vec"),
+                        (fast_solver, "binom"),
                         (ClosedFormKit, "plan"),
                         (ClosedFormKit, "corner_plan"),
                         (CoefficientTables, "gamma_band")):
